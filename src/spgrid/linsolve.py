@@ -9,11 +9,13 @@ mesh, interior row ``i`` of the discrete system reads
 
 with Dirichlet data folded into the first and last right-hand sides.
 With ``b > 0`` the matrix is an irreducibly diagonally dominant M-matrix,
-so the Thomas elimination below needs no pivoting.
+so elimination needs no pivoting: :func:`thomas_solve` removes the odd rows
+level by level (cyclic reduction, Hockney 1965) and ends in Thomas elimination.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,35 +83,60 @@ def assemble(mesh: Mesh, eps: float, b, g,
     return TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=gvals)
 
 
-def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
-    """Forward elimination and back substitution, no pivoting.
+# Systems this small are cheaper in the scalar loop than as numpy levels.
+REDUCTION_BASE = 128
+_PAD = (0.0, 1.0, 0.0, 0.0)  # decoupled unit row: sub, diag, sup, rhs
 
-    Plain-float loops; substantially faster than per-element ndarray
-    indexing at the sizes used here (up to ~1e5 unknowns).
+
+def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
+    """Odd-even cyclic reduction to ``REDUCTION_BASE`` rows, then Thomas.
+
+    Even-length levels get a decoupled unit row appended, trimmed again on
+    the way back.  A zero or non-finite pivot raises :class:`ZeroPivotError`.
     """
-    sub = sys.sub.tolist()
-    diag = sys.diag.tolist()
-    sup = sys.sup.tolist()
-    rhs = sys.rhs.tolist()
+    a, b, c, d = sys.sub, sys.diag, sys.sup, sys.rhs
+    levels = []
+    while len(b) > REDUCTION_BASE:
+        m = len(b)
+        if m % 2 == 0:
+            a, b, c, d = (np.append(v, pad) for v, pad in zip((a, b, c, d), _PAD))
+        ao, bo, co, do = a[1::2], b[1::2], c[1::2], d[1::2]
+        bad = ~(np.abs(bo) >= 1e-300) | np.isinf(bo)
+        if bad.any():
+            raise ZeroPivotError("zero or non-finite pivot in row "
+                                 f"{(2 * bad.argmax() + 1) << len(levels)}")
+        inv = 1.0 / bo
+        alpha = -a[2::2] * inv   # even row 2j+2 eliminates odd row 2j+1 ...
+        gamma = -c[:-1:2] * inv  # ... and so does even row 2j
+        b, d = b[::2].copy(), d[::2].copy()
+        b[1:] += alpha * co
+        b[:-1] += gamma * ao
+        d[1:] += alpha * do
+        d[:-1] += gamma * do
+        a = np.concatenate(([0.0], alpha * ao))
+        c = np.concatenate((gamma * co, [0.0]))
+        levels.append((m, ao, co, do, inv))
+    # scalar Thomas elimination; row i here is row i << len(levels) above
+    sub, diag, sup, rhs = a.tolist(), b.tolist(), c.tolist(), d.tolist()
     m = len(diag)
     c = [0.0] * m
     d = [0.0] * m
-    piv = diag[0]
-    if abs(piv) < 1e-300:
-        raise ZeroPivotError("zero pivot in row 0")
-    c[0] = sup[0] / piv
-    d[0] = rhs[0] / piv
-    for i in range(1, m):
+    for i in range(m):  # c[-1] and d[-1] are still 0.0 at i = 0
         piv = diag[i] - sub[i] * c[i - 1]
-        if abs(piv) < 1e-300:
-            raise ZeroPivotError(f"zero pivot in row {i}")
+        if not 1e-300 <= abs(piv) < math.inf:
+            raise ZeroPivotError("zero or non-finite pivot in row "
+                                 f"{i << len(levels)}")
         c[i] = sup[i] / piv
         d[i] = (rhs[i] - sub[i] * d[i - 1]) / piv
-    y = [0.0] * m
-    y[-1] = d[-1]
     for i in range(m - 2, -1, -1):
-        y[i] = d[i] - c[i] * y[i + 1]
-    return np.asarray(y)
+        d[i] -= c[i] * d[i + 1]
+    y = np.asarray(d)
+    for m, ao, co, do, inv in reversed(levels):
+        full = np.empty(2 * len(y) - 1)
+        full[::2] = y
+        full[1::2] = (do - ao * y[:-1] - co * y[1:]) * inv
+        y = full[:m]
+    return y
 
 
 def residual_norm(sys: TridiagonalSystem, y: np.ndarray) -> float:

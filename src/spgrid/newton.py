@@ -30,7 +30,7 @@ InitialGuess = Union[str, np.ndarray]
 
 
 class NoConvergenceError(RuntimeError):
-    """Newton iteration exhausted max_iter; carries the last update norm."""
+    """Newton hit max_iter or a non-finite update; carries the last update."""
 
     def __init__(self, message: str, final_update: float):
         super().__init__(message)
@@ -232,6 +232,9 @@ def _solve(mesh: Mesh, problem, cfg: NewtonConfig) -> SolveOutcome:
     for _ in range(cfg.max_iter):
         y, upd = newton_step(mesh, problem, y, picard=picard)
         updates.append(upd)
+        if not np.isfinite(upd):
+            raise NoConvergenceError(
+                f"non-finite update in iteration {len(updates)}", final_update=upd)
         if upd <= cfg.tol:
             converged = True
             break

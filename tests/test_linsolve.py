@@ -1,11 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from spgrid.linsolve import (NonpositiveCoefficientError, TridiagonalSystem,
-                             ZeroPivotError, assemble, residual_norm,
-                             solve_linear, thomas_solve)
+import spgrid
+from spgrid.linsolve import (REDUCTION_BASE, NonpositiveCoefficientError,
+                             TridiagonalSystem, ZeroPivotError, assemble,
+                             residual_norm, solve_linear, thomas_solve)
 from spgrid.mesh import MeshSpec, build_mesh
 
 
@@ -78,7 +82,12 @@ def test_thomas_identity_system():
     assert np.array_equal(thomas_solve(sys), sys.rhs)
 
 
-@pytest.mark.parametrize("m", [5, 40, 1024])
+B = REDUCTION_BASE
+
+
+# around the reduction base, odd and even level lengths, padded levels
+@pytest.mark.parametrize("m", [1, 2, 5, 40, B - 1, B, B + 1,
+                               1023, 1024, 1025, 4097])
 def test_thomas_matches_dense_oracle(m):
     rng = np.random.default_rng(m)
     sub = rng.uniform(-1.0, 0.0, m)
@@ -98,6 +107,41 @@ def test_thomas_zero_pivot_detected():
                             sup=np.array([0.0, 0.0]), rhs=np.ones(2))
     with pytest.raises(ZeroPivotError):
         thomas_solve(sys)
+
+
+def test_zero_pivot_inside_reduced_level():
+    # rows 1 and 2 are equal, every diagonal entry is one: the zero pivot
+    # appears only after the first level has eliminated row 1
+    m = 4 * B + 1
+    sub = np.zeros(m)
+    sup = np.zeros(m)
+    sub[2] = sup[1] = 1.0
+    sys = TridiagonalSystem(sub=sub, diag=np.ones(m), sup=sup, rhs=np.ones(m))
+    with pytest.raises(ZeroPivotError, match="row 2"):
+        thomas_solve(sys)
+
+
+@pytest.mark.parametrize("m", [3, 4 * B + 1])
+@pytest.mark.parametrize("row", [1, 2])
+@pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+def test_thomas_rejects_zero_and_nonfinite_pivots(m, row, bad):
+    diag = np.ones(m)
+    diag[row] = bad
+    sys = TridiagonalSystem(sub=np.zeros(m), diag=diag, sup=np.zeros(m),
+                            rhs=np.ones(m))
+    with pytest.raises(ZeroPivotError):
+        thomas_solve(sys)
+
+
+def test_direct_solve_does_not_import_scipy():
+    code = ("import sys, spgrid as sp\n"
+            "mesh = sp.build_mesh(sp.MeshSpec('bakhvalov', 1e-2, 4096, a=4.0))\n"
+            "sp.solve_semilinear(mesh, sp.example1(1e-2))\n"
+            "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
+    src = os.path.dirname(os.path.dirname(spgrid.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": path})
 
 
 def test_nonpositive_coefficient_rejected():

@@ -91,6 +91,24 @@ def test_no_convergence_error_carries_update():
     assert info.value.final_update > 0
 
 
+def test_non_finite_update_fails_fast():
+    calls = []
+
+    def f(x, u):
+        calls.append(len(x))
+        return np.where(x > 0.5, np.nan, u)
+
+    p = SemilinearProblem(
+        eps=0.1, f=f,
+        f_u=lambda x, u: np.ones_like(np.asarray(u, dtype=float)),
+        bc_left=0.0, bc_right=0.0)
+    mesh = build_mesh(MeshSpec("uniform", 0.1, 16))
+    with pytest.raises(NoConvergenceError, match="non-finite") as info:
+        solve_semilinear(mesh, p, NewtonConfig(initial="zero"))
+    assert len(calls) == 1
+    assert np.isnan(info.value.final_update)
+
+
 def test_nonpositive_jacobian_detected():
     bad = SemilinearProblem(
         eps=0.1,
