@@ -12,13 +12,13 @@ from .linsolve import (NonpositiveCoefficientError, TridiagonalSystem,
                        thomas_solve)
 from .newton import (NewtonConfig, NoConvergenceError, NonpositiveJacobianError,
                      SingularDiffusionError, SolveOutcome, jacobian_fd_gap,
-                     newton_step, reduced_initial, residual_for,
-                     solve_quasilinear_diffusion, solve_semilinear)
+                     newton_step, reduced_initial, residual_for, solve)
 from .twogrid import (OutOfDomainError, TwoGridPlan, TwoGridResult, algorithm1,
                       algorithm2, choose_r, interpolant_slopes, interpolate)
 from .bench import (ConvergenceRow, DegenerateError, MissingExactError, Report,
                     ReportConfig, convergence_order, interpolant_error,
-                    layer_report, nodal_error, run_report, timing_comparison)
+                    layer_report, nodal_error, run_algorithm, run_report,
+                    timing_comparison)
 
 __version__ = "0.1.0"
 
@@ -31,12 +31,11 @@ __all__ = [
     "TridiagonalSystem", "NonpositiveCoefficientError", "ZeroPivotError",
     "assemble", "thomas_solve", "solve_linear", "residual_norm",
     "NewtonConfig", "SolveOutcome", "NoConvergenceError",
-    "NonpositiveJacobianError", "SingularDiffusionError", "solve_semilinear",
-    "solve_quasilinear_diffusion", "newton_step", "reduced_initial",
-    "residual_for", "jacobian_fd_gap",
+    "NonpositiveJacobianError", "SingularDiffusionError", "solve",
+    "newton_step", "reduced_initial", "residual_for", "jacobian_fd_gap",
     "TwoGridPlan", "TwoGridResult", "OutOfDomainError", "interpolate",
     "interpolant_slopes", "algorithm1", "algorithm2", "choose_r",
     "ReportConfig", "Report", "ConvergenceRow", "MissingExactError",
     "DegenerateError", "nodal_error", "interpolant_error", "convergence_order",
-    "run_report", "layer_report", "timing_comparison",
+    "run_algorithm", "run_report", "layer_report", "timing_comparison",
 ]

@@ -7,8 +7,9 @@ second cascade level step 3, and so on.  Observed convergence orders
 ``(ln E_N - ln E_2N) / ln 2`` are attached per step wherever the sweep
 contains the doubled coarse size; the finest row of each group has none.
 
-Errors in a cell are captured into the row instead of aborting the sweep,
-so one diverging cell cannot take down a table.
+Solver and validation errors in a cell are captured into the row instead
+of aborting the sweep, so one diverging cell cannot take down a table;
+any other exception is a defect and propagates.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .mesh import Mesh, MeshSpec, build_mesh, layer_fraction
-from .newton import NewtonConfig, solve as newton_solve
+from .linsolve import ZeroPivotError
+from .mesh import Mesh, MeshSpec, NoRootError, build_mesh, layer_fraction
+from .newton import NewtonConfig, NoConvergenceError, solve as newton_solve
 from .problems import make_problem
 from .twogrid import TwoGridPlan, algorithm1, algorithm2, choose_r, interpolate
 
@@ -198,48 +200,52 @@ def _error_of(cfg: ReportConfig, mesh: Mesh, y: np.ndarray, exact) -> float:
     return nodal_error(mesh, y, exact)
 
 
+def run_algorithm(problem, spec: MeshSpec, algorithm: str, r: float = 2.0,
+                  levels: int = 2, fine_n: int | None = None,
+                  newton_cfg: NewtonConfig | None = None) -> list:
+    """Run one algorithm; ``(mesh, outcome, seconds)`` for each step.
+
+    ``direct`` solves on ``spec``.  The two-grid algorithms take ``spec``
+    as the coarse mesh: ``tg1`` refines to ``fine_n`` (or ``N**r``),
+    ``tg1_ropt`` picks r by :func:`choose_r`, and ``tg2`` cascades
+    ``levels`` times.
+    """
+    if algorithm == "direct":
+        mesh = build_mesh(spec)
+        t0 = time.perf_counter()
+        out = newton_solve(mesh, problem, newton_cfg)
+        return [(mesh, out, time.perf_counter() - t0)]
+    if algorithm == "tg2":
+        result = algorithm2(problem, TwoGridPlan(coarse=spec, cascade_levels=levels),
+                            newton_cfg)
+    elif algorithm in ("tg1", "tg1_ropt"):
+        if algorithm == "tg1_ropt":
+            r, fine_n = choose_r(spec.n)
+        result = algorithm1(problem, TwoGridPlan(coarse=spec, r=r, fine_n=fine_n),
+                            newton_cfg)
+    else:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    return list(zip([result.coarse_mesh] + result.fine_meshes,
+                    [result.coarse] + result.fine, result.step_seconds))
+
+
 def _run_cell(cfg: ReportConfig, family: str, eps: float, N: int,
               newton_cfg: NewtonConfig) -> list:
     """Rows for one (family, eps, N) cell; one row per step."""
     problem = make_problem(cfg.problem, eps)
-    exact = problem.exact
-    spec = _mesh_spec(cfg, family, eps, N)
     base = dict(problem=cfg.problem, mesh=family, a=cfg.a, q=cfg.q,
                 gamma0=cfg.gamma0, eps=eps, N=N)
     rows = []
     try:
-        if cfg.algorithm == "direct":
-            mesh = build_mesh(spec)
-            t0 = time.perf_counter()
-            out = newton_solve(mesh, problem, newton_cfg)
-            rows.append(ConvergenceRow(**base, n=N, step=1,
-                                       error=_error_of(cfg, mesh, out.y, exact),
-                                       iterations=out.iterations,
-                                       seconds=time.perf_counter() - t0))
-        else:
-            if cfg.algorithm == "tg2":
-                plan = TwoGridPlan(coarse=spec, cascade_levels=cfg.levels)
-                result = algorithm2(problem, plan, newton_cfg)
-            else:
-                if cfg.algorithm == "tg1_ropt":
-                    r, fine_n = choose_r(N)
-                    plan = TwoGridPlan(coarse=spec, r=r, fine_n=fine_n)
-                else:
-                    plan = TwoGridPlan(coarse=spec, r=cfg.r)
-                result = algorithm1(problem, plan, newton_cfg)
+        steps = run_algorithm(problem, _mesh_spec(cfg, family, eps, N), cfg.algorithm,
+                              cfg.r, cfg.levels, newton_cfg=newton_cfg)
+        for step, (mesh, out, seconds) in enumerate(steps, start=1):
             rows.append(ConvergenceRow(
-                **base, n=N, step=1,
-                error=_error_of(cfg, result.coarse_mesh, result.coarse.y, exact),
-                iterations=result.coarse.iterations,
-                seconds=result.step_seconds[0]))
-            for level, (fmesh, fout) in enumerate(zip(result.fine_meshes, result.fine),
-                                                  start=1):
-                rows.append(ConvergenceRow(
-                    **base, n=fmesh.n, step=level + 1,
-                    error=_error_of(cfg, fmesh, fout.y, exact),
-                    iterations=fout.iterations,
-                    seconds=result.step_seconds[level]))
-    except Exception as exc:  # captured per cell; the sweep continues
+                **base, n=mesh.n, step=step,
+                error=_error_of(cfg, mesh, out.y, problem.exact),
+                iterations=out.iterations, seconds=seconds))
+    except (ValueError, NoConvergenceError, ZeroPivotError, NoRootError) as exc:
+        # solver and validation failures are captured per cell; the sweep continues
         rows.append(ConvergenceRow(**base, n=N, step=1,
                                    failed=f"{type(exc).__name__}: {exc}"))
     return rows

@@ -11,16 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
-import numpy as np
-
-from .bench import (ReportConfig, fmt_float, layer_report, render_layer_rows,
+from .bench import (ALGORITHMS, FORMATS, METRICS, ReportConfig, fmt_float,
+                    layer_report, nodal_error, render_layer_rows, run_algorithm,
                     run_report, timing_comparison)
-from .mesh import MeshSpec, build_mesh
-from .newton import NoConvergenceError, solve as newton_solve
-from .problems import make_problem
-from .twogrid import TwoGridPlan, algorithm1, algorithm2, choose_r
+from .mesh import MeshSpec
+from .newton import NoConvergenceError
+from .problems import PROBLEMS, make_problem
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -53,29 +50,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("solve", help="solve one problem instance")
-    ps.add_argument("--problem", required=True, choices=("ex1", "ex2"))
+    ps.add_argument("--problem", required=True, choices=tuple(PROBLEMS))
     _add_mesh_args(ps)
     ps.add_argument("--eps", type=float, required=True)
     ps.add_argument("--n", type=int, help="interval count (direct) or fine size (tg1)")
-    ps.add_argument("--algorithm", default="direct",
-                    choices=("direct", "tg1", "tg2", "tg1_ropt"))
+    ps.add_argument("--algorithm", default="direct", choices=ALGORITHMS)
     ps.add_argument("--coarse", type=int, help="coarse interval count (two-grid)")
     ps.add_argument("--r", type=float, default=2.0, help="fine-size exponent")
     ps.add_argument("--levels", type=int, default=2, help="cascade levels (tg2)")
     ps.add_argument("--out", default="json", choices=("json", "nodes"))
 
     pt = sub.add_parser("table", help="convergence table over (eps, N) cells")
-    pt.add_argument("--problem", required=True, choices=("ex1", "ex2"))
+    pt.add_argument("--problem", required=True, choices=tuple(PROBLEMS))
     _add_mesh_args(pt)
     pt.add_argument("--eps", type=_float_list, required=True, help="comma list")
     pt.add_argument("--coarse", type=_int_list, required=True, help="comma list of N")
-    pt.add_argument("--algorithm", default="direct",
-                    choices=("direct", "tg1", "tg2", "tg1_ropt"))
+    pt.add_argument("--algorithm", default="direct", choices=ALGORITHMS)
     pt.add_argument("--r", type=float, default=2.0)
     pt.add_argument("--levels", type=int, default=2)
-    pt.add_argument("--format", dest="fmt", default="markdown",
-                    choices=("markdown", "csv", "json"))
-    pt.add_argument("--metric", default="nodal", choices=("nodal", "interpolant"))
+    pt.add_argument("--format", dest="fmt", default="markdown", choices=FORMATS)
+    pt.add_argument("--metric", default="nodal", choices=METRICS)
 
     pl = sub.add_parser("layers", help="percent of mesh points inside the layers")
     pl.add_argument("--eps", type=float, default=2.0 ** -8)
@@ -89,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--gamma0", type=float, default=1.0)
 
     pb = sub.add_parser("bench", help="direct vs two-grid timing on n = N^2")
-    pb.add_argument("--problem", required=True, choices=("ex1", "ex2"))
+    pb.add_argument("--problem", required=True, choices=tuple(PROBLEMS))
     _add_mesh_args(pb)
     pb.add_argument("--eps", type=float, required=True)
     pb.add_argument("--coarse", type=_int_list, required=True)
@@ -99,38 +93,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_solve(args) -> int:
     problem = make_problem(args.problem, args.eps)
-    spec_kwargs = dict(family=args.mesh, eps=args.eps, a=args.a, q=args.q,
-                       gamma0=args.gamma0, layer_sides=args.layer_sides)
-    if args.algorithm == "direct":
-        if args.n is None:
-            print("error: --n is required for the direct algorithm", file=sys.stderr)
-            return EXIT_VALIDATION
-        mesh = build_mesh(MeshSpec(n=args.n, **spec_kwargs))
-        t0 = time.perf_counter()
-        out = newton_solve(mesh, problem)
-        seconds = time.perf_counter() - t0
-    else:
-        if args.coarse is None:
-            print("error: --coarse is required for two-grid algorithms",
-                  file=sys.stderr)
-            return EXIT_VALIDATION
-        coarse = MeshSpec(n=args.coarse, **spec_kwargs)
-        if args.algorithm == "tg2":
-            plan = TwoGridPlan(coarse=coarse, cascade_levels=args.levels)
-            result = algorithm2(problem, plan)
-        elif args.algorithm == "tg1_ropt":
-            r, fine_n = choose_r(args.coarse)
-            plan = TwoGridPlan(coarse=coarse, r=r, fine_n=fine_n)
-            result = algorithm1(problem, plan)
-        else:
-            plan = TwoGridPlan(coarse=coarse, r=args.r, fine_n=args.n)
-            result = algorithm1(problem, plan)
-        mesh = result.final_mesh()
-        out = result.fine[-1]
-        seconds = sum(result.step_seconds)
-    error = None
-    if problem.exact is not None:
-        error = float(np.max(np.abs(problem.exact(mesh.nodes) - out.y)))
+    direct = args.algorithm == "direct"
+    if direct and args.n is None:
+        print("error: --n is required for the direct algorithm", file=sys.stderr)
+        return EXIT_VALIDATION
+    if not direct and args.coarse is None:
+        print("error: --coarse is required for two-grid algorithms", file=sys.stderr)
+        return EXIT_VALIDATION
+    spec = MeshSpec(family=args.mesh, eps=args.eps,
+                    n=args.n if direct else args.coarse, a=args.a, q=args.q,
+                    gamma0=args.gamma0, layer_sides=args.layer_sides)
+    steps = run_algorithm(problem, spec, args.algorithm, args.r, args.levels,
+                          None if direct else args.n)
+    mesh, out, _ = steps[-1]
+    seconds = sum(step[2] for step in steps)
+    error = None if problem.exact is None else nodal_error(mesh, out.y, problem.exact)
     if args.out == "nodes":
         for x, v in zip(mesh.nodes, out.y):
             print(f"{x:.17g} {v:.17g}")

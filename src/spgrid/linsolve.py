@@ -8,7 +8,9 @@ mesh, interior row ``i`` of the discrete system reads
       - eps^2/(hbar_i h_{i+1}) y_{i+1}  =  g(x_i),
 
 with Dirichlet data folded into the first and last right-hand sides.
-With ``b > 0`` the matrix is an irreducibly diagonally dominant M-matrix,
+:func:`stencil` builds these rows; with per-interval flux weights in place
+of the unit ones it also builds the Newton Jacobians of the nonlinear
+scheme (:mod:`spgrid.newton`).  With ``b > 0`` the matrix is an irreducibly diagonally dominant M-matrix,
 so elimination needs no pivoting: :func:`thomas_solve` removes the odd rows
 level by level (cyclic reduction, Hockney 1965) and ends in Thomas elimination.
 """
@@ -58,6 +60,37 @@ def _values(func_or_array, x: np.ndarray) -> np.ndarray:
     return vals
 
 
+def stencil(mesh: Mesh, eps: float, b: np.ndarray, rhs: np.ndarray,
+            right: np.ndarray | None = None, left: np.ndarray | None = None,
+            bc_left: float = 0.0, bc_right: float = 0.0) -> TridiagonalSystem:
+    """Three-point rows of ``-eps^2/hbar_i (phi_{i+1/2} - phi_{i-1/2}) + b_i y_i``.
+
+    The flux on interval j (nodes j, j+1) is linear in its end values,
+    ``phi_j = (right_j y_{j+1} - left_j y_j) / h_j``.  ``right`` and
+    ``left`` are per-interval arrays, given together; both default to one,
+    the plain second difference.  Dirichlet data is folded into ``rhs`` in
+    place.
+    """
+    h = mesh.steps
+    hbar = mesh.half_steps
+    e2 = eps * eps
+    # coupling scale of each row through its left and its right interval
+    scale_l = -e2 / (hbar * h[:-1])
+    scale_r = -e2 / (hbar * h[1:])
+    if right is None:  # unit weights: the same rows without four products
+        lower, upper = scale_l, scale_r
+        diag = b - (lower + upper)
+    else:
+        lower = scale_l * left[:-1]
+        upper = scale_r * right[1:]
+        diag = b - (scale_l * right[:-1] + scale_r * left[1:])
+    rhs[0] -= lower[0] * bc_left
+    rhs[-1] -= upper[-1] * bc_right
+    sub = np.concatenate(([0.0], lower[1:]))
+    sup = np.concatenate((upper[:-1], [0.0]))
+    return TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs)
+
+
 def assemble(mesh: Mesh, eps: float, b, g,
              bc_left: float = 0.0, bc_right: float = 0.0) -> TridiagonalSystem:
     """Assemble the interior tridiagonal system.
@@ -69,18 +102,8 @@ def assemble(mesh: Mesh, eps: float, b, g,
     bvals = _values(b, xi)
     if np.any(bvals <= 0.0):
         raise NonpositiveCoefficientError("b(x) must be strictly positive")
-    gvals = _values(g, xi).copy()
-    h = mesh.steps
-    hbar = mesh.half_steps
-    e2 = eps * eps
-    lower = -e2 / (hbar * h[:-1])
-    upper = -e2 / (hbar * h[1:])
-    diag = -(lower + upper) + bvals
-    gvals[0] -= lower[0] * bc_left
-    gvals[-1] -= upper[-1] * bc_right
-    sub = np.concatenate(([0.0], lower[1:]))
-    sup = np.concatenate((upper[:-1], [0.0]))
-    return TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=gvals)
+    return stencil(mesh, eps, bvals, _values(g, xi).copy(), bc_left=bc_left,
+                   bc_right=bc_right)
 
 
 # Systems this small are cheaper in the scalar loop than as numpy levels.

@@ -1,6 +1,12 @@
-"""Newton (quasilinearization) solvers for the nonlinear difference schemes.
+"""Newton (quasilinearization) solver for the nonlinear difference scheme.
 
-Both solvers iterate in correction form: each sweep solves the linearized
+Both problem types share one scheme, the conservative midpoint
+discretization of ``-eps^2 (d(u) u')' + r(x, u) = 0``; a semilinear
+problem is the case ``d = 1``, ``r = f``.  One residual and one Jacobian
+implement it, the Jacobian's rows come from :func:`spgrid.linsolve.stencil`,
+and :func:`_scheme` is the only dispatch on the problem type.
+
+:func:`solve` iterates in correction form: each sweep solves the linearized
 tridiagonal system ``J(y) delta = -F(y)`` for the update and sets
 ``y <- y + delta``.  Algebraically this is the classical quasilinearization
 sweep ``(-eps^2 D_h + f_u(y)) y_new = f_u(y) y - f(x, y)``, but the
@@ -22,7 +28,7 @@ from typing import Union
 
 import numpy as np
 
-from .linsolve import TridiagonalSystem, thomas_solve
+from .linsolve import TridiagonalSystem, stencil, thomas_solve
 from .mesh import Mesh
 from .problems import QuasilinearDiffusionProblem, SemilinearProblem
 
@@ -38,7 +44,7 @@ class NoConvergenceError(RuntimeError):
 
 
 class NonpositiveJacobianError(ValueError):
-    """f_u <= 0 at some node of the current iterate."""
+    """Reaction derivative (f_u or r_u) <= 0 or non-finite along the iterate."""
 
 
 class SingularDiffusionError(ValueError):
@@ -87,30 +93,59 @@ def _interval_slopes(mesh: Mesh, y: np.ndarray) -> np.ndarray:
     return np.diff(y) / mesh.steps
 
 
+def _midpoint_diffusion(d, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Interval midpoint values of ``y`` and the diffusion factor there."""
+    mid = 0.5 * (y[:-1] + y[1:])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dm = d(mid)
+    if not np.all(np.isfinite(dm)) or np.any(dm <= 0.0):
+        raise SingularDiffusionError("diffusion factor not positive at a midpoint")
+    return mid, dm
+
+
+def _residual(mesh: Mesh, eps: float, d, reaction, y: np.ndarray,
+              slopes: np.ndarray | None) -> np.ndarray:
+    """``-eps^2/hbar_i (flux_{i+1/2} - flux_{i-1/2}) + reaction(x_i, y_i)``.
+
+    The flux on an interval is ``d(midpoint) * slope``, or the slope alone
+    when ``d`` is None (the semilinear scheme).
+    """
+    flux = _interval_slopes(mesh, y) if slopes is None else slopes
+    if d is not None:
+        flux = _midpoint_diffusion(d, y)[1] * flux
+    return (-eps ** 2 * ((flux[1:] - flux[:-1]) / mesh.half_steps)
+            + reaction(mesh.interior(), y[1:-1]))
+
+
+def _jacobian(mesh: Mesh, eps: float, d, d_u, reaction_u, y: np.ndarray,
+              picard: bool) -> TridiagonalSystem:
+    """Tridiagonal Jacobian of :func:`_residual` about ``y`` (rhs left zero).
+
+    ``d(m_j)`` moves by ``d_u(m_j)/2`` per unit change of either end value
+    of interval j, so its flux weights are ``d(m_j) +- chain_j`` with
+    ``chain_j = d_u(m_j) (y_{j+1} - y_j)/2``; Picard iteration drops chain.
+    """
+    b = reaction_u(mesh.interior(), y[1:-1])
+    if np.any(b <= 0.0) or not np.all(np.isfinite(b)):
+        raise NonpositiveJacobianError(
+            "reaction derivative must be positive along the iterate")
+    if d is None:
+        return stencil(mesh, eps, b, np.zeros_like(b))
+    mid, dm = _midpoint_diffusion(d, y)
+    chain = 0.0 if picard else 0.5 * d_u(mid) * np.diff(y)
+    return stencil(mesh, eps, b, np.zeros_like(b), dm + chain, dm - chain)
+
+
 def semilinear_residual(mesh: Mesh, p: SemilinearProblem, y: np.ndarray,
                         slopes: np.ndarray | None = None) -> np.ndarray:
     """Interior residual ``-eps^2 y_xx + f(x, y)`` of the nonlinear scheme."""
-    s = _interval_slopes(mesh, y) if slopes is None else slopes
-    lap = (s[1:] - s[:-1]) / mesh.half_steps
-    return -p.eps ** 2 * lap + p.f(mesh.interior(), y[1:-1])
+    return _residual(mesh, p.eps, None, p.f, y, slopes)
 
 
-def semilinear_jacobian(mesh: Mesh, p: SemilinearProblem,
-                        y: np.ndarray) -> TridiagonalSystem:
-    """Tridiagonal Jacobian rows about ``y`` (rhs slot left zero)."""
-    xi = mesh.interior()
-    b = p.f_u(xi, y[1:-1])
-    if np.any(b <= 0.0) or not np.all(np.isfinite(b)):
-        raise NonpositiveJacobianError("f_u must be positive along the iterate")
-    h = mesh.steps
-    hbar = mesh.half_steps
-    e2 = p.eps ** 2
-    lower = -e2 / (hbar * h[:-1])
-    upper = -e2 / (hbar * h[1:])
-    diag = -(lower + upper) + b
-    sub = np.concatenate(([0.0], lower[1:]))
-    sup = np.concatenate((upper[:-1], [0.0]))
-    return TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=np.zeros_like(diag))
+def semilinear_jacobian(mesh: Mesh, p: SemilinearProblem, y: np.ndarray,
+                        picard: bool = False) -> TridiagonalSystem:
+    """Tridiagonal Jacobian rows about ``y`` (``picard`` has no terms to drop)."""
+    return _jacobian(mesh, p.eps, None, None, p.f_u, y, picard)
 
 
 def diffusion_residual(mesh: Mesh, p: QuasilinearDiffusionProblem, y: np.ndarray,
@@ -120,44 +155,25 @@ def diffusion_residual(mesh: Mesh, p: QuasilinearDiffusionProblem, y: np.ndarray
     ``F_i = -eps^2/hbar_i [ d(m_{i+1/2}) s_{i+1} - d(m_{i-1/2}) s_i ]
     + r(x_i, y_i)`` with interval midpoint values ``m`` and slopes ``s``.
     """
-    s = _interval_slopes(mesh, y) if slopes is None else slopes
-    mid = 0.5 * (y[:-1] + y[1:])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dm = p.d(mid)
-    if not np.all(np.isfinite(dm)) or np.any(dm <= 0.0):
-        raise SingularDiffusionError("diffusion factor not positive at a midpoint")
-    flux = dm * s
-    return (-p.eps ** 2 * (flux[1:] - flux[:-1]) / mesh.half_steps
-            + p.r(mesh.interior(), y[1:-1]))
+    return _residual(mesh, p.eps, p.d, p.r, y, slopes)
 
 
 def diffusion_jacobian(mesh: Mesh, p: QuasilinearDiffusionProblem, y: np.ndarray,
                        picard: bool = False) -> TridiagonalSystem:
     """Analytic tridiagonal Jacobian of the midpoint scheme about ``y``."""
-    xi = mesh.interior()
-    h = mesh.steps
-    hbar = mesh.half_steps
-    e2 = p.eps ** 2
-    s = _interval_slopes(mesh, y)
-    mid = 0.5 * (y[:-1] + y[1:])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dm = p.d(mid)
-    if not np.all(np.isfinite(dm)) or np.any(dm <= 0.0):
-        raise SingularDiffusionError("diffusion factor not positive at a midpoint")
-    dmu = np.zeros_like(dm) if picard else p.d_u(mid) * s
-    # interval j couples nodes j and j+1; chain terms carry 0.5 * d_u * s_j
-    right_flux = dm[1:] / h[1:]       # d(m_{i+1/2})/h_{i+1} for interior i
-    left_flux = dm[:-1] / h[:-1]
-    right_chain = 0.5 * dmu[1:]
-    left_chain = 0.5 * dmu[:-1]
-    scale = -e2 / hbar
-    upper = scale * (right_flux + right_chain)
-    lower = scale * (left_flux - left_chain)
-    diag = (scale * (-right_flux - left_flux + right_chain - left_chain)
-            + p.r_u(xi, y[1:-1]))
-    sub = np.concatenate(([0.0], lower[1:]))
-    sup = np.concatenate((upper[:-1], [0.0]))
-    return TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=np.zeros_like(diag))
+    return _jacobian(mesh, p.eps, p.d, p.d_u, p.r_u, y, picard)
+
+
+def _scheme(problem):
+    """``(residual, jacobian, reaction, reaction_u)`` for the problem type.
+
+    The only dispatch on the problem type.  The functions are looked up
+    in the module namespace at call time, so rebinding one of the public
+    names (as a tracer does) reaches every caller.
+    """
+    if isinstance(problem, QuasilinearDiffusionProblem):
+        return diffusion_residual, diffusion_jacobian, problem.r, problem.r_u
+    return semilinear_residual, semilinear_jacobian, problem.f, problem.f_u
 
 
 def newton_step(mesh: Mesh, problem, y: np.ndarray,
@@ -168,12 +184,9 @@ def newton_step(mesh: Mesh, problem, y: np.ndarray,
     Boundary entries of ``y`` are kept verbatim (the correction has zero
     boundary values).
     """
-    if isinstance(problem, QuasilinearDiffusionProblem):
-        F = diffusion_residual(mesh, problem, y, slopes)
-        jac = diffusion_jacobian(mesh, problem, y, picard)
-    else:
-        F = semilinear_residual(mesh, problem, y, slopes)
-        jac = semilinear_jacobian(mesh, problem, y)
+    residual, jacobian, _, _ = _scheme(problem)
+    F = residual(mesh, problem, y, slopes)
+    jac = jacobian(mesh, problem, y, picard)
     sys = TridiagonalSystem(sub=jac.sub, diag=jac.diag, sup=jac.sup, rhs=-F)
     delta = thomas_solve(sys)
     out = y.copy()
@@ -189,10 +202,7 @@ def reduced_initial(mesh: Mesh, problem) -> np.ndarray:
     overshoots into a singularity.  The result is a heuristic start only,
     so a loose tolerance suffices.
     """
-    if isinstance(problem, QuasilinearDiffusionProblem):
-        fun, der = problem.r, problem.r_u
-    else:
-        fun, der = problem.f, problem.f_u
+    _, _, fun, der = _scheme(problem)
     xi = mesh.interior()
     u = np.zeros_like(xi)
     for _ in range(60):
@@ -223,89 +233,64 @@ def _start_vector(mesh: Mesh, problem, cfg: NewtonConfig) -> np.ndarray:
     return y
 
 
-def _solve(mesh: Mesh, problem, cfg: NewtonConfig) -> SolveOutcome:
+def solve(mesh: Mesh, problem, cfg: NewtonConfig | None = None) -> SolveOutcome:
+    """Solve the nonlinear scheme of either problem type by Newton's method."""
+    cfg = cfg or NewtonConfig()
     t0 = time.perf_counter()
     y = _start_vector(mesh, problem, cfg)
-    picard = cfg.picard and isinstance(problem, QuasilinearDiffusionProblem)
     updates = []
-    converged = False
     for _ in range(cfg.max_iter):
-        y, upd = newton_step(mesh, problem, y, picard=picard)
+        y, upd = newton_step(mesh, problem, y, picard=cfg.picard)
         updates.append(upd)
         if not np.isfinite(upd):
             raise NoConvergenceError(
                 f"non-finite update in iteration {len(updates)}", final_update=upd)
         if upd <= cfg.tol:
-            converged = True
             break
-    if not converged:
+    else:
         raise NoConvergenceError(
             f"no convergence in {cfg.max_iter} iterations "
             f"(last update {updates[-1]:.3e})", final_update=updates[-1])
-    if isinstance(problem, QuasilinearDiffusionProblem):
-        res = diffusion_residual(mesh, problem, y)
-    else:
-        res = semilinear_residual(mesh, problem, y)
+    res = residual_for(mesh, problem, y)
     return SolveOutcome(y=y, iterations=len(updates), final_update=updates[-1],
                         converged=True, wall_time=time.perf_counter() - t0,
                         residual_norm=float(np.max(np.abs(res))),
                         update_history=updates)
 
 
-def solve_semilinear(mesh: Mesh, p: SemilinearProblem,
-                     cfg: NewtonConfig | None = None) -> SolveOutcome:
-    """Solve ``-eps^2 y_xx + f(x, y) = 0`` with Dirichlet data from ``p``."""
-    return _solve(mesh, p, cfg or NewtonConfig())
-
-
-def solve_quasilinear_diffusion(mesh: Mesh, p: QuasilinearDiffusionProblem,
-                                cfg: NewtonConfig | None = None) -> SolveOutcome:
-    """Solve the conservative midpoint scheme for ``-eps^2 (d(u)u')' + r = 0``."""
-    return _solve(mesh, p, cfg or NewtonConfig())
-
-
-def solve(mesh: Mesh, problem, cfg: NewtonConfig | None = None) -> SolveOutcome:
-    """Dispatch on the problem type."""
-    return _solve(mesh, problem, cfg or NewtonConfig())
-
-
 def residual_for(mesh: Mesh, problem, y: np.ndarray) -> np.ndarray:
     """Interior nonlinear-scheme residual, dispatched on the problem type."""
-    if isinstance(problem, QuasilinearDiffusionProblem):
-        return diffusion_residual(mesh, problem, y)
-    return semilinear_residual(mesh, problem, y)
-
-
-def _residual_func(mesh: Mesh, problem):
-    return lambda y: residual_for(mesh, problem, y)
+    return _scheme(problem)[0](mesh, problem, y)
 
 
 def jacobian_fd_gap(mesh: Mesh, problem, y: np.ndarray) -> float:
     """Max entrywise gap between the analytic Jacobian and central differences.
 
     The gap is relative to the entry magnitude, floored at one; intended
-    as a correctness check, not for production paths.
+    as a correctness check, not for production paths.  Row i of the
+    residual reads only unknowns i-1, i and i+1, so perturbing every third
+    unknown at once (Curtis, Powell and Reid 1974) leaves each row one
+    perturbed neighbour: three residual pairs give the same entries as a
+    loop over single columns, in O(n).
     """
-    if isinstance(problem, QuasilinearDiffusionProblem):
-        jac = diffusion_jacobian(mesh, problem, y)
-    else:
-        jac = semilinear_jacobian(mesh, problem, y)
-    resid = _residual_func(mesh, problem)
+    residual, jacobian, _, _ = _scheme(problem)
+    jac = jacobian(mesh, problem, y)
     m = mesh.n - 1
     gap = 0.0
-    for j in range(m):
-        step = 1e-6 * (1.0 + abs(y[j + 1]))
+    for colour in range(3):
+        cols = np.arange(colour, m, 3)
+        step = 1e-6 * (1.0 + np.abs(y[cols + 1]))
         yp = y.copy()
-        yp[j + 1] += step
+        yp[cols + 1] += step
         ym = y.copy()
-        ym[j + 1] -= step
-        col = (resid(yp) - resid(ym)) / (2.0 * step)
-        entries = [(j, jac.diag[j])]
-        if j > 0:
-            entries.append((j - 1, jac.sup[j - 1]))
-        if j < m - 1:
-            entries.append((j + 1, jac.sub[j + 1]))
-        for i, a in entries:
-            fd = col[i]
-            gap = max(gap, abs(a - fd) / max(1.0, abs(a), abs(fd)))
+        ym[cols + 1] -= step
+        diff = residual(mesh, problem, yp) - residual(mesh, problem, ym)
+        # column j holds diag[j], sup[j - 1] in row j - 1 and sub[j + 1] in row j + 1
+        for shift, band in ((0, jac.diag), (-1, jac.sup), (1, jac.sub)):
+            rows = cols + shift
+            inside = (rows >= 0) & (rows < m)
+            a = band[rows[inside]]
+            fd = diff[rows[inside]] / (2.0 * step[inside])
+            rel = np.abs(a - fd) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(fd)))
+            gap = max(gap, float(np.max(rel, initial=0.0)))
     return gap

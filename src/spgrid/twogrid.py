@@ -79,12 +79,6 @@ class TwoGridResult:
     fine: list
     step_seconds: list
 
-    def final_mesh(self) -> Mesh:
-        return self.fine_meshes[-1] if self.fine_meshes else self.coarse_mesh
-
-    def final_values(self) -> np.ndarray:
-        return self.fine[-1].y if self.fine else self.coarse.y
-
 
 def interpolate(mesh: Mesh, values: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Piecewise-linear interpolant of nodal values at the query points.

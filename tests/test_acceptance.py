@@ -57,8 +57,7 @@ def _direct(problem_id, family, eps, sizes, a=1.0, gamma0=1.0):
     errs, iters = [], []
     for n in sizes:
         mesh = sp.build_mesh(sp.MeshSpec(family, eps, n, a=a, gamma0=gamma0))
-        out = sp.solve_semilinear(mesh, p) if problem_id == "ex1" \
-            else sp.solve_quasilinear_diffusion(mesh, p)
+        out = sp.solve(mesh, p)
         errs.append(sp.nodal_error(mesh, out.y, p.exact))
         iters.append(out.iterations)
     return errs, iters
@@ -458,7 +457,7 @@ def test_criterion_7_newton_quadratic_tail_and_iteration_budget():
             p = sp.example1(eps)
             for n in SIZES:
                 mesh = sp.build_mesh(sp.MeshSpec(family, eps, n, a=a))
-                out = sp.solve_semilinear(mesh, p)
+                out = sp.solve(mesh, p)
                 worst = max(worst, out.iterations)
                 ok &= out.iterations <= 8
                 hist = out.update_history
@@ -505,7 +504,7 @@ def test_criterion_8_two_grid_faster_than_direct():
 def test_pinned_cell_direct_shishkin_n64():
     p = sp.example1(1e-2)
     mesh = sp.build_mesh(sp.MeshSpec("shishkin", 1e-2, 64))
-    out = sp.solve_semilinear(mesh, p)
+    out = sp.solve(mesh, p)
     err = sp.nodal_error(mesh, out.y, p.exact)
     ok = abs(err - 5.300e-3) / 5.300e-3 <= 0.05
     _report("pinned: direct piecewise-uniform N=64 cell within 5%", ok,

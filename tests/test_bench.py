@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from spgrid.bench import (DegenerateError, MissingExactError,
                           interpolant_error, layer_report, nodal_error,
                           render_layer_rows, run_report)
 from spgrid.mesh import MeshSpec, build_mesh
+from spgrid.problems import PROBLEMS, example1
 
 
 def test_nodal_error_trivial_cases():
@@ -89,6 +91,23 @@ def test_run_report_captures_cell_failures():
     assert len(failed) == 1 and failed[0].N == 64
     assert ok and all(r.N == 4 for r in ok)
     assert report.failed_cells() == 1
+
+
+def test_run_report_raises_programming_errors(monkeypatch):
+    # only solver and validation errors become failed rows; a defect surfaces
+    def broken(eps):
+        p = example1(eps)
+
+        def f(x, u):
+            raise TypeError("broken callback")
+
+        return replace(p, f=f, f_u=f)
+
+    monkeypatch.setitem(PROBLEMS, "broken", broken)
+    cfg = ReportConfig(problem="broken", families=("uniform",), eps_list=(0.1,),
+                       n_list=(8,))
+    with pytest.raises(TypeError, match="broken callback"):
+        run_report(cfg)
 
 
 def test_csv_format_exact_header_and_floats():

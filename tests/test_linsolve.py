@@ -136,7 +136,7 @@ def test_thomas_rejects_zero_and_nonfinite_pivots(m, row, bad):
 def test_direct_solve_does_not_import_scipy():
     code = ("import sys, spgrid as sp\n"
             "mesh = sp.build_mesh(sp.MeshSpec('bakhvalov', 1e-2, 4096, a=4.0))\n"
-            "sp.solve_semilinear(mesh, sp.example1(1e-2))\n"
+            "sp.solve(mesh, sp.example1(1e-2))\n"
             "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
     src = os.path.dirname(os.path.dirname(spgrid.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
