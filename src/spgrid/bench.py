@@ -25,7 +25,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .linsolve import ZeroPivotError
-from .mesh import Mesh, MeshSpec, NoRootError, build_mesh, layer_fraction
+from .mesh import FAMILIES, Mesh, MeshSpec, NoRootError, build_mesh, layer_fraction
 from .newton import NewtonConfig, NoConvergenceError, solve as newton_solve
 from .problems import make_problem
 from .twogrid import TwoGridPlan, algorithm1, algorithm2, choose_r, interpolate
@@ -117,6 +117,9 @@ class ReportConfig:
             raise ValueError(f"unknown metric {self.metric!r}")
         if not self.families or not list(self.eps_list) or not list(self.n_list):
             raise ValueError("families, eps_list and n_list must be nonempty")
+        unknown = [f for f in self.families if f not in FAMILIES]
+        if unknown:
+            raise ValueError(f"unknown mesh family {unknown[0]!r}")
         if self.algorithm in ("tg1", "tg2") and self.r <= 1.0:
             raise ValueError("r must exceed 1")
         if any(n < 2 for n in self.n_list):

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TextIO
 
 import numpy as np
 
@@ -251,7 +250,3 @@ def format_nodes(mesh: Mesh) -> str:
     lines = [f"# {s.family} {s.n} {s.eps:.17g} {s.a:.17g} {s.q:.17g} {s.gamma0:.17g}"]
     lines.extend(f"{x:.17g}" for x in mesh.nodes)
     return "\n".join(lines) + "\n"
-
-
-def write_nodes(mesh: Mesh, stream: TextIO) -> None:
-    stream.write(format_nodes(mesh))

@@ -1,10 +1,13 @@
 """Newton (quasilinearization) solver for the nonlinear difference scheme.
 
 Both problem types share one scheme, the conservative midpoint
-discretization of ``-eps^2 (d(u) u')' + r(x, u) = 0``; a semilinear
-problem is the case ``d = 1``, ``r = f``.  One residual and one Jacobian
-implement it, the Jacobian's rows come from :func:`spgrid.linsolve.stencil`,
-and :func:`_scheme` is the only dispatch on the problem type.
+discretization of ``-eps^2 (d(u) u')' + r(x, u) = source(x)``; a
+semilinear problem is the case ``d = 1``, ``r = f``.  One residual and one
+Jacobian implement it, the Jacobian's rows come from
+:func:`spgrid.linsolve.stencil`, and :func:`_scheme` is the only dispatch
+on the problem type.  The source depends on the mesh alone:
+:func:`solve` evaluates it once (:func:`interior_source`) and hands the
+array to the start sweep and to every residual.
 
 :func:`solve` iterates in correction form: each sweep solves the linearized
 tridiagonal system ``J(y) delta = -F(y)`` for the update and sets
@@ -103,18 +106,28 @@ def _midpoint_diffusion(d, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mid, dm
 
 
-def _residual(mesh: Mesh, eps: float, d, reaction, y: np.ndarray,
-              slopes: np.ndarray | None) -> np.ndarray:
-    """``-eps^2/hbar_i (flux_{i+1/2} - flux_{i-1/2}) + reaction(x_i, y_i)``.
+def interior_source(mesh: Mesh, problem) -> np.ndarray:
+    """The problem's x-only source at the interior nodes (zeros for None)."""
+    if problem.source is None:
+        return np.zeros(mesh.n - 1)
+    return problem.source(mesh.interior())
+
+
+def _residual(mesh: Mesh, p, d, reaction, y: np.ndarray,
+              slopes: np.ndarray | None, src: np.ndarray | None) -> np.ndarray:
+    """``-eps^2/hbar_i (flux_{i+1/2} - flux_{i-1/2}) + reaction(x_i, y_i) - src_i``.
 
     The flux on an interval is ``d(midpoint) * slope``, or the slope alone
-    when ``d`` is None (the semilinear scheme).
+    when ``d`` is None (the semilinear scheme).  ``src`` is
+    :func:`interior_source`, evaluated here when not given.
     """
+    if src is None:
+        src = interior_source(mesh, p)
     flux = _interval_slopes(mesh, y) if slopes is None else slopes
     if d is not None:
         flux = _midpoint_diffusion(d, y)[1] * flux
-    return (-eps ** 2 * ((flux[1:] - flux[:-1]) / mesh.half_steps)
-            + reaction(mesh.interior(), y[1:-1]))
+    return (-p.eps ** 2 * ((flux[1:] - flux[:-1]) / mesh.half_steps)
+            + (reaction(mesh.interior(), y[1:-1]) - src))
 
 
 def _jacobian(mesh: Mesh, eps: float, d, d_u, reaction_u, y: np.ndarray,
@@ -137,9 +150,10 @@ def _jacobian(mesh: Mesh, eps: float, d, d_u, reaction_u, y: np.ndarray,
 
 
 def semilinear_residual(mesh: Mesh, p: SemilinearProblem, y: np.ndarray,
-                        slopes: np.ndarray | None = None) -> np.ndarray:
-    """Interior residual ``-eps^2 y_xx + f(x, y)`` of the nonlinear scheme."""
-    return _residual(mesh, p.eps, None, p.f, y, slopes)
+                        slopes: np.ndarray | None = None,
+                        src: np.ndarray | None = None) -> np.ndarray:
+    """Interior residual ``-eps^2 y_xx + f(x, y) - source(x)`` of the scheme."""
+    return _residual(mesh, p, None, p.f, y, slopes, src)
 
 
 def semilinear_jacobian(mesh: Mesh, p: SemilinearProblem, y: np.ndarray,
@@ -149,13 +163,15 @@ def semilinear_jacobian(mesh: Mesh, p: SemilinearProblem, y: np.ndarray,
 
 
 def diffusion_residual(mesh: Mesh, p: QuasilinearDiffusionProblem, y: np.ndarray,
-                       slopes: np.ndarray | None = None) -> np.ndarray:
+                       slopes: np.ndarray | None = None,
+                       src: np.ndarray | None = None) -> np.ndarray:
     """Interior residual of the conservative midpoint scheme.
 
     ``F_i = -eps^2/hbar_i [ d(m_{i+1/2}) s_{i+1} - d(m_{i-1/2}) s_i ]
-    + r(x_i, y_i)`` with interval midpoint values ``m`` and slopes ``s``.
+    + r(x_i, y_i) - source(x_i)`` with interval midpoint values ``m`` and
+    slopes ``s``.
     """
-    return _residual(mesh, p.eps, p.d, p.r, y, slopes)
+    return _residual(mesh, p, p.d, p.r, y, slopes, src)
 
 
 def diffusion_jacobian(mesh: Mesh, p: QuasilinearDiffusionProblem, y: np.ndarray,
@@ -178,14 +194,16 @@ def _scheme(problem):
 
 def newton_step(mesh: Mesh, problem, y: np.ndarray,
                 slopes: np.ndarray | None = None,
-                picard: bool = False) -> tuple[np.ndarray, float]:
+                picard: bool = False,
+                src: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """One Newton correction about ``y``; returns (new iterate, |delta|_inf).
 
     Boundary entries of ``y`` are kept verbatim (the correction has zero
-    boundary values).
+    boundary values).  ``src`` is :func:`interior_source` if already
+    evaluated.
     """
     residual, jacobian, _, _ = _scheme(problem)
-    F = residual(mesh, problem, y, slopes)
+    F = residual(mesh, problem, y, slopes, src)
     jac = jacobian(mesh, problem, y, picard)
     sys = TridiagonalSystem(sub=jac.sub, diag=jac.diag, sup=jac.sup, rhs=-F)
     delta = thomas_solve(sys)
@@ -194,20 +212,24 @@ def newton_step(mesh: Mesh, problem, y: np.ndarray,
     return out, float(np.max(np.abs(delta)))
 
 
-def reduced_initial(mesh: Mesh, problem) -> np.ndarray:
+def reduced_initial(mesh: Mesh, problem,
+                    src: np.ndarray | None = None) -> np.ndarray:
     """Per-node root of the reaction term, used as the default start.
 
-    Damped scalar Newton (steps clamped to 0.5) on ``f(x, .) = 0`` or
-    ``r(x, .) = 0``; robust against nonlinearities whose tangent from zero
-    overshoots into a singularity.  The result is a heuristic start only,
-    so a loose tolerance suffices.
+    Damped scalar Newton (steps clamped to 0.5) on ``f(x, .) = source(x)``
+    or ``r(x, .) = source(x)``; robust against nonlinearities whose tangent
+    from zero overshoots into a singularity.  The result is a heuristic
+    start only, so a loose tolerance suffices.  ``src`` is
+    :func:`interior_source` if already evaluated.
     """
     _, _, fun, der = _scheme(problem)
+    if src is None:
+        src = interior_source(mesh, problem)
     xi = mesh.interior()
     u = np.zeros_like(xi)
     for _ in range(60):
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = fun(xi, u) / der(xi, u)
+            step = (fun(xi, u) - src) / der(xi, u)
         step = np.nan_to_num(step, nan=0.0, posinf=0.5, neginf=-0.5)
         u -= np.clip(step, -0.5, 0.5)
         if np.max(np.abs(step)) < 1e-12:
@@ -219,13 +241,14 @@ def reduced_initial(mesh: Mesh, problem) -> np.ndarray:
     return y
 
 
-def _start_vector(mesh: Mesh, problem, cfg: NewtonConfig) -> np.ndarray:
+def _start_vector(mesh: Mesh, problem, cfg: NewtonConfig,
+                  src: np.ndarray) -> np.ndarray:
     if isinstance(cfg.initial, np.ndarray):
         if len(cfg.initial) != mesh.n + 1:
             raise ValueError("initial guess length does not match mesh")
         y = np.array(cfg.initial, dtype=float)
     elif cfg.initial == "reduced":
-        y = reduced_initial(mesh, problem)
+        y = reduced_initial(mesh, problem, src)
     else:
         y = np.zeros(mesh.n + 1)
     y[0] = problem.bc_left
@@ -237,10 +260,11 @@ def solve(mesh: Mesh, problem, cfg: NewtonConfig | None = None) -> SolveOutcome:
     """Solve the nonlinear scheme of either problem type by Newton's method."""
     cfg = cfg or NewtonConfig()
     t0 = time.perf_counter()
-    y = _start_vector(mesh, problem, cfg)
+    src = interior_source(mesh, problem)
+    y = _start_vector(mesh, problem, cfg, src)
     updates = []
     for _ in range(cfg.max_iter):
-        y, upd = newton_step(mesh, problem, y, picard=cfg.picard)
+        y, upd = newton_step(mesh, problem, y, picard=cfg.picard, src=src)
         updates.append(upd)
         if not np.isfinite(upd):
             raise NoConvergenceError(
@@ -251,16 +275,17 @@ def solve(mesh: Mesh, problem, cfg: NewtonConfig | None = None) -> SolveOutcome:
         raise NoConvergenceError(
             f"no convergence in {cfg.max_iter} iterations "
             f"(last update {updates[-1]:.3e})", final_update=updates[-1])
-    res = residual_for(mesh, problem, y)
+    res = residual_for(mesh, problem, y, src)
     return SolveOutcome(y=y, iterations=len(updates), final_update=updates[-1],
                         converged=True, wall_time=time.perf_counter() - t0,
                         residual_norm=float(np.max(np.abs(res))),
                         update_history=updates)
 
 
-def residual_for(mesh: Mesh, problem, y: np.ndarray) -> np.ndarray:
+def residual_for(mesh: Mesh, problem, y: np.ndarray,
+                 src: np.ndarray | None = None) -> np.ndarray:
     """Interior nonlinear-scheme residual, dispatched on the problem type."""
-    return _scheme(problem)[0](mesh, problem, y)
+    return _scheme(problem)[0](mesh, problem, y, src=src)
 
 
 def jacobian_fd_gap(mesh: Mesh, problem, y: np.ndarray) -> float:
@@ -275,6 +300,7 @@ def jacobian_fd_gap(mesh: Mesh, problem, y: np.ndarray) -> float:
     """
     residual, jacobian, _, _ = _scheme(problem)
     jac = jacobian(mesh, problem, y)
+    src = interior_source(mesh, problem)
     m = mesh.n - 1
     gap = 0.0
     for colour in range(3):
@@ -284,7 +310,8 @@ def jacobian_fd_gap(mesh: Mesh, problem, y: np.ndarray) -> float:
         yp[cols + 1] += step
         ym = y.copy()
         ym[cols + 1] -= step
-        diff = residual(mesh, problem, yp) - residual(mesh, problem, ym)
+        diff = (residual(mesh, problem, yp, src=src)
+                - residual(mesh, problem, ym, src=src))
         # column j holds diag[j], sup[j - 1] in row j - 1 and sub[j + 1] in row j + 1
         for shift, band in ((0, jac.diag), (-1, jac.sup), (1, jac.sub)):
             rows = cols + shift

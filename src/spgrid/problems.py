@@ -2,18 +2,21 @@
 
 Two families are described:
 
-* :class:`SemilinearProblem` -- ``-eps^2 u'' + f(x, u) = 0`` with Dirichlet
-  data, where ``f_u >= c0^2 > 0`` guarantees a unique solution with
-  boundary layers of width ``O(eps)`` at both ends.
-* :class:`QuasilinearDiffusionProblem` -- ``-eps^2 (d(u) u')' + r(x, u) = 0``
-  with a solution-dependent diffusion factor.
+* :class:`SemilinearProblem` -- ``-eps^2 u'' + f(x, u) = source(x)`` with
+  Dirichlet data, where ``f_u >= c0^2 > 0`` guarantees a unique solution
+  with boundary layers of width ``O(eps)`` at both ends.
+* :class:`QuasilinearDiffusionProblem` --
+  ``-eps^2 (d(u) u')' + r(x, u) = source(x)`` with a solution-dependent
+  diffusion factor.
 
-All callbacks must be pure, accept numpy arrays elementwise, and be total
-on ``[0, 1] x [-10, 10]``; problem records are immutable and safe to share
-across threads.
+``source`` is the x-only right-hand side; ``None`` means zero.  Keeping it
+out of ``f``/``r`` lets a solver evaluate it once per mesh instead of in
+every residual.  All callbacks must be pure, accept numpy arrays
+elementwise, and be total on ``[0, 1] x [-10, 10]``; problem records are
+immutable and safe to share across threads.
 
-The built-in test problems have closed-form solutions; their source terms
-are manufactured by substituting the solution into the equation, so the
+The built-in test problems have closed-form solutions; their sources are
+manufactured by substituting the solution into the equation, so the
 discrete errors measured downstream are attributable to the scheme alone.
 """
 
@@ -39,6 +42,7 @@ class SemilinearProblem:
     exact: Callback1 | None = None
     c0_squared: float = 1.0
     name: str = ""
+    source: Callback1 | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.eps <= 1.0:
@@ -63,6 +67,7 @@ class QuasilinearDiffusionProblem:
     bc_right: float
     exact: Callback1 | None = None
     name: str = ""
+    source: Callback1 | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.eps <= 1.0:
@@ -90,13 +95,13 @@ def check_stability(p: SemilinearProblem, nx: int = 21, nu: int = 41) -> float:
 def example1(eps: float) -> SemilinearProblem:
     """Semilinear benchmark with layers at both ends.
 
-    ``f(x, u) = (u - 1)/(2 - u) + ftilde(x)`` and zero boundary values;
-    the source ``ftilde`` is chosen so that
+    ``-eps^2 u'' + (u - 1)/(2 - u) = source(x)`` with zero boundary
+    values; the source is chosen so that
 
         ``u(x) = 1 - (exp(-x/eps) + exp(-(1-x)/eps)) / (1 + exp(-1/eps))``
 
     solves the equation.  Substituting the solution gives
-    ``ftilde = -g^2/(1 + g)`` where ``g = 1 - u``.
+    ``source = g^2/(1 + g)`` where ``g = 1 - u``.
     """
     den = 1.0 + math.exp(-1.0 / eps)
 
@@ -107,14 +112,18 @@ def example1(eps: float) -> SemilinearProblem:
         return 1.0 - g(x)
 
     def f(x, u):
+        return (u - 1.0) / (2.0 - u)
+
+    def source(x):
         gg = g(x)
-        return (u - 1.0) / (2.0 - u) - gg * gg / (1.0 + gg)
+        return gg * gg / (1.0 + gg)
 
     def f_u(x, u):
         return 1.0 / (2.0 - u) ** 2
 
     return SemilinearProblem(eps=eps, f=f, f_u=f_u, bc_left=0.0, bc_right=0.0,
-                             exact=exact, c0_squared=0.25, name="ex1")
+                             exact=exact, c0_squared=0.25, name="ex1",
+                             source=source)
 
 
 def example2(eps: float) -> QuasilinearDiffusionProblem:
@@ -143,22 +152,23 @@ def example2(eps: float) -> QuasilinearDiffusionProblem:
         return -1.0 / (1.0 + u) ** 2
 
     def r(x, u):
-        return u - fsrc(x)
+        return u
 
     def r_u(x, u):
         return np.ones_like(np.asarray(u, dtype=float))
 
     return QuasilinearDiffusionProblem(eps=eps, d=d, d_u=d_u, r=r, r_u=r_u,
                                        bc_left=1.0, bc_right=bc_right,
-                                       exact=exact, name="ex2")
+                                       exact=exact, name="ex2", source=fsrc)
 
 
 def log_transform(p: QuasilinearDiffusionProblem) -> SemilinearProblem:
     """Rewrite a ``d(u) = 1/(1+u)`` diffusion problem in semilinear form.
 
     With ``v = ln(1 + u)`` the flux ``u'/(1+u)`` becomes ``v'``, so ``v``
-    solves ``-eps^2 v'' + r(x, exp(v) - 1) = 0`` with transformed boundary
-    data.  Used as an independent cross-check of the quasilinear solver.
+    solves ``-eps^2 v'' + r(x, exp(v) - 1) = source(x)`` with transformed
+    boundary data and the same source.  Used as an independent cross-check
+    of the quasilinear solver.
     """
     if p.bc_left <= -1.0 or p.bc_right <= -1.0:
         raise ValueError("boundary values must exceed -1 for the log substitution")
@@ -186,7 +196,8 @@ def log_transform(p: QuasilinearDiffusionProblem) -> SemilinearProblem:
                              bc_right=math.log1p(p.bc_right),
                              exact=exact,
                              c0_squared=math.exp(vmin - 1.0),
-                             name=(p.name + "_log") if p.name else "log")
+                             name=(p.name + "_log") if p.name else "log",
+                             source=p.source)
 
 
 PROBLEMS: dict[str, Callable] = {"ex1": example1, "ex2": example2}

@@ -81,6 +81,15 @@ def test_table_csv(capsys):
     assert all(e > 0 for e in errors)
 
 
+def test_table_unknown_mesh_family_is_validation_error(capsys):
+    code, out, err = run_cli(capsys, "table", "--problem", "ex1", "--eps", "0.1",
+                             "--coarse", "8", "--mesh", "shishkin,nope",
+                             "--format", "csv")
+    assert code == 2
+    assert out == ""
+    assert "unknown mesh family 'nope'" in err
+
+
 def test_table_markdown_default(capsys):
     code, out, err = run_cli(capsys, "table", "--problem", "ex2",
                              "--mesh", "vulanovic", "--eps", "0.01",

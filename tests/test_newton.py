@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from spgrid.newton import (NewtonConfig, NoConvergenceError,
                            reduced_initial, residual_for, semilinear_jacobian,
                            solve)
 from spgrid.problems import (QuasilinearDiffusionProblem, SemilinearProblem,
-                             example1, example2, log_transform)
+                             example1, example2, log_transform, make_problem)
 
 
 def _linear_problem(eps):
@@ -73,13 +75,14 @@ def test_boundedness_of_converged_solution():
 def test_reduced_initial_finds_reaction_root():
     p = example1(1e-2)
     mesh = build_mesh(MeshSpec("uniform", 1e-2, 32))
+    xi = mesh.interior()
     y0 = reduced_initial(mesh, p)
-    resid = p.f(mesh.interior(), y0[1:-1])
+    resid = p.f(xi, y0[1:-1]) - p.source(xi)
     assert np.max(np.abs(resid)) < 1e-10
     # example 2: reduced root is u = fsrc(x)
     p2 = example2(0.1)
     y0 = reduced_initial(mesh, p2)
-    assert np.max(np.abs(p2.r(mesh.interior(), y0[1:-1]))) < 1e-10
+    assert np.max(np.abs(p2.r(xi, y0[1:-1]) - p2.source(xi))) < 1e-10
 
 
 def test_no_convergence_error_carries_update():
@@ -265,12 +268,13 @@ def test_jacobian_fd_gap_at_realistic_size(family, factory, bound):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_semilinear_scheme_is_diffusion_scheme_with_unit_d(family):
-    # ex1 posed as -eps^2 (1 * u')' + f = 0 takes the same Newton path
+    # ex1 posed as -eps^2 (1 * u')' + f = source takes the same Newton path
     p = example1(1e-2)
     q = QuasilinearDiffusionProblem(
         eps=p.eps, d=lambda u: np.ones_like(np.asarray(u, dtype=float)),
         d_u=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
-        r=p.f, r_u=p.f_u, bc_left=p.bc_left, bc_right=p.bc_right, exact=p.exact)
+        r=p.f, r_u=p.f_u, bc_left=p.bc_left, bc_right=p.bc_right, exact=p.exact,
+        source=p.source)
     mesh = build_mesh(MeshSpec(family, 1e-2, 256))
     y_semi = reduced_initial(mesh, p)
     y_diff = reduced_initial(mesh, q)
@@ -309,3 +313,48 @@ def test_explicit_initial_guess_and_validation():
         NewtonConfig(tol=0.0)
     with pytest.raises(ValueError):
         NewtonConfig(initial="nonsense")
+
+
+def _folded(p):
+    """``p`` with its source folded back into the reaction, source None."""
+    src = p.source
+    if isinstance(p, QuasilinearDiffusionProblem):
+        r = p.r
+        return replace(p, r=lambda x, u: r(x, u) - src(x), source=None)
+    f = p.f
+    return replace(p, f=lambda x, u: f(x, u) - src(x), source=None)
+
+
+def test_solve_evaluates_source_once():
+    for name in ("ex1", "ex2"):
+        p = make_problem(name, 1e-2)
+        calls = []
+
+        def source(x, inner=p.source):
+            calls.append(len(x))
+            return inner(x)
+
+        mesh = build_mesh(MeshSpec("bakhvalov", 1e-2, 256, a=2.0))
+        out = solve(mesh, replace(p, source=source))
+        assert out.iterations > 1
+        assert calls == [mesh.n - 1]
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2"])
+@pytest.mark.parametrize("family", ["shishkin", "bakhvalov", "vulanovic"])
+def test_split_source_matches_folded_reaction(name, family):
+    # the split problem and the folded one take bit-for-bit the same path
+    split = make_problem(name, 1e-4)
+    folded = _folded(split)
+    mesh = build_mesh(MeshSpec(family, 1e-4, 1024, a=2.0))
+    y_split, y_folded = reduced_initial(mesh, split), reduced_initial(mesh, folded)
+    assert np.array_equal(y_split, y_folded)
+    a, b = solve(mesh, split), solve(mesh, folded)
+    assert a.iterations == b.iterations
+    assert a.update_history == b.update_history
+    assert np.array_equal(a.y, b.y)
+    assert a.residual_norm == b.residual_norm
+    for _ in range(a.iterations):
+        y_split, _ = newton_step(mesh, split, y_split)
+        y_folded, _ = newton_step(mesh, folded, y_folded)
+        assert np.array_equal(y_split, y_folded)

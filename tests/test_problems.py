@@ -11,8 +11,9 @@ from spgrid.problems import (QuasilinearDiffusionProblem, check_stability,
 def _ex1_symbolic_residual(eps_val):
     """ODE residual of the closed-form solution against the implemented f.
 
-    The second derivative comes from sympy, the nonlinearity from the
-    package; a nonzero residual means the manufactured source is wrong.
+    The second derivative comes from sympy, the nonlinearity and the
+    source from the package; a nonzero residual means the manufactured
+    source is wrong.
     """
     x, e = sp.symbols("x epsilon", positive=True)
     u = 1 - (sp.exp(-x / e) + sp.exp(-(1 - x) / e)) / (1 + sp.exp(-1 / e))
@@ -23,7 +24,9 @@ def _ex1_symbolic_residual(eps_val):
         subs = {x: sp.Float(xv, 30), e: sp.Float(eps_val, 30)}
         u_val = float(u.subs(subs))
         upp_val = float(upp.subs(subs))
-        return -eps_val ** 2 * upp_val + float(p.f(np.array(xv), np.array(u_val)))
+        xa = np.array(xv)
+        return (-eps_val ** 2 * upp_val + float(p.f(xa, np.array(u_val)))
+                - float(p.source(xa)))
 
     return residual
 
@@ -65,9 +68,7 @@ def _ex2_symbolic_residual(eps_val):
     def residual(xv):
         subs = {x: sp.Float(xv, 30), e: sp.Float(eps_val, 30)}
         lhs_val = float(lhs.subs(subs))
-        # r(x, u) = u - fsrc(x), so fsrc = u - r(x, u) for any u
-        fsrc = -float(p.r(np.array(xv), np.array(0.0)))
-        return lhs_val - fsrc
+        return lhs_val - float(p.source(np.array(xv)))
 
     return residual
 
@@ -104,8 +105,10 @@ def test_log_transform_maps_example2():
     lhs = -e ** 2 * sp.diff(w, x, 2)
     for xv in (0.05, 0.5, 0.9):
         subs = {x: sp.Float(xv, 30), e: sp.Float(0.1, 30)}
-        resid = float(lhs.subs(subs)) + float(
-            v.f(np.array(xv), np.array(float(w.subs(subs)))))
+        xa = np.array(xv)
+        resid = (float(lhs.subs(subs))
+                 + float(v.f(xa, np.array(float(w.subs(subs)))))
+                 - float(v.source(xa)))
         assert abs(resid) < 1e-9
 
 

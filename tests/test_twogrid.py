@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -149,3 +151,23 @@ def test_two_grid_diffusion_problem():
     assert err < 2e-4
     assert result.fine[0].y[0] == p.bc_left
     assert result.fine[0].y[-1] == p.bc_right
+
+
+@pytest.mark.parametrize("factory", [example1, example2])
+def test_source_evaluated_once_per_mesh(factory):
+    p = factory(1e-2)
+    calls = []
+
+    def source(x):
+        calls.append(len(x))
+        return p.source(x)
+
+    counted = replace(p, source=source)
+    plan = TwoGridPlan(coarse=MeshSpec("vulanovic", 1e-2, 16, a=2.0))
+    result = algorithm1(counted, plan)
+    assert calls == [15, result.fine_meshes[0].n - 1]
+    calls.clear()
+    cascade = TwoGridPlan(coarse=MeshSpec("vulanovic", 1e-2, 4, a=2.0),
+                          cascade_levels=2)
+    result = algorithm2(counted, cascade)
+    assert calls == [3, 15, 255]
