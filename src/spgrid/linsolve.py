@@ -10,9 +10,13 @@ mesh, interior row ``i`` of the discrete system reads
 with Dirichlet data folded into the first and last right-hand sides.
 :func:`stencil` builds these rows; with per-interval flux weights in place
 of the unit ones it also builds the Newton Jacobians of the nonlinear
-scheme (:mod:`spgrid.newton`).  With ``b > 0`` the matrix is an irreducibly diagonally dominant M-matrix,
-so elimination needs no pivoting: :func:`thomas_solve` removes the odd rows
-level by level (cyclic reduction, Hockney 1965) and ends in Thomas elimination.
+scheme (:mod:`spgrid.newton`).  The couplings ``-eps^2/(hbar_i h_i)``
+depend on the mesh and eps alone, so a Newton solve builds them once
+(:func:`couplings`, read-only) and every Jacobian reuses them.  With
+``b > 0`` the matrix is an irreducibly diagonally dominant M-matrix, so
+elimination needs no pivoting: :func:`thomas_solve` removes the odd rows
+level by level (cyclic reduction, Hockney 1965) and ends in Thomas
+elimination.
 """
 
 from __future__ import annotations
@@ -38,17 +42,36 @@ class TridiagonalSystem:
     """Interior system for unknowns ``y_1 ... y_{n-1}``.
 
     All four arrays have length ``n - 1``; ``sub[0]`` and ``sup[-1]`` are
-    zero by convention.
+    zero by convention.  A Newton Jacobian leaves ``rhs`` None: its
+    right-hand side is the residual, supplied by the caller.
     """
 
     sub: np.ndarray
     diag: np.ndarray
     sup: np.ndarray
-    rhs: np.ndarray
+    rhs: np.ndarray | None
 
     @property
     def m(self) -> int:
         return len(self.diag)
+
+
+@dataclass(frozen=True)
+class Couplings:
+    """The parts of the stencil rows that depend on the mesh and eps alone.
+
+    ``scale_l = -eps^2/(hbar_i h_i)`` and ``scale_r = -eps^2/(hbar_i
+    h_{i+1})`` couple row i through its left and its right interval.  For
+    unit flux weights the rows' off-diagonals ``sub``/``sup`` and the sum
+    ``total = scale_l + scale_r`` are fixed too; otherwise they are None.
+    All arrays are read-only, because every Newton iteration shares them.
+    """
+
+    scale_l: np.ndarray
+    scale_r: np.ndarray
+    sub: np.ndarray | None = None
+    sup: np.ndarray | None = None
+    total: np.ndarray | None = None
 
 
 def _values(func_or_array, x: np.ndarray) -> np.ndarray:
@@ -60,34 +83,62 @@ def _values(func_or_array, x: np.ndarray) -> np.ndarray:
     return vals
 
 
-def stencil(mesh: Mesh, eps: float, b: np.ndarray, rhs: np.ndarray,
+def _off_diagonals(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return np.concatenate(([0.0], lower[1:])), np.concatenate((upper[:-1], [0.0]))
+
+
+def couplings(mesh: Mesh, eps: float, unit: bool = False) -> Couplings:
+    """Build the :class:`Couplings` of ``mesh``; ``unit`` adds the unit-weight rows.
+
+    Build them once per solve and pass them to :func:`stencil` for every
+    Jacobian; a one-shot assembly needs none.
+    """
+    h = mesh.steps
+    hbar = mesh.half_steps
+    e2 = eps * eps
+    scale_l = -e2 / (hbar * h[:-1])
+    scale_r = -e2 / (hbar * h[1:])
+    arrays = [scale_l, scale_r]
+    if unit:
+        arrays += [*_off_diagonals(scale_l, scale_r), scale_l + scale_r]
+    for arr in arrays:
+        arr.flags.writeable = False
+    return Couplings(*arrays)
+
+
+def stencil(mesh: Mesh, eps: float, b: np.ndarray, rhs: np.ndarray | None,
             right: np.ndarray | None = None, left: np.ndarray | None = None,
-            bc_left: float = 0.0, bc_right: float = 0.0) -> TridiagonalSystem:
+            bc_left: float = 0.0, bc_right: float = 0.0,
+            cpl: Couplings | None = None) -> TridiagonalSystem:
     """Three-point rows of ``-eps^2/hbar_i (phi_{i+1/2} - phi_{i-1/2}) + b_i y_i``.
 
     The flux on interval j (nodes j, j+1) is linear in its end values,
     ``phi_j = (right_j y_{j+1} - left_j y_j) / h_j``.  ``right`` and
     ``left`` are per-interval arrays, given together; both default to one,
     the plain second difference.  Dirichlet data is folded into ``rhs`` in
-    place.
+    place (a None ``rhs`` stays None).  ``cpl`` are this mesh's
+    :func:`couplings`, built here when not given; with the unit-weight
+    rows cached, unit weights cost one subtraction.
     """
-    h = mesh.steps
-    hbar = mesh.half_steps
-    e2 = eps * eps
-    # coupling scale of each row through its left and its right interval
-    scale_l = -e2 / (hbar * h[:-1])
-    scale_r = -e2 / (hbar * h[1:])
+    if cpl is None:
+        cpl = couplings(mesh, eps)
+    scale_l, scale_r = cpl.scale_l, cpl.scale_r
     if right is None:  # unit weights: the same rows without four products
         lower, upper = scale_l, scale_r
-        diag = b - (lower + upper)
+        if cpl.total is None:
+            diag = b - (lower + upper)
+            sub, sup = _off_diagonals(lower, upper)
+        else:
+            diag = b - cpl.total
+            sub, sup = cpl.sub, cpl.sup
     else:
         lower = scale_l * left[:-1]
         upper = scale_r * right[1:]
         diag = b - (scale_l * right[:-1] + scale_r * left[1:])
-    rhs[0] -= lower[0] * bc_left
-    rhs[-1] -= upper[-1] * bc_right
-    sub = np.concatenate(([0.0], lower[1:]))
-    sup = np.concatenate((upper[:-1], [0.0]))
+        sub, sup = _off_diagonals(lower, upper)
+    if rhs is not None:
+        rhs[0] -= lower[0] * bc_left
+        rhs[-1] -= upper[-1] * bc_right
     return TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs)
 
 
@@ -124,21 +175,26 @@ def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
         if m % 2 == 0:
             a, b, c, d = (np.append(v, pad) for v, pad in zip((a, b, c, d), _PAD))
         ao, bo, co, do = a[1::2], b[1::2], c[1::2], d[1::2]
-        bad = ~(np.abs(bo) >= 1e-300) | np.isinf(bo)
-        if bad.any():
+        size = np.abs(bo)
+        # min() propagates NaN, so these two tests catch NaN, zero, tiny and inf
+        if not (size.min() >= 1e-300 and size.max() < math.inf):
+            bad = ~(size >= 1e-300) | np.isinf(bo)
             raise ZeroPivotError("zero or non-finite pivot in row "
                                  f"{(2 * bad.argmax() + 1) << len(levels)}")
-        inv = 1.0 / bo
-        alpha = -a[2::2] * inv   # even row 2j+2 eliminates odd row 2j+1 ...
-        gamma = -c[:-1:2] * inv  # ... and so does even row 2j
+        ninv = np.divide(-1.0, bo, out=size)  # -1/b: no negated copies of a, c
+        alpha = a[2::2] * ninv   # even row 2j+2 eliminates odd row 2j+1 ...
+        gamma = c[:-1:2] * ninv  # ... and so does even row 2j
         b, d = b[::2].copy(), d[::2].copy()
-        b[1:] += alpha * co
-        b[:-1] += gamma * ao
-        d[1:] += alpha * do
-        d[:-1] += gamma * do
-        a = np.concatenate(([0.0], alpha * ao))
-        c = np.concatenate((gamma * co, [0.0]))
-        levels.append((m, ao, co, do, inv))
+        a, c = np.empty_like(b), np.empty_like(b)
+        a[0] = c[-1] = 0.0
+        np.multiply(alpha, ao, out=a[1:])
+        np.multiply(gamma, co, out=c[:-1])
+        tmp = np.empty_like(ninv)
+        b[1:] += np.multiply(alpha, co, out=tmp)
+        b[:-1] += np.multiply(gamma, ao, out=tmp)
+        d[1:] += np.multiply(alpha, do, out=tmp)
+        d[:-1] += np.multiply(gamma, do, out=tmp)
+        levels.append((m, ao, co, do, ninv))
     # scalar Thomas elimination; row i here is row i << len(levels) above
     sub, diag, sup, rhs = a.tolist(), b.tolist(), c.tolist(), d.tolist()
     m = len(diag)
@@ -154,10 +210,15 @@ def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
     for i in range(m - 2, -1, -1):
         d[i] -= c[i] * d[i + 1]
     y = np.asarray(d)
-    for m, ao, co, do, inv in reversed(levels):
+    for m, ao, co, do, ninv in reversed(levels):
         full = np.empty(2 * len(y) - 1)
         full[::2] = y
-        full[1::2] = (do - ao * y[:-1] - co * y[1:]) * inv
+        # (do - ao y - co y) / b, written as (ao y - do + co y) * (-1/b): round
+        # to nearest is symmetric under negation, so the bits are the same
+        odd = ao * y[:-1]
+        odd -= do
+        odd += co * y[1:]
+        np.multiply(odd, ninv, out=full[1::2])
         y = full[:m]
     return y
 

@@ -39,7 +39,8 @@ class DegenerateMeshError(ValueError):
 
 
 class NoRootError(RuntimeError):
-    """Raised when the tangency equation has no bracket; indicates misuse."""
+    """Raised when a mesh cannot be built: the tangency equation has no
+    bracket, or the layer steps are too fine for doubles near x = 1."""
 
 
 @dataclass(frozen=True)
@@ -187,7 +188,8 @@ def _half_map(spec: MeshSpec, t: np.ndarray) -> np.ndarray:
         val = ea * alpha / (q - alpha)
     # Linear piece as the chord through (alpha, val) and (1/2, 1/2): the
     # tangency condition makes this the tangent line, but the chord form
-    # keeps both the joint and the midpoint exact even when the contact
+    # keeps the joint exact and the midpoint within rounding (bakhvalov's
+    # lam(1/2) can come out one ulp below 1/2) even when the contact
     # abscissa is ill-conditioned (q - alpha shrinks like eps).
     slope = (0.5 - val) / (0.5 - alpha)
     return np.where(t <= alpha, layer, val + slope * (t - alpha))
@@ -201,9 +203,14 @@ def build_mesh(spec: MeshSpec) -> Mesh:
     """Construct the mesh ``x_i = lam(i/n)`` for the given spec.
 
     Graded specs with ``a*eps >= q`` degenerate silently to the uniform
-    mesh; the returned mesh carries ``degenerate=True``.  Left-right
-    symmetry is exact by construction: nodes right of 1/2 are computed as
-    ``1 - lam(1 - t)`` from the same left-half values.
+    mesh ``i/n``; the returned mesh carries ``degenerate=True``.
+    Otherwise two-sided nodes right of 1/2 are computed as ``1 - lam(1 -
+    t)`` from the same left-half values, so ``x[n-j] == 1 - x[j]`` holds
+    exactly for j < n/2; the middle node of an even n is ``lam(1/2)``,
+    which may sit one ulp off 1/2.  The uniform fallback is not
+    mirror-exact.  Raises
+    :class:`NoRootError` when layer steps finer than the spacing of
+    doubles near x = 1 make the mirrored nodes collapse.
     """
     n = spec.n
     i = np.arange(n + 1)
@@ -224,7 +231,8 @@ def build_mesh(spec: MeshSpec) -> Mesh:
     nodes[0] = 0.0
     nodes[-1] = 1.0
     if np.any(np.diff(nodes) <= 0.0):
-        raise NoRootError("generating function produced non-increasing nodes")
+        raise NoRootError("layer step below the double spacing near x = 1: "
+                          "mirrored nodes collapsed")
     steps = np.diff(nodes)
     half_steps = 0.5 * (steps[:-1] + steps[1:])
     for arr in (nodes, steps, half_steps):

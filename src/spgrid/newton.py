@@ -7,7 +7,9 @@ Jacobian implement it, the Jacobian's rows come from
 :func:`spgrid.linsolve.stencil`, and :func:`_scheme` is the only dispatch
 on the problem type.  The source depends on the mesh alone:
 :func:`solve` evaluates it once (:func:`interior_source`) and hands the
-array to the start sweep and to every residual.
+array to the start sweep and to every residual; likewise it builds the
+stencil couplings once (:func:`spgrid.linsolve.couplings`) for every
+Jacobian.
 
 :func:`solve` iterates in correction form: each sweep solves the linearized
 tridiagonal system ``J(y) delta = -F(y)`` for the update and sets
@@ -31,7 +33,7 @@ from typing import Union
 
 import numpy as np
 
-from .linsolve import TridiagonalSystem, stencil, thomas_solve
+from .linsolve import Couplings, TridiagonalSystem, couplings, stencil, thomas_solve
 from .mesh import Mesh
 from .problems import QuasilinearDiffusionProblem, SemilinearProblem
 
@@ -131,22 +133,24 @@ def _residual(mesh: Mesh, p, d, reaction, y: np.ndarray,
 
 
 def _jacobian(mesh: Mesh, eps: float, d, d_u, reaction_u, y: np.ndarray,
-              picard: bool) -> TridiagonalSystem:
-    """Tridiagonal Jacobian of :func:`_residual` about ``y`` (rhs left zero).
+              picard: bool, cpl: Couplings | None) -> TridiagonalSystem:
+    """Tridiagonal Jacobian of :func:`_residual` about ``y`` (rhs left None).
 
     ``d(m_j)`` moves by ``d_u(m_j)/2`` per unit change of either end value
     of interval j, so its flux weights are ``d(m_j) +- chain_j`` with
     ``chain_j = d_u(m_j) (y_{j+1} - y_j)/2``; Picard iteration drops chain.
+    ``cpl`` are the solve's :func:`spgrid.linsolve.couplings`, built here
+    when not given.
     """
     b = reaction_u(mesh.interior(), y[1:-1])
     if np.any(b <= 0.0) or not np.all(np.isfinite(b)):
         raise NonpositiveJacobianError(
             "reaction derivative must be positive along the iterate")
     if d is None:
-        return stencil(mesh, eps, b, np.zeros_like(b))
+        return stencil(mesh, eps, b, None, cpl=cpl)
     mid, dm = _midpoint_diffusion(d, y)
     chain = 0.0 if picard else 0.5 * d_u(mid) * np.diff(y)
-    return stencil(mesh, eps, b, np.zeros_like(b), dm + chain, dm - chain)
+    return stencil(mesh, eps, b, None, dm + chain, dm - chain, cpl=cpl)
 
 
 def semilinear_residual(mesh: Mesh, p: SemilinearProblem, y: np.ndarray,
@@ -157,9 +161,10 @@ def semilinear_residual(mesh: Mesh, p: SemilinearProblem, y: np.ndarray,
 
 
 def semilinear_jacobian(mesh: Mesh, p: SemilinearProblem, y: np.ndarray,
-                        picard: bool = False) -> TridiagonalSystem:
+                        picard: bool = False,
+                        cpl: Couplings | None = None) -> TridiagonalSystem:
     """Tridiagonal Jacobian rows about ``y`` (``picard`` has no terms to drop)."""
-    return _jacobian(mesh, p.eps, None, None, p.f_u, y, picard)
+    return _jacobian(mesh, p.eps, None, None, p.f_u, y, picard, cpl)
 
 
 def diffusion_residual(mesh: Mesh, p: QuasilinearDiffusionProblem, y: np.ndarray,
@@ -175,41 +180,46 @@ def diffusion_residual(mesh: Mesh, p: QuasilinearDiffusionProblem, y: np.ndarray
 
 
 def diffusion_jacobian(mesh: Mesh, p: QuasilinearDiffusionProblem, y: np.ndarray,
-                       picard: bool = False) -> TridiagonalSystem:
+                       picard: bool = False,
+                       cpl: Couplings | None = None) -> TridiagonalSystem:
     """Analytic tridiagonal Jacobian of the midpoint scheme about ``y``."""
-    return _jacobian(mesh, p.eps, p.d, p.d_u, p.r_u, y, picard)
+    return _jacobian(mesh, p.eps, p.d, p.d_u, p.r_u, y, picard, cpl)
 
 
 def _scheme(problem):
-    """``(residual, jacobian, reaction, reaction_u)`` for the problem type.
+    """``(residual, jacobian, reaction, reaction_u, unit)`` for the problem type.
 
-    The only dispatch on the problem type.  The functions are looked up
+    The only dispatch on the problem type; ``unit`` says that the flux
+    weights are one (the semilinear scheme).  The functions are looked up
     in the module namespace at call time, so rebinding one of the public
     names (as a tracer does) reaches every caller.
     """
     if isinstance(problem, QuasilinearDiffusionProblem):
-        return diffusion_residual, diffusion_jacobian, problem.r, problem.r_u
-    return semilinear_residual, semilinear_jacobian, problem.f, problem.f_u
+        return diffusion_residual, diffusion_jacobian, problem.r, problem.r_u, False
+    return semilinear_residual, semilinear_jacobian, problem.f, problem.f_u, True
 
 
 def newton_step(mesh: Mesh, problem, y: np.ndarray,
                 slopes: np.ndarray | None = None,
                 picard: bool = False,
-                src: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+                src: np.ndarray | None = None,
+                cpl: Couplings | None = None) -> tuple[np.ndarray, float]:
     """One Newton correction about ``y``; returns (new iterate, |delta|_inf).
 
     Boundary entries of ``y`` are kept verbatim (the correction has zero
-    boundary values).  ``src`` is :func:`interior_source` if already
-    evaluated.
+    boundary values).  ``src`` is :func:`interior_source` and ``cpl`` the
+    Jacobian's :func:`spgrid.linsolve.couplings`, if already built.
     """
-    residual, jacobian, _, _ = _scheme(problem)
+    residual, jacobian, _, _, _ = _scheme(problem)
     F = residual(mesh, problem, y, slopes, src)
-    jac = jacobian(mesh, problem, y, picard)
-    sys = TridiagonalSystem(sub=jac.sub, diag=jac.diag, sup=jac.sup, rhs=-F)
-    delta = thomas_solve(sys)
+    jac = jacobian(mesh, problem, y, picard, cpl)
+    # J delta = -F solved as J (-delta) = F: the solve is odd in its
+    # right-hand side, bit for bit, so no negated copy of F is needed
+    neg_delta = thomas_solve(TridiagonalSystem(sub=jac.sub, diag=jac.diag,
+                                               sup=jac.sup, rhs=F))
     out = y.copy()
-    out[1:-1] += delta
-    return out, float(np.max(np.abs(delta)))
+    out[1:-1] -= neg_delta
+    return out, float(np.max(np.abs(neg_delta)))
 
 
 def reduced_initial(mesh: Mesh, problem,
@@ -222,7 +232,7 @@ def reduced_initial(mesh: Mesh, problem,
     start only, so a loose tolerance suffices.  ``src`` is
     :func:`interior_source` if already evaluated.
     """
-    _, _, fun, der = _scheme(problem)
+    _, _, fun, der, _ = _scheme(problem)
     if src is None:
         src = interior_source(mesh, problem)
     xi = mesh.interior()
@@ -230,8 +240,11 @@ def reduced_initial(mesh: Mesh, problem,
     for _ in range(60):
         with np.errstate(divide="ignore", invalid="ignore"):
             step = (fun(xi, u) - src) / der(xi, u)
-        step = np.nan_to_num(step, nan=0.0, posinf=0.5, neginf=-0.5)
-        u -= np.clip(step, -0.5, 0.5)
+        # +-inf clips to +-0.5; a NaN step (0/0) moves nothing.  The stop
+        # test reads the clipped step, which decides alike as 1e-12 < 0.5.
+        np.clip(step, -0.5, 0.5, out=step)
+        np.copyto(step, 0.0, where=np.isnan(step))
+        u -= step
         if np.max(np.abs(step)) < 1e-12:
             break
     y = np.empty(mesh.n + 1)
@@ -261,10 +274,12 @@ def solve(mesh: Mesh, problem, cfg: NewtonConfig | None = None) -> SolveOutcome:
     cfg = cfg or NewtonConfig()
     t0 = time.perf_counter()
     src = interior_source(mesh, problem)
+    cpl = couplings(mesh, problem.eps, unit=_scheme(problem)[4])
     y = _start_vector(mesh, problem, cfg, src)
     updates = []
     for _ in range(cfg.max_iter):
-        y, upd = newton_step(mesh, problem, y, picard=cfg.picard, src=src)
+        y, upd = newton_step(mesh, problem, y, picard=cfg.picard, src=src,
+                             cpl=cpl)
         updates.append(upd)
         if not np.isfinite(upd):
             raise NoConvergenceError(
@@ -298,7 +313,7 @@ def jacobian_fd_gap(mesh: Mesh, problem, y: np.ndarray) -> float:
     perturbed neighbour: three residual pairs give the same entries as a
     loop over single columns, in O(n).
     """
-    residual, jacobian, _, _ = _scheme(problem)
+    residual, jacobian, _, _, _ = _scheme(problem)
     jac = jacobian(mesh, problem, y)
     src = interior_source(mesh, problem)
     m = mesh.n - 1

@@ -9,7 +9,8 @@ import pytest
 import spgrid
 from spgrid.linsolve import (REDUCTION_BASE, NonpositiveCoefficientError,
                              TridiagonalSystem, ZeroPivotError, assemble,
-                             residual_norm, solve_linear, thomas_solve)
+                             couplings, residual_norm, solve_linear, stencil,
+                             thomas_solve)
 from spgrid.mesh import MeshSpec, build_mesh
 
 
@@ -121,9 +122,22 @@ def test_zero_pivot_inside_reduced_level():
         thomas_solve(sys)
 
 
+def test_tiny_pivot_inside_reduced_level_names_original_row():
+    # row 2 is not a pivot of the first level; eliminating row 1 leaves it
+    # 2e-305 - 1e-305, below the 1e-300 floor, as row 1 of the second level
+    m = 4 * B + 1
+    sub = np.zeros(m)
+    sup = np.zeros(m)
+    diag = np.ones(m)
+    sub[2], sup[1], diag[2] = 1.0, 1e-305, 2e-305
+    sys = TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=np.ones(m))
+    with pytest.raises(ZeroPivotError, match="row 2$"):
+        thomas_solve(sys)
+
+
 @pytest.mark.parametrize("m", [3, 4 * B + 1])
 @pytest.mark.parametrize("row", [1, 2])
-@pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+@pytest.mark.parametrize("bad", [0.0, np.nan, np.inf, -np.inf, 1e-305])
 def test_thomas_rejects_zero_and_nonfinite_pivots(m, row, bad):
     diag = np.ones(m)
     diag[row] = bad
@@ -131,6 +145,40 @@ def test_thomas_rejects_zero_and_nonfinite_pivots(m, row, bad):
                             rhs=np.ones(m))
     with pytest.raises(ZeroPivotError):
         thomas_solve(sys)
+
+
+@pytest.mark.parametrize("m", [3, B + 1, 4097])
+def test_thomas_leaves_its_input_unchanged(m):
+    # Newton shares the cached off-diagonals between iterations
+    rng = np.random.default_rng(m)
+    sub = rng.uniform(-1.0, 0.0, m)
+    sup = rng.uniform(-1.0, 0.0, m)
+    sub[0] = sup[-1] = 0.0
+    diag = 2.0 + rng.uniform(0.0, 1.0, m)
+    rhs = rng.normal(size=m)
+    arrays = (sub, diag, sup, rhs)
+    copies = [v.copy() for v in arrays]
+    thomas_solve(TridiagonalSystem(*arrays))
+    for v, before in zip(arrays, copies):
+        assert np.array_equal(v, before)
+
+
+@pytest.mark.parametrize("unit", [True, False])
+def test_cached_couplings_are_read_only_and_give_the_same_rows(unit):
+    rng = np.random.default_rng(5)
+    mesh = build_mesh(MeshSpec("bakhvalov", 1e-4, 257, a=2.0))
+    cpl = couplings(mesh, 1e-4, unit=unit)
+    cached = [v for v in vars(cpl).values() if v is not None]
+    assert len(cached) == (5 if unit else 2)
+    assert not any(v.flags.writeable for v in cached)
+    b = rng.uniform(0.5, 2.0, mesh.n - 1)
+    weights = {} if unit else {"right": rng.uniform(0.5, 2.0, mesh.n),
+                               "left": rng.uniform(0.5, 2.0, mesh.n)}
+    fresh = stencil(mesh, 1e-4, b, None, **weights)
+    rows = stencil(mesh, 1e-4, b, None, **weights, cpl=cpl)
+    for band in ("sub", "diag", "sup"):
+        assert getattr(rows, band).tobytes() == getattr(fresh, band).tobytes()
+    assert rows.rhs is None
 
 
 def test_direct_solve_does_not_import_scipy():

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from spgrid.mesh import (DegenerateMeshError, MeshSpec, bakhvalov_alpha,
-                         build_mesh, format_nodes, layer_fraction,
-                         shishkin_alpha, vulanovic_alpha)
+from spgrid.mesh import (DegenerateMeshError, MeshSpec, NoRootError,
+                         bakhvalov_alpha, build_mesh, format_nodes,
+                         layer_fraction, shishkin_alpha, vulanovic_alpha)
 
 EPS8 = 2.0 ** -8
 
@@ -245,3 +245,10 @@ def test_format_nodes_header_and_precision():
     assert float(lines[2]) == mesh.nodes[1]
     # 17 significant digits survive a round trip
     assert np.array_equal(np.array([float(v) for v in lines[1:]]), mesh.nodes)
+
+
+def test_collapsed_right_layer_is_reported_as_such():
+    # the first layer step is ~1e-16, under the spacing of doubles below 1
+    spec = MeshSpec("bakhvalov", 1e-12, 2712, a=0.109375, q=0.375)
+    with pytest.raises(NoRootError, match="double spacing near x = 1"):
+        build_mesh(spec)

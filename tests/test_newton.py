@@ -85,6 +85,26 @@ def test_reduced_initial_finds_reaction_root():
     assert np.max(np.abs(p2.r(xi, y0[1:-1]) - p2.source(xi))) < 1e-10
 
 
+def test_reduced_initial_clamps_infinite_steps_and_skips_nan_steps():
+    # f = u^3 has f_u = 0 at the zero start: nodes with a nonzero source
+    # take an infinite first step, clamped to 0.5 toward the root; nodes
+    # with a zero source take 0/0 and stay exactly at zero
+    mesh = build_mesh(MeshSpec("uniform", 1e-2, 8))
+    s = np.array([1.0, -1.0, 0.0, 8.0, -8.0, 0.0, 1.0])
+    starts = []
+
+    def f(x, u):
+        starts.append(u.copy())
+        return u ** 3
+
+    p = SemilinearProblem(eps=1e-2, f=f, f_u=lambda x, u: 3.0 * u ** 2,
+                          bc_left=0.0, bc_right=0.0, source=lambda x: s)
+    y = reduced_initial(mesh, p)
+    assert np.array_equal(starts[1], [0.5, -0.5, 0.0, 0.5, -0.5, 0.0, 0.5])
+    assert np.array_equal(y[1:-1][s == 0.0], [0.0, 0.0])
+    assert np.allclose(y[1:-1], np.cbrt(s), rtol=1e-12, atol=0.0)
+
+
 def test_no_convergence_error_carries_update():
     p = example1(1e-2)
     mesh = build_mesh(MeshSpec("shishkin", 1e-2, 32))
