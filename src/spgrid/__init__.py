@@ -8,8 +8,7 @@ from .problems import (QuasilinearDiffusionProblem, SemilinearProblem,
                        check_stability, example1, example2, log_transform,
                        make_problem)
 from .linsolve import (NonpositiveCoefficientError, TridiagonalSystem,
-                       ZeroPivotError, assemble, residual_norm, solve_linear,
-                       thomas_solve)
+                       ZeroPivotError, assemble, solve_linear, thomas_solve)
 from .newton import (NewtonConfig, NoConvergenceError, NonpositiveJacobianError,
                      SingularDiffusionError, SolveOutcome, interior_source,
                      jacobian_fd_gap, newton_step, reduced_initial,
@@ -30,7 +29,7 @@ __all__ = [
     "SemilinearProblem", "QuasilinearDiffusionProblem", "example1", "example2",
     "log_transform", "make_problem", "check_stability",
     "TridiagonalSystem", "NonpositiveCoefficientError", "ZeroPivotError",
-    "assemble", "thomas_solve", "solve_linear", "residual_norm",
+    "assemble", "thomas_solve", "solve_linear",
     "NewtonConfig", "SolveOutcome", "NoConvergenceError",
     "NonpositiveJacobianError", "SingularDiffusionError", "solve",
     "newton_step", "reduced_initial", "residual_for", "interior_source",

@@ -223,14 +223,6 @@ def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
     return y
 
 
-def residual_norm(sys: TridiagonalSystem, y: np.ndarray) -> float:
-    """Max-norm of ``A y - rhs`` for an interior solution vector."""
-    ay = sys.diag * y
-    ay[1:] += sys.sub[1:] * y[:-1]
-    ay[:-1] += sys.sup[:-1] * y[1:]
-    return float(np.max(np.abs(ay - sys.rhs)))
-
-
 def solve_linear(mesh: Mesh, eps: float, b, g,
                  bc_left: float = 0.0, bc_right: float = 0.0) -> np.ndarray:
     """Assemble and solve; returns the full vector ``y_0 ... y_n``."""

@@ -160,8 +160,17 @@ def bakhvalov_alpha(eps: float, a: float, q: float) -> float:
     return alpha
 
 
+def _pieces(t: np.ndarray, split: float, inner, outer) -> np.ndarray:
+    """``inner`` on the run ``t <= split`` of ascending ``t``, ``outer`` after."""
+    j = np.searchsorted(t, split, side="right")
+    out = np.empty(len(t))
+    out[:j] = inner(t[:j])
+    out[j:] = outer(t[j:])
+    return out
+
+
 def _half_map(spec: MeshSpec, t: np.ndarray) -> np.ndarray:
-    """Evaluate the generating function on ``t`` in [0, 1/2].
+    """Evaluate the generating function on ascending ``t`` in [0, 1/2].
 
     Raises DegenerateMeshError for graded families with a*eps >= q.
     """
@@ -171,20 +180,18 @@ def _half_map(spec: MeshSpec, t: np.ndarray) -> np.ndarray:
         alpha = shishkin_alpha(spec.eps, spec.gamma0, spec.n)
         if alpha >= 0.25:
             return t.astype(float)
-        return np.where(t <= 0.25, 4.0 * alpha * t,
-                        alpha + 2.0 * (1.0 - 2.0 * alpha) * (t - 0.25))
-    ea = spec.eps * spec.a
-    q = spec.q
+        return _pieces(t, 0.25, lambda s: 4.0 * alpha * s,
+                       lambda s: alpha + 2.0 * (1.0 - 2.0 * alpha) * (s - 0.25))
+    ea, q = spec.eps * spec.a, spec.q
     if spec.family == "bakhvalov":
         alpha = bakhvalov_alpha(spec.eps, spec.a, spec.q)
         if alpha == 0.0:
             raise DegenerateMeshError("tangent touches at the origin")
-        layer = ea * np.log(q / np.maximum(q - t, 1e-300))
+        layer = lambda s: ea * np.log(q / (q - s))  # s <= alpha < q
         val = ea * math.log(q / (q - alpha))
     else:  # vulanovic
         alpha = vulanovic_alpha(spec.eps, spec.a, spec.q)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            layer = ea * t / (q - t)  # t can reach q; masked below
+        layer = lambda s: ea * s / (q - s)
         val = ea * alpha / (q - alpha)
     # Linear piece as the chord through (alpha, val) and (1/2, 1/2): the
     # tangency condition makes this the tangent line, but the chord form
@@ -192,48 +199,37 @@ def _half_map(spec: MeshSpec, t: np.ndarray) -> np.ndarray:
     # lam(1/2) can come out one ulp below 1/2) even when the contact
     # abscissa is ill-conditioned (q - alpha shrinks like eps).
     slope = (0.5 - val) / (0.5 - alpha)
-    return np.where(t <= alpha, layer, val + slope * (t - alpha))
-
-
-def _uniform_nodes(n: int) -> np.ndarray:
-    return np.arange(n + 1) / n
+    return _pieces(t, alpha, layer, lambda s: val + slope * (s - alpha))
 
 
 def build_mesh(spec: MeshSpec) -> Mesh:
     """Construct the mesh ``x_i = lam(i/n)`` for the given spec.
 
     Graded specs with ``a*eps >= q`` degenerate silently to the uniform
-    mesh ``i/n``; the returned mesh carries ``degenerate=True``.
-    Otherwise two-sided nodes right of 1/2 are computed as ``1 - lam(1 -
-    t)`` from the same left-half values, so ``x[n-j] == 1 - x[j]`` holds
-    exactly for j < n/2; the middle node of an even n is ``lam(1/2)``,
-    which may sit one ulp off 1/2.  The uniform fallback is not
-    mirror-exact.  Raises
-    :class:`NoRootError` when layer steps finer than the spacing of
+    mesh ``i/n``, which is not mirror-exact; the mesh carries
+    ``degenerate=True``.  Otherwise ``lam`` is evaluated once, on ``j/n``
+    for j <= n/2; two-sided nodes right of 1/2 are ``1 - x[n-i]`` from
+    those values (so ``x[n-j] == 1 - x[j]`` exactly for j < n/2, while
+    ``lam(1/2)`` may sit one ulp off 1/2) and one-sided ones are ``i/n``.
+    Raises :class:`NoRootError` when layer steps finer than the spacing of
     doubles near x = 1 make the mirrored nodes collapse.
     """
     n = spec.n
-    i = np.arange(n + 1)
     degenerate = False
     try:
-        left_t = i[2 * i <= n] / n
-        left = _half_map(spec, left_t)
-        nodes = np.empty(n + 1)
-        nodes[: len(left)] = left
-        right_t = (n - i[2 * i > n]) / n
-        nodes[len(left):] = 1.0 - _half_map(spec, right_t)
-        if spec.layer_sides == "left":
-            mask = 2 * i > n
-            nodes[mask] = i[mask] / n
+        left = _half_map(spec, np.arange(n // 2 + 1) / n)
     except DegenerateMeshError:
-        nodes = _uniform_nodes(n)
-        degenerate = True
-    nodes[0] = 0.0
-    nodes[-1] = 1.0
-    if np.any(np.diff(nodes) <= 0.0):
+        nodes, degenerate = np.arange(n + 1) / n, True
+    else:
+        m = len(left)
+        right = (np.arange(m, n + 1) / n if spec.layer_sides == "left"
+                 else 1.0 - left[n - m::-1])
+        nodes = np.concatenate((left, right))
+    nodes[0], nodes[-1] = 0.0, 1.0
+    steps = np.diff(nodes)
+    if np.any(steps <= 0.0):
         raise NoRootError("layer step below the double spacing near x = 1: "
                           "mirrored nodes collapsed")
-    steps = np.diff(nodes)
     half_steps = 0.5 * (steps[:-1] + steps[1:])
     for arr in (nodes, steps, half_steps):
         arr.flags.writeable = False

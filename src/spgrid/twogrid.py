@@ -5,7 +5,8 @@ a coarse mesh with N intervals, interpolate, then perform a single Newton
 correction on the fine mesh (n = N^r intervals, r > 1) about the
 interpolant.  Repeating the fine step on successively squared grid sizes
 (n = N^(2^m)) cascades the accuracy while only ever solving linear
-systems after the coarse stage.
+systems after the coarse stage.  The transfer is ``np.interp``'s
+interpolant bit for bit, built by run-length expansion over coarse cells.
 """
 
 from __future__ import annotations
@@ -83,10 +84,11 @@ class TwoGridResult:
 def interpolate(mesh: Mesh, values: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Piecewise-linear interpolant of nodal values at the query points.
 
-    Exact at nodes and for linear data; queries must lie in [0, 1].
+    Exact at nodes and for linear data; queries must lie in [0, 1] (the
+    check is negated so that NaN fails it, as infinities do).
     """
     q = np.asarray(query, dtype=float)
-    if q.size and (q.min() < 0.0 or q.max() > 1.0):
+    if q.size and not (q.min() >= 0.0 and q.max() <= 1.0):
         raise OutOfDomainError("query points must lie in [0, 1]")
     if len(values) != mesh.n + 1:
         raise ValueError("values length does not match mesh")
@@ -97,21 +99,32 @@ def interpolant_slopes(coarse: Mesh, values: np.ndarray,
                        fine: Mesh) -> tuple[np.ndarray, np.ndarray]:
     """Interpolant values at fine nodes plus exact per-interval slopes.
 
-    For a fine interval contained in one coarse cell the slope is that
-    cell's slope verbatim, so adjacent equal slopes cancel exactly in the
-    fine second difference; computing slopes from interpolated values
-    instead would leave eps^2/h^2-amplified rounding noise in the fine
-    residual.  Intervals straddling a coarse node fall back to the chord
-    of the interpolated values.
+    ``w`` is ``np.interp(fine.nodes, coarse.nodes, values)`` bit for bit,
+    built in O(n + N log n) by repeating each coarse cell's slope, node and
+    value over its run of fine nodes; a fine node on a coarse node takes
+    the nodal value (so -0.0 stays -0.0).  A fine interval inside one coarse
+    cell gets that cell's slope verbatim, so equal slopes cancel exactly in
+    the fine second difference (slopes from ``w`` would leave
+    eps^2/h^2-amplified rounding noise).  Intervals straddling a coarse
+    node, or starting on one that is their rounded midpoint, take the
+    chord of ``w``.  Non-finite values flow on (not in ``np.interp``'s bits).
     """
-    w = interpolate(coarse, values, fine.nodes)
-    coarse_slopes = np.diff(values) / coarse.steps
-    mids = 0.5 * (fine.nodes[:-1] + fine.nodes[1:])
-    cell = np.clip(np.searchsorted(coarse.nodes, mids) - 1, 0, coarse.n - 1)
-    inside = (coarse.nodes[cell] <= fine.nodes[:-1]) & \
-             (fine.nodes[1:] <= coarse.nodes[cell + 1])
-    chord = np.diff(w) / fine.steps
-    return w, np.where(inside, coarse_slopes[cell], chord)
+    values = np.asarray(values, dtype=float)
+    if len(values) != coarse.n + 1:
+        raise ValueError("values length does not match mesh")
+    X, x = coarse.nodes, fine.nodes
+    # cell j holds fine nodes k[j] .. k[j+1] - 1; a last run holds x_n alone
+    k = np.searchsorted(x, X)
+    run = np.diff(k, append=len(x))
+    s = np.repeat(np.append(np.diff(values) / coarse.steps, 0.0), run)
+    w = (x - np.repeat(X, run)) * s + np.repeat(values, run)
+    on = x[k] == X
+    w[k[on]] = values[on]
+    # chords: a coarse node inside, or on the left end = rounded midpoint
+    c = k[1:-1] - 1 + on[1:-1]
+    c = c[~on[1:-1] | (0.5 * (x[c] + x[c + 1]) == x[c])]
+    s[c] = (w[c + 1] - w[c]) / fine.steps[c]
+    return w, s[:-1]
 
 
 def _fine_step(problem, fine_mesh: Mesh, prev_mesh: Mesh,

@@ -1,0 +1,35 @@
+"""Smoke test of tools/bitwise_digest.py on its smallest cases."""
+
+import importlib.util
+import re
+import sys
+from pathlib import Path
+
+import spgrid
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bitwise_digest.py"
+LINE = re.compile(r"^ex1 bakhvalov 0\.01 algorithm2 8 levels=2"
+                  r"( (mesh|newton|interp|out)=[0-9a-f]{16}){4}$")
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("bitwise_digest", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_one_case_prints_one_line_per_case_and_is_reproducible(monkeypatch, capsys):
+    tool = _tool()
+    case = ("ex1", "bakhvalov", 0.01, "algorithm2", 8, 2)
+    monkeypatch.setattr(tool, "cases", lambda: iter([case]))
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main() prepends --src
+    assert tool.main([]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and LINE.match(lines[0]), lines
+    assert tool.digest_case(spgrid, case) == lines[0]
+    # the wrappers are gone again, and an empty kind is the empty digest
+    assert spgrid.twogrid.interpolant_slopes is spgrid.interpolant_slopes
+    assert spgrid.newton.newton_step is spgrid.newton_step
+    solve_line = tool.digest_case(spgrid, ("ex1", "uniform", 0.01, "solve", 64, 0))
+    assert "interp=e3b0c44298fc1c14" in solve_line

@@ -1,11 +1,15 @@
 """Property tests of the mesh builder over its whole parameter space."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from spgrid.mesh import FAMILIES, GRADED, MeshSpec, NoRootError, build_mesh
+from spgrid.mesh import (FAMILIES, GRADED, LAYER_SIDES, DegenerateMeshError,
+                         MeshSpec, NoRootError, bakhvalov_alpha, build_mesh,
+                         shishkin_alpha, vulanovic_alpha)
 
 specs = st.builds(
     MeshSpec,
@@ -67,3 +71,78 @@ def test_degenerate_exactly_when_graded_and_layer_too_wide(spec):
     mesh = _build(spec)
     if mesh is not None:
         assert mesh.degenerate == (spec.family in GRADED and spec.a * spec.eps >= spec.q)
+
+
+def _where_half_map(spec, t):
+    """Oracle generating function on ``t`` in [0, 1/2], in any order: every
+    piece evaluated on all of ``t``, then selected with ``np.where``."""
+    if spec.family == "uniform":
+        return t.astype(float)
+    if spec.family == "shishkin":
+        alpha = shishkin_alpha(spec.eps, spec.gamma0, spec.n)
+        if alpha >= 0.25:
+            return t.astype(float)
+        return np.where(t <= 0.25, 4.0 * alpha * t,
+                        alpha + 2.0 * (1.0 - 2.0 * alpha) * (t - 0.25))
+    ea, q = spec.eps * spec.a, spec.q
+    if spec.family == "bakhvalov":
+        alpha = bakhvalov_alpha(spec.eps, spec.a, spec.q)
+        if alpha == 0.0:
+            raise DegenerateMeshError("tangent touches at the origin")
+        layer = ea * np.log(q / np.maximum(q - t, 1e-300))
+        val = ea * math.log(q / (q - alpha))
+    else:
+        alpha = vulanovic_alpha(spec.eps, spec.a, spec.q)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            layer = ea * t / (q - t)
+        val = ea * alpha / (q - alpha)
+    slope = (0.5 - val) / (0.5 - alpha)
+    return np.where(t <= alpha, layer, val + slope * (t - alpha))
+
+
+def _two_evaluation_mesh(spec):
+    """Oracle: ``(nodes, steps, half_steps, degenerate)`` built by evaluating
+    the generating function on all of [0, 1/2] for the left half and again
+    on the descending mirrored points for the right half, with integer
+    masks for the one-sided variant."""
+    n = spec.n
+    i = np.arange(n + 1)
+    try:
+        left = _where_half_map(spec, i[2 * i <= n] / n)
+        nodes = np.empty(n + 1)
+        nodes[: len(left)] = left
+        nodes[len(left):] = 1.0 - _where_half_map(spec, (n - i[2 * i > n]) / n)
+        if spec.layer_sides == "left":
+            mask = 2 * i > n
+            nodes[mask] = i[mask] / n
+        degenerate = False
+    except DegenerateMeshError:
+        nodes, degenerate = np.arange(n + 1) / n, True
+    nodes[0] = 0.0
+    nodes[-1] = 1.0
+    if np.any(np.diff(nodes) <= 0.0):
+        raise NoRootError("layer step below the double spacing near x = 1: "
+                          "mirrored nodes collapsed")
+    steps = np.diff(nodes)
+    return nodes, steps, 0.5 * (steps[:-1] + steps[1:]), degenerate
+
+
+@bounded
+@given(specs, st.sampled_from(LAYER_SIDES))
+@example(MeshSpec("vulanovic", 0.5, 9, a=2.0, q=0.3), "both")  # degenerate
+@example(MeshSpec("bakhvalov", 0.5, 10, a=2.0, q=0.3), "left")  # degenerate
+@example(MeshSpec("bakhvalov", 1e-12, 2712, a=0.109375, q=0.375), "both")
+def test_one_half_evaluation_matches_two_evaluations_bitwise(spec, side):
+    spec = replace(spec, layer_sides=side)
+    try:
+        nodes, steps, half_steps, degenerate = _two_evaluation_mesh(spec)
+    except NoRootError as err:
+        with pytest.raises(NoRootError) as got:
+            build_mesh(spec)
+        assert str(got.value) == str(err)
+        return
+    mesh = build_mesh(spec)
+    for got, want in ((mesh.nodes, nodes), (mesh.steps, steps),
+                      (mesh.half_steps, half_steps)):
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+    assert mesh.degenerate == degenerate

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spgrid.mesh import MeshSpec, build_mesh
-from spgrid.newton import solve as newton_solve
+from spgrid.newton import NonpositiveJacobianError, solve as newton_solve
 from spgrid.problems import example1, example2
 from spgrid.twogrid import (OutOfDomainError, TwoGridPlan, algorithm1,
                             algorithm2, choose_r, interpolant_slopes,
@@ -52,6 +52,18 @@ def test_interpolate_domain_check():
         interpolate(mesh, np.zeros(5), np.array([-0.1]))
     with pytest.raises(OutOfDomainError):
         interpolate(mesh, np.zeros(5), np.array([1.0 + 1e-9]))
+    # NaN fails every comparison, so it must not pass the range check
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(OutOfDomainError):
+            interpolate(mesh, np.arange(5.0), np.array([bad, 0.5]))
+
+
+def test_interpolant_slopes_checks_values():
+    coarse = build_mesh(MeshSpec("uniform", 0.1, 4))
+    fine = build_mesh(MeshSpec("uniform", 0.1, 16))
+    for values in (np.zeros(4), np.zeros(6)):
+        with pytest.raises(ValueError):
+            interpolant_slopes(coarse, values, fine)
 
 
 def test_interpolant_slopes_match_coarse_cells():
@@ -94,6 +106,28 @@ def test_cascade_level_one_equals_algorithm1():
     res2 = algorithm2(p, TwoGridPlan(coarse=spec, cascade_levels=1))
     assert res1.fine_meshes[0].n == 64 == res2.fine_meshes[0].n
     assert np.array_equal(res1.fine[0].y, res2.fine[0].y)
+
+
+def test_non_finite_cascade_level_fails_at_the_next_jacobian(monkeypatch):
+    # the transfer passes non-finite values on; the next level's Jacobian
+    # check is what rejects them
+    import spgrid.twogrid as twogrid
+
+    real_step = twogrid.newton_step
+    levels = []
+
+    def nan_first_level(mesh, *args, **kw):
+        levels.append(mesh.n)
+        y, update = real_step(mesh, *args, **kw)
+        if mesh.n == 16:
+            y[mesh.n // 2] = np.nan
+        return y, update
+
+    monkeypatch.setattr(twogrid, "newton_step", nan_first_level)
+    plan = TwoGridPlan(coarse=MeshSpec("shishkin", 1e-2, 4), cascade_levels=2)
+    with pytest.raises(NonpositiveJacobianError, match="reaction derivative"):
+        algorithm2(example1(1e-2), plan)
+    assert levels == [16, 256]
 
 
 def test_plan_validation_and_memory_guard():

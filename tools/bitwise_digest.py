@@ -1,0 +1,170 @@
+"""sha256 digests of every array the solver stack computes, one line per case.
+
+Run the script against two source trees and diff the outputs to check that a
+change leaves every mesh, start vector, Newton iterate, two-grid interpolant
+and fine-level solution bit for bit as it was:
+
+    python3 tools/bitwise_digest.py --src /path/to/parent/src > before.txt
+    python3 tools/bitwise_digest.py > after.txt
+    diff before.txt after.txt
+
+The grid is ex1, ex2 and log_transform(ex2) on the uniform, Shishkin,
+Bakhvalov and Vulanovic meshes at eps = 1e-2, 1e-4 and 1e-6, with the
+benchmark's grading ``a`` (perfbench/workloads.py).  The cases are the
+direct solve at n = 64, 4096 and 65536 and the cascade (algorithm2) with
+(N, levels) = (8, 2), (16, 2) and (256, 1).  Each line names its case and
+gives, per kind, a 16-hex-digit digest over every array of that kind in
+call order: ``mesh`` (nodes, steps, half_steps, degenerate flag),
+``newton`` (each Newton step's input iterate, interpolant slopes, output
+iterate and update), ``interp`` (each ``interpolant_slopes`` output) and
+``out`` (final y, iterations, update history and residual norm of every
+level).  A case that raises prints its exception type and message digest.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+PROBLEMS = ("ex1", "ex2", "ex2log")
+FAMILIES = ("uniform", "shishkin", "bakhvalov", "vulanovic")
+EPS = (1e-2, 1e-4, 1e-6)
+SOLVE_N = (64, 4096, 65536)
+CASCADES = ((8, 2), (16, 2), (256, 1))
+KINDS = ("mesh", "newton", "interp", "out")
+
+
+def grading(problem: str, family: str) -> float:
+    """The benchmark's ``a``: 2 for ex2, else 4 on Bakhvalov and 1 otherwise."""
+    if problem.startswith("ex2"):
+        return 2.0
+    return 4.0 if family == "bakhvalov" else 1.0
+
+
+def cases():
+    """Every case as ``(problem, family, eps, algorithm, size, levels)``."""
+    for problem in PROBLEMS:
+        for family in FAMILIES:
+            for eps in EPS:
+                for n in SOLVE_N:
+                    yield problem, family, eps, "solve", n, 0
+                for N, levels in CASCADES:
+                    yield problem, family, eps, "algorithm2", N, levels
+
+
+def case_key(case) -> str:
+    problem, family, eps, algorithm, size, levels = case
+    tail = f" levels={levels}" if algorithm == "algorithm2" else ""
+    return f"{problem} {family} {eps!r} {algorithm} {size}{tail}"
+
+
+class _Recorder:
+    """Running sha256 per kind; the wrappers feed it while a case runs."""
+
+    def __init__(self):
+        self.hashes = {kind: hashlib.sha256() for kind in KINDS}
+
+    def add(self, kind: str, *items) -> None:
+        h = self.hashes[kind]
+        for item in items:
+            if isinstance(item, np.ndarray):
+                h.update(f"{item.dtype}{item.shape}".encode())
+                h.update(np.ascontiguousarray(item).tobytes())
+            else:
+                h.update(repr(item).encode())
+
+    def add_mesh(self, mesh) -> None:
+        self.add("mesh", mesh.nodes, mesh.steps, mesh.half_steps, mesh.degenerate)
+
+    def add_outcome(self, out) -> None:
+        self.add("out", out.y, out.iterations, list(out.update_history),
+                 out.residual_norm)
+
+    def line(self) -> str:
+        return " ".join(f"{k}={self.hashes[k].hexdigest()[:16]}" for k in KINDS)
+
+
+def _wrap(sp, recorder: _Recorder):
+    """Rebind newton_step and interpolant_slopes where they are called from;
+    returns the undo list."""
+
+    def newton_step(mesh, problem, y, slopes=None, **kw):
+        recorder.add("newton", y, slopes)
+        y_new, update = real_step(mesh, problem, y, slopes=slopes, **kw)
+        recorder.add("newton", y_new, update)
+        return y_new, update
+
+    def interpolant_slopes(coarse, values, fine):
+        w, slopes = real_interp(coarse, values, fine)
+        recorder.add("interp", w, slopes)
+        return w, slopes
+
+    real_step = sp.newton.newton_step
+    real_interp = sp.twogrid.interpolant_slopes
+    undo = []
+    for module, name, fn in ((sp.newton, "newton_step", newton_step),
+                             (sp.twogrid, "newton_step", newton_step),
+                             (sp.twogrid, "interpolant_slopes", interpolant_slopes)):
+        undo.append((module, name, getattr(module, name)))
+        setattr(module, name, fn)
+    return undo
+
+
+def digest_case(sp, case) -> str:
+    """One output line: the case key and a digest per kind (or the error)."""
+    problem, family, eps, algorithm, size, levels = case
+    recorder = _Recorder()
+    undo = _wrap(sp, recorder)
+    try:
+        prob = sp.problems.make_problem(problem[:3], eps)
+        if problem == "ex2log":
+            prob = sp.problems.log_transform(prob)
+        spec = sp.mesh.MeshSpec(family, eps, size, a=grading(problem, family))
+        if algorithm == "solve":
+            mesh = sp.mesh.build_mesh(spec)
+            recorder.add_mesh(mesh)
+            recorder.add_outcome(sp.newton.solve(mesh, prob))
+        else:
+            plan = sp.twogrid.TwoGridPlan(coarse=spec, cascade_levels=levels)
+            result = sp.twogrid.algorithm2(prob, plan)
+            for mesh in (result.coarse_mesh, *result.fine_meshes):
+                recorder.add_mesh(mesh)
+            for out in (result.coarse, *result.fine):
+                recorder.add_outcome(out)
+    except Exception as err:  # a case that fails must fail alike on both sides
+        message = hashlib.sha256(str(err).encode()).hexdigest()[:16]
+        return f"{case_key(case)} error={type(err).__name__}:{message}"
+    finally:
+        for module, name, fn in undo:
+            setattr(module, name, fn)
+    return f"{case_key(case)} {recorder.line()}"
+
+
+def import_spgrid(src: Path):
+    """Import ``spgrid`` from ``src`` and nowhere else."""
+    sys.path.insert(0, str(src))
+    import spgrid
+
+    if Path(spgrid.__file__).resolve().parent != src.resolve() / "spgrid":
+        raise SystemExit(f"spgrid imported from {spgrid.__file__}, not {src}")
+    return spgrid
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="source tree holding the spgrid package (default: this checkout's)")
+    args = parser.parse_args(argv)
+    sp = import_spgrid(args.src)
+    for case in cases():
+        print(digest_case(sp, case), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
