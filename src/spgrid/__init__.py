@@ -1,12 +1,32 @@
 """Layer-adapted finite differences and two-grid solvers for singularly
-perturbed reaction-diffusion two-point boundary value problems."""
+perturbed reaction-diffusion two-point boundary value problems.  Importing
+it on glibc pins the process's heap thresholds (``_pin_heap_thresholds``)."""
+
+import ctypes
+import os
+
+
+def _pin_heap_thresholds() -> None:
+    # glibc mmaps blocks over 128 KiB and trims a free heap top over 128 KiB,
+    # so n-sized temporaries fault in anew on every solve.  Pin both at the
+    # 64-bit ceilings of glibc's sliding rule, which any mallopt stops: arrays
+    # up to 32 MiB (here <= 8 MiB) reuse heap pages; <= 64 MiB free top kept.
+    try:  # a no-op on other C libraries
+        if os.confstr("CS_GNU_LIBC_VERSION"):
+            libc = ctypes.CDLL(None)
+            libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+            libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    except (ValueError, OSError, AttributeError):
+        pass
+
+
+_pin_heap_thresholds()
 
 from .mesh import (DegenerateMeshError, Mesh, MeshSpec, NoRootError,
-                   bakhvalov_alpha, build_mesh, format_nodes, layer_fraction,
-                   shishkin_alpha, vulanovic_alpha)
+                   bakhvalov_alpha, build_mesh, layer_fraction, shishkin_alpha,
+                   vulanovic_alpha)
 from .problems import (QuasilinearDiffusionProblem, SemilinearProblem,
-                       check_stability, example1, example2, log_transform,
-                       make_problem)
+                       example1, example2, log_transform, make_problem)
 from .linsolve import (NonpositiveCoefficientError, TridiagonalSystem,
                        ZeroPivotError, assemble, solve_linear, thomas_solve)
 from .newton import (NewtonConfig, NoConvergenceError, NonpositiveJacobianError,
@@ -23,11 +43,10 @@ from .bench import (ConvergenceRow, DegenerateError, MissingExactError, Report,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Mesh", "MeshSpec", "DegenerateMeshError", "NoRootError",
+    "Mesh", "MeshSpec", "DegenerateMeshError", "NoRootError", "layer_fraction",
     "shishkin_alpha", "vulanovic_alpha", "bakhvalov_alpha", "build_mesh",
-    "layer_fraction", "format_nodes",
     "SemilinearProblem", "QuasilinearDiffusionProblem", "example1", "example2",
-    "log_transform", "make_problem", "check_stability",
+    "log_transform", "make_problem",
     "TridiagonalSystem", "NonpositiveCoefficientError", "ZeroPivotError",
     "assemble", "thomas_solve", "solve_linear",
     "NewtonConfig", "SolveOutcome", "NoConvergenceError",

@@ -247,10 +247,3 @@ def layer_fraction(mesh: Mesh, eps: float) -> float:
     count = int(np.count_nonzero((x <= eps) | (x >= 1.0 - eps)))
     return 100.0 * count / mesh.n
 
-
-def format_nodes(mesh: Mesh) -> str:
-    """Plain-text node listing: one header line, then one node per line."""
-    s = mesh.spec
-    lines = [f"# {s.family} {s.n} {s.eps:.17g} {s.a:.17g} {s.q:.17g} {s.gamma0:.17g}"]
-    lines.extend(f"{x:.17g}" for x in mesh.nodes)
-    return "\n".join(lines) + "\n"

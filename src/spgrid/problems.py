@@ -82,16 +82,6 @@ class QuasilinearDiffusionProblem:
                 raise ValueError("exact(1) does not match bc_right")
 
 
-def check_stability(p: SemilinearProblem, nx: int = 21, nu: int = 41) -> float:
-    """Smallest sampled value of f_u over [0,1] x [-2,2] (diagnostic only)."""
-    x = np.linspace(0.0, 1.0, nx)
-    u = np.linspace(-2.0, 2.0, nu)
-    xx, uu = np.meshgrid(x, u)
-    with np.errstate(divide="ignore", over="ignore"):
-        vals = p.f_u(xx, uu)
-    return float(np.min(vals))
-
-
 def example1(eps: float) -> SemilinearProblem:
     """Semilinear benchmark with layers at both ends.
 

@@ -102,12 +102,11 @@ def interpolant_slopes(coarse: Mesh, values: np.ndarray,
     ``w`` is ``np.interp(fine.nodes, coarse.nodes, values)`` bit for bit,
     built in O(n + N log n) by repeating each coarse cell's slope, node and
     value over its run of fine nodes; a fine node on a coarse node takes
-    the nodal value (so -0.0 stays -0.0).  A fine interval inside one coarse
-    cell gets that cell's slope verbatim, so equal slopes cancel exactly in
-    the fine second difference (slopes from ``w`` would leave
-    eps^2/h^2-amplified rounding noise).  Intervals straddling a coarse
-    node, or starting on one that is their rounded midpoint, take the
-    chord of ``w``.  Non-finite values flow on (not in ``np.interp``'s bits).
+    the nodal value (so -0.0 stays -0.0).  A fine interval gets the slope of
+    the coarse cell holding its left end verbatim, so equal slopes cancel
+    exactly in the fine second difference (slopes from ``w`` would leave
+    eps^2/h^2-amplified rounding noise); one straddling a coarse node takes
+    the chord of ``w``.  Non-finite values flow on (not in np.interp's bits).
     """
     values = np.asarray(values, dtype=float)
     if len(values) != coarse.n + 1:
@@ -120,9 +119,8 @@ def interpolant_slopes(coarse: Mesh, values: np.ndarray,
     w = (x - np.repeat(X, run)) * s + np.repeat(values, run)
     on = x[k] == X
     w[k[on]] = values[on]
-    # chords: a coarse node inside, or on the left end = rounded midpoint
-    c = k[1:-1] - 1 + on[1:-1]
-    c = c[~on[1:-1] | (0.5 * (x[c] + x[c + 1]) == x[c])]
+    # chords: the intervals with an interior coarse node strictly inside
+    c = k[1:-1][~on[1:-1]] - 1
     s[c] = (w[c + 1] - w[c]) / fine.steps[c]
     return w, s[:-1]
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from spgrid.mesh import (DegenerateMeshError, MeshSpec, NoRootError,
-                         bakhvalov_alpha, build_mesh, format_nodes,
-                         layer_fraction, shishkin_alpha, vulanovic_alpha)
+                         bakhvalov_alpha, build_mesh, layer_fraction,
+                         shishkin_alpha, vulanovic_alpha)
 
 EPS8 = 2.0 ** -8
 
@@ -233,18 +233,6 @@ def test_nodes_are_immutable():
     mesh = build_mesh(MeshSpec("uniform", 0.1, 4))
     with pytest.raises(ValueError):
         mesh.nodes[0] = 0.5
-
-
-def test_format_nodes_header_and_precision():
-    mesh = build_mesh(MeshSpec("vulanovic", EPS8, 8))
-    text = format_nodes(mesh)
-    lines = text.strip().split("\n")
-    assert lines[0].startswith("# vulanovic 8 ")
-    assert len(lines) == 10
-    assert float(lines[1]) == 0.0
-    assert float(lines[2]) == mesh.nodes[1]
-    # 17 significant digits survive a round trip
-    assert np.array_equal(np.array([float(v) for v in lines[1:]]), mesh.nodes)
 
 
 def test_collapsed_right_layer_is_reported_as_such():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from spgrid.problems import (QuasilinearDiffusionProblem, check_stability,
-                             example1, example2, log_transform, make_problem)
+from spgrid.problems import (QuasilinearDiffusionProblem, example1, example2,
+                             log_transform, make_problem)
 
 
 def _ex1_symbolic_residual(eps_val):
@@ -48,14 +48,6 @@ def test_example1_boundary_and_derivative():
     assert vals.min() >= 0.25 - 1e-12
     assert vals.max() <= 1.0 + 1e-12
     assert p.c0_squared == 0.25
-
-
-def test_example1_stability_sample():
-    # over the wider diagnostic box [0,1] x [-2,2] the sampled minimum of
-    # 1/(2-u)^2 is 1/16, attained at u = -2; positivity is the substance
-    sampled_min = check_stability(example1(0.05))
-    assert sampled_min > 0.0
-    assert sampled_min == pytest.approx(1.0 / 16.0, rel=1e-12)
 
 
 def _ex2_symbolic_residual(eps_val):

@@ -144,22 +144,36 @@ def test_plan_validation_and_memory_guard():
 
 
 def test_two_grid_matches_direct_fine_solve():
-    # the single linearized fine step loses at most a small factor over
-    # solving the nonlinear scheme directly on the same fine mesh; holds
-    # where the direct fine error follows its worst-case n^-2 bound (the
-    # heavily graded a=4 log mesh superconverges by ~3 orders and the
-    # piecewise-equidistant mesh exceeds the factor slightly at N=32, so
-    # the smooth rational grading is the representative case here)
-    for family, a, eps in (("vulanovic", 1.0, 1e-2), ("vulanovic", 1.0, 1e-4)):
-        p = example1(eps)
-        for N in (8, 16, 32):
-            plan = TwoGridPlan(coarse=MeshSpec(family, eps, N, a=a))
-            result = algorithm1(p, plan)
-            fine_mesh = result.fine_meshes[0]
-            direct = newton_solve(fine_mesh, p)
-            e_tg = np.max(np.abs(result.fine[0].y - p.exact(fine_mesh.nodes)))
-            e_direct = np.max(np.abs(direct.y - p.exact(fine_mesh.nodes)))
-            assert e_tg <= 4.0 * e_direct
+    """The abstract's claim: one linearized fine step after the coarse
+    nonlinear solve has the global error of the nonlinear scheme solved
+    directly on the same fine mesh (n = N^2).
+
+    Checked on Vulanovic meshes (ex1 with a = 1, ex2 with a = 2), where the
+    direct fine error follows its worst-case bound: the ratio E_tg/E_direct
+    measured 1.92-3.56, and the gap |y_tg - y_direct| shrinks like N^-4
+    (mean orders 4.35-4.42 for ex1, 4.04-4.07 for ex2; 3.97 for ex1 on
+    Bakhvalov with a = 4).  Two findings are recorded here rather than
+    bounded: on Bakhvalov (a = 4) the direct solve superconverges by ~3
+    orders and the ratio runs from 3.3e3 up to 1.4e7 (about 16x per doubling
+    of N at eps <= 1e-4); on Shishkin meshes it runs from 0.5 to 7.6,
+    growing with N, and the gap orders are only 2.0 to 2.9.
+    """
+    for factory, a in ((example1, 1.0), (example2, 2.0)):
+        for eps in (1e-2, 1e-4, 1e-6):
+            p = factory(eps)
+            gaps = []
+            for N in (8, 16, 32, 64):
+                plan = TwoGridPlan(coarse=MeshSpec("vulanovic", eps, N, a=a))
+                result = algorithm1(p, plan)
+                fine_mesh, y_tg = result.fine_meshes[0], result.fine[0].y
+                y_direct = newton_solve(fine_mesh, p).y
+                exact = p.exact(fine_mesh.nodes)
+                e_tg = np.max(np.abs(y_tg - exact))
+                e_direct = np.max(np.abs(y_direct - exact))
+                assert e_tg <= 4.0 * e_direct, (factory, eps, N)
+                gaps.append(np.max(np.abs(y_tg - y_direct)))
+            # mean observed order over the three doublings of N
+            assert np.log2(gaps[0] / gaps[-1]) / 3 >= 3.5, (factory, eps, gaps)
 
 
 @pytest.mark.parametrize("family,a", [("bakhvalov", 4.0), ("vulanovic", 1.0)])

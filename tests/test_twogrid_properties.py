@@ -12,12 +12,13 @@ from test_mesh_properties import _build, bounded, specs
 
 def _interp_interpolant_slopes(coarse, values, fine):
     """Oracle: ``np.interp`` at every fine node, and each fine interval's
-    cell found by a binary search of its midpoint over the coarse nodes."""
+    cell found by a binary search of its left end over the coarse nodes."""
     w = np.interp(fine.nodes, coarse.nodes, values)
     coarse_slopes = np.diff(values) / coarse.steps
-    mids = 0.5 * (fine.nodes[:-1] + fine.nodes[1:])
-    cell = np.clip(np.searchsorted(coarse.nodes, mids) - 1, 0, coarse.n - 1)
-    inside = (coarse.nodes[cell] <= fine.nodes[:-1]) & \
+    left = fine.nodes[:-1]
+    cell = np.clip(np.searchsorted(coarse.nodes, left, side="right") - 1,
+                   0, coarse.n - 1)
+    inside = (coarse.nodes[cell] <= left) & \
              (fine.nodes[1:] <= coarse.nodes[cell + 1])
     chord = np.diff(w) / fine.steps
     return w, np.where(inside, coarse_slopes[cell], chord)
@@ -81,20 +82,18 @@ def _mesh(nodes):
                 spec=MeshSpec("uniform", 1.0, len(nodes) - 1))
 
 
-def test_one_ulp_interval_on_a_coarse_node_keeps_the_midpoint_rule_chord():
-    # the rounded midpoint of [1/2, 1/2 + ulp] is 1/2, which the old midpoint
-    # rule places in the cell left of the coarse node 1/2.  The interval lies
-    # in the right cell, so its chord is rounding noise where the cell slope
-    # belongs: a defect kept only so that the transfer stays bitwise equal
-    # to the np.interp construction; dropping it flips the assertion below.
+def test_one_ulp_interval_on_a_coarse_node_takes_the_cell_slope():
+    # the rounded midpoint of [1/2, 1/2 + ulp] is 1/2, which a midpoint rule
+    # places in the cell left of the coarse node 1/2; the interval lies in
+    # the right cell, whose slope it takes, not the rounding-noise chord
     coarse = _mesh([0.0, 0.5, 1.0])
     fine = _mesh([0.0, 0.25, 0.5, np.nextafter(0.5, 1.0), 0.75, 1.0])
     values = np.array([0.0, 0.1, 0.7])
     _assert_matches_oracle(coarse, values, fine)
     w, slopes = interpolant_slopes(coarse, values, fine)
     cell_slope = (0.7 - 0.1) / 0.5
-    assert slopes[2] == (w[3] - w[2]) / fine.steps[2] != cell_slope
-    assert slopes[3] == cell_slope
+    assert (w[3] - w[2]) / fine.steps[2] != cell_slope
+    assert slopes[2] == slopes[3] == cell_slope
 
 
 def test_fine_nodes_on_coarse_nodes_take_the_nodal_value_with_its_sign():
