@@ -9,6 +9,7 @@ non-convergence in any cell.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -42,6 +43,7 @@ def _add_mesh_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--layer-sides", default="both", choices=("both", "left"))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spgrid",

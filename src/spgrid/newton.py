@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -60,8 +61,9 @@ class SingularDiffusionError(ValueError):
 class NewtonConfig:
     """Iteration controls.
 
-    ``initial`` is ``"reduced"`` (per-node root of the reaction term,
-    the default), ``"zero"``, or an explicit full-length start vector.
+    ``tol`` bounds :func:`_converged`'s error estimate relative to ``max(1,
+    |y|_inf)``.  ``initial`` is ``"reduced"`` (per-node root of the reaction
+    term, the default), ``"zero"``, or an explicit full-length start vector.
     ``picard`` drops the d_u chain terms from the quasilinear-diffusion
     Jacobian (frozen-coefficient iteration); the converged solution is
     unchanged, only the rate degrades.
@@ -83,15 +85,24 @@ class NewtonConfig:
 
 @dataclass
 class SolveOutcome:
-    """Converged discrete solution plus iteration diagnostics."""
+    """Converged discrete solution plus iteration diagnostics.
+
+    ``converged``: :func:`_converged` held (a two-grid fine step, one linear
+    solve, always says so).  ``residual_norm`` is computed on first read.
+    """
 
     y: np.ndarray
     iterations: int
     final_update: float
     converged: bool
     wall_time: float
-    residual_norm: float
+    mesh: Mesh = field(repr=False, compare=False)
+    problem: object = field(repr=False, compare=False)
     update_history: list = field(default_factory=list)
+
+    @cached_property
+    def residual_norm(self) -> float:
+        return float(np.max(np.abs(residual_for(self.mesh, self.problem, self.y))))
 
 
 def _interval_slopes(mesh: Mesh, y: np.ndarray) -> np.ndarray:
@@ -269,6 +280,18 @@ def _start_vector(mesh: Mesh, problem, cfg: NewtonConfig,
     return y
 
 
+def _converged(updates: list, y: np.ndarray, tol: float) -> bool:
+    """Error-oriented stop test (Deuflhard, *Newton Methods for Nonlinear
+    Problems*, 2004): the last of the ``updates``, or, if the last two
+    contract by ``theta <= 1/2``, the bound ``theta/(1 - theta) * update`` on
+    the distance of ``y`` to the discrete solution is at most ``tol * max(1,
+    |y|_inf)``."""
+    update = updates[-1]
+    tau = tol * max(1.0, float(np.max(np.abs(y))))
+    theta = update / updates[-2] if len(updates) > 1 else 1.0
+    return update <= tau or (theta <= 0.5 and theta / (1.0 - theta) * update <= tau)
+
+
 def solve(mesh: Mesh, problem, cfg: NewtonConfig | None = None) -> SolveOutcome:
     """Solve the nonlinear scheme of either problem type by Newton's method."""
     cfg = cfg or NewtonConfig()
@@ -284,17 +307,15 @@ def solve(mesh: Mesh, problem, cfg: NewtonConfig | None = None) -> SolveOutcome:
         if not np.isfinite(upd):
             raise NoConvergenceError(
                 f"non-finite update in iteration {len(updates)}", final_update=upd)
-        if upd <= cfg.tol:
+        if _converged(updates, y, cfg.tol):
             break
     else:
         raise NoConvergenceError(
             f"no convergence in {cfg.max_iter} iterations "
             f"(last update {updates[-1]:.3e})", final_update=updates[-1])
-    res = residual_for(mesh, problem, y, src)
     return SolveOutcome(y=y, iterations=len(updates), final_update=updates[-1],
                         converged=True, wall_time=time.perf_counter() - t0,
-                        residual_norm=float(np.max(np.abs(res))),
-                        update_history=updates)
+                        mesh=mesh, problem=problem, update_history=updates)
 
 
 def residual_for(mesh: Mesh, problem, y: np.ndarray,

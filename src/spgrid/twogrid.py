@@ -18,8 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .mesh import Mesh, MeshSpec, build_mesh
-from .newton import (NewtonConfig, SolveOutcome, interior_source, newton_step,
-                     residual_for, solve as newton_solve)
+from .newton import NewtonConfig, SolveOutcome, newton_step, solve as newton_solve
 
 #: Hard cap on interval counts produced by plans (cascade sizes grow fast).
 MAX_INTERVALS = 2 ** 20
@@ -132,12 +131,10 @@ def _fine_step(problem, fine_mesh: Mesh, prev_mesh: Mesh,
     w, slopes = interpolant_slopes(prev_mesh, prev_values, fine_mesh)
     w[0] = problem.bc_left
     w[-1] = problem.bc_right
-    src = interior_source(fine_mesh, problem)
-    y, update = newton_step(fine_mesh, problem, w, slopes=slopes, src=src)
-    res = float(np.max(np.abs(residual_for(fine_mesh, problem, y, src))))
+    y, update = newton_step(fine_mesh, problem, w, slopes=slopes)
     return SolveOutcome(y=y, iterations=1, final_update=update, converged=True,
-                        wall_time=time.perf_counter() - t0, residual_norm=res,
-                        update_history=[update])
+                        wall_time=time.perf_counter() - t0, mesh=fine_mesh,
+                        problem=problem, update_history=[update])
 
 
 def _run(problem, plan: TwoGridPlan, sizes: list[int],

@@ -22,6 +22,7 @@ def test_solve_direct_json(capsys):
     assert payload["mesh"]["n"] == 32
     assert len(payload["nodes"]) == 33
     assert payload["nodal_error"] < 1e-1
+    assert 0.0 <= payload["residual_norm"] <= 1e-9
 
 
 def test_solve_nodes_output(capsys):
@@ -116,3 +117,33 @@ def test_bench_command(capsys):
     assert lines[0] == "N,n,direct_seconds,twogrid_seconds,ratio"
     assert len(lines) == 2
     assert int(lines[1].split(",")[1]) == 64
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    from spgrid.cli import build_parser
+
+    table = ("table", "--problem", "ex1", "--mesh", "vulanovic", "--eps", "0.01",
+             "--coarse", "8", "--format", "csv", "--a", "1")
+    solve = ("solve", "--problem", "ex2", "--mesh", "bakhvalov", "--eps", "0.01",
+             "--n", "16", "--a", "2")
+    build_parser.cache_clear()
+    alone_table = run_cli(capsys, *table)
+    build_parser.cache_clear()
+    alone_solve = run_cli(capsys, *solve)
+    build_parser.cache_clear()
+    parser = build_parser()
+    both = [run_cli(capsys, *table), run_cli(capsys, *solve)]
+    assert build_parser() is parser
+    for (code, out, err), (code_alone, out_alone, _) in zip(
+            both, (alone_table, alone_solve)):
+        assert code == code_alone == 0
+        if out.startswith("{"):  # the solve JSON carries its wall time
+            out, out_alone = json.loads(out), json.loads(out_alone)
+            out.pop("seconds"), out_alone.pop("seconds")
+        else:  # the table CSV carries a seconds column
+            out = [r[:-1] for r in csv.reader(io.StringIO(out))]
+            out_alone = [r[:-1] for r in csv.reader(io.StringIO(out_alone))]
+        assert out == out_alone
+    code, _, err = run_cli(capsys, "solve", "--problem", "ex1", "--n", "nope")
+    assert code == 2 and "invalid int value" in err
+    assert build_parser() is parser

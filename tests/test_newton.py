@@ -378,3 +378,83 @@ def test_split_source_matches_folded_reaction(name, family):
         y_split, _ = newton_step(mesh, split, y_split)
         y_folded, _ = newton_step(mesh, folded, y_folded)
         assert np.array_equal(y_split, y_folded)
+
+
+def _scaled(p, S):
+    """``p`` for the unknown ``U = S u``: ``S f(x, U/S) = S source``."""
+    f, f_u, source = p.f, p.f_u, p.source
+    return replace(p, f=lambda x, u: S * f(x, u / S),
+                   f_u=lambda x, u: f_u(x, u / S),
+                   source=lambda x: S * source(x),
+                   bc_left=S * p.bc_left, bc_right=S * p.bc_right)
+
+
+@pytest.mark.parametrize("S", [1e2, 1e4, 1e6])
+def test_stopping_rule_holds_at_any_solution_scale(S):
+    # an absolute update test stalls at the roundoff floor of S-sized
+    # iterates (S = 1e4 and 1e6 ran into max_iter); the relative rule stops
+    # there.  No iteration budget yet: the reduced start does not scale.
+    p = example1(1e-2)
+    mesh = build_mesh(MeshSpec("bakhvalov", 1e-2, 4096, a=4.0))
+    base = solve(mesh, p)
+    out = solve(mesh, _scaled(p, S))
+    assert out.converged
+    gap = np.max(np.abs(out.y / S - base.y))
+    assert gap <= 1e-12 * np.max(np.abs(base.y))
+
+
+def _grading(name, family):
+    if name == "ex2":
+        return 2.0
+    return 4.0 if family == "bakhvalov" else 1.0
+
+
+@pytest.mark.parametrize("name,iterations", [("ex1", 5), ("ex2", 4)])
+@pytest.mark.parametrize("family", ["shishkin", "bakhvalov", "vulanovic"])
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
+def test_error_bound_stops_without_a_confirming_sweep(name, iterations, family, eps):
+    # the contraction bound stops Newton one sweep before an update test
+    # would; the sweep it saves moves the returned y by at most tau
+    p = make_problem(name, eps)
+    mesh = build_mesh(MeshSpec(family, eps, 4096, a=_grading(name, family)))
+    out = solve(mesh, p)
+    assert out.iterations == iterations
+    tau = NewtonConfig().tol * max(1.0, np.max(np.abs(out.y)))
+    _, update = newton_step(mesh, p, out.y)
+    assert update <= tau
+
+
+def _count_residuals(monkeypatch):
+    import spgrid.newton as newton
+
+    calls = []
+    for name in ("semilinear_residual", "diffusion_residual"):
+        def counted(*args, real=getattr(newton, name), **kw):
+            calls.append(args[0].n)
+            return real(*args, **kw)
+        monkeypatch.setattr(newton, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2"])
+def test_residual_norm_is_computed_on_first_read(monkeypatch, name):
+    from spgrid.twogrid import TwoGridPlan, algorithm1
+
+    calls = _count_residuals(monkeypatch)
+    p = make_problem(name, 1e-2)
+    mesh = build_mesh(MeshSpec("vulanovic", 1e-2, 256, a=2.0))
+    out = solve(mesh, p)
+    assert len(calls) == out.iterations
+    expected = float(np.max(np.abs(residual_for(mesh, p, out.y))))
+    calls.clear()
+    assert out.residual_norm == expected  # bit for bit, on first read
+    assert out.residual_norm == expected  # and cached after it
+    assert calls == [mesh.n]
+    calls.clear()
+    result = algorithm1(p, TwoGridPlan(coarse=MeshSpec("vulanovic", 1e-2, 16, a=2.0)))
+    fine = result.fine_meshes[0].n
+    assert calls.count(fine) == 1
+    calls.clear()
+    assert result.fine[0].residual_norm == float(np.max(np.abs(
+        residual_for(result.fine_meshes[0], p, result.fine[0].y))))
+    assert calls == [fine, fine]
