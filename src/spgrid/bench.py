@@ -49,7 +49,7 @@ def nodal_error(mesh: Mesh, y: np.ndarray, exact: Callable | None) -> float:
     """Discrete maximum-norm error ``max_i |exact(x_i) - y_i|``."""
     if exact is None:
         raise MissingExactError("problem has no exact solution")
-    return float(np.max(np.abs(exact(mesh.nodes) - y)))
+    return float(np.abs(exact(mesh.nodes) - y).max())
 
 
 def interpolant_error(mesh: Mesh, y: np.ndarray, exact: Callable | None,
@@ -64,7 +64,7 @@ def interpolant_error(mesh: Mesh, y: np.ndarray, exact: Callable | None,
     count = samples if samples is not None else 10 * mesh.n
     count = max(count, 10 * mesh.n)
     s = np.union1d(np.linspace(0.0, 1.0, count + 1), mesh.nodes)
-    return float(np.max(np.abs(exact(s) - interpolate(mesh, y, s))))
+    return float(np.abs(exact(s) - interpolate(mesh, y, s)).max())
 
 
 def convergence_order(error_coarse: float, error_fine: float) -> float:

@@ -30,7 +30,7 @@ from .mesh import Mesh
 
 
 class NonpositiveCoefficientError(ValueError):
-    """Reaction coefficient b(x_i) <= 0 at some interior node."""
+    """Reaction coefficient b(x_i) <= 0 or non-finite at some interior node."""
 
 
 class ZeroPivotError(RuntimeError):
@@ -151,8 +151,8 @@ def assemble(mesh: Mesh, eps: float, b, g,
     """
     xi = mesh.interior()
     bvals = _values(b, xi)
-    if np.any(bvals <= 0.0):
-        raise NonpositiveCoefficientError("b(x) must be strictly positive")
+    if not (bvals.min() > 0.0 and bvals.max() < math.inf):  # NaN fails too
+        raise NonpositiveCoefficientError("b(x) must be positive and finite")
     return stencil(mesh, eps, bvals, _values(g, xi).copy(), bc_left=bc_left,
                    bc_right=bc_right)
 

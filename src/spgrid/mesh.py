@@ -226,7 +226,7 @@ def build_mesh(spec: MeshSpec) -> Mesh:
                  else 1.0 - left[n - m::-1])
         nodes = np.concatenate((left, right))
     nodes[0], nodes[-1] = 0.0, 1.0
-    steps = np.diff(nodes)
+    steps = nodes[1:] - nodes[:-1]
     if np.any(steps <= 0.0):
         raise NoRootError("layer step below the double spacing near x = 1: "
                           "mirrored nodes collapsed")

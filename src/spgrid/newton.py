@@ -27,7 +27,7 @@ leaving ``eps^2/h^2``-amplified rounding noise.
 
 from __future__ import annotations
 
-import time
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Union
@@ -95,27 +95,27 @@ class SolveOutcome:
     iterations: int
     final_update: float
     converged: bool
-    wall_time: float
     mesh: Mesh = field(repr=False, compare=False)
     problem: object = field(repr=False, compare=False)
     update_history: list = field(default_factory=list)
 
     @cached_property
     def residual_norm(self) -> float:
-        return float(np.max(np.abs(residual_for(self.mesh, self.problem, self.y))))
+        return float(np.abs(residual_for(self.mesh, self.problem, self.y)).max())
 
 
 def _interval_slopes(mesh: Mesh, y: np.ndarray) -> np.ndarray:
-    return np.diff(y) / mesh.steps
+    return (y[1:] - y[:-1]) / mesh.steps
 
 
 def _midpoint_diffusion(d, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Interval midpoint values of ``y`` and the diffusion factor there."""
     mid = 0.5 * (y[:-1] + y[1:])
     with np.errstate(divide="ignore", invalid="ignore"):
-        dm = d(mid)
-    if not np.all(np.isfinite(dm)) or np.any(dm <= 0.0):
-        raise SingularDiffusionError("diffusion factor not positive at a midpoint")
+        dm = np.asarray(d(mid))
+    if not (dm.min() > 0.0 and dm.max() < math.inf):  # NaN fails too
+        raise SingularDiffusionError("diffusion factor not positive and finite "
+                                     "at a midpoint")
     return mid, dm
 
 
@@ -153,14 +153,14 @@ def _jacobian(mesh: Mesh, eps: float, d, d_u, reaction_u, y: np.ndarray,
     ``cpl`` are the solve's :func:`spgrid.linsolve.couplings`, built here
     when not given.
     """
-    b = reaction_u(mesh.interior(), y[1:-1])
-    if np.any(b <= 0.0) or not np.all(np.isfinite(b)):
+    b = np.asarray(reaction_u(mesh.interior(), y[1:-1]))
+    if not (b.min() > 0.0 and b.max() < math.inf):  # NaN fails too
         raise NonpositiveJacobianError(
-            "reaction derivative must be positive along the iterate")
+            "reaction derivative must be positive and finite along the iterate")
     if d is None:
         return stencil(mesh, eps, b, None, cpl=cpl)
     mid, dm = _midpoint_diffusion(d, y)
-    chain = 0.0 if picard else 0.5 * d_u(mid) * np.diff(y)
+    chain = 0.0 if picard else 0.5 * d_u(mid) * (y[1:] - y[:-1])
     return stencil(mesh, eps, b, None, dm + chain, dm - chain, cpl=cpl)
 
 
@@ -230,7 +230,7 @@ def newton_step(mesh: Mesh, problem, y: np.ndarray,
                                                sup=jac.sup, rhs=F))
     out = y.copy()
     out[1:-1] -= neg_delta
-    return out, float(np.max(np.abs(neg_delta)))
+    return out, float(np.abs(neg_delta).max())
 
 
 def reduced_initial(mesh: Mesh, problem,
@@ -239,8 +239,8 @@ def reduced_initial(mesh: Mesh, problem,
 
     Damped scalar Newton (steps clamped to 0.5) on ``f(x, .) = source(x)``
     or ``r(x, .) = source(x)``; robust against nonlinearities whose tangent
-    from zero overshoots into a singularity.  The result is a heuristic
-    start only, so a loose tolerance suffices.  ``src`` is
+    from zero overshoots into a singularity.  The sweeps stop once every
+    clamped step is below an absolute 1e-12, or after 60.  ``src`` is
     :func:`interior_source` if already evaluated.
     """
     _, _, fun, der, _ = _scheme(problem)
@@ -248,16 +248,18 @@ def reduced_initial(mesh: Mesh, problem,
         src = interior_source(mesh, problem)
     xi = mesh.interior()
     u = np.zeros_like(xi)
-    for _ in range(60):
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(60):
             step = (fun(xi, u) - src) / der(xi, u)
-        # +-inf clips to +-0.5; a NaN step (0/0) moves nothing.  The stop
-        # test reads the clipped step, which decides alike as 1e-12 < 0.5.
-        np.clip(step, -0.5, 0.5, out=step)
-        np.copyto(step, 0.0, where=np.isnan(step))
-        u -= step
-        if np.max(np.abs(step)) < 1e-12:
-            break
+            # +-inf clips to +-0.5 (maximum and minimum propagate NaN, as
+            # np.clip does); a NaN step (0/0) moves nothing.  The stop test
+            # reads the clipped step, which decides alike as 1e-12 < 0.5.
+            np.maximum(step, -0.5, out=step)
+            np.minimum(step, 0.5, out=step)
+            np.copyto(step, 0.0, where=np.isnan(step))
+            u -= step
+            if np.abs(step).max() < 1e-12:
+                break
     y = np.empty(mesh.n + 1)
     y[1:-1] = u
     y[0] = problem.bc_left
@@ -287,7 +289,7 @@ def _converged(updates: list, y: np.ndarray, tol: float) -> bool:
     the distance of ``y`` to the discrete solution is at most ``tol * max(1,
     |y|_inf)``."""
     update = updates[-1]
-    tau = tol * max(1.0, float(np.max(np.abs(y))))
+    tau = tol * max(1.0, float(np.abs(y).max()))
     theta = update / updates[-2] if len(updates) > 1 else 1.0
     return update <= tau or (theta <= 0.5 and theta / (1.0 - theta) * update <= tau)
 
@@ -295,7 +297,6 @@ def _converged(updates: list, y: np.ndarray, tol: float) -> bool:
 def solve(mesh: Mesh, problem, cfg: NewtonConfig | None = None) -> SolveOutcome:
     """Solve the nonlinear scheme of either problem type by Newton's method."""
     cfg = cfg or NewtonConfig()
-    t0 = time.perf_counter()
     src = interior_source(mesh, problem)
     cpl = couplings(mesh, problem.eps, unit=_scheme(problem)[4])
     y = _start_vector(mesh, problem, cfg, src)
@@ -304,7 +305,7 @@ def solve(mesh: Mesh, problem, cfg: NewtonConfig | None = None) -> SolveOutcome:
         y, upd = newton_step(mesh, problem, y, picard=cfg.picard, src=src,
                              cpl=cpl)
         updates.append(upd)
-        if not np.isfinite(upd):
+        if not math.isfinite(upd):
             raise NoConvergenceError(
                 f"non-finite update in iteration {len(updates)}", final_update=upd)
         if _converged(updates, y, cfg.tol):
@@ -314,8 +315,8 @@ def solve(mesh: Mesh, problem, cfg: NewtonConfig | None = None) -> SolveOutcome:
             f"no convergence in {cfg.max_iter} iterations "
             f"(last update {updates[-1]:.3e})", final_update=updates[-1])
     return SolveOutcome(y=y, iterations=len(updates), final_update=updates[-1],
-                        converged=True, wall_time=time.perf_counter() - t0,
-                        mesh=mesh, problem=problem, update_history=updates)
+                        converged=True, mesh=mesh, problem=problem,
+                        update_history=updates)
 
 
 def residual_for(mesh: Mesh, problem, y: np.ndarray,

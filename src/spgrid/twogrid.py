@@ -113,8 +113,9 @@ def interpolant_slopes(coarse: Mesh, values: np.ndarray,
     X, x = coarse.nodes, fine.nodes
     # cell j holds fine nodes k[j] .. k[j+1] - 1; a last run holds x_n alone
     k = np.searchsorted(x, X)
-    run = np.diff(k, append=len(x))
-    s = np.repeat(np.append(np.diff(values) / coarse.steps, 0.0), run)
+    run = np.concatenate((k[1:], [len(x)])) - k
+    s = np.repeat(np.concatenate(((values[1:] - values[:-1]) / coarse.steps, [0.0])),
+                  run)
     w = (x - np.repeat(X, run)) * s + np.repeat(values, run)
     on = x[k] == X
     w[k[on]] = values[on]
@@ -127,14 +128,12 @@ def interpolant_slopes(coarse: Mesh, values: np.ndarray,
 def _fine_step(problem, fine_mesh: Mesh, prev_mesh: Mesh,
                prev_values: np.ndarray) -> SolveOutcome:
     """One linearized fine solve about the interpolant of the previous level."""
-    t0 = time.perf_counter()
     w, slopes = interpolant_slopes(prev_mesh, prev_values, fine_mesh)
     w[0] = problem.bc_left
     w[-1] = problem.bc_right
     y, update = newton_step(fine_mesh, problem, w, slopes=slopes)
     return SolveOutcome(y=y, iterations=1, final_update=update, converged=True,
-                        wall_time=time.perf_counter() - t0, mesh=fine_mesh,
-                        problem=problem, update_history=[update])
+                        mesh=fine_mesh, problem=problem, update_history=[update])
 
 
 def _run(problem, plan: TwoGridPlan, sizes: list[int],

@@ -197,6 +197,15 @@ def test_nonpositive_coefficient_rejected():
         assemble(mesh, 0.5, lambda x: x - 0.5, lambda x: np.ones_like(x))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_coefficient_rejected_before_the_solve(bad):
+    mesh = build_mesh(MeshSpec("uniform", 0.1, 8))
+    b = np.ones(7)
+    b[3] = bad
+    with pytest.raises(NonpositiveCoefficientError, match="positive and finite"):
+        solve_linear(mesh, 0.1, b, np.ones(7))
+
+
 def test_m_matrix_sign_pattern_on_layer_meshes():
     for spec in (MeshSpec("shishkin", 1e-3, 32),
                  MeshSpec("bakhvalov", 1e-3, 32, a=2.0),

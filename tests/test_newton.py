@@ -155,6 +155,65 @@ def test_singular_diffusion_detected():
         newton_step(mesh, p, y)
 
 
+BAD_VALUES = [np.nan, np.inf, -np.inf, 0.0, -1.0]
+
+
+def _ones_but_one(bad):
+    """Ones shaped like the callback argument, with entry 2 replaced by ``bad``."""
+    def values(*args):
+        v = np.ones_like(np.asarray(args[-1], dtype=float))
+        if v.ndim:
+            v[2] = bad
+        return v
+    return values
+
+
+@pytest.mark.parametrize("bad", BAD_VALUES)
+def test_one_bad_reaction_derivative_entry_is_rejected(bad):
+    mesh = build_mesh(MeshSpec("uniform", 0.1, 8))
+    semilinear = SemilinearProblem(eps=0.1, f=lambda x, u: u, f_u=_ones_but_one(bad),
+                                   bc_left=0.0, bc_right=1.0)
+    diffusion = QuasilinearDiffusionProblem(
+        eps=0.1, d=_ones_but_one(1.0), d_u=lambda u: np.zeros_like(u),
+        r=lambda x, u: u, r_u=_ones_but_one(bad), bc_left=0.0, bc_right=1.0)
+    for p in (semilinear, diffusion):
+        with pytest.raises(NonpositiveJacobianError):
+            solve(mesh, p, NewtonConfig(initial="zero"))
+
+
+@pytest.mark.parametrize("bad", BAD_VALUES)
+def test_one_bad_midpoint_diffusion_value_is_rejected(bad):
+    mesh = build_mesh(MeshSpec("uniform", 0.1, 8))
+    p = QuasilinearDiffusionProblem(
+        eps=0.1, d=_ones_but_one(bad), d_u=lambda u: np.zeros_like(u),
+        r=lambda x, u: u, r_u=_ones_but_one(1.0), bc_left=0.0, bc_right=1.0)
+    with pytest.raises(SingularDiffusionError):
+        solve(mesh, p, NewtonConfig(initial="zero"))
+
+
+def test_callbacks_returning_python_floats_solve_as_arrays_do():
+    # constant derivatives and diffusion may come back as plain floats
+    mesh = build_mesh(MeshSpec("shishkin", 1e-2, 32))
+    ones = lambda *args: np.ones_like(np.asarray(args[-1], dtype=float))
+    src = lambda x: np.cos(3.0 * x)
+    pairs = [
+        (SemilinearProblem(eps=1e-2, f=lambda x, u: u, f_u=lambda x, u: 1.0,
+                           bc_left=0.5, bc_right=-1.0, source=src),
+         SemilinearProblem(eps=1e-2, f=lambda x, u: u, f_u=ones,
+                           bc_left=0.5, bc_right=-1.0, source=src)),
+        (QuasilinearDiffusionProblem(
+            eps=1e-2, d=lambda u: 1.0, d_u=lambda u: 0.0, r=lambda x, u: 2.0 * u,
+            r_u=lambda x, u: 2.0, bc_left=0.5, bc_right=-1.0, source=src),
+         QuasilinearDiffusionProblem(
+            eps=1e-2, d=ones, d_u=lambda u: np.zeros_like(u), r=lambda x, u: 2.0 * u,
+            r_u=lambda x, u: 2.0 * ones(u), bc_left=0.5, bc_right=-1.0, source=src)),
+    ]
+    for scalar, array in pairs:
+        y = solve(mesh, scalar).y
+        assert np.array_equal(y, solve(mesh, array).y)
+        assert np.all(np.isfinite(y))
+
+
 @pytest.mark.parametrize("eps", [1e-1, 1e-2])
 def test_example2_solver_accuracy(eps):
     p = example2(eps)
