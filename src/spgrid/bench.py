@@ -26,7 +26,7 @@ import numpy as np
 
 from .linsolve import ZeroPivotError
 from .mesh import FAMILIES, Mesh, MeshSpec, NoRootError, build_mesh, layer_fraction
-from .newton import NewtonConfig, NoConvergenceError, solve as newton_solve
+from .newton import NoConvergenceError, solve as newton_solve
 from .problems import make_problem
 from .twogrid import TwoGridPlan, algorithm1, algorithm2, choose_r, interpolate
 
@@ -52,18 +52,15 @@ def nodal_error(mesh: Mesh, y: np.ndarray, exact: Callable | None) -> float:
     return float(np.abs(exact(mesh.nodes) - y).max())
 
 
-def interpolant_error(mesh: Mesh, y: np.ndarray, exact: Callable | None,
-                      samples: int | None = None) -> float:
+def interpolant_error(mesh: Mesh, y: np.ndarray, exact: Callable | None) -> float:
     """Max-norm error of the piecewise-linear interpolant on a dense set.
 
-    The sample set is a uniform grid of at least ``10 n`` points merged
-    with the mesh nodes, so the result always dominates the nodal error.
+    The sample set is the uniform grid of ``10 n + 1`` points merged with
+    the mesh nodes, so the result always dominates the nodal error.
     """
     if exact is None:
         raise MissingExactError("problem has no exact solution")
-    count = samples if samples is not None else 10 * mesh.n
-    count = max(count, 10 * mesh.n)
-    s = np.union1d(np.linspace(0.0, 1.0, count + 1), mesh.nodes)
+    s = np.union1d(np.linspace(0.0, 1.0, 10 * mesh.n + 1), mesh.nodes)
     return float(np.abs(exact(s) - interpolate(mesh, y, s)).max())
 
 
@@ -134,28 +131,15 @@ class Report:
     def failed_cells(self) -> int:
         return sum(1 for row in self.rows if row.failed is not None)
 
-    def render(self, fmt: str | None = None) -> str:
-        fmt = fmt or self.config.fmt
-        if fmt == "csv":
-            return self.to_csv()
-        if fmt == "json":
-            return self.to_json()
-        return self.to_markdown()
+    def render(self) -> str:
+        """The report in ``config.fmt``."""
+        return getattr(self, "to_" + self.config.fmt)()
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_HEADER.split(","))
-        for row in self.rows:
-            writer.writerow([
-                row.problem, row.mesh, fmt_float(row.a), fmt_float(row.q),
-                fmt_float(row.gamma0), fmt_float(row.eps), row.N, row.n,
-                row.step,
-                "" if row.error is None else fmt_float(row.error),
-                "" if row.order is None else fmt_float(row.order),
-                "" if row.iterations is None else row.iterations,
-                "" if row.seconds is None else fmt_float(row.seconds),
-            ])
+        writer.writerows(_cells(row) for row in self.rows)
         return buf.getvalue()
 
     def to_json(self) -> str:
@@ -170,15 +154,20 @@ class Report:
         lines = ["| " + " | ".join(header) + " |",
                  "|" + "|".join(["---"] * len(header)) + "|"]
         for row in self.rows:
-            cells = [row.problem, row.mesh, fmt_float(row.a), fmt_float(row.q),
-                     fmt_float(row.gamma0), fmt_float(row.eps), str(row.N),
-                     str(row.n), str(row.step),
-                     "failed: " + row.failed if row.failed else fmt_float(row.error),
-                     "" if row.order is None else fmt_float(row.order),
-                     "" if row.iterations is None else str(row.iterations),
-                     "" if row.seconds is None else fmt_float(row.seconds)]
+            cells = _cells(row)
+            if row.failed:
+                cells[header.index("error")] = "failed: " + row.failed
             lines.append("| " + " | ".join(cells) + " |")
         return "\n".join(lines) + "\n"
+
+
+def _cells(row: ConvergenceRow) -> list:
+    """The ``CSV_HEADER`` cells of a row; a missing value is the empty cell."""
+    return [row.problem, row.mesh, fmt_float(row.a), fmt_float(row.q),
+            fmt_float(row.gamma0), fmt_float(row.eps), str(row.N), str(row.n),
+            str(row.step), fmt_float(row.error), fmt_float(row.order),
+            "" if row.iterations is None else str(row.iterations),
+            fmt_float(row.seconds)]
 
 
 def fmt_float(v: float) -> str:
@@ -204,8 +193,7 @@ def _error_of(cfg: ReportConfig, mesh: Mesh, y: np.ndarray, exact) -> float:
 
 
 def run_algorithm(problem, spec: MeshSpec, algorithm: str, r: float = 2.0,
-                  levels: int = 2, fine_n: int | None = None,
-                  newton_cfg: NewtonConfig | None = None) -> list:
+                  levels: int = 2, fine_n: int | None = None) -> list:
     """Run one algorithm; ``(mesh, outcome, seconds)`` for each step.
 
     ``direct`` solves on ``spec``.  The two-grid algorithms take ``spec``
@@ -216,24 +204,21 @@ def run_algorithm(problem, spec: MeshSpec, algorithm: str, r: float = 2.0,
     if algorithm == "direct":
         mesh = build_mesh(spec)
         t0 = time.perf_counter()
-        out = newton_solve(mesh, problem, newton_cfg)
+        out = newton_solve(mesh, problem)
         return [(mesh, out, time.perf_counter() - t0)]
     if algorithm == "tg2":
-        result = algorithm2(problem, TwoGridPlan(coarse=spec, cascade_levels=levels),
-                            newton_cfg)
+        result = algorithm2(problem, TwoGridPlan(coarse=spec, cascade_levels=levels))
     elif algorithm in ("tg1", "tg1_ropt"):
         if algorithm == "tg1_ropt":
             r, fine_n = choose_r(spec.n)
-        result = algorithm1(problem, TwoGridPlan(coarse=spec, r=r, fine_n=fine_n),
-                            newton_cfg)
+        result = algorithm1(problem, TwoGridPlan(coarse=spec, r=r, fine_n=fine_n))
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     return list(zip([result.coarse_mesh] + result.fine_meshes,
                     [result.coarse] + result.fine, result.step_seconds))
 
 
-def _run_cell(cfg: ReportConfig, family: str, eps: float, N: int,
-              newton_cfg: NewtonConfig) -> list:
+def _run_cell(cfg: ReportConfig, family: str, eps: float, N: int) -> list:
     """Rows for one (family, eps, N) cell; one row per step."""
     problem = make_problem(cfg.problem, eps)
     base = dict(problem=cfg.problem, mesh=family, a=cfg.a, q=cfg.q,
@@ -241,7 +226,7 @@ def _run_cell(cfg: ReportConfig, family: str, eps: float, N: int,
     rows = []
     try:
         steps = run_algorithm(problem, _mesh_spec(cfg, family, eps, N), cfg.algorithm,
-                              cfg.r, cfg.levels, newton_cfg=newton_cfg)
+                              cfg.r, cfg.levels)
         for step, (mesh, out, seconds) in enumerate(steps, start=1):
             rows.append(ConvergenceRow(
                 **base, n=mesh.n, step=step,
@@ -268,19 +253,17 @@ def _attach_orders(rows: list) -> None:
             row.order = None
 
 
-def run_report(cfg: ReportConfig,
-               newton_cfg: NewtonConfig | None = None) -> Report:
+def run_report(cfg: ReportConfig) -> Report:
     """Run the configured sweep and return the populated report.
 
     Rows are deterministic (keyed by family, eps, N, step) and independent
     of execution order; per-cell failures are recorded, not raised.
     """
-    ncfg = newton_cfg or NewtonConfig()
     rows = []
     for family in cfg.families:
         for eps in cfg.eps_list:
             for N in cfg.n_list:
-                rows.extend(_run_cell(cfg, family, eps, N, ncfg))
+                rows.extend(_run_cell(cfg, family, eps, N))
     rows.sort(key=lambda r: (r.mesh, r.eps, r.N, r.step))
     _attach_orders(rows)
     return Report(config=cfg, rows=rows)

@@ -51,10 +51,6 @@ class TridiagonalSystem:
     sup: np.ndarray
     rhs: np.ndarray | None
 
-    @property
-    def m(self) -> int:
-        return len(self.diag)
-
 
 @dataclass(frozen=True)
 class Couplings:

@@ -11,12 +11,13 @@ array to the start sweep and to every residual; likewise it builds the
 stencil couplings once (:func:`spgrid.linsolve.couplings`) for every
 Jacobian.
 
-:func:`solve` iterates in correction form: each sweep solves the linearized
-tridiagonal system ``J(y) delta = -F(y)`` for the update and sets
-``y <- y + delta``.  Algebraically this is the classical quasilinearization
-sweep ``(-eps^2 D_h + f_u(y)) y_new = f_u(y) y - f(x, y)``, but the
-correction form stays accurate on strongly graded fine meshes where
-solving for the full solution would lose ~6 digits to cancellation.
+:func:`solve` and the two-grid fine step run one loop, :func:`_iterate`, in
+correction form: each sweep solves the linearized tridiagonal system ``J(y)
+delta = -F(y)`` for the update and sets ``y <- y + delta``.  Algebraically
+this is the classical quasilinearization sweep ``(-eps^2 D_h + f_u(y)) y_new
+= f_u(y) y - f(x, y)``, but the correction form stays accurate on strongly
+graded fine meshes where solving for the full solution would lose ~6 digits
+to cancellation.
 
 Residuals may be evaluated with caller-supplied per-interval slopes of the
 current iterate (see :func:`spgrid.twogrid.interpolant_slopes`); when the
@@ -59,20 +60,17 @@ class SingularDiffusionError(ValueError):
 
 @dataclass(frozen=True)
 class NewtonConfig:
-    """Iteration controls.
+    """Iteration controls of :func:`solve`.
 
     ``tol`` bounds :func:`_converged`'s error estimate relative to ``max(1,
-    |y|_inf)``.  ``initial`` is ``"reduced"`` (per-node root of the reaction
-    term, the default), ``"zero"``, or an explicit full-length start vector.
-    ``picard`` drops the d_u chain terms from the quasilinear-diffusion
-    Jacobian (frozen-coefficient iteration); the converged solution is
-    unchanged, only the rate degrades.
+    |y|_inf)`` within ``max_iter`` Newton steps.  ``initial`` is ``"reduced"``
+    (per-node root of the reaction term, the default), ``"zero"``, or an
+    explicit full-length start vector.
     """
 
     tol: float = 1e-13
     max_iter: int = 50
     initial: InitialGuess = "reduced"
-    picard: bool = False
 
     def __post_init__(self) -> None:
         if self.tol <= 0.0:
@@ -87,8 +85,9 @@ class NewtonConfig:
 class SolveOutcome:
     """Converged discrete solution plus iteration diagnostics.
 
-    ``converged``: :func:`_converged` held (a two-grid fine step, one linear
-    solve, always says so).  ``residual_norm`` is computed on first read.
+    ``converged``: :func:`_converged` held (a two-grid fine step tests at
+    ``tol = inf``: its first finite update converges).  ``residual_norm`` is
+    computed on first read.
     """
 
     y: np.ndarray
@@ -144,14 +143,13 @@ def _residual(mesh: Mesh, p, d, reaction, y: np.ndarray,
 
 
 def _jacobian(mesh: Mesh, eps: float, d, d_u, reaction_u, y: np.ndarray,
-              picard: bool, cpl: Couplings | None) -> TridiagonalSystem:
+              cpl: Couplings | None) -> TridiagonalSystem:
     """Tridiagonal Jacobian of :func:`_residual` about ``y`` (rhs left None).
 
     ``d(m_j)`` moves by ``d_u(m_j)/2`` per unit change of either end value
     of interval j, so its flux weights are ``d(m_j) +- chain_j`` with
-    ``chain_j = d_u(m_j) (y_{j+1} - y_j)/2``; Picard iteration drops chain.
-    ``cpl`` are the solve's :func:`spgrid.linsolve.couplings`, built here
-    when not given.
+    ``chain_j = d_u(m_j) (y_{j+1} - y_j)/2``.  ``cpl`` are the solve's
+    :func:`spgrid.linsolve.couplings`, built here when not given.
     """
     b = np.asarray(reaction_u(mesh.interior(), y[1:-1]))
     if not (b.min() > 0.0 and b.max() < math.inf):  # NaN fails too
@@ -160,7 +158,7 @@ def _jacobian(mesh: Mesh, eps: float, d, d_u, reaction_u, y: np.ndarray,
     if d is None:
         return stencil(mesh, eps, b, None, cpl=cpl)
     mid, dm = _midpoint_diffusion(d, y)
-    chain = 0.0 if picard else 0.5 * d_u(mid) * (y[1:] - y[:-1])
+    chain = 0.5 * d_u(mid) * (y[1:] - y[:-1])
     return stencil(mesh, eps, b, None, dm + chain, dm - chain, cpl=cpl)
 
 
@@ -172,10 +170,9 @@ def semilinear_residual(mesh: Mesh, p: SemilinearProblem, y: np.ndarray,
 
 
 def semilinear_jacobian(mesh: Mesh, p: SemilinearProblem, y: np.ndarray,
-                        picard: bool = False,
                         cpl: Couplings | None = None) -> TridiagonalSystem:
-    """Tridiagonal Jacobian rows about ``y`` (``picard`` has no terms to drop)."""
-    return _jacobian(mesh, p.eps, None, None, p.f_u, y, picard, cpl)
+    """Tridiagonal Jacobian rows about ``y``."""
+    return _jacobian(mesh, p.eps, None, None, p.f_u, y, cpl)
 
 
 def diffusion_residual(mesh: Mesh, p: QuasilinearDiffusionProblem, y: np.ndarray,
@@ -191,10 +188,9 @@ def diffusion_residual(mesh: Mesh, p: QuasilinearDiffusionProblem, y: np.ndarray
 
 
 def diffusion_jacobian(mesh: Mesh, p: QuasilinearDiffusionProblem, y: np.ndarray,
-                       picard: bool = False,
                        cpl: Couplings | None = None) -> TridiagonalSystem:
     """Analytic tridiagonal Jacobian of the midpoint scheme about ``y``."""
-    return _jacobian(mesh, p.eps, p.d, p.d_u, p.r_u, y, picard, cpl)
+    return _jacobian(mesh, p.eps, p.d, p.d_u, p.r_u, y, cpl)
 
 
 def _scheme(problem):
@@ -212,7 +208,6 @@ def _scheme(problem):
 
 def newton_step(mesh: Mesh, problem, y: np.ndarray,
                 slopes: np.ndarray | None = None,
-                picard: bool = False,
                 src: np.ndarray | None = None,
                 cpl: Couplings | None = None) -> tuple[np.ndarray, float]:
     """One Newton correction about ``y``; returns (new iterate, |delta|_inf).
@@ -223,7 +218,7 @@ def newton_step(mesh: Mesh, problem, y: np.ndarray,
     """
     residual, jacobian, _, _, _ = _scheme(problem)
     F = residual(mesh, problem, y, slopes, src)
-    jac = jacobian(mesh, problem, y, picard, cpl)
+    jac = jacobian(mesh, problem, y, cpl)
     # J delta = -F solved as J (-delta) = F: the solve is odd in its
     # right-hand side, bit for bit, so no negated copy of F is needed
     neg_delta = thomas_solve(TridiagonalSystem(sub=jac.sub, diag=jac.diag,
@@ -294,29 +289,38 @@ def _converged(updates: list, y: np.ndarray, tol: float) -> bool:
     return update <= tau or (theta <= 0.5 and theta / (1.0 - theta) * update <= tau)
 
 
+def _iterate(mesh: Mesh, problem, y: np.ndarray, slopes: np.ndarray | None,
+             src: np.ndarray | None, cpl: Couplings | None, tol: float,
+             max_iter: int) -> SolveOutcome:
+    """Newton steps from ``y`` until :func:`_converged` holds at ``tol``.
+
+    ``slopes``, the start's interval slopes, serve the first step only.  A
+    non-finite update raises; ``tol = inf`` accepts the first finite one.
+    ``newton_step`` is looked up at call time, so a rebinding reaches it.
+    """
+    updates = []
+    for _ in range(max_iter):
+        y, upd = newton_step(mesh, problem, y, slopes=slopes, src=src, cpl=cpl)
+        slopes = None
+        updates.append(upd)
+        if not math.isfinite(upd):
+            raise NoConvergenceError(
+                f"non-finite update in iteration {len(updates)}", final_update=upd)
+        if _converged(updates, y, tol):
+            return SolveOutcome(y=y, iterations=len(updates), final_update=upd,
+                                converged=True, mesh=mesh, problem=problem,
+                                update_history=updates)
+    raise NoConvergenceError(f"no convergence in {max_iter} iterations (last "
+                             f"update {upd:.3e})", final_update=upd)
+
+
 def solve(mesh: Mesh, problem, cfg: NewtonConfig | None = None) -> SolveOutcome:
     """Solve the nonlinear scheme of either problem type by Newton's method."""
     cfg = cfg or NewtonConfig()
     src = interior_source(mesh, problem)
     cpl = couplings(mesh, problem.eps, unit=_scheme(problem)[4])
-    y = _start_vector(mesh, problem, cfg, src)
-    updates = []
-    for _ in range(cfg.max_iter):
-        y, upd = newton_step(mesh, problem, y, picard=cfg.picard, src=src,
-                             cpl=cpl)
-        updates.append(upd)
-        if not math.isfinite(upd):
-            raise NoConvergenceError(
-                f"non-finite update in iteration {len(updates)}", final_update=upd)
-        if _converged(updates, y, cfg.tol):
-            break
-    else:
-        raise NoConvergenceError(
-            f"no convergence in {cfg.max_iter} iterations "
-            f"(last update {updates[-1]:.3e})", final_update=updates[-1])
-    return SolveOutcome(y=y, iterations=len(updates), final_update=updates[-1],
-                        converged=True, mesh=mesh, problem=problem,
-                        update_history=updates)
+    return _iterate(mesh, problem, _start_vector(mesh, problem, cfg, src), None,
+                    src, cpl, cfg.tol, cfg.max_iter)
 
 
 def residual_for(mesh: Mesh, problem, y: np.ndarray,

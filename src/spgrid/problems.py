@@ -40,15 +40,12 @@ class SemilinearProblem:
     bc_left: float
     bc_right: float
     exact: Callback1 | None = None
-    c0_squared: float = 1.0
     name: str = ""
     source: Callback1 | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.eps <= 1.0:
             raise ValueError("eps must lie in (0, 1]")
-        if self.c0_squared <= 0.0:
-            raise ValueError("c0_squared must be positive")
         if self.exact is not None:
             if abs(float(self.exact(np.array(0.0))) - self.bc_left) > 1e-12:
                 raise ValueError("exact(0) does not match bc_left")
@@ -112,7 +109,7 @@ def example1(eps: float) -> SemilinearProblem:
         return 1.0 / (2.0 - u) ** 2
 
     return SemilinearProblem(eps=eps, f=f, f_u=f_u, bc_left=0.0, bc_right=0.0,
-                             exact=exact, c0_squared=0.25, name="ex1",
+                             exact=exact, name="ex1",
                              source=source)
 
 
@@ -180,12 +177,10 @@ def log_transform(p: QuasilinearDiffusionProblem) -> SemilinearProblem:
         def exact(x):
             return np.log1p(inner(x))
 
-    vmin = math.log1p(min(p.bc_left, p.bc_right))
     return SemilinearProblem(eps=p.eps, f=f, f_u=f_u,
                              bc_left=math.log1p(p.bc_left),
                              bc_right=math.log1p(p.bc_right),
                              exact=exact,
-                             c0_squared=math.exp(vmin - 1.0),
                              name=(p.name + "_log") if p.name else "log",
                              source=p.source)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .mesh import Mesh, MeshSpec, build_mesh
-from .newton import NewtonConfig, SolveOutcome, newton_step, solve as newton_solve
+from .newton import SolveOutcome, _iterate, solve as newton_solve
 
 #: Hard cap on interval counts produced by plans (cascade sizes grow fast).
 MAX_INTERVALS = 2 ** 20
@@ -127,20 +127,19 @@ def interpolant_slopes(coarse: Mesh, values: np.ndarray,
 
 def _fine_step(problem, fine_mesh: Mesh, prev_mesh: Mesh,
                prev_values: np.ndarray) -> SolveOutcome:
-    """One linearized fine solve about the interpolant of the previous level."""
+    """One linearized fine solve about the interpolant of the previous level:
+    the Newton loop to ``tol = inf``.  Neither the couplings nor the source
+    are built ahead: held through the step, they would raise the peak memory."""
     w, slopes = interpolant_slopes(prev_mesh, prev_values, fine_mesh)
     w[0] = problem.bc_left
     w[-1] = problem.bc_right
-    y, update = newton_step(fine_mesh, problem, w, slopes=slopes)
-    return SolveOutcome(y=y, iterations=1, final_update=update, converged=True,
-                        mesh=fine_mesh, problem=problem, update_history=[update])
+    return _iterate(fine_mesh, problem, w, slopes, None, None, math.inf, 1)
 
 
-def _run(problem, plan: TwoGridPlan, sizes: list[int],
-         cfg: NewtonConfig | None) -> TwoGridResult:
+def _run(problem, plan: TwoGridPlan, sizes: list[int]) -> TwoGridResult:
     t0 = time.perf_counter()
     coarse_mesh = build_mesh(plan.coarse)
-    coarse = newton_solve(coarse_mesh, problem, cfg)
+    coarse = newton_solve(coarse_mesh, problem)
     seconds = [time.perf_counter() - t0]
     fine_meshes = []
     fine = []
@@ -158,21 +157,19 @@ def _run(problem, plan: TwoGridPlan, sizes: list[int],
                          step_seconds=seconds)
 
 
-def algorithm1(problem, plan: TwoGridPlan,
-               cfg: NewtonConfig | None = None) -> TwoGridResult:
+def algorithm1(problem, plan: TwoGridPlan) -> TwoGridResult:
     """Coarse nonlinear solve, then one linearized solve on the fine mesh."""
-    return _run(problem, plan, [plan.single_fine_size()], cfg)
+    return _run(problem, plan, [plan.single_fine_size()])
 
 
-def algorithm2(problem, plan: TwoGridPlan,
-               cfg: NewtonConfig | None = None) -> TwoGridResult:
+def algorithm2(problem, plan: TwoGridPlan) -> TwoGridResult:
     """Cascade: repeat the fine step on n = N^(2^m), m = 1..cascade_levels.
 
     Each level linearizes about the interpolant of the previous level's
     solution; with one level this coincides with :func:`algorithm1` at
     r = 2.
     """
-    return _run(problem, plan, plan.cascade_sizes(), cfg)
+    return _run(problem, plan, plan.cascade_sizes())
 
 
 def choose_r(n_coarse: int) -> tuple[float, int]:

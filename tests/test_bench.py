@@ -7,8 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spgrid.bench import (DegenerateError, MissingExactError,
-                          ReportConfig, convergence_order, fmt_float,
+from spgrid.bench import (ConvergenceRow, DegenerateError, MissingExactError,
+                          Report, ReportConfig, convergence_order, fmt_float,
                           interpolant_error, layer_report, nodal_error,
                           render_layer_rows, run_report)
 from spgrid.mesh import MeshSpec, build_mesh
@@ -149,6 +149,42 @@ def test_markdown_format():
     text = report.to_markdown()
     assert text.startswith("| problem | mesh |")
     assert "vulanovic" in text
+
+
+def _hand_made_report(fmt="markdown"):
+    cfg = ReportConfig(problem="ex1", families=("bakhvalov",), eps_list=(0.01,),
+                       n_list=(8, 16, 32), algorithm="tg1", fmt=fmt)
+    base = dict(problem="ex1", mesh="bakhvalov", a=4.0, q=0.4, gamma0=1.0, eps=0.01)
+    return Report(cfg, [
+        ConvergenceRow(**base, N=8, n=64, step=2, error=1.2345678e-4,
+                       order=1.987654321, iterations=1, seconds=0.0123456789),
+        ConvergenceRow(**base, N=16, n=256, step=2, error=0.25, order=None,
+                       iterations=1, seconds=2.5e-05),
+        ConvergenceRow(**base, N=32, n=32, step=1,
+                       failed="NoConvergenceError: non-finite update in iteration 1"),
+    ])
+
+
+def test_csv_and_markdown_text_of_complete_orderless_and_failed_rows():
+    report = _hand_made_report()
+    assert report.to_csv() == (
+        "problem,mesh,a,q,gamma0,eps,N,n,step,error,order,iterations,seconds\n"
+        "ex1,bakhvalov,4,0.4,1,0.01,8,64,2,1.23457e-04,1.98765,1,0.0123457\n"
+        "ex1,bakhvalov,4,0.4,1,0.01,16,256,2,0.25,,1,2.50000e-05\n"
+        "ex1,bakhvalov,4,0.4,1,0.01,32,32,1,,,,\n")
+    assert report.to_markdown() == (
+        "| problem | mesh | a | q | gamma0 | eps | N | n | step | error | order"
+        " | iterations | seconds |\n"
+        "|---|---|---|---|---|---|---|---|---|---|---|---|---|\n"
+        "| ex1 | bakhvalov | 4 | 0.4 | 1 | 0.01 | 8 | 64 | 2 | 1.23457e-04"
+        " | 1.98765 | 1 | 0.0123457 |\n"
+        "| ex1 | bakhvalov | 4 | 0.4 | 1 | 0.01 | 16 | 256 | 2 | 0.25 |  | 1"
+        " | 2.50000e-05 |\n"
+        "| ex1 | bakhvalov | 4 | 0.4 | 1 | 0.01 | 32 | 32 | 1 | failed:"
+        " NoConvergenceError: non-finite update in iteration 1 |  |  |  |\n")
+    for fmt in ("markdown", "csv", "json"):
+        hand = _hand_made_report(fmt)
+        assert hand.render() == getattr(hand, "to_" + fmt)()
 
 
 def test_report_config_validation():

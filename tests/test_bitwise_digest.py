@@ -3,7 +3,10 @@
 import importlib.util
 import re
 import sys
+from collections import Counter
 from pathlib import Path
+
+import numpy as np
 
 import spgrid
 
@@ -33,3 +36,21 @@ def test_one_case_prints_one_line_per_case_and_is_reproducible(monkeypatch, caps
     assert spgrid.newton.newton_step is spgrid.newton_step
     solve_line = tool.digest_case(spgrid, ("ex1", "uniform", 0.01, "solve", 64, 0))
     assert "interp=e3b0c44298fc1c14" in solve_line
+
+
+def test_newton_digest_covers_every_cascade_level(monkeypatch):
+    # count the newton_step wrapper's calls per mesh size by the input
+    # records it feeds the recorder: (iterate, slopes or None)
+    tool = _tool()
+    steps = Counter()
+    real_add = tool._Recorder.add
+
+    def add(self, kind, *items):
+        if kind == "newton" and (items[1] is None or isinstance(items[1], np.ndarray)):
+            steps[len(items[0]) - 1] += 1
+        real_add(self, kind, *items)
+
+    monkeypatch.setattr(tool._Recorder, "add", add)
+    tool.digest_case(spgrid, ("ex1", "bakhvalov", 0.01, "algorithm2", 8, 2))
+    assert sorted(steps) == [8, 64, 4096]
+    assert steps[8] >= 2 and steps[64] == 1 and steps[4096] == 1

@@ -14,7 +14,6 @@ from spgrid.mesh import MeshSpec, build_mesh
 
 
 def dense_matrix(sys: TridiagonalSystem) -> np.ndarray:
-    m = sys.m
     A = np.diag(sys.diag)
     A += np.diag(sys.sub[1:], -1)
     A += np.diag(sys.sup[:-1], 1)

@@ -252,15 +252,6 @@ def test_constant_diffusion_reduces_to_linear_scheme():
     assert np.max(np.abs(out.y - lin)) < 1e-12
 
 
-def test_picard_mode_reaches_same_solution():
-    p = example2(0.05)
-    mesh = build_mesh(MeshSpec("bakhvalov", 0.05, 32, a=2.0))
-    newton_out = solve(mesh, p)
-    picard_out = solve(mesh, p, NewtonConfig(picard=True, max_iter=200, tol=1e-12))
-    assert picard_out.iterations > newton_out.iterations
-    assert np.max(np.abs(picard_out.y - newton_out.y)) < 1e-10
-
-
 def test_jacobian_fd_gap_semilinear():
     p = example1(1e-1)
     mesh = build_mesh(MeshSpec("vulanovic", 1e-1, 32, a=1.0))

@@ -47,7 +47,6 @@ def test_example1_boundary_and_derivative():
     vals = p.f_u(np.full_like(u, 0.5), u)
     assert vals.min() >= 0.25 - 1e-12
     assert vals.max() <= 1.0 + 1e-12
-    assert p.c0_squared == 0.25
 
 
 def _ex2_symbolic_residual(eps_val):

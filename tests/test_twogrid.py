@@ -3,9 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import spgrid.newton
+from spgrid.bench import ReportConfig, run_report
 from spgrid.mesh import MeshSpec, build_mesh
-from spgrid.newton import NonpositiveJacobianError, solve as newton_solve
-from spgrid.problems import example1, example2
+from spgrid.newton import (NoConvergenceError, NonpositiveJacobianError,
+                           solve as newton_solve)
+from spgrid.problems import PROBLEMS, example1, example2
 from spgrid.twogrid import (OutOfDomainError, TwoGridPlan, algorithm1,
                             algorithm2, choose_r, interpolant_slopes,
                             interpolate)
@@ -111,23 +114,53 @@ def test_cascade_level_one_equals_algorithm1():
 def test_non_finite_cascade_level_fails_at_the_next_jacobian(monkeypatch):
     # the transfer passes non-finite values on; the next level's Jacobian
     # check is what rejects them
-    import spgrid.twogrid as twogrid
-
-    real_step = twogrid.newton_step
+    real_step = spgrid.newton.newton_step
+    plan = TwoGridPlan(coarse=MeshSpec("shishkin", 1e-2, 4), cascade_levels=2)
     levels = []
 
     def nan_first_level(mesh, *args, **kw):
+        if mesh.n == plan.coarse.n:  # the coarse solve's steps
+            return real_step(mesh, *args, **kw)
         levels.append(mesh.n)
         y, update = real_step(mesh, *args, **kw)
         if mesh.n == 16:
             y[mesh.n // 2] = np.nan
         return y, update
 
-    monkeypatch.setattr(twogrid, "newton_step", nan_first_level)
-    plan = TwoGridPlan(coarse=MeshSpec("shishkin", 1e-2, 4), cascade_levels=2)
+    monkeypatch.setattr(spgrid.newton, "newton_step", nan_first_level)
     with pytest.raises(NonpositiveJacobianError, match="reaction derivative"):
         algorithm2(example1(1e-2), plan)
     assert levels == [16, 256]
+
+
+def _inf_off_coarse_nodes(eps):
+    """ex1 with its source inf everywhere but on the uniform N = 4 nodes."""
+    p = example1(eps)
+
+    def source(x):
+        return np.where(4.0 * x == np.round(4.0 * x), p.source(x), np.inf)
+
+    return replace(p, source=source)
+
+
+def test_non_finite_fine_update_raises():
+    # the coarse solve sees a finite source; the fine step's update is inf
+    plan = TwoGridPlan(coarse=MeshSpec("uniform", 1e-2, 4))
+    assert plan.single_fine_size() == 16
+    with pytest.raises(NoConvergenceError,
+                       match="^non-finite update in iteration 1$") as err:
+        algorithm1(_inf_off_coarse_nodes(1e-2), plan)
+    assert not np.isfinite(err.value.final_update)
+
+
+def test_non_finite_fine_update_is_a_failed_report_cell(monkeypatch):
+    monkeypatch.setitem(PROBLEMS, "ex1", _inf_off_coarse_nodes)
+    cfg = ReportConfig(problem="ex1", families=("uniform",), eps_list=(1e-2,),
+                       n_list=(4,), algorithm="tg1")
+    report = run_report(cfg)
+    assert report.failed_cells() == 1 and len(report.rows) == 1
+    assert report.rows[0].failed == ("NoConvergenceError: non-finite update "
+                                     "in iteration 1")
 
 
 def test_plan_validation_and_memory_guard():

@@ -90,8 +90,8 @@ class _Recorder:
 
 
 def _wrap(sp, recorder: _Recorder):
-    """Rebind newton_step and interpolant_slopes where they are called from;
-    returns the undo list."""
+    """Rebind newton_step and interpolant_slopes in every module that holds
+    the name (newton and twogrid); returns the undo list."""
 
     def newton_step(mesh, problem, y, slopes=None, **kw):
         recorder.add("newton", y, slopes)
@@ -107,11 +107,12 @@ def _wrap(sp, recorder: _Recorder):
     real_step = sp.newton.newton_step
     real_interp = sp.twogrid.interpolant_slopes
     undo = []
-    for module, name, fn in ((sp.newton, "newton_step", newton_step),
-                             (sp.twogrid, "newton_step", newton_step),
-                             (sp.twogrid, "interpolant_slopes", interpolant_slopes)):
-        undo.append((module, name, getattr(module, name)))
-        setattr(module, name, fn)
+    for module in (sp.newton, sp.twogrid):
+        for name, fn in (("newton_step", newton_step),
+                         ("interpolant_slopes", interpolant_slopes)):
+            if name in vars(module):
+                undo.append((module, name, getattr(module, name)))
+                setattr(module, name, fn)
     return undo
 
 
