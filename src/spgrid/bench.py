@@ -19,7 +19,7 @@ import io
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -143,10 +143,10 @@ class Report:
         return buf.getvalue()
 
     def to_json(self) -> str:
-        payload = {"config": asdict(self.config), "rows": [asdict(r) for r in self.rows]}
-        payload["config"]["families"] = list(self.config.families)
-        payload["config"]["eps_list"] = list(self.config.eps_list)
-        payload["config"]["n_list"] = list(self.config.n_list)
+        config = _fields(self.config)
+        for key in ("families", "eps_list", "n_list"):
+            config[key] = list(config[key])
+        payload = {"config": config, "rows": [_fields(r) for r in self.rows]}
         return json.dumps(payload, indent=2)
 
     def to_markdown(self) -> str:
@@ -159,6 +159,11 @@ class Report:
                 cells[header.index("error")] = "failed: " + row.failed
             lines.append("| " + " | ".join(cells) + " |")
         return "\n".join(lines) + "\n"
+
+
+def _fields(obj) -> dict:
+    """A flat dataclass as ``asdict`` gives it, without its recursive copy."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 def _cells(row: ConvergenceRow) -> list:

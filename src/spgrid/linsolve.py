@@ -83,17 +83,19 @@ def _off_diagonals(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np
     return np.concatenate(([0.0], lower[1:])), np.concatenate((upper[:-1], [0.0]))
 
 
+def _scale(mesh: Mesh, eps: float, h: np.ndarray) -> np.ndarray:
+    """``-eps^2/(hbar_i h)`` for ``h = steps[:-1]`` (left) or ``steps[1:]`` (right)."""
+    return -(eps * eps) / (mesh.half_steps * h)
+
+
 def couplings(mesh: Mesh, eps: float, unit: bool = False) -> Couplings:
     """Build the :class:`Couplings` of ``mesh``; ``unit`` adds the unit-weight rows.
 
     Build them once per solve and pass them to :func:`stencil` for every
     Jacobian; a one-shot assembly needs none.
     """
-    h = mesh.steps
-    hbar = mesh.half_steps
-    e2 = eps * eps
-    scale_l = -e2 / (hbar * h[:-1])
-    scale_r = -e2 / (hbar * h[1:])
+    scale_l = _scale(mesh, eps, mesh.steps[:-1])
+    scale_r = _scale(mesh, eps, mesh.steps[1:])
     arrays = [scale_l, scale_r]
     if unit:
         arrays += [*_off_diagonals(scale_l, scale_r), scale_l + scale_r]
@@ -114,27 +116,36 @@ def stencil(mesh: Mesh, eps: float, b: np.ndarray, rhs: np.ndarray | None,
     the plain second difference.  Dirichlet data is folded into ``rhs`` in
     place (a None ``rhs`` stays None).  ``cpl`` are this mesh's
     :func:`couplings`, built here when not given; with the unit-weight
-    rows cached, unit weights cost one subtraction.
+    rows cached, unit weights cost one subtraction.  Weighted rows are
+    written straight into their bands, each band one array of ``n - 1``.
     """
-    if cpl is None:
-        cpl = couplings(mesh, eps)
-    scale_l, scale_r = cpl.scale_l, cpl.scale_r
     if right is None:  # unit weights: the same rows without four products
-        lower, upper = scale_l, scale_r
+        if cpl is None:
+            cpl = couplings(mesh, eps)
+        scale_l, scale_r = cpl.scale_l, cpl.scale_r
+        lower, upper = scale_l[0], scale_r[-1]
         if cpl.total is None:
-            diag = b - (lower + upper)
-            sub, sup = _off_diagonals(lower, upper)
+            diag = b - (scale_l + scale_r)
+            sub, sup = _off_diagonals(scale_l, scale_r)
         else:
             diag = b - cpl.total
             sub, sup = cpl.sub, cpl.sup
     else:
-        lower = scale_l * left[:-1]
-        upper = scale_r * right[1:]
-        diag = b - (scale_l * right[:-1] + scale_r * left[1:])
-        sub, sup = _off_diagonals(lower, upper)
+        # without cached couplings, one side's at a time: a band fewer at the peak
+        scale = _scale(mesh, eps, mesh.steps[:-1]) if cpl is None else cpl.scale_l
+        diag = scale * right[:-1]
+        sub = scale * left[:-1]
+        del scale
+        scale = _scale(mesh, eps, mesh.steps[1:]) if cpl is None else cpl.scale_r
+        sup = scale * left[1:]  # first the diagonal's second product
+        diag += sup
+        np.subtract(b, diag, out=diag)
+        np.multiply(scale, right[1:], out=sup)
+        lower, upper = sub[0], sup[-1]
+        sub[0] = sup[-1] = 0.0
     if rhs is not None:
-        rhs[0] -= lower[0] * bc_left
-        rhs[-1] -= upper[-1] * bc_right
+        rhs[0] -= lower * bc_left
+        rhs[-1] -= upper * bc_right
     return TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs)
 
 
@@ -155,7 +166,6 @@ def assemble(mesh: Mesh, eps: float, b, g,
 
 # Systems this small are cheaper in the scalar loop than as numpy levels.
 REDUCTION_BASE = 128
-_PAD = (0.0, 1.0, 0.0, 0.0)  # decoupled unit row: sub, diag, sup, rhs
 
 
 def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
@@ -163,13 +173,18 @@ def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
 
     Even-length levels get a decoupled unit row appended, trimmed again on
     the way back.  A zero or non-finite pivot raises :class:`ZeroPivotError`.
+    Levels free their temporaries early and are dropped once solved, so the
+    solve holds at most about four arrays of the system's length besides its input.
     """
     a, b, c, d = sys.sub, sys.diag, sys.sup, sys.rhs
     levels = []
     while len(b) > REDUCTION_BASE:
         m = len(b)
-        if m % 2 == 0:
-            a, b, c, d = (np.append(v, pad) for v, pad in zip((a, b, c, d), _PAD))
+        if m % 2 == 0:  # a decoupled unit row; one band at a time, so each
+            a = np.append(a, 0.0)  # old band goes before the next is copied
+            b = np.append(b, 1.0)
+            c = np.append(c, 0.0)
+            d = np.append(d, 0.0)
         ao, bo, co, do = a[1::2], b[1::2], c[1::2], d[1::2]
         size = np.abs(bo)
         # min() propagates NaN, so these two tests catch NaN, zero, tiny and inf
@@ -178,18 +193,21 @@ def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
             raise ZeroPivotError("zero or non-finite pivot in row "
                                  f"{(2 * bad.argmax() + 1) << len(levels)}")
         ninv = np.divide(-1.0, bo, out=size)  # -1/b: no negated copies of a, c
+        b, d = b[::2].copy(), d[::2].copy()
+        del bo  # frees the input diagonal from the second level on
         alpha = a[2::2] * ninv   # even row 2j+2 eliminates odd row 2j+1 ...
         gamma = c[:-1:2] * ninv  # ... and so does even row 2j
-        b, d = b[::2].copy(), d[::2].copy()
         a, c = np.empty_like(b), np.empty_like(b)
         a[0] = c[-1] = 0.0
         np.multiply(alpha, ao, out=a[1:])
+        # c[:-1] holds each product until it is added, and its own band last;
+        # every row still adds its alpha term before its gamma term
+        b[1:] += np.multiply(alpha, co, out=c[:-1])
+        b[:-1] += np.multiply(gamma, ao, out=c[:-1])
+        d[1:] += np.multiply(alpha, do, out=c[:-1])
+        d[:-1] += np.multiply(gamma, do, out=c[:-1])
         np.multiply(gamma, co, out=c[:-1])
-        tmp = np.empty_like(ninv)
-        b[1:] += np.multiply(alpha, co, out=tmp)
-        b[:-1] += np.multiply(gamma, ao, out=tmp)
-        d[1:] += np.multiply(alpha, do, out=tmp)
-        d[:-1] += np.multiply(gamma, do, out=tmp)
+        del alpha, gamma  # before the next level allocates its own
         levels.append((m, ao, co, do, ninv))
     # scalar Thomas elimination; row i here is row i << len(levels) above
     sub, diag, sup, rhs = a.tolist(), b.tolist(), c.tolist(), d.tolist()
@@ -206,15 +224,16 @@ def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
     for i in range(m - 2, -1, -1):
         d[i] -= c[i] * d[i + 1]
     y = np.asarray(d)
-    for m, ao, co, do, ninv in reversed(levels):
+    while levels:  # popped, so each level's arrays go once it is solved
+        m, ao, co, do, ninv = levels.pop()
         full = np.empty(2 * len(y) - 1)
         full[::2] = y
         # (do - ao y - co y) / b, written as (ao y - do + co y) * (-1/b): round
         # to nearest is symmetric under negation, so the bits are the same
-        odd = ao * y[:-1]
+        odd = np.multiply(ao, y[:-1], out=full[1::2])
         odd -= do
         odd += co * y[1:]
-        np.multiply(odd, ninv, out=full[1::2])
+        odd *= ninv
         y = full[:m]
     return y
 

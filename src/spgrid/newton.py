@@ -40,6 +40,7 @@ from .mesh import Mesh
 from .problems import QuasilinearDiffusionProblem, SemilinearProblem
 
 InitialGuess = Union[str, np.ndarray]
+Midpoint = tuple[np.ndarray, np.ndarray]  # (m, d(m)), see _midpoint_diffusion
 
 
 class NoConvergenceError(RuntimeError):
@@ -126,30 +127,35 @@ def interior_source(mesh: Mesh, problem) -> np.ndarray:
 
 
 def _residual(mesh: Mesh, p, d, reaction, y: np.ndarray,
-              slopes: np.ndarray | None, src: np.ndarray | None) -> np.ndarray:
+              slopes: np.ndarray | None, src: np.ndarray | None,
+              midpoint: Midpoint | None = None) -> np.ndarray:
     """``-eps^2/hbar_i (flux_{i+1/2} - flux_{i-1/2}) + reaction(x_i, y_i) - src_i``.
 
     The flux on an interval is ``d(midpoint) * slope``, or the slope alone
     when ``d`` is None (the semilinear scheme).  ``src`` is
-    :func:`interior_source`, evaluated here when not given.
+    :func:`interior_source` and ``midpoint`` is :func:`_midpoint_diffusion`
+    of ``y``, each evaluated here when not given.
     """
     if src is None:
         src = interior_source(mesh, p)
     flux = _interval_slopes(mesh, y) if slopes is None else slopes
     if d is not None:
-        flux = _midpoint_diffusion(d, y)[1] * flux
+        flux = (midpoint or _midpoint_diffusion(d, y))[1] * flux
     return (-p.eps ** 2 * ((flux[1:] - flux[:-1]) / mesh.half_steps)
             + (reaction(mesh.interior(), y[1:-1]) - src))
 
 
 def _jacobian(mesh: Mesh, eps: float, d, d_u, reaction_u, y: np.ndarray,
-              cpl: Couplings | None) -> TridiagonalSystem:
+              cpl: Couplings | None, midpoint: Midpoint | None = None
+              ) -> TridiagonalSystem:
     """Tridiagonal Jacobian of :func:`_residual` about ``y`` (rhs left None).
 
     ``d(m_j)`` moves by ``d_u(m_j)/2`` per unit change of either end value
     of interval j, so its flux weights are ``d(m_j) +- chain_j`` with
-    ``chain_j = d_u(m_j) (y_{j+1} - y_j)/2``.  ``cpl`` are the solve's
-    :func:`spgrid.linsolve.couplings`, built here when not given.
+    ``chain_j = d_u(m_j) (y_{j+1} - y_j)/2``; the left weights overwrite the
+    chain.  ``cpl`` are the solve's :func:`spgrid.linsolve.couplings` and
+    ``midpoint`` is :func:`_midpoint_diffusion` of ``y``, each built here
+    when not given.
     """
     b = np.asarray(reaction_u(mesh.interior(), y[1:-1]))
     if not (b.min() > 0.0 and b.max() < math.inf):  # NaN fails too
@@ -157,9 +163,12 @@ def _jacobian(mesh: Mesh, eps: float, d, d_u, reaction_u, y: np.ndarray,
             "reaction derivative must be positive and finite along the iterate")
     if d is None:
         return stencil(mesh, eps, b, None, cpl=cpl)
-    mid, dm = _midpoint_diffusion(d, y)
-    chain = 0.5 * d_u(mid) * (y[1:] - y[:-1])
-    return stencil(mesh, eps, b, None, dm + chain, dm - chain, cpl=cpl)
+    mid, dm = midpoint or _midpoint_diffusion(d, y)
+    chain = 0.5 * d_u(mid)
+    chain *= y[1:] - y[:-1]
+    right = dm + chain
+    left = np.subtract(dm, chain, out=chain)
+    return stencil(mesh, eps, b, None, right, left, cpl=cpl)
 
 
 def semilinear_residual(mesh: Mesh, p: SemilinearProblem, y: np.ndarray,
@@ -177,20 +186,24 @@ def semilinear_jacobian(mesh: Mesh, p: SemilinearProblem, y: np.ndarray,
 
 def diffusion_residual(mesh: Mesh, p: QuasilinearDiffusionProblem, y: np.ndarray,
                        slopes: np.ndarray | None = None,
-                       src: np.ndarray | None = None) -> np.ndarray:
+                       src: np.ndarray | None = None,
+                       midpoint: Midpoint | None = None) -> np.ndarray:
     """Interior residual of the conservative midpoint scheme.
 
     ``F_i = -eps^2/hbar_i [ d(m_{i+1/2}) s_{i+1} - d(m_{i-1/2}) s_i ]
     + r(x_i, y_i) - source(x_i)`` with interval midpoint values ``m`` and
-    slopes ``s``.
+    slopes ``s``.  ``midpoint`` is ``(m, d(m))`` of ``y`` if already
+    evaluated (:func:`newton_step` shares it with the Jacobian).
     """
-    return _residual(mesh, p, p.d, p.r, y, slopes, src)
+    return _residual(mesh, p, p.d, p.r, y, slopes, src, midpoint)
 
 
 def diffusion_jacobian(mesh: Mesh, p: QuasilinearDiffusionProblem, y: np.ndarray,
-                       cpl: Couplings | None = None) -> TridiagonalSystem:
-    """Analytic tridiagonal Jacobian of the midpoint scheme about ``y``."""
-    return _jacobian(mesh, p.eps, p.d, p.d_u, p.r_u, y, cpl)
+                       cpl: Couplings | None = None,
+                       midpoint: Midpoint | None = None) -> TridiagonalSystem:
+    """Analytic tridiagonal Jacobian of the midpoint scheme about ``y``; ``midpoint``
+    is ``(m, d(m))`` of ``y`` if already evaluated."""
+    return _jacobian(mesh, p.eps, p.d, p.d_u, p.r_u, y, cpl, midpoint)
 
 
 def _scheme(problem):
@@ -214,11 +227,15 @@ def newton_step(mesh: Mesh, problem, y: np.ndarray,
 
     Boundary entries of ``y`` are kept verbatim (the correction has zero
     boundary values).  ``src`` is :func:`interior_source` and ``cpl`` the
-    Jacobian's :func:`spgrid.linsolve.couplings`, if already built.
+    Jacobian's :func:`spgrid.linsolve.couplings`, if already built.  The
+    quasilinear scheme's midpoint values and diffusion are evaluated once,
+    shared by residual and Jacobian, and dropped before the linear solve.
     """
-    residual, jacobian, _, _, _ = _scheme(problem)
-    F = residual(mesh, problem, y, slopes, src)
-    jac = jacobian(mesh, problem, y, cpl)
+    residual, jacobian, _, _, unit = _scheme(problem)
+    shared = {} if unit else {"midpoint": _midpoint_diffusion(problem.d, y)}
+    F = residual(mesh, problem, y, slopes, src, **shared)
+    jac = jacobian(mesh, problem, y, cpl, **shared)
+    del shared
     # J delta = -F solved as J (-delta) = F: the solve is odd in its
     # right-hand side, bit for bit, so no negated copy of F is needed
     neg_delta = thomas_solve(TridiagonalSystem(sub=jac.sub, diag=jac.diag,

@@ -2,7 +2,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -185,6 +185,16 @@ def test_csv_and_markdown_text_of_complete_orderless_and_failed_rows():
     for fmt in ("markdown", "csv", "json"):
         hand = _hand_made_report(fmt)
         assert hand.render() == getattr(hand, "to_" + fmt)()
+
+
+def test_json_text_equals_the_asdict_dump():
+    # rows are flat, so the fields are read directly; the text is unchanged
+    for report in (_hand_made_report("json"), run_report(_small_cfg())):
+        config = asdict(report.config)
+        for key in ("families", "eps_list", "n_list"):
+            config[key] = list(getattr(report.config, key))
+        payload = {"config": config, "rows": [asdict(r) for r in report.rows]}
+        assert report.to_json() == json.dumps(payload, indent=2)
 
 
 def test_report_config_validation():

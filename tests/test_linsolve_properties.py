@@ -1,9 +1,9 @@
-"""Discrete maximum principle of the linear scheme over the mesh space."""
+"""Discrete maximum principle and weighted rows of the scheme over the mesh space."""
 
 import numpy as np
 from hypothesis import given, strategies as st
 
-from spgrid.linsolve import solve_linear
+from spgrid.linsolve import couplings, solve_linear, stencil
 from test_mesh_properties import _build, bounded, specs
 
 
@@ -22,3 +22,38 @@ def test_discrete_maximum_principle(spec, seed):
     assert y[0] == 0.0 and y[-1] == 0.0
     assert np.all(y >= 0.0)
     assert np.max(y) <= np.max(g / b, initial=0.0) * (1.0 + 1e-12)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@bounded
+@given(specs, st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans())
+def test_weighted_rows_equal_the_explicit_expressions_bitwise(spec, seed, scalar_b,
+                                                             cached):
+    # stencil writes the weighted bands in place, one side's couplings at a
+    # time when none are cached; every entry must keep its operands and order
+    mesh = _build(spec)
+    if mesh is None:
+        return
+    rng = np.random.default_rng(seed)
+    m = spec.n - 1
+    b = np.asarray(rng.uniform(0.1, 10.0)) if scalar_b else rng.uniform(0.1, 10.0, m)
+    right, left = rng.uniform(0.1, 2.0, (2, spec.n))
+    rhs = rng.normal(size=m)
+    bc_left, bc_right = rng.normal(size=2)
+    sys = stencil(mesh, spec.eps, b, rhs.copy(), right, left, bc_left, bc_right,
+                  cpl=couplings(mesh, spec.eps) if cached else None)
+    e2 = spec.eps * spec.eps
+    scale_l = -e2 / (mesh.half_steps * mesh.steps[:-1])
+    scale_r = -e2 / (mesh.half_steps * mesh.steps[1:])
+    lower, upper = scale_l * left[:-1], scale_r * right[1:]
+    want_rhs = rhs.copy()
+    want_rhs[0] -= lower[0] * bc_left
+    want_rhs[-1] -= upper[-1] * bc_right
+    assert _same_bits(sys.diag, b - (scale_l * right[:-1] + scale_r * left[1:]))
+    assert _same_bits(sys.sub, np.concatenate(([0.0], scale_l[1:] * left[1:-1])))
+    assert _same_bits(sys.sup, np.concatenate((scale_r[:-1] * right[1:-1], [0.0])))
+    assert _same_bits(sys.rhs, want_rhs)

@@ -3,11 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spgrid.linsolve import assemble
+from spgrid.linsolve import assemble, couplings
 from spgrid.mesh import MeshSpec, build_mesh
 from spgrid.newton import (NewtonConfig, NoConvergenceError,
                            NonpositiveJacobianError, SingularDiffusionError,
-                           diffusion_jacobian, jacobian_fd_gap, newton_step,
+                           _midpoint_diffusion, diffusion_jacobian,
+                           diffusion_residual, jacobian_fd_gap, newton_step,
                            reduced_initial, residual_for, semilinear_jacobian,
                            solve)
 from spgrid.problems import (QuasilinearDiffusionProblem, SemilinearProblem,
@@ -183,12 +184,38 @@ def test_one_bad_reaction_derivative_entry_is_rejected(bad):
 
 @pytest.mark.parametrize("bad", BAD_VALUES)
 def test_one_bad_midpoint_diffusion_value_is_rejected(bad):
+    # before the Jacobian checks r_u, even where r_u is bad as well
     mesh = build_mesh(MeshSpec("uniform", 0.1, 8))
-    p = QuasilinearDiffusionProblem(
-        eps=0.1, d=_ones_but_one(bad), d_u=lambda u: np.zeros_like(u),
-        r=lambda x, u: u, r_u=_ones_but_one(1.0), bc_left=0.0, bc_right=1.0)
-    with pytest.raises(SingularDiffusionError):
-        solve(mesh, p, NewtonConfig(initial="zero"))
+    for r_u in (_ones_but_one(1.0), _ones_but_one(bad)):
+        p = QuasilinearDiffusionProblem(
+            eps=0.1, d=_ones_but_one(bad), d_u=lambda u: np.zeros_like(u),
+            r=lambda x, u: u, r_u=r_u, bc_left=0.0, bc_right=1.0)
+        with pytest.raises(SingularDiffusionError):
+            solve(mesh, p, NewtonConfig(initial="zero"))
+
+
+@pytest.mark.parametrize("constant", [False, True])
+def test_shared_midpoint_diffusion_changes_no_bit(constant):
+    # newton_step evaluates (m, d(m)) once for residual and Jacobian; either
+    # computes the same arrays without it, and neither writes into it
+    p = example2(1e-2)
+    if constant:  # d(m) comes back 0-d
+        p = replace(p, d=lambda u: 1.5, d_u=lambda u: 0.0)
+    mesh = build_mesh(MeshSpec("vulanovic", 1e-2, 300, a=2.0))
+    rng = np.random.default_rng(5)
+    y = rng.uniform(0.5, 2.0, 301)
+    y[0], y[-1] = p.bc_left, p.bc_right
+    midpoint = _midpoint_diffusion(p.d, y)
+    kept = [v.copy() for v in midpoint]
+    same = lambda a, b: a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert same(diffusion_residual(mesh, p, y, midpoint=midpoint),
+                diffusion_residual(mesh, p, y))
+    for cpl in (None, couplings(mesh, p.eps)):
+        shared = diffusion_jacobian(mesh, p, y, cpl, midpoint=midpoint)
+        alone = diffusion_jacobian(mesh, p, y, cpl)
+        for band in ("sub", "diag", "sup"):
+            assert same(getattr(shared, band), getattr(alone, band))
+    assert all(same(v, k) for v, k in zip(midpoint, kept))
 
 
 def test_callbacks_returning_python_floats_solve_as_arrays_do():

@@ -1,0 +1,54 @@
+"""tools/stage_peaks.py: the two-grid fine step's peak working set."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import spgrid
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "stage_peaks.py"
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("stage_peaks", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# In arrays of n float64 at n = 2^14 (eps = 1e-4).  The fine step's working
+# set is the mesh, the interpolant and its slopes, the residual and the
+# Jacobian's bands; ex2 adds the midpoint values and diffusion, shared by
+# residual and Jacobian.  The ceilings sit just above the peaks reached (13.2
+# in ex1's tridiagonal solve, 15.1 in ex2's Jacobian): building the bands
+# through temporaries, keeping cyclic reduction's per-level products alive or
+# evaluating the midpoint diffusion twice lifts the peak past them.
+@pytest.mark.parametrize("problem,family,ceiling", [("ex1", "bakhvalov", 13.5),
+                                                    ("ex2", "vulanovic", 15.5)])
+def test_fine_step_peak_stays_at_its_level(problem, family, ceiling):
+    tool = _tool()
+    bindings = {m: dict(vars(getattr(spgrid, m))) for m in tool.MODULES}
+    peaks = tool.stage_peaks(spgrid, problem, family, 1e-4, 128)
+    for m, before in bindings.items():  # every rebinding is undone
+        after = vars(getattr(spgrid, m))
+        assert all(after[name] is value for name, value in before.items())
+    fine = peaks["algorithm1"]["newton.newton_step"]
+    assert fine[2] <= ceiling, fine
+    for run in tool.RUNS:
+        for calls, entry, peak in peaks[run].values():
+            assert calls >= 1 and 0.0 <= entry <= peak
+
+
+def test_main_prints_one_line_per_stage(monkeypatch, capsys):
+    tool = _tool()
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main() prepends --src
+    assert tool.main(["--problem", "ex1", "--family", "shishkin", "--coarse", "16"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("ex1 shishkin eps=0.0001 N=16 n=256")
+    assert "algorithm1:" in lines and "solve:" in lines
+    stages = [line.split()[0] for line in lines if line.startswith("  ")]
+    for name in ("twogrid.algorithm", "newton.newton_step", "newton.jacobian",
+                 "linsolve.thomas_solve", "twogrid.interpolant_slopes"):
+        assert name in stages
