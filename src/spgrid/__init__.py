@@ -37,8 +37,8 @@ from .twogrid import (OutOfDomainError, TwoGridPlan, TwoGridResult, algorithm1,
                       algorithm2, choose_r, interpolant_slopes, interpolate)
 from .bench import (ConvergenceRow, DegenerateError, MissingExactError, Report,
                     ReportConfig, convergence_order, interpolant_error,
-                    layer_report, nodal_error, run_algorithm, run_report,
-                    timing_comparison)
+                    layer_report, make_plan, nodal_error, run_algorithm,
+                    run_report, timing_comparison)
 
 __version__ = "0.1.0"
 
@@ -57,5 +57,5 @@ __all__ = [
     "interpolant_slopes", "algorithm1", "algorithm2", "choose_r",
     "ReportConfig", "Report", "ConvergenceRow", "MissingExactError",
     "DegenerateError", "nodal_error", "interpolant_error", "convergence_order",
-    "run_algorithm", "run_report", "layer_report", "timing_comparison",
+    "make_plan", "run_algorithm", "run_report", "layer_report", "timing_comparison",
 ]

@@ -7,9 +7,10 @@ second cascade level step 3, and so on.  Observed convergence orders
 ``(ln E_N - ln E_2N) / ln 2`` are attached per step wherever the sweep
 contains the doubled coarse size; the finest row of each group has none.
 
-Solver and validation errors in a cell are captured into the row instead
-of aborting the sweep, so one diverging cell cannot take down a table;
-any other exception is a defect and propagates.
+Solver errors in a cell, and a plan over the interval budget, are captured
+into the row instead of aborting the sweep, so one diverging cell cannot
+take down a table.  Invalid parameters raise when the config is built; any
+other exception is a defect and propagates.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .linsolve import ZeroPivotError
-from .mesh import FAMILIES, Mesh, MeshSpec, NoRootError, build_mesh, layer_fraction
+from .mesh import Mesh, MeshSpec, NoRootError, build_mesh, layer_fraction
 from .newton import NoConvergenceError, solve as newton_solve
 from .problems import make_problem
-from .twogrid import TwoGridPlan, algorithm1, algorithm2, choose_r, interpolate
+from .twogrid import TwoGridPlan, algorithm1, algorithm2, choose_r
 
 ALGORITHMS = ("direct", "tg1", "tg2", "tg1_ropt")
 FORMATS = ("markdown", "csv", "json")
@@ -53,15 +54,17 @@ def nodal_error(mesh: Mesh, y: np.ndarray, exact: Callable | None) -> float:
 
 
 def interpolant_error(mesh: Mesh, y: np.ndarray, exact: Callable | None) -> float:
-    """Max-norm error of the piecewise-linear interpolant on a dense set.
+    """Max-norm error of the piecewise-linear interpolant, sampled per interval.
 
-    The sample set is the uniform grid of ``10 n + 1`` points merged with
-    the mesh nodes, so the result always dominates the nodal error.
+    Every mesh interval is cut into ten equal parts and sampled at their
+    ends, nodes included, so the result dominates the nodal error and a
+    layer interval is sampled however small eps is.
     """
     if exact is None:
         raise MissingExactError("problem has no exact solution")
-    s = np.union1d(np.linspace(0.0, 1.0, 10 * mesh.n + 1), mesh.nodes)
-    return float(np.abs(exact(s) - interpolate(mesh, y, s)).max())
+    t = np.linspace(0.0, 1.0, 11)[:, None]
+    x = (1.0 - t) * mesh.nodes[:-1] + t * mesh.nodes[1:]
+    return float(np.abs(exact(x) - ((1.0 - t) * y[:-1] + t * y[1:])).max())
 
 
 def convergence_order(error_coarse: float, error_fine: float) -> float:
@@ -91,6 +94,11 @@ class ConvergenceRow:
 
 @dataclass(frozen=True)
 class ReportConfig:
+    """One sweep.  ``plans`` (no field) holds each cell's :func:`make_plan`,
+    built here: it, :class:`MeshSpec` and :class:`TwoGridPlan` own the checks
+    of the algorithm, mesh and plan parameters, so a bad value fails before
+    a cell runs."""
+
     problem: str
     families: Sequence[str]
     eps_list: Sequence[float]
@@ -106,21 +114,17 @@ class ReportConfig:
     layer_sides: str = "both"
 
     def __post_init__(self) -> None:
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.fmt not in FORMATS:
             raise ValueError(f"unknown format {self.fmt!r}")
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r}")
         if not self.families or not list(self.eps_list) or not list(self.n_list):
             raise ValueError("families, eps_list and n_list must be nonempty")
-        unknown = [f for f in self.families if f not in FAMILIES]
-        if unknown:
-            raise ValueError(f"unknown mesh family {unknown[0]!r}")
-        if self.algorithm in ("tg1", "tg2") and self.r <= 1.0:
-            raise ValueError("r must exceed 1")
-        if any(n < 2 for n in self.n_list):
-            raise ValueError("coarse sizes must be at least 2")
+        object.__setattr__(self, "plans", tuple(
+            make_plan(MeshSpec(family=family, eps=eps, n=N, a=self.a, q=self.q,
+                               gamma0=self.gamma0, layer_sides=self.layer_sides),
+                      self.algorithm, self.r, self.levels)
+            for family in self.families for eps in self.eps_list for N in self.n_list))
 
 
 @dataclass
@@ -186,60 +190,63 @@ def fmt_float(v: float) -> str:
     return f"{v:.6g}"
 
 
-def _mesh_spec(cfg: ReportConfig, family: str, eps: float, n: int) -> MeshSpec:
-    return MeshSpec(family=family, eps=eps, n=n, a=cfg.a, q=cfg.q,
-                    gamma0=cfg.gamma0, layer_sides=cfg.layer_sides)
-
-
 def _error_of(cfg: ReportConfig, mesh: Mesh, y: np.ndarray, exact) -> float:
     if cfg.metric == "interpolant":
         return interpolant_error(mesh, y, exact)
     return nodal_error(mesh, y, exact)
 
 
-def run_algorithm(problem, spec: MeshSpec, algorithm: str, r: float = 2.0,
-                  levels: int = 2, fine_n: int | None = None) -> list:
-    """Run one algorithm; ``(mesh, outcome, seconds)`` for each step.
+def make_plan(spec: MeshSpec, algorithm: str, r: float = 2.0, levels: int = 2,
+              fine_n: int | None = None) -> MeshSpec | TwoGridPlan:
+    """What :func:`run_algorithm` runs: ``spec`` itself for ``direct``.
 
-    ``direct`` solves on ``spec``.  The two-grid algorithms take ``spec``
-    as the coarse mesh: ``tg1`` refines to ``fine_n`` (or ``N**r``),
-    ``tg1_ropt`` picks r by :func:`choose_r`, and ``tg2`` cascades
-    ``levels`` times.
+    The two-grid algorithms take ``spec`` as the coarse mesh: ``tg1``
+    refines to ``fine_n`` (or ``N**r``), ``tg1_ropt`` picks r by
+    :func:`choose_r`, and ``tg2`` cascades ``levels`` times.
     """
     if algorithm == "direct":
-        mesh = build_mesh(spec)
+        return spec
+    if algorithm == "tg2":
+        return TwoGridPlan(coarse=spec, r=r, cascade_levels=levels)
+    if algorithm == "tg1_ropt":
+        r, fine_n = choose_r(spec.n)
+    elif algorithm != "tg1":
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    return TwoGridPlan(coarse=spec, r=r, fine_n=fine_n)
+
+
+def run_algorithm(problem, algorithm: str, plan: MeshSpec | TwoGridPlan) -> list:
+    """Run a :func:`make_plan` plan; ``(mesh, outcome, seconds)`` per step.
+
+    A step's seconds include the build of its mesh.
+    """
+    if algorithm == "direct":
         t0 = time.perf_counter()
+        mesh = build_mesh(plan)
         out = newton_solve(mesh, problem)
         return [(mesh, out, time.perf_counter() - t0)]
-    if algorithm == "tg2":
-        result = algorithm2(problem, TwoGridPlan(coarse=spec, cascade_levels=levels))
-    elif algorithm in ("tg1", "tg1_ropt"):
-        if algorithm == "tg1_ropt":
-            r, fine_n = choose_r(spec.n)
-        result = algorithm1(problem, TwoGridPlan(coarse=spec, r=r, fine_n=fine_n))
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+    result = (algorithm2 if algorithm == "tg2" else algorithm1)(problem, plan)
     return list(zip([result.coarse_mesh] + result.fine_meshes,
                     [result.coarse] + result.fine, result.step_seconds))
 
 
-def _run_cell(cfg: ReportConfig, family: str, eps: float, N: int) -> list:
+def _run_cell(cfg: ReportConfig, plan: MeshSpec | TwoGridPlan) -> list:
     """Rows for one (family, eps, N) cell; one row per step."""
-    problem = make_problem(cfg.problem, eps)
-    base = dict(problem=cfg.problem, mesh=family, a=cfg.a, q=cfg.q,
-                gamma0=cfg.gamma0, eps=eps, N=N)
+    spec = plan if cfg.algorithm == "direct" else plan.coarse
+    problem = make_problem(cfg.problem, spec.eps)
+    base = dict(problem=cfg.problem, mesh=spec.family, a=cfg.a, q=cfg.q,
+                gamma0=cfg.gamma0, eps=spec.eps, N=spec.n)
     rows = []
     try:
-        steps = run_algorithm(problem, _mesh_spec(cfg, family, eps, N), cfg.algorithm,
-                              cfg.r, cfg.levels)
+        steps = run_algorithm(problem, cfg.algorithm, plan)
         for step, (mesh, out, seconds) in enumerate(steps, start=1):
             rows.append(ConvergenceRow(
                 **base, n=mesh.n, step=step,
                 error=_error_of(cfg, mesh, out.y, problem.exact),
                 iterations=out.iterations, seconds=seconds))
     except (ValueError, NoConvergenceError, ZeroPivotError, NoRootError) as exc:
-        # solver and validation failures are captured per cell; the sweep continues
-        rows.append(ConvergenceRow(**base, n=N, step=1,
+        # solver and budget failures are captured per cell; the sweep continues
+        rows.append(ConvergenceRow(**base, n=spec.n, step=1,
                                    failed=f"{type(exc).__name__}: {exc}"))
     return rows
 
@@ -264,11 +271,7 @@ def run_report(cfg: ReportConfig) -> Report:
     Rows are deterministic (keyed by family, eps, N, step) and independent
     of execution order; per-cell failures are recorded, not raised.
     """
-    rows = []
-    for family in cfg.families:
-        for eps in cfg.eps_list:
-            for N in cfg.n_list:
-                rows.extend(_run_cell(cfg, family, eps, N))
+    rows = [row for plan in cfg.plans for row in _run_cell(cfg, plan)]
     rows.sort(key=lambda r: (r.mesh, r.eps, r.N, r.step))
     _attach_orders(rows)
     return Report(config=cfg, rows=rows)
@@ -333,8 +336,9 @@ class TimingRow:
 
 def timing_comparison(problem_id: str, family: str, eps: float,
                       coarse_sizes: Sequence[int], a: float = 1.0, q: float = 0.4,
-                      gamma0: float = 1.0, repeats: int = 3) -> list:
-    """Best-of-``repeats`` wall time: direct solve on n = N^2 vs two-grid.
+                      gamma0: float = 1.0, repeats: int = 3,
+                      layer_sides: str = "both") -> list:
+    """Best-of-``repeats`` step seconds: direct solve on n = N^2 vs two-grid.
 
     Absolute times are hardware-bound; only the ratio is meaningful, and
     only once n is large enough that the coarse stage is negligible.
@@ -343,18 +347,12 @@ def timing_comparison(problem_id: str, family: str, eps: float,
     rows = []
     for N in coarse_sizes:
         n = N * N
-        spec_fine = MeshSpec(family=family, eps=eps, n=n, a=a, q=q, gamma0=gamma0)
-        spec_coarse = replace(spec_fine, n=N)
-        direct_best = math.inf
-        tg_best = math.inf
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            mesh = build_mesh(spec_fine)
-            newton_solve(mesh, problem)
-            direct_best = min(direct_best, time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            algorithm1(problem, TwoGridPlan(coarse=spec_coarse, fine_n=n))
-            tg_best = min(tg_best, time.perf_counter() - t0)
-        rows.append(TimingRow(N=N, n=n, direct_seconds=direct_best,
-                              twogrid_seconds=tg_best))
+        fine = MeshSpec(family=family, eps=eps, n=n, a=a, q=q, gamma0=gamma0,
+                        layer_sides=layer_sides)
+        runs = (("direct", fine),
+                ("tg1", make_plan(replace(fine, n=N), "tg1", fine_n=n)))
+        seconds = [[sum(step[2] for step in run_algorithm(problem, *run))
+                    for run in runs] for _ in range(repeats)]
+        direct, tg = (min(column) for column in zip(*seconds))
+        rows.append(TimingRow(N=N, n=n, direct_seconds=direct, twogrid_seconds=tg))
     return rows

@@ -14,8 +14,8 @@ import json
 import sys
 
 from .bench import (ALGORITHMS, FORMATS, METRICS, ReportConfig, fmt_float,
-                    layer_report, nodal_error, render_layer_rows, run_algorithm,
-                    run_report, timing_comparison)
+                    layer_report, make_plan, nodal_error, render_layer_rows,
+                    run_algorithm, run_report, timing_comparison)
 from .mesh import MeshSpec
 from .newton import NoConvergenceError
 from .problems import PROBLEMS, make_problem
@@ -105,8 +105,9 @@ def _cmd_solve(args) -> int:
     spec = MeshSpec(family=args.mesh, eps=args.eps,
                     n=args.n if direct else args.coarse, a=args.a, q=args.q,
                     gamma0=args.gamma0, layer_sides=args.layer_sides)
-    steps = run_algorithm(problem, spec, args.algorithm, args.r, args.levels,
-                          None if direct else args.n)
+    plan = make_plan(spec, args.algorithm, args.r, args.levels,
+                     None if direct else args.n)
+    steps = run_algorithm(problem, args.algorithm, plan)
     mesh, out, _ = steps[-1]
     seconds = sum(step[2] for step in steps)
     error = None if problem.exact is None else nodal_error(mesh, out.y, problem.exact)
@@ -155,7 +156,7 @@ def _cmd_layers(args) -> int:
 def _cmd_bench(args) -> int:
     rows = timing_comparison(args.problem, args.mesh, args.eps, args.coarse,
                              a=args.a, q=args.q, gamma0=args.gamma0,
-                             repeats=args.repeats)
+                             repeats=args.repeats, layer_sides=args.layer_sides)
     print("N,n,direct_seconds,twogrid_seconds,ratio")
     for row in rows:
         print(f"{row.N},{row.n},{fmt_float(row.direct_seconds)},"

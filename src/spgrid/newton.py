@@ -284,14 +284,10 @@ def _start_vector(mesh: Mesh, problem, cfg: NewtonConfig,
     if isinstance(cfg.initial, np.ndarray):
         if len(cfg.initial) != mesh.n + 1:
             raise ValueError("initial guess length does not match mesh")
-        y = np.array(cfg.initial, dtype=float)
-    elif cfg.initial == "reduced":
-        y = reduced_initial(mesh, problem, src)
-    else:
-        y = np.zeros(mesh.n + 1)
-    y[0] = problem.bc_left
-    y[-1] = problem.bc_right
-    return y
+        return np.array(cfg.initial, dtype=float)
+    if cfg.initial == "reduced":
+        return reduced_initial(mesh, problem, src)
+    return np.zeros(mesh.n + 1)
 
 
 def _converged(updates: list, y: np.ndarray, tol: float) -> bool:
@@ -311,10 +307,12 @@ def _iterate(mesh: Mesh, problem, y: np.ndarray, slopes: np.ndarray | None,
              max_iter: int) -> SolveOutcome:
     """Newton steps from ``y`` until :func:`_converged` holds at ``tol``.
 
-    ``slopes``, the start's interval slopes, serve the first step only.  A
-    non-finite update raises; ``tol = inf`` accepts the first finite one.
-    ``newton_step`` is looked up at call time, so a rebinding reaches it.
+    ``y`` is pinned to the Dirichlet data in place.  ``slopes``, the start's
+    interval slopes, serve the first step only.  A non-finite update raises;
+    ``tol = inf`` accepts the first finite one.  ``newton_step`` is looked
+    up at call time, so a rebinding reaches it.
     """
+    y[0], y[-1] = problem.bc_left, problem.bc_right
     updates = []
     for _ in range(max_iter):
         y, upd = newton_step(mesh, problem, y, slopes=slopes, src=src, cpl=cpl)

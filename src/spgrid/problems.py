@@ -32,6 +32,17 @@ Callback2 = Callable[[np.ndarray, np.ndarray], np.ndarray]
 Callback1 = Callable[[np.ndarray], np.ndarray]
 
 
+def _check_eps_and_exact(p) -> None:
+    """The checks both problem records share: eps in (0, 1], and the exact
+    solution, if given, matching the Dirichlet data."""
+    if not 0.0 < p.eps <= 1.0:
+        raise ValueError("eps must lie in (0, 1]")
+    if p.exact is not None:
+        for x, bc, side in ((0.0, p.bc_left, "bc_left"), (1.0, p.bc_right, "bc_right")):
+            if abs(float(p.exact(np.array(x))) - bc) > 1e-12:
+                raise ValueError(f"exact({x:g}) does not match {side}")
+
+
 @dataclass(frozen=True)
 class SemilinearProblem:
     eps: float
@@ -44,13 +55,7 @@ class SemilinearProblem:
     source: Callback1 | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.eps <= 1.0:
-            raise ValueError("eps must lie in (0, 1]")
-        if self.exact is not None:
-            if abs(float(self.exact(np.array(0.0))) - self.bc_left) > 1e-12:
-                raise ValueError("exact(0) does not match bc_left")
-            if abs(float(self.exact(np.array(1.0))) - self.bc_right) > 1e-12:
-                raise ValueError("exact(1) does not match bc_right")
+        _check_eps_and_exact(self)
 
 
 @dataclass(frozen=True)
@@ -67,16 +72,10 @@ class QuasilinearDiffusionProblem:
     source: Callback1 | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.eps <= 1.0:
-            raise ValueError("eps must lie in (0, 1]")
+        _check_eps_and_exact(self)
         for bc in (self.bc_left, self.bc_right):
             if float(self.d(np.array(bc))) <= 0.0:
                 raise ValueError("diffusion factor not positive at boundary data")
-        if self.exact is not None:
-            if abs(float(self.exact(np.array(0.0))) - self.bc_left) > 1e-12:
-                raise ValueError("exact(0) does not match bc_left")
-            if abs(float(self.exact(np.array(1.0))) - self.bc_right) > 1e-12:
-                raise ValueError("exact(1) does not match bc_right")
 
 
 def example1(eps: float) -> SemilinearProblem:

@@ -131,8 +131,6 @@ def _fine_step(problem, fine_mesh: Mesh, prev_mesh: Mesh,
     the Newton loop to ``tol = inf``.  Neither the couplings nor the source
     are built ahead: held through the step, they would raise the peak memory."""
     w, slopes = interpolant_slopes(prev_mesh, prev_values, fine_mesh)
-    w[0] = problem.bc_left
-    w[-1] = problem.bc_right
     return _iterate(fine_mesh, problem, w, slopes, None, None, math.inf, 1)
 
 

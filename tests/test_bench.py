@@ -2,16 +2,19 @@ import csv
 import io
 import json
 import math
+import time
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
+from spgrid import bench
 from spgrid.bench import (ConvergenceRow, DegenerateError, MissingExactError,
                           Report, ReportConfig, convergence_order, fmt_float,
                           interpolant_error, layer_report, nodal_error,
                           render_layer_rows, run_report)
 from spgrid.mesh import MeshSpec, build_mesh
+from spgrid.newton import solve
 from spgrid.problems import PROBLEMS, example1
 
 
@@ -38,6 +41,47 @@ def test_interpolant_error_dominates_nodal():
     # linear exact data reproduces exactly
     lin = lambda x: 3.0 * x - 1.0
     assert interpolant_error(mesh, lin(mesh.nodes), lin) <= 1e-14
+
+
+def test_interpolant_error_is_eps_uniform_on_bakhvalov():
+    # a uniform sample set misses the layer intervals once eps << 1/(10 n)
+    # and falls to the nodal error; per-interval samples do not
+    errors = {}
+    for eps in (1e-4, 1e-6):
+        cfg = ReportConfig(problem="ex1", families=("bakhvalov",), eps_list=(eps,),
+                           n_list=(8, 16, 32, 64), algorithm="direct", a=4.0,
+                           metric="interpolant")
+        errors[eps] = [row.error for row in run_report(cfg).rows]
+    assert errors[1e-4] == pytest.approx(errors[1e-6], rel=1e-3)
+    assert errors[1e-6][0] > 0.1  # ten samples per interval give 0.139
+
+
+@pytest.mark.parametrize("family", ["shishkin", "bakhvalov", "vulanovic"])
+@pytest.mark.parametrize("eps", [1e-2, 1e-6])
+def test_interpolant_error_against_dense_sampling(family, eps):
+    # brute force: 1001 points in every interval through np.interp; the ten
+    # parts per interval are among them, and on these meshes they reach 98.7%
+    # of the dense maximum or more
+    p = example1(eps)
+    mesh = build_mesh(MeshSpec(family, eps, 8, a=4.0 if family == "bakhvalov" else 1.0))
+    y = solve(mesh, p).y
+    x = np.concatenate([np.linspace(mesh.nodes[i], mesh.nodes[i + 1], 1001)
+                        for i in range(mesh.n)])
+    dense = np.abs(p.exact(x) - np.interp(x, mesh.nodes, y)).max()
+    assert 0.98 * dense <= interpolant_error(mesh, y, p.exact) <= dense * (1 + 1e-12)
+
+
+def test_direct_step_seconds_include_mesh_build(monkeypatch):
+    # every step's clock covers its mesh build, as the two-grid steps' do
+    real = bench.build_mesh
+
+    def slow_build(spec):
+        time.sleep(0.05)
+        return real(spec)
+
+    monkeypatch.setattr(bench, "build_mesh", slow_build)
+    report = run_report(_small_cfg(algorithm="direct", n_list=(8,)))
+    assert report.rows[0].seconds >= 0.05
 
 
 def test_convergence_order_formula():

@@ -2,6 +2,9 @@ import csv
 import io
 import json
 
+import pytest
+
+from spgrid import bench, twogrid
 from spgrid.cli import main
 
 
@@ -91,6 +94,24 @@ def test_table_unknown_mesh_family_is_validation_error(capsys):
     assert "unknown mesh family 'nope'" in err
 
 
+@pytest.mark.parametrize("flags,message", [
+    (("--a", "-1"), "a must be positive"),
+    (("--q", "0.7"), "q must lie in (0, 0.5)"),
+    (("--gamma0", "-1"), "gamma0 must be positive"),
+    (("--algorithm", "tg2", "--levels", "0"), "cascade_levels must be at least 1"),
+])
+def test_table_invalid_mesh_or_plan_parameter_is_validation_error(capsys, flags,
+                                                                  message):
+    # the mesh spec and the two-grid plan own these checks; their errors are
+    # bad input (exit 2), not failed cells (exit 3)
+    code, out, err = run_cli(capsys, "table", "--problem", "ex1", "--eps", "0.01",
+                             "--coarse", "8,16", "--mesh", "bakhvalov",
+                             "--format", "csv", *flags)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_table_markdown_default(capsys):
     code, out, err = run_cli(capsys, "table", "--problem", "ex2",
                              "--mesh", "vulanovic", "--eps", "0.01",
@@ -117,6 +138,26 @@ def test_bench_command(capsys):
     assert lines[0] == "N,n,direct_seconds,twogrid_seconds,ratio"
     assert len(lines) == 2
     assert int(lines[1].split(",")[1]) == 64
+
+
+def test_bench_honors_layer_sides(capsys, monkeypatch):
+    specs = []
+
+    def recording(real):
+        def build_mesh(spec):
+            specs.append(spec)
+            return real(spec)
+        return build_mesh
+
+    for module in (bench, twogrid):
+        monkeypatch.setattr(module, "build_mesh", recording(module.build_mesh))
+    code, out, err = run_cli(capsys, "bench", "--problem", "ex2",
+                             "--mesh", "vulanovic", "--eps", "0.01", "--a", "2",
+                             "--coarse", "8", "--repeats", "1",
+                             "--layer-sides", "left")
+    assert code == 0
+    assert sorted(spec.n for spec in specs) == [8, 64, 64]
+    assert {spec.layer_sides for spec in specs} == {"left"}
 
 
 def test_parser_is_built_once_and_reused(capsys):

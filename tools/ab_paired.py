@@ -21,7 +21,7 @@ changed.
 from __future__ import annotations
 
 import argparse
-import importlib.util
+import importlib
 import random
 import sys
 import time
@@ -29,22 +29,10 @@ from pathlib import Path
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parent.parent
+from toolbox import ROOT, load, perfbench
+
 SIDES = ("parent", "change")
-
-
-def _load(name: str, path: Path, package_dir: Path | None = None):
-    """Import the file ``path`` as module ``name`` (a package if it has a dir)."""
-    search = None if package_dir is None else [str(package_dir)]
-    spec = importlib.util.spec_from_file_location(
-        name, path, submodule_search_locations=search)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-wl = _load("ab_paired_workloads", ROOT / "perfbench" / "workloads.py")
+wl = perfbench("workloads")
 
 
 def load_spgrid(checkout: Path, name: str):
@@ -54,7 +42,7 @@ def load_spgrid(checkout: Path, name: str):
         raise ValueError(f"module {name!r} is already loaded")
     if not (package_dir / "__init__.py").is_file():
         raise FileNotFoundError(f"no spgrid sources under {checkout / 'src'}")
-    sp = _load(name, package_dir / "__init__.py", package_dir)
+    sp = load(name, package_dir / "__init__.py", package_dir)
     importlib.import_module(f"{name}.cli")
     return sp
 

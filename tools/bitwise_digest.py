@@ -30,20 +30,15 @@ from pathlib import Path
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parent.parent
+from toolbox import ROOT, Tracer, import_spgrid, perfbench
+
+grading = perfbench("workloads").grading
 PROBLEMS = ("ex1", "ex2", "ex2log")
 FAMILIES = ("uniform", "shishkin", "bakhvalov", "vulanovic")
 EPS = (1e-2, 1e-4, 1e-6)
 SOLVE_N = (64, 4096, 65536)
 CASCADES = ((8, 2), (16, 2), (256, 1))
 KINDS = ("mesh", "newton", "interp", "out")
-
-
-def grading(problem: str, family: str) -> float:
-    """The benchmark's ``a``: 2 for ex2, else 4 on Bakhvalov and 1 otherwise."""
-    if problem.startswith("ex2"):
-        return 2.0
-    return 4.0 if family == "bakhvalov" else 1.0
 
 
 def cases():
@@ -63,11 +58,31 @@ def case_key(case) -> str:
     return f"{problem} {family} {eps!r} {algorithm} {size}{tail}"
 
 
-class _Recorder:
-    """Running sha256 per kind; the wrappers feed it while a case runs."""
+class _Recorder(Tracer):
+    """Running sha256 per kind, fed by its hooks on ``newton_step`` and
+    ``interpolant_slopes`` while a case runs."""
 
     def __init__(self):
+        super().__init__()
         self.hashes = {kind: hashlib.sha256() for kind in KINDS}
+
+    def wrap(self, name: str, fn, counters=None):
+        if name == "newton.newton_step":
+            def newton_step(mesh, problem, y, slopes=None, **kw):
+                self.add("newton", y, slopes)
+                y_new, update = fn(mesh, problem, y, slopes=slopes, **kw)
+                self.add("newton", y_new, update)
+                return y_new, update
+
+            return newton_step
+        if name == "twogrid.interpolant_slopes":
+            def interpolant_slopes(coarse, values, fine):
+                w, slopes = fn(coarse, values, fine)
+                self.add("interp", w, slopes)
+                return w, slopes
+
+            return interpolant_slopes
+        return fn
 
     def add(self, kind: str, *items) -> None:
         h = self.hashes[kind]
@@ -89,43 +104,16 @@ class _Recorder:
         return " ".join(f"{k}={self.hashes[k].hexdigest()[:16]}" for k in KINDS)
 
 
-def _wrap(sp, recorder: _Recorder):
-    """Rebind newton_step and interpolant_slopes in every module that holds
-    the name (newton and twogrid); returns the undo list."""
-
-    def newton_step(mesh, problem, y, slopes=None, **kw):
-        recorder.add("newton", y, slopes)
-        y_new, update = real_step(mesh, problem, y, slopes=slopes, **kw)
-        recorder.add("newton", y_new, update)
-        return y_new, update
-
-    def interpolant_slopes(coarse, values, fine):
-        w, slopes = real_interp(coarse, values, fine)
-        recorder.add("interp", w, slopes)
-        return w, slopes
-
-    real_step = sp.newton.newton_step
-    real_interp = sp.twogrid.interpolant_slopes
-    undo = []
-    for module in (sp.newton, sp.twogrid):
-        for name, fn in (("newton_step", newton_step),
-                         ("interpolant_slopes", interpolant_slopes)):
-            if name in vars(module):
-                undo.append((module, name, getattr(module, name)))
-                setattr(module, name, fn)
-    return undo
-
-
 def digest_case(sp, case) -> str:
     """One output line: the case key and a digest per kind (or the error)."""
     problem, family, eps, algorithm, size, levels = case
     recorder = _Recorder()
-    undo = _wrap(sp, recorder)
+    recorder.install(sp)
     try:
         prob = sp.problems.make_problem(problem[:3], eps)
         if problem == "ex2log":
             prob = sp.problems.log_transform(prob)
-        spec = sp.mesh.MeshSpec(family, eps, size, a=grading(problem, family))
+        spec = sp.mesh.MeshSpec(family, eps, size, a=grading(problem[:3], family))
         if algorithm == "solve":
             mesh = sp.mesh.build_mesh(spec)
             recorder.add_mesh(mesh)
@@ -141,19 +129,8 @@ def digest_case(sp, case) -> str:
         message = hashlib.sha256(str(err).encode()).hexdigest()[:16]
         return f"{case_key(case)} error={type(err).__name__}:{message}"
     finally:
-        for module, name, fn in undo:
-            setattr(module, name, fn)
+        recorder.uninstall()
     return f"{case_key(case)} {recorder.line()}"
-
-
-def import_spgrid(src: Path):
-    """Import ``spgrid`` from ``src`` and nowhere else."""
-    sys.path.insert(0, str(src))
-    import spgrid
-
-    if Path(spgrid.__file__).resolve().parent != src.resolve() / "spgrid":
-        raise SystemExit(f"spgrid imported from {spgrid.__file__}, not {src}")
-    return spgrid
 
 
 def main(argv=None) -> int:

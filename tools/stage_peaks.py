@@ -5,73 +5,63 @@
 Runs one ``twogrid.algorithm1`` (coarse N, fine n = N^2) and then one
 ``newton.solve`` on the fine mesh, with tracemalloc on.  The stages are the
 ``mesh``, ``linsolve``, ``newton`` and ``twogrid`` functions that
-``perfbench/tracing.py`` spans, under the tracer's span names; each is
-rebound in every spgrid module that holds it, as ``tools/bitwise_digest.py``
-rebinds ``newton_step``, and every binding is restored afterwards.  For each
-stage the tool prints its calls and, for the call with the highest peak, the
-traced memory live at entry and the peak inside, both divided by ``8 n``
-bytes (one float64 array per fine interval).  A stage's peak includes its
-inputs and whatever its callers hold, so it is the process's working set
-at that point of the run, counted from the start of the run.
+``perfbench/tracing.py`` spans, under the tracer's span names; the tracer
+rebinds each in every spgrid module that holds it, as it does for
+``tools/bitwise_digest.py``'s hooks, and restores every binding afterwards.
+For each stage the tool prints its calls and, for the call with the
+highest peak, the traced memory live at entry and the peak inside, both
+divided by ``8 n`` bytes (one float64 array per fine interval).  A stage's
+peak includes its inputs and whatever its callers hold, so it is the
+process's working set at that point of the run, counted from the start of
+the run.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from toolbox import ROOT, Tracer, import_spgrid, perfbench
+
 MODULES = ("mesh", "linsolve", "newton", "twogrid")
 RUNS = ("algorithm1", "solve")
 
 
-def _perfbench(name: str):
-    """``perfbench/<name>.py`` as a module (perfbench is no package)."""
-    spec = importlib.util.spec_from_file_location(
-        f"stage_peaks_{name}", ROOT / "perfbench" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
-def _tracer_targets():
-    """``(module, function, span name)`` of the tracer's targets in MODULES."""
-    return [(module, func, name) for module, func, name, _ in _perfbench("tracing").TARGETS
-            if module in MODULES]
-
-
-class _Peaks:
-    """Per stage: calls and the ``(entry, peak)`` bytes of its highest call.
+class _Peaks(Tracer):
+    """Per stage in MODULES: calls and the ``(entry, peak)`` bytes of its
+    highest call.
 
     tracemalloc keeps one peak, so a stage folds the peak reached so far into
     its caller's before resetting it, and hands its own peak up on return.
     """
 
     def __init__(self):
+        super().__init__()
         self.stages = {}
-        self._stack = []
+        self._frames = []
 
-    def wrap(self, name: str, fn):
+    def wrap(self, name: str, fn, counters=None):
+        if name.split(".")[0] not in MODULES:
+            return fn
+
         def staged(*args, **kwargs):
             entry, peak = tracemalloc.get_traced_memory()
             self.stages.setdefault(name, (0, (0, -1)))  # listed in call order
-            if self._stack:
-                self._stack[-1][1] = max(self._stack[-1][1], peak)
+            if self._frames:
+                self._frames[-1][1] = max(self._frames[-1][1], peak)
             frame = [entry, entry]
-            self._stack.append(frame)
+            self._frames.append(frame)
             tracemalloc.reset_peak()
             try:
                 return fn(*args, **kwargs)
             finally:
                 frame[1] = max(frame[1], tracemalloc.get_traced_memory()[1])
-                self._stack.pop()
-                if self._stack:
-                    self._stack[-1][1] = max(self._stack[-1][1], frame[1])
+                self._frames.pop()
+                if self._frames:
+                    self._frames[-1][1] = max(self._frames[-1][1], frame[1])
                 calls, best = self.stages[name]
                 self.stages[name] = (calls + 1, max(best, tuple(frame),
                                                     key=lambda f: f[1]))
@@ -79,25 +69,10 @@ class _Peaks:
         return staged
 
 
-def _install(sp, peaks: _Peaks) -> list:
-    """Rebind every target in every module that holds it; returns the undo list."""
-    modules = [getattr(sp, m) for m in MODULES]
-    undo = []
-    for module, func, name in _tracer_targets():
-        original = getattr(getattr(sp, module), func)
-        staged = peaks.wrap(name, original)
-        for holder in modules:
-            for attr, value in list(vars(holder).items()):
-                if value is original:
-                    undo.append((holder, attr, value))
-                    setattr(holder, attr, staged)
-    return undo
-
-
 def stage_peaks(sp, problem: str, family: str, eps: float, coarse: int) -> dict:
     """``{run: {stage: (calls, entry, peak)}}`` in n-sized arrays, for both RUNS."""
     prob = sp.problems.make_problem(problem, eps)
-    a = _perfbench("workloads").grading(problem, family)  # the benchmark's grading
+    a = perfbench("workloads").grading(problem, family)  # the benchmark's grading
     spec = sp.mesh.MeshSpec(family, eps, coarse, a=a)
     plan = sp.twogrid.TwoGridPlan(coarse=spec)
     n = plan.single_fine_size()
@@ -111,29 +86,18 @@ def stage_peaks(sp, problem: str, family: str, eps: float, coarse: int) -> dict:
     try:
         for run in RUNS:
             peaks = _Peaks()
-            undo = _install(sp, peaks)
+            peaks.install(sp)
             try:
                 tracemalloc.clear_traces()
                 runs[run]()
             finally:
-                for holder, attr, value in undo:
-                    setattr(holder, attr, value)
+                peaks.uninstall()
             out[run] = {name: (calls, entry / (8 * n), peak / (8 * n))
                         for name, (calls, (entry, peak)) in peaks.stages.items()}
     finally:
         if started:
             tracemalloc.stop()
     return out
-
-
-def import_spgrid(src: Path):
-    """Import ``spgrid`` from ``src`` and nowhere else."""
-    sys.path.insert(0, str(src))
-    import spgrid
-
-    if Path(spgrid.__file__).resolve().parent != src.resolve() / "spgrid":
-        raise SystemExit(f"spgrid imported from {spgrid.__file__}, not {src}")
-    return spgrid
 
 
 def main(argv=None) -> int:
