@@ -207,7 +207,7 @@ def make_plan(spec: MeshSpec, algorithm: str, r: float = 2.0, levels: int = 2,
     if algorithm == "direct":
         return spec
     if algorithm == "tg2":
-        return TwoGridPlan(coarse=spec, r=r, cascade_levels=levels)
+        return TwoGridPlan(coarse=spec, cascade_levels=levels)  # r is tg1's
     if algorithm == "tg1_ropt":
         r, fine_n = choose_r(spec.n)
     elif algorithm != "tg1":
@@ -343,6 +343,8 @@ def timing_comparison(problem_id: str, family: str, eps: float,
     Absolute times are hardware-bound; only the ratio is meaningful, and
     only once n is large enough that the coarse stage is negligible.
     """
+    if repeats < 1:
+        raise ValueError("repeats must be at least 1")
     problem = make_problem(problem_id, eps)
     rows = []
     for N in coarse_sizes:

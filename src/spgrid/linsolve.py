@@ -41,8 +41,9 @@ class ZeroPivotError(RuntimeError):
 class TridiagonalSystem:
     """Interior system for unknowns ``y_1 ... y_{n-1}``.
 
-    All four arrays have length ``n - 1``; ``sub[0]`` and ``sup[-1]`` are
-    zero by convention.  A Newton Jacobian leaves ``rhs`` None: its
+    All four arrays have length ``n - 1``; ``sub[0]`` and ``sup[-1]`` hold
+    the couplings to the boundary values and are never read by
+    :func:`thomas_solve`.  A Newton Jacobian leaves ``rhs`` None: its
     right-hand side is the residual, supplied by the caller.
     """
 
@@ -57,16 +58,14 @@ class Couplings:
     """The parts of the stencil rows that depend on the mesh and eps alone.
 
     ``scale_l = -eps^2/(hbar_i h_i)`` and ``scale_r = -eps^2/(hbar_i
-    h_{i+1})`` couple row i through its left and its right interval.  For
-    unit flux weights the rows' off-diagonals ``sub``/``sup`` and the sum
-    ``total = scale_l + scale_r`` are fixed too; otherwise they are None.
-    All arrays are read-only, because every Newton iteration shares them.
+    h_{i+1})`` couple row i through its left and its right interval; for
+    unit flux weights they are the rows' off-diagonals ``sub``/``sup``, and
+    their sum ``total`` is fixed too (None unless asked for).  All arrays
+    are read-only, because every Newton iteration shares them.
     """
 
     scale_l: np.ndarray
     scale_r: np.ndarray
-    sub: np.ndarray | None = None
-    sup: np.ndarray | None = None
     total: np.ndarray | None = None
 
 
@@ -79,17 +78,13 @@ def _values(func_or_array, x: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _off_diagonals(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return np.concatenate(([0.0], lower[1:])), np.concatenate((upper[:-1], [0.0]))
-
-
 def _scale(mesh: Mesh, eps: float, h: np.ndarray) -> np.ndarray:
     """``-eps^2/(hbar_i h)`` for ``h = steps[:-1]`` (left) or ``steps[1:]`` (right)."""
     return -(eps * eps) / (mesh.half_steps * h)
 
 
 def couplings(mesh: Mesh, eps: float, unit: bool = False) -> Couplings:
-    """Build the :class:`Couplings` of ``mesh``; ``unit`` adds the unit-weight rows.
+    """Build the :class:`Couplings` of ``mesh``; ``unit`` adds their sum.
 
     Build them once per solve and pass them to :func:`stencil` for every
     Jacobian; a one-shot assembly needs none.
@@ -98,7 +93,7 @@ def couplings(mesh: Mesh, eps: float, unit: bool = False) -> Couplings:
     scale_r = _scale(mesh, eps, mesh.steps[1:])
     arrays = [scale_l, scale_r]
     if unit:
-        arrays += [*_off_diagonals(scale_l, scale_r), scale_l + scale_r]
+        arrays.append(scale_l + scale_r)
     for arr in arrays:
         arr.flags.writeable = False
     return Couplings(*arrays)
@@ -115,21 +110,16 @@ def stencil(mesh: Mesh, eps: float, b: np.ndarray, rhs: np.ndarray | None,
     ``left`` are per-interval arrays, given together; both default to one,
     the plain second difference.  Dirichlet data is folded into ``rhs`` in
     place (a None ``rhs`` stays None).  ``cpl`` are this mesh's
-    :func:`couplings`, built here when not given; with the unit-weight
-    rows cached, unit weights cost one subtraction.  Weighted rows are
+    :func:`couplings`, the unit-weight bands themselves; with ``total``
+    cached, unit weights cost one subtraction.  Weighted rows are
     written straight into their bands, each band one array of ``n - 1``.
     """
     if right is None:  # unit weights: the same rows without four products
-        if cpl is None:
-            cpl = couplings(mesh, eps)
-        scale_l, scale_r = cpl.scale_l, cpl.scale_r
-        lower, upper = scale_l[0], scale_r[-1]
-        if cpl.total is None:
-            diag = b - (scale_l + scale_r)
-            sub, sup = _off_diagonals(scale_l, scale_r)
-        else:
-            diag = b - cpl.total
-            sub, sup = cpl.sub, cpl.sup
+        if cpl is None:  # bands of its own, not the read-only cached ones
+            cpl = Couplings(_scale(mesh, eps, mesh.steps[:-1]),
+                            _scale(mesh, eps, mesh.steps[1:]))
+        sub, sup = cpl.scale_l, cpl.scale_r
+        diag = b - (sub + sup if cpl.total is None else cpl.total)
     else:
         # without cached couplings, one side's at a time: a band fewer at the peak
         scale = _scale(mesh, eps, mesh.steps[:-1]) if cpl is None else cpl.scale_l
@@ -141,11 +131,9 @@ def stencil(mesh: Mesh, eps: float, b: np.ndarray, rhs: np.ndarray | None,
         diag += sup
         np.subtract(b, diag, out=diag)
         np.multiply(scale, right[1:], out=sup)
-        lower, upper = sub[0], sup[-1]
-        sub[0] = sup[-1] = 0.0
     if rhs is not None:
-        rhs[0] -= lower * bc_left
-        rhs[-1] -= upper * bc_right
+        rhs[0] -= sub[0] * bc_left
+        rhs[-1] -= sup[-1] * bc_right
     return TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs)
 
 
@@ -171,10 +159,11 @@ REDUCTION_BASE = 128
 def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
     """Odd-even cyclic reduction to ``REDUCTION_BASE`` rows, then Thomas.
 
-    Even-length levels get a decoupled unit row appended, trimmed again on
-    the way back.  A zero or non-finite pivot raises :class:`ZeroPivotError`.
-    Levels free their temporaries early and are dropped once solved, so the
-    solve holds at most about four arrays of the system's length besides its input.
+    ``sub[0]`` and ``sup[-1]`` are never read.  Even-length levels get a
+    decoupled unit row appended, trimmed again on the way back.  A zero or
+    non-finite pivot raises :class:`ZeroPivotError`.  Levels free their
+    temporaries early and are dropped once solved, so the solve holds at
+    most about four arrays of the system's length besides its input.
     """
     a, b, c, d = sys.sub, sys.diag, sys.sup, sys.rhs
     levels = []
@@ -183,7 +172,7 @@ def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
         if m % 2 == 0:  # a decoupled unit row; one band at a time, so each
             a = np.append(a, 0.0)  # old band goes before the next is copied
             b = np.append(b, 1.0)
-            c = np.append(c, 0.0)
+            c = np.append(c[:-1], (0.0, 0.0))  # zeroes old sup[-1], read by odd row m - 1
             d = np.append(d, 0.0)
         ao, bo, co, do = a[1::2], b[1::2], c[1::2], d[1::2]
         size = np.abs(bo)
@@ -211,6 +200,7 @@ def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
         levels.append((m, ao, co, do, ninv))
     # scalar Thomas elimination; row i here is row i << len(levels) above
     sub, diag, sup, rhs = a.tolist(), b.tolist(), c.tolist(), d.tolist()
+    sub[0] = 0.0  # sup[-1] only reaches c[-1], which no row reads
     m = len(diag)
     c = [0.0] * m
     d = [0.0] * m

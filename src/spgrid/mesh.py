@@ -69,10 +69,10 @@ class MeshSpec:
             raise ValueError("eps must lie in (0, 1]")
         if self.n < 2:
             raise ValueError("n must be at least 2")
-        if self.gamma0 <= 0.0:
+        if not self.gamma0 > 0.0:  # NaN fails too
             raise ValueError("gamma0 must be positive")
         if self.family in GRADED:
-            if self.a <= 0.0:
+            if not self.a > 0.0:
                 raise ValueError("a must be positive")
             if not 0.0 < self.q < 0.5:
                 raise ValueError("q must lie in (0, 0.5)")

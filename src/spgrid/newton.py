@@ -74,7 +74,7 @@ class NewtonConfig:
     initial: InitialGuess = "reduced"
 
     def __post_init__(self) -> None:
-        if self.tol <= 0.0:
+        if not self.tol > 0.0:  # NaN fails too
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")

@@ -34,8 +34,9 @@ class TwoGridPlan:
 
     ``coarse`` fixes the mesh family, parameters and the coarse interval
     count N.  For the single fine step the fine size is ``fine_n`` if
-    given, else ``round(N**r)``.  For the cascade, level m uses
-    ``N**(2**m)`` intervals, m = 1 .. cascade_levels.
+    given, else ``round(N**r)``; it must exceed N, and r must be finite.
+    For the cascade, level m uses ``N**(2**m)`` intervals, m = 1 ..
+    cascade_levels; it ignores r.
     """
 
     coarse: MeshSpec
@@ -44,15 +45,20 @@ class TwoGridPlan:
     cascade_levels: int = 1
 
     def __post_init__(self) -> None:
-        if self.r <= 1.0:
-            raise ValueError("r must exceed 1")
+        if not 1.0 < self.r < math.inf:  # NaN fails too
+            raise ValueError("r must be finite and exceed 1")
         if self.cascade_levels < 1:
             raise ValueError("cascade_levels must be at least 1")
-        if self.fine_n is not None and self.fine_n <= self.coarse.n:
+        # the single fine level must refine; round(N**r) in logs: N**r can overflow
+        if (self.fine_n <= self.coarse.n if self.fine_n is not None
+                else self.r * math.log(self.coarse.n) <= math.log(self.coarse.n + 0.5)):
             raise ValueError("fine grid must be strictly finer than coarse")
 
     def single_fine_size(self) -> int:
-        n = self.fine_n if self.fine_n is not None else round(self.coarse.n ** self.r)
+        n = self.fine_n
+        if n is None:  # an N**r past twice the budget is not computed: it can overflow
+            fits = self.r * math.log(self.coarse.n) < math.log(2 * MAX_INTERVALS)
+            n = round(self.coarse.n ** self.r) if fits else math.inf
         if n > MAX_INTERVALS:
             raise ValueError(f"fine size {n} exceeds the {MAX_INTERVALS} interval budget")
         return n

@@ -99,6 +99,12 @@ def test_table_unknown_mesh_family_is_validation_error(capsys):
     (("--q", "0.7"), "q must lie in (0, 0.5)"),
     (("--gamma0", "-1"), "gamma0 must be positive"),
     (("--algorithm", "tg2", "--levels", "0"), "cascade_levels must be at least 1"),
+    (("--a", "nan"), "a must be positive"),
+    (("--mesh", "shishkin", "--gamma0", "nan"), "gamma0 must be positive"),
+    (("--algorithm", "tg1", "--r", "nan"), "r must be finite and exceed 1"),
+    (("--algorithm", "tg1", "--r", "inf"), "r must be finite and exceed 1"),
+    # round(8**1.0001) = 8: a "fine" level of the coarse size
+    (("--algorithm", "tg1", "--r", "1.0001"), "fine grid must be strictly finer"),
 ])
 def test_table_invalid_mesh_or_plan_parameter_is_validation_error(capsys, flags,
                                                                   message):
@@ -110,6 +116,18 @@ def test_table_invalid_mesh_or_plan_parameter_is_validation_error(capsys, flags,
     assert code == 2
     assert out == ""
     assert message in err
+
+
+def test_table_fine_size_over_the_budget_is_a_failed_cell(capsys):
+    # 8**1000 overflows a float: the budget check must not form it
+    code, out, err = run_cli(capsys, "table", "--problem", "ex1", "--eps", "0.01",
+                             "--coarse", "8", "--mesh", "bakhvalov",
+                             "--algorithm", "tg1", "--r", "1000", "--format", "json")
+    assert code == 3
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 1
+    assert rows[0]["failed"].startswith("ValueError: fine size")
+    assert "interval budget" in rows[0]["failed"]
 
 
 def test_table_markdown_default(capsys):
@@ -138,6 +156,15 @@ def test_bench_command(capsys):
     assert lines[0] == "N,n,direct_seconds,twogrid_seconds,ratio"
     assert len(lines) == 2
     assert int(lines[1].split(",")[1]) == 64
+
+
+def test_bench_zero_repeats_is_validation_error(capsys):
+    code, out, err = run_cli(capsys, "bench", "--problem", "ex1",
+                             "--mesh", "vulanovic", "--eps", "0.01",
+                             "--coarse", "8", "--repeats", "0", "--a", "1")
+    assert code == 2
+    assert out == ""
+    assert "repeats must be at least 1" in err
 
 
 def test_bench_honors_layer_sides(capsys, monkeypatch):

@@ -150,8 +150,7 @@ def test_thomas_leaves_its_input_unchanged(m):
     # Newton shares the cached off-diagonals between iterations
     rng = np.random.default_rng(m)
     sub = rng.uniform(-1.0, 0.0, m)
-    sup = rng.uniform(-1.0, 0.0, m)
-    sub[0] = sup[-1] = 0.0
+    sup = rng.uniform(-1.0, 0.0, m)  # the band ends too: never read, never written
     diag = 2.0 + rng.uniform(0.0, 1.0, m)
     rhs = rng.normal(size=m)
     arrays = (sub, diag, sup, rhs)
@@ -161,13 +160,30 @@ def test_thomas_leaves_its_input_unchanged(m):
         assert np.array_equal(v, before)
 
 
+@pytest.mark.parametrize("m", [3, B, B + 1, B + 2, 4097, 4098])
+@pytest.mark.parametrize("end", [np.nan, np.inf, -np.inf])
+def test_thomas_never_reads_the_band_ends(m, end):
+    # sub[0] and sup[-1] hold the boundary couplings: whatever they are, the
+    # solution is the one of zero ends, bit for bit, on every path
+    rng = np.random.default_rng(m)
+    sub = rng.uniform(-1.0, 0.0, m)
+    sup = rng.uniform(-1.0, 0.0, m)
+    diag = 2.0 + rng.uniform(0.0, 1.0, m)
+    rhs = rng.normal(size=m)
+    sub[0] = sup[-1] = 0.0
+    want = thomas_solve(TridiagonalSystem(sub, diag, sup, rhs))
+    sub[0] = sup[-1] = end
+    got = thomas_solve(TridiagonalSystem(sub, diag, sup, rhs))
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("unit", [True, False])
 def test_cached_couplings_are_read_only_and_give_the_same_rows(unit):
     rng = np.random.default_rng(5)
     mesh = build_mesh(MeshSpec("bakhvalov", 1e-4, 257, a=2.0))
     cpl = couplings(mesh, 1e-4, unit=unit)
     cached = [v for v in vars(cpl).values() if v is not None]
-    assert len(cached) == (5 if unit else 2)
+    assert len(cached) == (3 if unit else 2)  # scale_l, scale_r (and total)
     assert not any(v.flags.writeable for v in cached)
     b = rng.uniform(0.5, 2.0, mesh.n - 1)
     weights = {} if unit else {"right": rng.uniform(0.5, 2.0, mesh.n),

@@ -406,8 +406,9 @@ def test_explicit_initial_guess_and_validation():
     assert out.converged
     with pytest.raises(ValueError):
         solve(mesh, p, NewtonConfig(initial=np.zeros(5)))
-    with pytest.raises(ValueError):
-        NewtonConfig(tol=0.0)
+    for tol in (0.0, np.nan):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            NewtonConfig(tol=tol)
     with pytest.raises(ValueError):
         NewtonConfig(initial="nonsense")
 

@@ -41,6 +41,15 @@ def test_fine_step_peak_stays_at_its_level(problem, family, ceiling):
             assert calls >= 1 and 0.0 <= entry <= peak
 
 
+# The direct ex1 solve on the same mesh peaks at 11.2 arrays, in its
+# tridiagonal solve: the semilinear Jacobians take the cached couplings as
+# their off-diagonals, so a second n-sized copy of each band lifts it past 11.5.
+def test_direct_solve_peak_holds_one_copy_of_the_bands():
+    peaks = _tool().stage_peaks(spgrid, "ex1", "bakhvalov", 1e-4, 128)
+    direct = peaks["solve"]["newton.solve"]
+    assert direct[2] <= 11.5, direct
+
+
 def test_main_prints_one_line_per_stage(monkeypatch, capsys):
     tool = _tool()
     monkeypatch.setattr(sys, "path", list(sys.path))  # main() prepends --src
