@@ -19,7 +19,6 @@ import csv
 import io
 import json
 import math
-import time
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Mapping, Sequence
 
@@ -27,9 +26,9 @@ import numpy as np
 
 from .linsolve import ZeroPivotError
 from .mesh import Mesh, MeshSpec, NoRootError, build_mesh, layer_fraction
-from .newton import NoConvergenceError, solve as newton_solve
+from .newton import NoConvergenceError
 from .problems import make_problem
-from .twogrid import TwoGridPlan, algorithm1, algorithm2, choose_r
+from .twogrid import TwoGridPlan, _run, algorithm1, algorithm2, choose_r
 
 ALGORITHMS = ("direct", "tg1", "tg2", "tg1_ropt")
 FORMATS = ("markdown", "csv", "json")
@@ -218,14 +217,10 @@ def make_plan(spec: MeshSpec, algorithm: str, r: float = 2.0, levels: int = 2,
 def run_algorithm(problem, algorithm: str, plan: MeshSpec | TwoGridPlan) -> list:
     """Run a :func:`make_plan` plan; ``(mesh, outcome, seconds)`` per step.
 
-    A step's seconds include the build of its mesh.
+    A step's seconds include the build of its mesh; ``direct`` has no fine step.
     """
-    if algorithm == "direct":
-        t0 = time.perf_counter()
-        mesh = build_mesh(plan)
-        out = newton_solve(mesh, problem)
-        return [(mesh, out, time.perf_counter() - t0)]
-    result = (algorithm2 if algorithm == "tg2" else algorithm1)(problem, plan)
+    result = (_run(problem, plan, []) if algorithm == "direct" else
+              (algorithm2 if algorithm == "tg2" else algorithm1)(problem, plan))
     return list(zip([result.coarse_mesh] + result.fine_meshes,
                     [result.coarse] + result.fine, result.step_seconds))
 
@@ -346,15 +341,15 @@ def timing_comparison(problem_id: str, family: str, eps: float,
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
     problem = make_problem(problem_id, eps)
+    plans = [make_plan(MeshSpec(family=family, eps=eps, n=N, a=a, q=q, gamma0=gamma0,
+                                layer_sides=layer_sides), "tg1", fine_n=N * N)
+             for N in coarse_sizes]
+    sizes = [plan.single_fine_size() for plan in plans]  # before any run is timed
     rows = []
-    for N in coarse_sizes:
-        n = N * N
-        fine = MeshSpec(family=family, eps=eps, n=n, a=a, q=q, gamma0=gamma0,
-                        layer_sides=layer_sides)
-        runs = (("direct", fine),
-                ("tg1", make_plan(replace(fine, n=N), "tg1", fine_n=n)))
+    for plan, n in zip(plans, sizes):
+        runs = (("direct", replace(plan.coarse, n=n)), ("tg1", plan))
         seconds = [[sum(step[2] for step in run_algorithm(problem, *run))
                     for run in runs] for _ in range(repeats)]
         direct, tg = (min(column) for column in zip(*seconds))
-        rows.append(TimingRow(N=N, n=n, direct_seconds=direct, twogrid_seconds=tg))
+        rows.append(TimingRow(plan.coarse.n, n, direct, tg))
     return rows

@@ -141,6 +141,10 @@ def _cmd_table(args) -> int:
                        gamma0=args.gamma0, layer_sides=args.layer_sides)
     report = run_report(cfg)
     print(report.render(), end="")
+    for row in report.rows:  # the CSV has no column for the reason
+        if row.failed is not None:
+            print(f"error: {row.mesh} eps={row.eps:g} N={row.N}: {row.failed}",
+                  file=sys.stderr)
     return EXIT_NO_CONVERGENCE if report.failed_cells() else EXIT_OK
 
 

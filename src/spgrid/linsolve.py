@@ -22,7 +22,7 @@ elimination.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,8 +43,8 @@ class TridiagonalSystem:
 
     All four arrays have length ``n - 1``; ``sub[0]`` and ``sup[-1]`` hold
     the couplings to the boundary values and are never read by
-    :func:`thomas_solve`.  A Newton Jacobian leaves ``rhs`` None: its
-    right-hand side is the residual, supplied by the caller.
+    :func:`thomas_solve`.  :func:`stencil` leaves ``rhs`` None: :func:`assemble`
+    supplies it, and a Newton step its residual.
     """
 
     sub: np.ndarray
@@ -99,19 +99,17 @@ def couplings(mesh: Mesh, eps: float, unit: bool = False) -> Couplings:
     return Couplings(*arrays)
 
 
-def stencil(mesh: Mesh, eps: float, b: np.ndarray, rhs: np.ndarray | None,
+def stencil(mesh: Mesh, eps: float, b: np.ndarray,
             right: np.ndarray | None = None, left: np.ndarray | None = None,
-            bc_left: float = 0.0, bc_right: float = 0.0,
             cpl: Couplings | None = None) -> TridiagonalSystem:
     """Three-point rows of ``-eps^2/hbar_i (phi_{i+1/2} - phi_{i-1/2}) + b_i y_i``.
 
     The flux on interval j (nodes j, j+1) is linear in its end values,
     ``phi_j = (right_j y_{j+1} - left_j y_j) / h_j``.  ``right`` and
     ``left`` are per-interval arrays, given together; both default to one,
-    the plain second difference.  Dirichlet data is folded into ``rhs`` in
-    place (a None ``rhs`` stays None).  ``cpl`` are this mesh's
-    :func:`couplings`, the unit-weight bands themselves; with ``total``
-    cached, unit weights cost one subtraction.  Weighted rows are
+    the plain second difference; the rows leave ``rhs`` None.  ``cpl`` are
+    this mesh's :func:`couplings`, the unit-weight bands themselves; with
+    ``total`` cached, unit weights cost one subtraction.  Weighted rows are
     written straight into their bands, each band one array of ``n - 1``.
     """
     if right is None:  # unit weights: the same rows without four products
@@ -131,10 +129,7 @@ def stencil(mesh: Mesh, eps: float, b: np.ndarray, rhs: np.ndarray | None,
         diag += sup
         np.subtract(b, diag, out=diag)
         np.multiply(scale, right[1:], out=sup)
-    if rhs is not None:
-        rhs[0] -= sub[0] * bc_left
-        rhs[-1] -= sup[-1] * bc_right
-    return TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs)
+    return TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=None)
 
 
 def assemble(mesh: Mesh, eps: float, b, g,
@@ -142,14 +137,17 @@ def assemble(mesh: Mesh, eps: float, b, g,
     """Assemble the interior tridiagonal system.
 
     ``b`` and ``g`` may be callables of the interior nodes or plain arrays
-    of interior values.
+    of interior values; the Dirichlet data is folded into a copy of ``g``.
     """
     xi = mesh.interior()
     bvals = _values(b, xi)
     if not (bvals.min() > 0.0 and bvals.max() < math.inf):  # NaN fails too
         raise NonpositiveCoefficientError("b(x) must be positive and finite")
-    return stencil(mesh, eps, bvals, _values(g, xi).copy(), bc_left=bc_left,
-                   bc_right=bc_right)
+    rhs = _values(g, xi).copy()
+    sys = stencil(mesh, eps, bvals)
+    rhs[0] -= sys.sub[0] * bc_left
+    rhs[-1] -= sys.sup[-1] * bc_right
+    return replace(sys, rhs=rhs)
 
 
 # Systems this small are cheaper in the scalar loop than as numpy levels.

@@ -91,7 +91,6 @@ class Mesh:
     nodes: np.ndarray
     steps: np.ndarray
     half_steps: np.ndarray
-    spec: MeshSpec
     degenerate: bool = False
 
     @property
@@ -170,10 +169,7 @@ def _pieces(t: np.ndarray, split: float, inner, outer) -> np.ndarray:
 
 
 def _half_map(spec: MeshSpec, t: np.ndarray) -> np.ndarray:
-    """Evaluate the generating function on ascending ``t`` in [0, 1/2].
-
-    Raises DegenerateMeshError for graded families with a*eps >= q.
-    """
+    """Evaluate the generating function on ascending ``t`` in [0, 1/2]."""
     if spec.family == "uniform":
         return t.astype(float)
     if spec.family == "shishkin":
@@ -185,8 +181,6 @@ def _half_map(spec: MeshSpec, t: np.ndarray) -> np.ndarray:
     ea, q = spec.eps * spec.a, spec.q
     if spec.family == "bakhvalov":
         alpha = bakhvalov_alpha(spec.eps, spec.a, spec.q)
-        if alpha == 0.0:
-            raise DegenerateMeshError("tangent touches at the origin")
         layer = lambda s: ea * np.log(q / (q - s))  # s <= alpha < q
         val = ea * math.log(q / (q - alpha))
     else:  # vulanovic
@@ -215,12 +209,12 @@ def build_mesh(spec: MeshSpec) -> Mesh:
     doubles near x = 1 make the mirrored nodes collapse.
     """
     n = spec.n
-    degenerate = False
-    try:
-        left = _half_map(spec, np.arange(n // 2 + 1) / n)
-    except DegenerateMeshError:
-        nodes, degenerate = np.arange(n + 1) / n, True
+    # exactly when vulanovic_alpha raises and, in doubles, bakhvalov_alpha is 0.0
+    degenerate = spec.family in GRADED and spec.eps * spec.a >= spec.q
+    if degenerate:
+        nodes = np.arange(n + 1) / n
     else:
+        left = _half_map(spec, np.arange(n // 2 + 1) / n)
         m = len(left)
         right = (np.arange(m, n + 1) / n if spec.layer_sides == "left"
                  else 1.0 - left[n - m::-1])
@@ -233,7 +227,7 @@ def build_mesh(spec: MeshSpec) -> Mesh:
     half_steps = 0.5 * (steps[:-1] + steps[1:])
     for arr in (nodes, steps, half_steps):
         arr.flags.writeable = False
-    return Mesh(nodes=nodes, steps=steps, half_steps=half_steps, spec=spec,
+    return Mesh(nodes=nodes, steps=steps, half_steps=half_steps,
                 degenerate=degenerate)
 
 

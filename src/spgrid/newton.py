@@ -162,13 +162,13 @@ def _jacobian(mesh: Mesh, eps: float, d, d_u, reaction_u, y: np.ndarray,
         raise NonpositiveJacobianError(
             "reaction derivative must be positive and finite along the iterate")
     if d is None:
-        return stencil(mesh, eps, b, None, cpl=cpl)
+        return stencil(mesh, eps, b, cpl=cpl)
     mid, dm = midpoint or _midpoint_diffusion(d, y)
     chain = 0.5 * d_u(mid)
     chain *= y[1:] - y[:-1]
     right = dm + chain
     left = np.subtract(dm, chain, out=chain)
-    return stencil(mesh, eps, b, None, right, left, cpl=cpl)
+    return stencil(mesh, eps, b, right, left, cpl=cpl)
 
 
 def semilinear_residual(mesh: Mesh, p: SemilinearProblem, y: np.ndarray,
@@ -338,10 +338,9 @@ def solve(mesh: Mesh, problem, cfg: NewtonConfig | None = None) -> SolveOutcome:
                     src, cpl, cfg.tol, cfg.max_iter)
 
 
-def residual_for(mesh: Mesh, problem, y: np.ndarray,
-                 src: np.ndarray | None = None) -> np.ndarray:
+def residual_for(mesh: Mesh, problem, y: np.ndarray) -> np.ndarray:
     """Interior nonlinear-scheme residual, dispatched on the problem type."""
-    return _scheme(problem)[0](mesh, problem, y, src=src)
+    return _scheme(problem)[0](mesh, problem, y)
 
 
 def jacobian_fd_gap(mesh: Mesh, problem, y: np.ndarray) -> float:

@@ -51,7 +51,6 @@ class SemilinearProblem:
     bc_left: float
     bc_right: float
     exact: Callback1 | None = None
-    name: str = ""
     source: Callback1 | None = None
 
     def __post_init__(self) -> None:
@@ -68,7 +67,6 @@ class QuasilinearDiffusionProblem:
     bc_left: float
     bc_right: float
     exact: Callback1 | None = None
-    name: str = ""
     source: Callback1 | None = None
 
     def __post_init__(self) -> None:
@@ -108,8 +106,7 @@ def example1(eps: float) -> SemilinearProblem:
         return 1.0 / (2.0 - u) ** 2
 
     return SemilinearProblem(eps=eps, f=f, f_u=f_u, bc_left=0.0, bc_right=0.0,
-                             exact=exact, name="ex1",
-                             source=source)
+                             exact=exact, source=source)
 
 
 def example2(eps: float) -> QuasilinearDiffusionProblem:
@@ -145,7 +142,7 @@ def example2(eps: float) -> QuasilinearDiffusionProblem:
 
     return QuasilinearDiffusionProblem(eps=eps, d=d, d_u=d_u, r=r, r_u=r_u,
                                        bc_left=1.0, bc_right=bc_right,
-                                       exact=exact, name="ex2", source=fsrc)
+                                       exact=exact, source=fsrc)
 
 
 def log_transform(p: QuasilinearDiffusionProblem) -> SemilinearProblem:
@@ -179,9 +176,7 @@ def log_transform(p: QuasilinearDiffusionProblem) -> SemilinearProblem:
     return SemilinearProblem(eps=p.eps, f=f, f_u=f_u,
                              bc_left=math.log1p(p.bc_left),
                              bc_right=math.log1p(p.bc_right),
-                             exact=exact,
-                             name=(p.name + "_log") if p.name else "log",
-                             source=p.source)
+                             exact=exact, source=p.source)
 
 
 PROBLEMS: dict[str, Callable] = {"ex1": example1, "ex2": example2}

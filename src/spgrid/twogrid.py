@@ -140,9 +140,10 @@ def _fine_step(problem, fine_mesh: Mesh, prev_mesh: Mesh,
     return _iterate(fine_mesh, problem, w, slopes, None, None, math.inf, 1)
 
 
-def _run(problem, plan: TwoGridPlan, sizes: list[int]) -> TwoGridResult:
+def _run(problem, spec: MeshSpec, sizes: list[int]) -> TwoGridResult:
+    """Solve on ``spec``'s mesh, then a fine step per size (none: the direct solve)."""
     t0 = time.perf_counter()
-    coarse_mesh = build_mesh(plan.coarse)
+    coarse_mesh = build_mesh(spec)
     coarse = newton_solve(coarse_mesh, problem)
     seconds = [time.perf_counter() - t0]
     fine_meshes = []
@@ -150,7 +151,7 @@ def _run(problem, plan: TwoGridPlan, sizes: list[int]) -> TwoGridResult:
     prev_mesh, prev_values = coarse_mesh, coarse.y
     for n in sizes:
         t1 = time.perf_counter()
-        fine_mesh = build_mesh(replace(plan.coarse, n=n))
+        fine_mesh = build_mesh(replace(spec, n=n))
         outcome = _fine_step(problem, fine_mesh, prev_mesh, prev_values)
         seconds.append(time.perf_counter() - t1)
         fine_meshes.append(fine_mesh)
@@ -163,7 +164,7 @@ def _run(problem, plan: TwoGridPlan, sizes: list[int]) -> TwoGridResult:
 
 def algorithm1(problem, plan: TwoGridPlan) -> TwoGridResult:
     """Coarse nonlinear solve, then one linearized solve on the fine mesh."""
-    return _run(problem, plan, [plan.single_fine_size()])
+    return _run(problem, plan.coarse, [plan.single_fine_size()])
 
 
 def algorithm2(problem, plan: TwoGridPlan) -> TwoGridResult:
@@ -173,7 +174,7 @@ def algorithm2(problem, plan: TwoGridPlan) -> TwoGridResult:
     solution; with one level this coincides with :func:`algorithm1` at
     r = 2.
     """
-    return _run(problem, plan, plan.cascade_sizes())
+    return _run(problem, plan.coarse, plan.cascade_sizes())
 
 
 def choose_r(n_coarse: int) -> tuple[float, int]:

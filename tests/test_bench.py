@@ -8,7 +8,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from spgrid import bench
+from spgrid import bench, twogrid
 from spgrid.bench import (ConvergenceRow, DegenerateError, MissingExactError,
                           Report, ReportConfig, convergence_order, fmt_float,
                           interpolant_error, layer_report, nodal_error,
@@ -72,14 +72,15 @@ def test_interpolant_error_against_dense_sampling(family, eps):
 
 
 def test_direct_step_seconds_include_mesh_build(monkeypatch):
-    # every step's clock covers its mesh build, as the two-grid steps' do
-    real = bench.build_mesh
+    # the direct solve runs on the two-grid runner, whose step clock covers
+    # each step's mesh build
+    real = twogrid.build_mesh
 
     def slow_build(spec):
         time.sleep(0.05)
         return real(spec)
 
-    monkeypatch.setattr(bench, "build_mesh", slow_build)
+    monkeypatch.setattr(twogrid, "build_mesh", slow_build)
     report = run_report(_small_cfg(algorithm="direct", n_list=(8,)))
     assert report.rows[0].seconds >= 0.05
 

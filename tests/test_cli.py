@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from spgrid import bench, twogrid
+from spgrid import bench, newton, twogrid
 from spgrid.cli import main
 
 
@@ -118,16 +118,26 @@ def test_table_invalid_mesh_or_plan_parameter_is_validation_error(capsys, flags,
     assert message in err
 
 
-def test_table_fine_size_over_the_budget_is_a_failed_cell(capsys):
-    # 8**1000 overflows a float: the budget check must not form it
+@pytest.mark.parametrize("fmt", ["csv", "json", "markdown"])
+def test_table_fine_size_over_the_budget_is_a_failed_cell(capsys, fmt):
+    # 8**1000 overflows a float: the budget check must not form it.  Every
+    # format names the failed cell on stderr; the CSV has no column for it.
     code, out, err = run_cli(capsys, "table", "--problem", "ex1", "--eps", "0.01",
                              "--coarse", "8", "--mesh", "bakhvalov",
-                             "--algorithm", "tg1", "--r", "1000", "--format", "json")
+                             "--algorithm", "tg1", "--r", "1000", "--format", fmt)
     assert code == 3
-    rows = json.loads(out)["rows"]
-    assert len(rows) == 1
-    assert rows[0]["failed"].startswith("ValueError: fine size")
-    assert "interval budget" in rows[0]["failed"]
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: bakhvalov eps=0.01 N=8: ValueError: fine size")
+    assert "interval budget" in err
+    if fmt == "json":
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 1
+        assert rows[0]["failed"].startswith("ValueError: fine size")
+        assert "interval budget" in rows[0]["failed"]
+    elif fmt == "csv":
+        header, row = csv.reader(io.StringIO(out))
+        assert ",".join(header) == bench.CSV_HEADER
+        assert row[header.index("error"):] == ["", "", "", ""]
 
 
 def test_table_markdown_default(capsys):
@@ -165,6 +175,21 @@ def test_bench_zero_repeats_is_validation_error(capsys):
     assert code == 2
     assert out == ""
     assert "repeats must be at least 1" in err
+
+
+def test_bench_checks_every_fine_size_before_timing(capsys, monkeypatch):
+    # N = 1100 needs 1210000 fine intervals: no solve may run first, not even
+    # the direct solve of that size nor any run of N = 8
+    def no_solve(sys):
+        raise AssertionError("a linear solve ran before the size check")
+
+    monkeypatch.setattr(newton, "thomas_solve", no_solve)
+    code, out, err = run_cli(capsys, "bench", "--problem", "ex1",
+                             "--mesh", "bakhvalov", "--eps", "1e-2", "--a", "4",
+                             "--coarse", "8,1100", "--repeats", "1")
+    assert code == 2
+    assert out == ""
+    assert "fine size 1210000 exceeds the 1048576 interval budget" in err
 
 
 def test_bench_honors_layer_sides(capsys, monkeypatch):

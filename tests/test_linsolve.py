@@ -27,8 +27,7 @@ def random_mesh(rng, n):
     nodes = np.concatenate([[0.0], cuts, [1.0]])
     steps = np.diff(nodes)
     return Mesh(nodes=nodes, steps=steps,
-                half_steps=0.5 * (steps[:-1] + steps[1:]),
-                spec=MeshSpec("uniform", 0.5, n))
+                half_steps=0.5 * (steps[:-1] + steps[1:]))
 
 
 def test_single_unknown_hand_assembly():
@@ -188,8 +187,8 @@ def test_cached_couplings_are_read_only_and_give_the_same_rows(unit):
     b = rng.uniform(0.5, 2.0, mesh.n - 1)
     weights = {} if unit else {"right": rng.uniform(0.5, 2.0, mesh.n),
                                "left": rng.uniform(0.5, 2.0, mesh.n)}
-    fresh = stencil(mesh, 1e-4, b, None, **weights)
-    rows = stencil(mesh, 1e-4, b, None, **weights, cpl=cpl)
+    fresh = stencil(mesh, 1e-4, b, **weights)
+    rows = stencil(mesh, 1e-4, b, **weights, cpl=cpl)
     for band in ("sub", "diag", "sup"):
         assert getattr(rows, band).tobytes() == getattr(fresh, band).tobytes()
     assert rows.rhs is None

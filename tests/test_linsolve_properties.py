@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import given, strategies as st
 
-from spgrid.linsolve import couplings, solve_linear, stencil
+from spgrid.linsolve import assemble, couplings, solve_linear, stencil
 from test_mesh_properties import _build, bounded, specs
 
 
@@ -44,16 +44,19 @@ def test_weighted_rows_equal_the_explicit_expressions_bitwise(spec, seed, scalar
     right, left = rng.uniform(0.1, 2.0, (2, spec.n))
     rhs = rng.normal(size=m)
     bc_left, bc_right = rng.normal(size=2)
-    sys = stencil(mesh, spec.eps, b, rhs.copy(), right, left, bc_left, bc_right,
+    sys = stencil(mesh, spec.eps, b, right, left,
                   cpl=couplings(mesh, spec.eps) if cached else None)
     e2 = spec.eps * spec.eps
     scale_l = -e2 / (mesh.half_steps * mesh.steps[:-1])
     scale_r = -e2 / (mesh.half_steps * mesh.steps[1:])
     lower, upper = scale_l * left[:-1], scale_r * right[1:]
-    want_rhs = rhs.copy()
-    want_rhs[0] -= lower[0] * bc_left
-    want_rhs[-1] -= upper[-1] * bc_right
     assert _same_bits(sys.diag, b - (scale_l * right[:-1] + scale_r * left[1:]))
     assert _same_bits(sys.sub, lower)  # the band ends are the boundary couplings
     assert _same_bits(sys.sup, upper)
-    assert _same_bits(sys.rhs, want_rhs)
+    assert sys.rhs is None
+    # assemble folds the Dirichlet data through the unit-weight band ends
+    unit = assemble(mesh, spec.eps, np.broadcast_to(b, (m,)), rhs, bc_left, bc_right)
+    want_rhs = rhs.copy()
+    want_rhs[0] -= scale_l[0] * bc_left
+    want_rhs[-1] -= scale_r[-1] * bc_right
+    assert _same_bits(unit.rhs, want_rhs)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from spgrid.problems import (QuasilinearDiffusionProblem, example1, example2,
-                             log_transform, make_problem)
+from spgrid.problems import (QuasilinearDiffusionProblem, SemilinearProblem,
+                             example1, example2, log_transform, make_problem)
 
 
 def _ex1_symbolic_residual(eps_val):
@@ -139,7 +139,8 @@ def test_exact_boundary_consistency_enforced():
 
 
 def test_registry():
-    assert make_problem("ex1", 0.1).name == "ex1"
-    assert make_problem("ex2", 0.1).name == "ex2"
+    ex1, ex2 = make_problem("ex1", 0.1), make_problem("ex2", 0.1)
+    assert type(ex1) is SemilinearProblem and ex1.eps == 0.1
+    assert type(ex2) is QuasilinearDiffusionProblem and ex2.eps == 0.1
     with pytest.raises(ValueError):
         make_problem("ex3", 0.1)

@@ -78,8 +78,7 @@ def test_coarse_cells_without_fine_nodes_and_multi_node_straddles():
 def _mesh(nodes):
     nodes = np.asarray(nodes, dtype=float)
     steps = np.diff(nodes)
-    return Mesh(nodes=nodes, steps=steps, half_steps=0.5 * (steps[:-1] + steps[1:]),
-                spec=MeshSpec("uniform", 1.0, len(nodes) - 1))
+    return Mesh(nodes=nodes, steps=steps, half_steps=0.5 * (steps[:-1] + steps[1:]))
 
 
 def test_one_ulp_interval_on_a_coarse_node_takes_the_cell_slope():
