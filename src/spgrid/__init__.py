@@ -29,7 +29,7 @@ from .problems import (QuasilinearDiffusionProblem, SemilinearProblem,
                        example1, example2, log_transform, make_problem)
 from .linsolve import (NonpositiveCoefficientError, TridiagonalSystem,
                        ZeroPivotError, assemble, solve_linear, thomas_solve)
-from .newton import (NewtonConfig, NoConvergenceError, NonpositiveJacobianError,
+from .newton import (NoConvergenceError, NonpositiveJacobianError,
                      SingularDiffusionError, SolveOutcome, interior_source,
                      jacobian_fd_gap, newton_step, reduced_initial,
                      residual_for, solve)
@@ -49,7 +49,7 @@ __all__ = [
     "log_transform", "make_problem",
     "TridiagonalSystem", "NonpositiveCoefficientError", "ZeroPivotError",
     "assemble", "thomas_solve", "solve_linear",
-    "NewtonConfig", "SolveOutcome", "NoConvergenceError",
+    "SolveOutcome", "NoConvergenceError",
     "NonpositiveJacobianError", "SingularDiffusionError", "solve",
     "newton_step", "reduced_initial", "residual_for", "interior_source",
     "jacobian_fd_gap",

@@ -122,7 +122,6 @@ def _cmd_solve(args) -> int:
                  "q": args.q, "gamma0": args.gamma0, "degenerate": mesh.degenerate},
         "iterations": out.iterations,
         "final_update": out.final_update,
-        "converged": out.converged,
         "residual_norm": out.residual_norm,
         "seconds": seconds,
         "nodal_error": error,

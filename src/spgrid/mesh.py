@@ -30,6 +30,9 @@ import numpy as np
 FAMILIES = ("uniform", "shishkin", "bakhvalov", "vulanovic")
 LAYER_SIDES = ("both", "left")
 
+#: Hard cap on every mesh's interval count: direct, coarse or fine.
+MAX_INTERVALS = 2 ** 20
+
 #: Graded families whose parameters (a, q) must satisfy a*eps < q.
 GRADED = ("bakhvalov", "vulanovic")
 
@@ -67,8 +70,8 @@ class MeshSpec:
             raise ValueError(f"unknown layer_sides {self.layer_sides!r}")
         if not 0.0 < self.eps <= 1.0:
             raise ValueError("eps must lie in (0, 1]")
-        if self.n < 2:
-            raise ValueError("n must be at least 2")
+        if not 2 <= self.n <= MAX_INTERVALS:
+            raise ValueError(f"n must lie in [2, {MAX_INTERVALS}]")
         if not self.gamma0 > 0.0:  # NaN fails too
             raise ValueError("gamma0 must be positive")
         if self.family in GRADED:

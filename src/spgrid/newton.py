@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Union
 
 import numpy as np
 
@@ -39,12 +38,11 @@ from .linsolve import Couplings, TridiagonalSystem, couplings, stencil, thomas_s
 from .mesh import Mesh
 from .problems import QuasilinearDiffusionProblem, SemilinearProblem
 
-InitialGuess = Union[str, np.ndarray]
 Midpoint = tuple[np.ndarray, np.ndarray]  # (m, d(m)), see _midpoint_diffusion
 
 
 class NoConvergenceError(RuntimeError):
-    """Newton hit max_iter or a non-finite update; carries the last update."""
+    """Newton hit MAX_ITER or a non-finite update; carries the last update."""
 
     def __init__(self, message: str, final_update: float):
         super().__init__(message)
@@ -59,34 +57,16 @@ class SingularDiffusionError(ValueError):
     """Diffusion factor not positive/finite at an interval midpoint."""
 
 
-@dataclass(frozen=True)
-class NewtonConfig:
-    """Iteration controls of :func:`solve`.
-
-    ``tol`` bounds :func:`_converged`'s error estimate relative to ``max(1,
-    |y|_inf)`` within ``max_iter`` Newton steps.  ``initial`` is ``"reduced"``
-    (per-node root of the reaction term, the default), ``"zero"``, or an
-    explicit full-length start vector.
-    """
-
-    tol: float = 1e-13
-    max_iter: int = 50
-    initial: InitialGuess = "reduced"
-
-    def __post_init__(self) -> None:
-        if not self.tol > 0.0:  # NaN fails too
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if isinstance(self.initial, str) and self.initial not in ("zero", "reduced"):
-            raise ValueError("initial must be 'zero', 'reduced', or an array")
+#: :func:`solve`'s stop tolerance for :func:`_converged` and its step cap.
+TOL = 1e-13
+MAX_ITER = 50
 
 
 @dataclass
 class SolveOutcome:
     """Converged discrete solution plus iteration diagnostics.
 
-    ``converged``: :func:`_converged` held (a two-grid fine step tests at
+    Built only once :func:`_converged` holds (a two-grid fine step tests at
     ``tol = inf``: its first finite update converges).  ``residual_norm`` is
     computed on first read.
     """
@@ -94,7 +74,6 @@ class SolveOutcome:
     y: np.ndarray
     iterations: int
     final_update: float
-    converged: bool
     mesh: Mesh = field(repr=False, compare=False)
     problem: object = field(repr=False, compare=False)
     update_history: list = field(default_factory=list)
@@ -247,7 +226,7 @@ def newton_step(mesh: Mesh, problem, y: np.ndarray,
 
 def reduced_initial(mesh: Mesh, problem,
                     src: np.ndarray | None = None) -> np.ndarray:
-    """Per-node root of the reaction term, used as the default start.
+    """Per-node root of the reaction term, the start of :func:`solve`.
 
     Damped scalar Newton (steps clamped to 0.5) on ``f(x, .) = source(x)``
     or ``r(x, .) = source(x)``; robust against nonlinearities whose tangent
@@ -279,17 +258,6 @@ def reduced_initial(mesh: Mesh, problem,
     return y
 
 
-def _start_vector(mesh: Mesh, problem, cfg: NewtonConfig,
-                  src: np.ndarray) -> np.ndarray:
-    if isinstance(cfg.initial, np.ndarray):
-        if len(cfg.initial) != mesh.n + 1:
-            raise ValueError("initial guess length does not match mesh")
-        return np.array(cfg.initial, dtype=float)
-    if cfg.initial == "reduced":
-        return reduced_initial(mesh, problem, src)
-    return np.zeros(mesh.n + 1)
-
-
 def _converged(updates: list, y: np.ndarray, tol: float) -> bool:
     """Error-oriented stop test (Deuflhard, *Newton Methods for Nonlinear
     Problems*, 2004): the last of the ``updates``, or, if the last two
@@ -303,9 +271,10 @@ def _converged(updates: list, y: np.ndarray, tol: float) -> bool:
 
 
 def _iterate(mesh: Mesh, problem, y: np.ndarray, slopes: np.ndarray | None,
-             src: np.ndarray | None, cpl: Couplings | None, tol: float,
-             max_iter: int) -> SolveOutcome:
-    """Newton steps from ``y`` until :func:`_converged` holds at ``tol``.
+             src: np.ndarray | None, cpl: Couplings | None,
+             tol: float) -> SolveOutcome:
+    """Newton steps from ``y`` until :func:`_converged` holds at ``tol``,
+    at most ``MAX_ITER`` of them.
 
     ``y`` is pinned to the Dirichlet data in place.  ``slopes``, the start's
     interval slopes, serve the first step only.  A non-finite update raises;
@@ -314,7 +283,7 @@ def _iterate(mesh: Mesh, problem, y: np.ndarray, slopes: np.ndarray | None,
     """
     y[0], y[-1] = problem.bc_left, problem.bc_right
     updates = []
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         y, upd = newton_step(mesh, problem, y, slopes=slopes, src=src, cpl=cpl)
         slopes = None
         updates.append(upd)
@@ -323,19 +292,18 @@ def _iterate(mesh: Mesh, problem, y: np.ndarray, slopes: np.ndarray | None,
                 f"non-finite update in iteration {len(updates)}", final_update=upd)
         if _converged(updates, y, tol):
             return SolveOutcome(y=y, iterations=len(updates), final_update=upd,
-                                converged=True, mesh=mesh, problem=problem,
-                                update_history=updates)
-    raise NoConvergenceError(f"no convergence in {max_iter} iterations (last "
+                                mesh=mesh, problem=problem, update_history=updates)
+    raise NoConvergenceError(f"no convergence in {MAX_ITER} iterations (last "
                              f"update {upd:.3e})", final_update=upd)
 
 
-def solve(mesh: Mesh, problem, cfg: NewtonConfig | None = None) -> SolveOutcome:
-    """Solve the nonlinear scheme of either problem type by Newton's method."""
-    cfg = cfg or NewtonConfig()
+def solve(mesh: Mesh, problem) -> SolveOutcome:
+    """Solve the nonlinear scheme of either problem type by Newton's method
+    from :func:`reduced_initial`, to ``TOL`` within ``MAX_ITER`` steps."""
     src = interior_source(mesh, problem)
     cpl = couplings(mesh, problem.eps, unit=_scheme(problem)[4])
-    return _iterate(mesh, problem, _start_vector(mesh, problem, cfg, src), None,
-                    src, cpl, cfg.tol, cfg.max_iter)
+    return _iterate(mesh, problem, reduced_initial(mesh, problem, src), None,
+                    src, cpl, TOL)
 
 
 def residual_for(mesh: Mesh, problem, y: np.ndarray) -> np.ndarray:

@@ -17,11 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .mesh import Mesh, MeshSpec, build_mesh
+from .mesh import MAX_INTERVALS, Mesh, MeshSpec, build_mesh
 from .newton import SolveOutcome, _iterate, solve as newton_solve
-
-#: Hard cap on interval counts produced by plans (cascade sizes grow fast).
-MAX_INTERVALS = 2 ** 20
 
 
 class OutOfDomainError(ValueError):
@@ -137,7 +134,7 @@ def _fine_step(problem, fine_mesh: Mesh, prev_mesh: Mesh,
     the Newton loop to ``tol = inf``.  Neither the couplings nor the source
     are built ahead: held through the step, they would raise the peak memory."""
     w, slopes = interpolant_slopes(prev_mesh, prev_values, fine_mesh)
-    return _iterate(fine_mesh, problem, w, slopes, None, None, math.inf, 1)
+    return _iterate(fine_mesh, problem, w, slopes, None, None, math.inf)
 
 
 def _run(problem, spec: MeshSpec, sizes: list[int]) -> TwoGridResult:

@@ -20,7 +20,9 @@ def test_solve_direct_json(capsys):
                              "--n", "32", "--a", "1")
     assert code == 0
     payload = json.loads(out)
-    assert payload["converged"] is True
+    assert set(payload) == {"problem", "algorithm", "mesh", "iterations",
+                            "final_update", "residual_norm", "seconds",
+                            "nodal_error", "nodes", "values"}
     assert payload["iterations"] <= 8
     assert payload["mesh"]["n"] == 32
     assert len(payload["nodes"]) == 33
@@ -54,6 +56,21 @@ def test_solve_missing_n_is_validation_error(capsys):
                              "--mesh", "uniform", "--eps", "0.1")
     assert code == 2
     assert "required" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--problem", "ex1", "--mesh", "uniform", "--eps", "0.1",
+     "--n", "1000000000000000000"),
+    ("layers", "--fine", "1000000000000000000"),
+    ("table", "--problem", "ex1", "--mesh", "shishkin", "--eps", "0.1",
+     "--coarse", "1" + "0" * 400, "--algorithm", "tg1_ropt", "--format", "csv"),
+])
+def test_mesh_size_over_the_budget_is_validation_error(capsys, argv):
+    # MeshSpec rejects the size before any array is allocated or N**r formed
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: n must lie in [2, 1048576]\n"
 
 
 def test_bad_flag_exits_2(capsys):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from spgrid.mesh import (DegenerateMeshError, MeshSpec, NoRootError,
-                         bakhvalov_alpha, build_mesh, layer_fraction,
+from spgrid.mesh import (MAX_INTERVALS, DegenerateMeshError, MeshSpec,
+                         NoRootError, bakhvalov_alpha, build_mesh, layer_fraction,
                          shishkin_alpha, vulanovic_alpha)
 
 EPS8 = 2.0 ** -8
@@ -223,6 +223,10 @@ def test_spec_validation():
         MeshSpec("uniform", 0.0, 8)
     with pytest.raises(ValueError):
         MeshSpec("uniform", 0.1, 1)
+    # the interval budget; only specs are built, no mesh is allocated
+    assert MeshSpec("uniform", 0.1, MAX_INTERVALS).n == 2 ** 20
+    with pytest.raises(ValueError, match=r"n must lie in \[2, 1048576\]"):
+        MeshSpec("uniform", 0.1, MAX_INTERVALS + 1)
     with pytest.raises(ValueError):
         MeshSpec("bakhvalov", 0.1, 8, q=0.6)
     with pytest.raises(ValueError):
