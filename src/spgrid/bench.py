@@ -19,7 +19,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -28,7 +28,7 @@ from .linsolve import ZeroPivotError
 from .mesh import Mesh, MeshSpec, NoRootError, build_mesh, layer_fraction
 from .newton import NoConvergenceError
 from .problems import make_problem
-from .twogrid import TwoGridPlan, _run, algorithm1, algorithm2, choose_r
+from .twogrid import TwoGridPlan, _run, choose_r
 
 ALGORITHMS = ("direct", "tg1", "tg2", "tg1_ropt")
 FORMATS = ("markdown", "csv", "json")
@@ -120,9 +120,9 @@ class ReportConfig:
         if not self.families or not list(self.eps_list) or not list(self.n_list):
             raise ValueError("families, eps_list and n_list must be nonempty")
         object.__setattr__(self, "plans", tuple(
-            make_plan(MeshSpec(family=family, eps=eps, n=N, a=self.a, q=self.q,
-                               gamma0=self.gamma0, layer_sides=self.layer_sides),
-                      self.algorithm, self.r, self.levels)
+            make_plan(self.algorithm, N, r=self.r, levels=self.levels, family=family,
+                      eps=eps, a=self.a, q=self.q, gamma0=self.gamma0,
+                      layer_sides=self.layer_sides)
             for family in self.families for eps in self.eps_list for N in self.n_list))
 
 
@@ -195,45 +195,57 @@ def _error_of(cfg: ReportConfig, mesh: Mesh, y: np.ndarray, exact) -> float:
     return nodal_error(mesh, y, exact)
 
 
-def make_plan(spec: MeshSpec, algorithm: str, r: float = 2.0, levels: int = 2,
-              fine_n: int | None = None) -> MeshSpec | TwoGridPlan:
-    """What :func:`run_algorithm` runs: ``spec`` itself for ``direct``.
+def make_plan(algorithm: str, coarse: int | None = None, n: int | None = None,
+              r: float = 2.0, levels: int = 2, **mesh) -> TwoGridPlan:
+    """The one reader of an algorithm name: the plan :func:`run_algorithm` runs.
 
-    The two-grid algorithms take ``spec`` as the coarse mesh: ``tg1``
-    refines to ``fine_n`` (or ``N**r``), ``tg1_ropt`` picks r by
-    :func:`choose_r`, and ``tg2`` cascades ``levels`` times.
+    ``mesh`` holds the :class:`MeshSpec` fields but n.  ``direct`` solves on
+    ``n`` (or on ``coarse`` alone, as ``table`` passes its N); ``tg1`` refines
+    ``coarse`` once, to ``n`` or ``round(N**r)``; ``tg1_ropt`` picks r by
+    :func:`choose_r`; ``tg2`` cascades ``levels`` times.  A size that the
+    algorithm never reads is an error.  Its fine sizes are checked by
+    :meth:`TwoGridPlan.fine_sizes` only when a run asks for them.
     """
-    if algorithm == "direct":
-        return spec
-    if algorithm == "tg2":
-        return TwoGridPlan(coarse=spec, cascade_levels=levels)  # r is tg1's
-    if algorithm == "tg1_ropt":
-        r, fine_n = choose_r(spec.n)
-    elif algorithm != "tg1":
+    if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    return TwoGridPlan(coarse=spec, r=r, fine_n=fine_n)
+    if algorithm == "direct":
+        if (n is None) == (coarse is None):
+            raise ValueError("one size is required for the direct algorithm: "
+                             "--n or --coarse, not both")
+        return TwoGridPlan(MeshSpec(n=coarse if n is None else n, **mesh),
+                           cascade_levels=0)
+    if coarse is None:
+        raise ValueError("--coarse is required for two-grid algorithms")
+    if n is not None and algorithm != "tg1":
+        raise ValueError(f"{algorithm} reads no --n: only tg1 takes a fine size")
+    spec = MeshSpec(n=coarse, **mesh)
+    if algorithm == "tg2":
+        if levels < 1:
+            raise ValueError("cascade_levels must be at least 1")
+        return TwoGridPlan(spec, cascade_levels=levels)  # r is tg1's
+    if algorithm == "tg1_ropt":
+        r = choose_r(coarse)[0]
+    return TwoGridPlan(spec, r, n)
 
 
-def run_algorithm(problem, algorithm: str, plan: MeshSpec | TwoGridPlan) -> list:
-    """Run a :func:`make_plan` plan; ``(mesh, outcome, seconds)`` per step.
-
-    A step's seconds include the build of its mesh; ``direct`` has no fine step.
-    """
-    result = (_run(problem, plan, []) if algorithm == "direct" else
-              (algorithm2 if algorithm == "tg2" else algorithm1)(problem, plan))
+def run_algorithm(problem, plan: TwoGridPlan) -> list:
+    """Run a :func:`make_plan` plan: the solve on ``plan.coarse``, then a fine
+    step per size of :meth:`TwoGridPlan.fine_sizes`.  ``(mesh, outcome,
+    seconds)`` per step; a step's seconds include the build of its mesh."""
+    result = _run(problem, plan.coarse, plan.fine_sizes())
     return list(zip([result.coarse_mesh] + result.fine_meshes,
                     [result.coarse] + result.fine, result.step_seconds))
 
 
-def _run_cell(cfg: ReportConfig, plan: MeshSpec | TwoGridPlan) -> list:
+def _run_cell(cfg: ReportConfig, plan: TwoGridPlan) -> list:
     """Rows for one (family, eps, N) cell; one row per step."""
-    spec = plan if cfg.algorithm == "direct" else plan.coarse
+    spec = plan.coarse
     problem = make_problem(cfg.problem, spec.eps)
     base = dict(problem=cfg.problem, mesh=spec.family, a=cfg.a, q=cfg.q,
                 gamma0=cfg.gamma0, eps=spec.eps, N=spec.n)
     rows = []
     try:
-        steps = run_algorithm(problem, cfg.algorithm, plan)
+        steps = run_algorithm(problem, plan)
         for step, (mesh, out, seconds) in enumerate(steps, start=1):
             rows.append(ConvergenceRow(
                 **base, n=mesh.n, step=step,
@@ -341,15 +353,14 @@ def timing_comparison(problem_id: str, family: str, eps: float,
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
     problem = make_problem(problem_id, eps)
-    plans = [make_plan(MeshSpec(family=family, eps=eps, n=N, a=a, q=q, gamma0=gamma0,
-                                layer_sides=layer_sides), "tg1", fine_n=N * N)
-             for N in coarse_sizes]
-    sizes = [plan.single_fine_size() for plan in plans]  # before any run is timed
+    mesh = dict(family=family, eps=eps, a=a, q=q, gamma0=gamma0, layer_sides=layer_sides)
+    plans = [make_plan("tg1", N, **mesh) for N in coarse_sizes]
+    sizes = [plan.fine_sizes() for plan in plans]  # before any run is timed
     rows = []
-    for plan, n in zip(plans, sizes):
-        runs = (("direct", replace(plan.coarse, n=n)), ("tg1", plan))
-        seconds = [[sum(step[2] for step in run_algorithm(problem, *run))
-                    for run in runs] for _ in range(repeats)]
+    for plan, [n] in zip(plans, sizes):
+        runs = (make_plan("direct", n=n, **mesh), plan)
+        seconds = [[sum(step[2] for step in run_algorithm(problem, run)) for run in runs]
+                   for _ in range(repeats)]
         direct, tg = (min(column) for column in zip(*seconds))
         rows.append(TimingRow(plan.coarse.n, n, direct, tg))
     return rows

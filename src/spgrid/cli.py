@@ -16,7 +16,6 @@ import sys
 from .bench import (ALGORITHMS, FORMATS, METRICS, ReportConfig, fmt_float,
                     layer_report, make_plan, nodal_error, render_layer_rows,
                     run_algorithm, run_report, timing_comparison)
-from .mesh import MeshSpec
 from .newton import NoConvergenceError
 from .problems import PROBLEMS, make_problem
 
@@ -95,19 +94,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_solve(args) -> int:
     problem = make_problem(args.problem, args.eps)
-    direct = args.algorithm == "direct"
-    if direct and args.n is None:
-        print("error: --n is required for the direct algorithm", file=sys.stderr)
-        return EXIT_VALIDATION
-    if not direct and args.coarse is None:
-        print("error: --coarse is required for two-grid algorithms", file=sys.stderr)
-        return EXIT_VALIDATION
-    spec = MeshSpec(family=args.mesh, eps=args.eps,
-                    n=args.n if direct else args.coarse, a=args.a, q=args.q,
-                    gamma0=args.gamma0, layer_sides=args.layer_sides)
-    plan = make_plan(spec, args.algorithm, args.r, args.levels,
-                     None if direct else args.n)
-    steps = run_algorithm(problem, args.algorithm, plan)
+    plan = make_plan(args.algorithm, args.coarse, args.n, args.r, args.levels,
+                     family=args.mesh, eps=args.eps, a=args.a, q=args.q,
+                     gamma0=args.gamma0, layer_sides=args.layer_sides)
+    steps = run_algorithm(problem, plan)
     mesh, out, _ = steps[-1]
     seconds = sum(step[2] for step in steps)
     error = None if problem.exact is None else nodal_error(mesh, out.y, problem.exact)

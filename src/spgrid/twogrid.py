@@ -27,13 +27,12 @@ class OutOfDomainError(ValueError):
 
 @dataclass(frozen=True)
 class TwoGridPlan:
-    """Grid-size schedule for the two-grid algorithms.
+    """The coarse mesh (N intervals) and the fine sizes that follow it.
 
-    ``coarse`` fixes the mesh family, parameters and the coarse interval
-    count N.  For the single fine step the fine size is ``fine_n`` if
-    given, else ``round(N**r)``; it must exceed N, and r must be finite.
-    For the cascade, level m uses ``N**(2**m)`` intervals, m = 1 ..
-    cascade_levels; it ignores r.
+    :func:`algorithm1` refines once, to ``fine_n`` if given, else
+    ``round(N**r)``; it must exceed N, and r must be finite.
+    :func:`algorithm2` cascades ``cascade_levels`` times; it ignores r.
+    Zero levels is the direct solve on ``coarse``.
     """
 
     coarse: MeshSpec
@@ -44,30 +43,28 @@ class TwoGridPlan:
     def __post_init__(self) -> None:
         if not 1.0 < self.r < math.inf:  # NaN fails too
             raise ValueError("r must be finite and exceed 1")
-        if self.cascade_levels < 1:
-            raise ValueError("cascade_levels must be at least 1")
+        if self.cascade_levels < 0:
+            raise ValueError("cascade_levels must not be negative")
         # the single fine level must refine; round(N**r) in logs: N**r can overflow
         if (self.fine_n <= self.coarse.n if self.fine_n is not None
                 else self.r * math.log(self.coarse.n) <= math.log(self.coarse.n + 0.5)):
             raise ValueError("fine grid must be strictly finer than coarse")
 
-    def single_fine_size(self) -> int:
-        n = self.fine_n
-        if n is None:  # an N**r past twice the budget is not computed: it can overflow
-            fits = self.r * math.log(self.coarse.n) < math.log(2 * MAX_INTERVALS)
-            n = round(self.coarse.n ** self.r) if fits else math.inf
-        if n > MAX_INTERVALS:
-            raise ValueError(f"fine size {n} exceeds the {MAX_INTERVALS} interval budget")
-        return n
+    def fine_sizes(self) -> list[int]:
+        """Interval counts of the ``cascade_levels`` fine levels.
 
-    def cascade_sizes(self) -> list[int]:
-        sizes = []
-        for m in range(1, self.cascade_levels + 1):
-            n = self.coarse.n ** (2 ** m)
-            if n > MAX_INTERVALS:
-                raise ValueError(
-                    f"cascade level {m} needs {n} intervals, over the "
-                    f"{MAX_INTERVALS} budget")
+        Level 1 has ``fine_n`` if given, else ``round(N**r)``; each later
+        level raises the previous count to the power r (r = 2: the cascade's
+        ``N**(2**m)``).  The one check of a fine size against the interval
+        budget; a power past the float range is named, never formed.
+        """
+        n, r, fine_n, sizes = self.coarse.n, self.r, self.fine_n, []
+        for _ in range(self.cascade_levels):
+            huge = fine_n is None and r * math.log(n) > 700.0  # e**709.8 overflows
+            n, fine_n = f"{n}**{r:g}" if huge else fine_n or round(n ** r), None
+            if huge or n > MAX_INTERVALS:
+                raise ValueError(f"fine size {n} exceeds the {MAX_INTERVALS} "
+                                 "interval budget")
             sizes.append(n)
         return sizes
 
@@ -161,7 +158,7 @@ def _run(problem, spec: MeshSpec, sizes: list[int]) -> TwoGridResult:
 
 def algorithm1(problem, plan: TwoGridPlan) -> TwoGridResult:
     """Coarse nonlinear solve, then one linearized solve on the fine mesh."""
-    return _run(problem, plan.coarse, [plan.single_fine_size()])
+    return _run(problem, plan.coarse, replace(plan, cascade_levels=1).fine_sizes())
 
 
 def algorithm2(problem, plan: TwoGridPlan) -> TwoGridResult:
@@ -171,7 +168,7 @@ def algorithm2(problem, plan: TwoGridPlan) -> TwoGridResult:
     solution; with one level this coincides with :func:`algorithm1` at
     r = 2.
     """
-    return _run(problem, plan.coarse, plan.cascade_sizes())
+    return _run(problem, plan.coarse, replace(plan, r=2.0, fine_n=None).fine_sizes())
 
 
 def choose_r(n_coarse: int) -> tuple[float, int]:

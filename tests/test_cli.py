@@ -6,6 +6,8 @@ import pytest
 
 from spgrid import bench, newton, twogrid
 from spgrid.cli import main
+from spgrid.mesh import MeshSpec
+from spgrid.twogrid import TwoGridPlan, choose_r
 
 
 def run_cli(capsys, *argv):
@@ -71,6 +73,69 @@ def test_mesh_size_over_the_budget_is_validation_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert err == "error: n must lie in [2, 1048576]\n"
+
+
+def _no_solve(monkeypatch):
+    def no_solve(sys):
+        raise AssertionError("a linear solve ran before the size check")
+
+    monkeypatch.setattr(newton, "thomas_solve", no_solve)
+
+
+@pytest.mark.parametrize("flags,message", [
+    (("--algorithm", "tg2", "--coarse", "4", "--levels", "2", "--n", "1000"),
+     "error: tg2 reads no --n: only tg1 takes a fine size\n"),
+    (("--algorithm", "tg1_ropt", "--coarse", "16", "--n", "1000"),
+     "error: tg1_ropt reads no --n: only tg1 takes a fine size\n"),
+    (("--algorithm", "direct", "--n", "64", "--coarse", "8"),
+     "error: one size is required for the direct algorithm: --n or --coarse, not both\n"),
+    (("--algorithm", "tg1", "--n", "64"),
+     "error: --coarse is required for two-grid algorithms\n"),
+    # 2000**2 is formed and named; the budget is checked before any solve
+    (("--algorithm", "tg1", "--coarse", "2000"),
+     "error: fine size 4000000 exceeds the 1048576 interval budget\n"),
+    (("--algorithm", "tg1", "--coarse", "8", "--r", "1000"),
+     "error: fine size 8**1000 exceeds the 1048576 interval budget\n"),
+])
+def test_solve_size_the_algorithm_cannot_run_is_validation_error(capsys, monkeypatch,
+                                                                 flags, message):
+    _no_solve(monkeypatch)
+    code, out, err = run_cli(capsys, "solve", "--problem", "ex1", "--mesh", "uniform",
+                             "--eps", "0.1", *flags)
+    assert code == 2
+    assert out == ""
+    assert err == message
+
+
+@pytest.mark.parametrize("algorithm", bench.ALGORITHMS)
+def test_solve_and_table_run_the_sizes_of_the_one_size_function(capsys, algorithm):
+    N = 4
+    spec = MeshSpec("uniform", 0.1, N)
+    plan = {"direct": TwoGridPlan(spec, cascade_levels=0), "tg1": TwoGridPlan(spec),
+            "tg1_ropt": TwoGridPlan(spec, choose_r(N)[0]),
+            "tg2": TwoGridPlan(spec, cascade_levels=2)}[algorithm]
+    sizes = [N] + plan.fine_sizes()
+    common = ("--problem", "ex1", "--mesh", "uniform", "--eps", "0.1",
+              "--algorithm", algorithm)
+    size = ("--n",) if algorithm == "direct" else ("--coarse",)
+    code, out, _ = run_cli(capsys, "solve", *common, *size, str(N))
+    assert code == 0
+    assert json.loads(out)["mesh"]["n"] == sizes[-1]
+    code, out, _ = run_cli(capsys, "table", *common, "--coarse", str(N),
+                           "--format", "json")
+    assert code == 0
+    assert [row["n"] for row in json.loads(out)["rows"]] == sizes
+
+
+def test_bench_times_the_direct_solve_on_the_fine_size_of_tg1(monkeypatch):
+    N, built = 8, []
+    real = twogrid.build_mesh
+    monkeypatch.setattr(twogrid, "build_mesh",
+                        lambda spec: built.append(spec.n) or real(spec))
+    [row] = bench.timing_comparison("ex1", "uniform", 0.1, [N], repeats=1)
+    [n] = TwoGridPlan(MeshSpec("uniform", 0.1, N), fine_n=N * N).fine_sizes()
+    assert row.n == n
+    assert built == [n, N, n]  # the direct solve, then tg1's coarse and fine meshes
 
 
 def test_bad_flag_exits_2(capsys):
@@ -144,8 +209,8 @@ def test_table_fine_size_over_the_budget_is_a_failed_cell(capsys, fmt):
                              "--algorithm", "tg1", "--r", "1000", "--format", fmt)
     assert code == 3
     assert len(err.splitlines()) == 1
-    assert err.startswith("error: bakhvalov eps=0.01 N=8: ValueError: fine size")
-    assert "interval budget" in err
+    assert err == ("error: bakhvalov eps=0.01 N=8: ValueError: fine size 8**1000 "
+                   "exceeds the 1048576 interval budget\n")
     if fmt == "json":
         rows = json.loads(out)["rows"]
         assert len(rows) == 1
@@ -197,10 +262,7 @@ def test_bench_zero_repeats_is_validation_error(capsys):
 def test_bench_checks_every_fine_size_before_timing(capsys, monkeypatch):
     # N = 1100 needs 1210000 fine intervals: no solve may run first, not even
     # the direct solve of that size nor any run of N = 8
-    def no_solve(sys):
-        raise AssertionError("a linear solve ran before the size check")
-
-    monkeypatch.setattr(newton, "thomas_solve", no_solve)
+    _no_solve(monkeypatch)
     code, out, err = run_cli(capsys, "bench", "--problem", "ex1",
                              "--mesh", "bakhvalov", "--eps", "1e-2", "--a", "4",
                              "--coarse", "8,1100", "--repeats", "1")

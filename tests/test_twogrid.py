@@ -146,7 +146,7 @@ def _inf_off_coarse_nodes(eps):
 def test_non_finite_fine_update_raises():
     # the coarse solve sees a finite source; the fine step's update is inf
     plan = TwoGridPlan(coarse=MeshSpec("uniform", 1e-2, 4))
-    assert plan.single_fine_size() == 16
+    assert plan.fine_sizes() == [16]
     with pytest.raises(NoConvergenceError,
                        match="^non-finite update in iteration 1$") as err:
         algorithm1(_inf_off_coarse_nodes(1e-2), plan)
@@ -170,10 +170,12 @@ def test_plan_validation_and_memory_guard():
     with pytest.raises(ValueError):
         TwoGridPlan(coarse=spec, fine_n=64)
     with pytest.raises(ValueError):
-        TwoGridPlan(coarse=spec, cascade_levels=2).cascade_sizes()  # 64^4 > 2^20
-    sizes = TwoGridPlan(coarse=MeshSpec("uniform", 0.1, 4),
-                        cascade_levels=3).cascade_sizes()
-    assert sizes == [16, 256, 65536]
+        TwoGridPlan(coarse=spec, cascade_levels=-1)
+    with pytest.raises(ValueError, match="^fine size 16777216 exceeds"):
+        TwoGridPlan(coarse=spec, cascade_levels=2).fine_sizes()  # 64^4 > 2^20
+    coarse = MeshSpec("uniform", 0.1, 4)
+    assert TwoGridPlan(coarse, cascade_levels=3).fine_sizes() == [16, 256, 65536]
+    assert TwoGridPlan(coarse, cascade_levels=0).fine_sizes() == []
 
 
 def test_two_grid_matches_direct_fine_solve():

@@ -75,7 +75,7 @@ def stage_peaks(sp, problem: str, family: str, eps: float, coarse: int) -> dict:
     a = perfbench("workloads").grading(problem, family)  # the benchmark's grading
     spec = sp.mesh.MeshSpec(family, eps, coarse, a=a)
     plan = sp.twogrid.TwoGridPlan(coarse=spec)
-    n = plan.single_fine_size()
+    [n] = plan.fine_sizes()
     fine_mesh = sp.mesh.build_mesh(replace(spec, n=n))
     runs = {"algorithm1": lambda: sp.twogrid.algorithm1(prob, plan),
             "solve": lambda: sp.newton.solve(fine_mesh, prob)}
