@@ -33,6 +33,8 @@ from .twogrid import TwoGridPlan, _run, choose_r
 ALGORITHMS = ("direct", "tg1", "tg2", "tg1_ropt")
 FORMATS = ("markdown", "csv", "json")
 METRICS = ("nodal", "interpolant")
+#: What a valid run can still raise: a failed cell in a report, exit 3 in the CLI.
+SOLVER_ERRORS = (NoConvergenceError, ZeroPivotError, NoRootError)
 
 CSV_HEADER = "problem,mesh,a,q,gamma0,eps,N,n,step,error,order,iterations,seconds"
 
@@ -251,7 +253,7 @@ def _run_cell(cfg: ReportConfig, plan: TwoGridPlan) -> list:
                 **base, n=mesh.n, step=step,
                 error=_error_of(cfg, mesh, out.y, problem.exact),
                 iterations=out.iterations, seconds=seconds))
-    except (ValueError, NoConvergenceError, ZeroPivotError, NoRootError) as exc:
+    except (ValueError, *SOLVER_ERRORS) as exc:
         # solver and budget failures are captured per cell; the sweep continues
         rows.append(ConvergenceRow(**base, n=spec.n, step=1,
                                    failed=f"{type(exc).__name__}: {exc}"))

@@ -2,8 +2,8 @@
 
 Subcommands: ``solve`` (one problem instance), ``table`` (convergence
 sweep), ``layers`` (layer-point percentages), ``bench`` (direct vs
-two-grid timing).  Exit codes: 0 success, 2 validation error, 3 solver
-non-convergence in any cell.
+two-grid timing).  Exit codes: 0 success, 2 validation error, 3 a solver
+failure (``bench.SOLVER_ERRORS``) in a solve or in any cell of a table.
 """
 
 from __future__ import annotations
@@ -13,10 +13,9 @@ import functools
 import json
 import sys
 
-from .bench import (ALGORITHMS, FORMATS, METRICS, ReportConfig, fmt_float,
-                    layer_report, make_plan, nodal_error, render_layer_rows,
+from .bench import (ALGORITHMS, FORMATS, METRICS, SOLVER_ERRORS, ReportConfig,
+                    fmt_float, layer_report, make_plan, nodal_error, render_layer_rows,
                     run_algorithm, run_report, timing_comparison)
-from .newton import NoConvergenceError
 from .problems import PROBLEMS, make_problem
 
 EXIT_OK = 0
@@ -171,7 +170,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "layers":
             return _cmd_layers(args)
         return _cmd_bench(args)
-    except NoConvergenceError as exc:
+    except SOLVER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except ValueError as exc:

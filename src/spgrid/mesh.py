@@ -9,7 +9,8 @@ under a monotone generating function ``lam`` with ``lam(0) = 0`` and
   ``alpha = min(1/4, 2*eps*ln(n)/gamma0)``; one quarter of the intervals
   is compressed into ``[0, alpha]`` (and mirrored at the right end).
 * ``bakhvalov``  -- logarithmic layer part ``a*eps*ln(q/(q - t))``
-  continued by its tangent through ``(1/2, 1/2)``.
+  continued by its tangent through ``(1/2, 1/2)``; the contact abscissa
+  solves a Lambert-W equation, by a monotone Newton loop.
 * ``vulanovic``  -- rational layer part ``a*eps*t/(q - t)`` continued by
   its tangent through ``(1/2, 1/2)``; the contact abscissa has a closed
   form.
@@ -42,8 +43,9 @@ class DegenerateMeshError(ValueError):
 
 
 class NoRootError(RuntimeError):
-    """Raised when a mesh cannot be built: the tangency equation has no
-    bracket, or the layer steps are too fine for doubles near x = 1."""
+    """Raised when a mesh cannot be built in doubles: the Bakhvalov contact
+    point is not a double in (0, q), or the layer steps are too fine for
+    doubles near x = 1."""
 
 
 @dataclass(frozen=True)
@@ -88,7 +90,7 @@ class Mesh:
     ``steps[i-1] = h_i = x_i - x_{i-1}`` (length ``n``) and
     ``half_steps[i-1] = 0.5*(h_i + h_{i+1})`` (length ``n - 1``).
     ``degenerate`` flags a graded spec that fell back to the uniform mesh
-    because ``a*eps >= q``.
+    (:class:`DegenerateMeshError`).
     """
 
     nodes: np.ndarray
@@ -112,53 +114,43 @@ def shishkin_alpha(eps: float, gamma0: float, n: int) -> float:
     return min(0.25, 2.0 * eps * math.log(n) / gamma0)
 
 
-def vulanovic_alpha(eps: float, a: float, q: float) -> float:
-    """Closed-form contact abscissa of the tangent from (1/2, 1/2)."""
+def _layer_scale(eps: float, a: float, q: float) -> float:
+    """``a*eps``, the graded layer part's scale; the one degenerate rule."""
     ea = eps * a
     if ea >= q:
         raise DegenerateMeshError(f"a*eps = {ea:g} >= q = {q:g}")
+    return ea
+
+
+def vulanovic_alpha(eps: float, a: float, q: float) -> float:
+    """Closed-form contact abscissa of the tangent from (1/2, 1/2)."""
+    ea = _layer_scale(eps, a, q)
     return (q - math.sqrt(ea * q * (1.0 - 2.0 * q + 2.0 * ea))) / (1.0 + 2.0 * ea)
-
-
-def _bakhvalov_tangency(alpha: float, ea: float, q: float) -> float:
-    return ea * math.log(q / (q - alpha)) + ea * (0.5 - alpha) / (q - alpha) - 0.5
 
 
 def bakhvalov_alpha(eps: float, a: float, q: float) -> float:
     """Contact abscissa of the tangent from (1/2, 1/2) to the log layer part.
 
-    Solved by bisection (absolute tolerance 1e-14) followed by a Newton
-    polish; the tangency function is strictly increasing on [0, q), so the
-    root is unique.  Returns 0.0 when the tangent touches at the origin
-    (``a*eps == q``), meaning the layer part is empty and the mesh is
-    uniform.
+    In ``v = ln(q/(q - alpha))``, with ``k = (1/2 - q)/q``, tangency reads
+    ``v + k (e^v - 1) = D = (q - a eps)/(2 a eps q)``, so ``k e^v = W(e^C)``
+    (Lambert W), ``C = 1/(2 a eps) - 1 + ln k``.  Increasing and convex: Newton
+    from ``min(D, ln(1 + D/k))``, right of the root, falls until an iterate no
+    longer falls.  ``alpha = q (1 - e^-v)`` takes ``expm1`` for small v, keeping
+    its digits as a*eps nears q.  Raises :class:`DegenerateMeshError` like
+    :func:`vulanovic_alpha`, and :class:`NoRootError` for no alpha in ``(0, q)``.
     """
-    ea = eps * a
-    if ea > q:
-        raise DegenerateMeshError(f"a*eps = {ea:g} > q = {q:g}")
-    if _bakhvalov_tangency(0.0, ea, q) >= 0.0:
-        return 0.0
-    lo, hi = 0.0, q - 1e-15
-    if _bakhvalov_tangency(hi, ea, q) <= 0.0:
-        raise NoRootError("no sign change on [0, q); check a, q, eps")
-    while hi - lo > 1e-14:
-        mid = 0.5 * (lo + hi)
-        if _bakhvalov_tangency(mid, ea, q) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    alpha = 0.5 * (lo + hi)
-    # Newton polish: bisection alone leaves lam(1/2) - 1/2 ~ T'(alpha)*1e-14,
-    # which for small eps can exceed the 1e-12 midpoint guarantee.
-    for _ in range(4):
-        s = q - alpha
-        slope = ea * (1.0 / s + (0.5 - q) / (s * s))
-        step = _bakhvalov_tangency(alpha, ea, q) / slope
-        alpha -= step
-        if not 0.0 <= alpha < q:
-            alpha = max(0.0, min(alpha, q - 1e-15))
-        if abs(step) < 1e-17:
+    ea = _layer_scale(eps, a, q)
+    k = (0.5 - q) / q
+    d = (q - ea) / ea / (2.0 * q) if ea > 0.0 else math.inf
+    v = min(d, math.log1p(d / k))
+    for _ in range(60):
+        nxt = v - (v + k * math.expm1(v) - d) / (1.0 + k * math.exp(v))
+        if not nxt < v:
             break
+        v = nxt
+    alpha = -q * math.expm1(-v) if v < 1.0 else q - q * math.exp(-v)
+    if not 0.0 < alpha < q:  # D overflowed, or q - alpha underflowed
+        raise NoRootError(f"no double contact point in (0, {q:g}) for a*eps = {ea:g}")
     return alpha
 
 
@@ -202,9 +194,9 @@ def _half_map(spec: MeshSpec, t: np.ndarray) -> np.ndarray:
 def build_mesh(spec: MeshSpec) -> Mesh:
     """Construct the mesh ``x_i = lam(i/n)`` for the given spec.
 
-    Graded specs with ``a*eps >= q`` degenerate silently to the uniform
-    mesh ``i/n``, which is not mirror-exact; the mesh carries
-    ``degenerate=True``.  Otherwise ``lam`` is evaluated once, on ``j/n``
+    A graded spec whose contact point raises :class:`DegenerateMeshError`
+    falls back silently to the uniform mesh ``i/n`` (not mirror-exact),
+    flagged ``degenerate``.  Otherwise ``lam`` is evaluated once, on ``j/n``
     for j <= n/2; two-sided nodes right of 1/2 are ``1 - x[n-i]`` from
     those values (so ``x[n-j] == 1 - x[j]`` exactly for j < n/2, while
     ``lam(1/2)`` may sit one ulp off 1/2) and one-sided ones are ``i/n``.
@@ -212,16 +204,15 @@ def build_mesh(spec: MeshSpec) -> Mesh:
     doubles near x = 1 make the mirrored nodes collapse.
     """
     n = spec.n
-    # exactly when vulanovic_alpha raises and, in doubles, bakhvalov_alpha is 0.0
-    degenerate = spec.family in GRADED and spec.eps * spec.a >= spec.q
-    if degenerate:
-        nodes = np.arange(n + 1) / n
-    else:
+    try:
         left = _half_map(spec, np.arange(n // 2 + 1) / n)
+    except DegenerateMeshError:
+        nodes, degenerate = np.arange(n + 1) / n, True
+    else:
         m = len(left)
         right = (np.arange(m, n + 1) / n if spec.layer_sides == "left"
                  else 1.0 - left[n - m::-1])
-        nodes = np.concatenate((left, right))
+        nodes, degenerate = np.concatenate((left, right)), False
     nodes[0], nodes[-1] = 0.0, 1.0
     steps = nodes[1:] - nodes[:-1]
     if np.any(steps <= 0.0):

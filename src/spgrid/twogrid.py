@@ -174,26 +174,19 @@ def algorithm2(problem, plan: TwoGridPlan) -> TwoGridResult:
 def choose_r(n_coarse: int) -> tuple[float, int]:
     """Cost-balancing exponent: solve ``N^r / r = N^2 / ln N`` for r.
 
-    Bisection to 1e-12 on r; the initial bracket (1, 2] is widened upward
-    when needed (for N < 8 the root exceeds 2).  Returns ``(r,
-    round(N**r))``.
+    Newton on ``r ln N - ln r - ln(N^2/ln N)``, increasing and convex past
+    the root, from ``r0 = (ln(N^2/ln N) + 1)/ln N < e`` (N >= 4), where it
+    is ``1 - ln r0 > 0``, falls to the root until an iterate no longer falls.
+    Returns ``(r, round(N**r))``.
     """
     if n_coarse < 4:
         raise ValueError("coarse size must be at least 4")
     ln_n = math.log(n_coarse)
     target = math.log(n_coarse * n_coarse / ln_n)
-
-    def excess(r: float) -> float:
-        return r * ln_n - math.log(r) - target
-
-    lo, hi = 1.0 + 1e-12, 2.0
-    while excess(hi) < 0.0:
-        hi += 0.5
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if excess(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    r = 0.5 * (lo + hi)
+    r = (target + 1.0) / ln_n
+    for _ in range(60):
+        nxt = r - (r * ln_n - math.log(r) - target) / (ln_n - 1.0 / r)
+        if not nxt < r:
+            break
+        r = nxt
     return r, round(n_coarse ** r)

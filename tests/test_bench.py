@@ -28,6 +28,8 @@ def test_nodal_error_trivial_cases():
     assert nodal_error(mesh, y2, exact) == pytest.approx(1e-3, rel=1e-12)
     with pytest.raises(MissingExactError):
         nodal_error(mesh, y, None)
+    with pytest.raises(MissingExactError):
+        interpolant_error(mesh, y, None)
 
 
 def test_interpolant_error_dominates_nodal():

@@ -38,6 +38,22 @@ def test_one_case_prints_one_line_per_case_and_is_reproducible(monkeypatch, caps
     assert "interp=e3b0c44298fc1c14" in solve_line
 
 
+def test_tg1_ropt_case_refines_to_the_size_of_choose_r(monkeypatch):
+    tool = _tool()
+    sizes = []
+    real_add_mesh = tool._Recorder.add_mesh
+
+    def add_mesh(self, mesh):
+        sizes.append(mesh.n)
+        real_add_mesh(self, mesh)
+
+    monkeypatch.setattr(tool._Recorder, "add_mesh", add_mesh)
+    line = tool.digest_case(spgrid, ("ex1", "bakhvalov", 0.01, "tg1_ropt", 8, 1))
+    assert line.startswith("ex1 bakhvalov 0.01 tg1_ropt 8 mesh=")
+    assert sizes == [8, 61]
+    assert sum(case[3] == "tg1_ropt" for case in tool.cases()) == 36
+
+
 def test_newton_digest_covers_every_cascade_level(monkeypatch):
     # count the newton_step wrapper's calls per mesh size by the input
     # records it feeds the recorder: (iterate, slopes or None)

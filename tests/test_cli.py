@@ -6,6 +6,7 @@ import pytest
 
 from spgrid import bench, newton, twogrid
 from spgrid.cli import main
+from spgrid.linsolve import ZeroPivotError
 from spgrid.mesh import MeshSpec
 from spgrid.twogrid import TwoGridPlan, choose_r
 
@@ -105,6 +106,37 @@ def test_solve_size_the_algorithm_cannot_run_is_validation_error(capsys, monkeyp
     assert code == 2
     assert out == ""
     assert err == message
+
+
+def _one_newton_step(monkeypatch):
+    monkeypatch.setattr(newton, "MAX_ITER", 1)
+
+
+def _zero_pivot(monkeypatch):
+    def zero_pivot(sys):
+        raise ZeroPivotError("zero or non-finite pivot in row 3")
+
+    monkeypatch.setattr(newton, "thomas_solve", zero_pivot)
+
+
+UNIFORM_8 = ("--mesh", "uniform", "--eps", "0.1", "--n", "8")
+
+
+@pytest.mark.parametrize("flags,patch,message", [
+    # the first layer step is ~1e-16, under the spacing of doubles below 1
+    (("--mesh", "bakhvalov", "--eps", "1e-12", "--a", "0.109375", "--q", "0.375",
+      "--n", "2712"), None,
+     "error: layer step below the double spacing near x = 1: mirrored nodes collapsed\n"),
+    (UNIFORM_8, _one_newton_step, "error: no convergence in 1 iterations (last update "),
+    (UNIFORM_8, _zero_pivot, "error: zero or non-finite pivot in row 3\n"),
+], ids=["collapsed-mesh", "no-convergence", "zero-pivot"])
+def test_solve_solver_failure_exits_3(capsys, monkeypatch, flags, patch, message):
+    if patch is not None:
+        patch(monkeypatch)
+    code, out, err = run_cli(capsys, "solve", "--problem", "ex1", *flags)
+    assert code == 3
+    assert out == ""
+    assert err.startswith(message) and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("algorithm", bench.ALGORITHMS)

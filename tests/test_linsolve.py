@@ -211,6 +211,13 @@ def test_nonpositive_coefficient_rejected():
         assemble(mesh, 0.5, lambda x: x - 0.5, lambda x: np.ones_like(x))
 
 
+def test_coefficient_array_of_the_wrong_length_rejected():
+    mesh = build_mesh(MeshSpec("uniform", 0.5, 8))
+    for b, g in ((np.ones(6), np.ones(7)), (np.ones(7), np.ones(8))):
+        with pytest.raises(ValueError, match="coefficient array length"):
+            assemble(mesh, 0.5, b, g)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_nonfinite_coefficient_rejected_before_the_solve(bad):
     mesh = build_mesh(MeshSpec("uniform", 0.1, 8))

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -24,6 +25,11 @@ BAKHVALOV_CASES = [
     ((1e-2, 4.0, 0.4), 0.38754741850192919, 1e-13),
     ((EPS8, 1.0, 0.4), 0.39917231841243529, 1e-13),
     ((1e-4, 2.0, 0.4), 0.39995983603060271, 1e-12),
+    ((0.1, 3.9, 0.4), 0.010100313862048896, 1e-15),  # a*eps near q
+    # a*eps is the double next below q
+    ((0.0625, 0.9999999999999999, 0.0625), 6.938893903907228e-18, 1e-15),
+    # q - alpha is 4 ulp of q: the residual is set by that spacing alone
+    ((1e-12, 1e-3, 0.4), 0.3999999999999998, 0.06),
 ]
 
 
@@ -45,7 +51,7 @@ def test_vulanovic_alpha_degenerate_boundary():
 @pytest.mark.parametrize("args,expected,rtol", BAKHVALOV_CASES)
 def test_bakhvalov_alpha(args, expected, rtol):
     alpha = bakhvalov_alpha(*args)
-    assert alpha == pytest.approx(expected, rel=1e-12)
+    assert alpha == pytest.approx(expected, rel=1e-12, abs=0.0)
     eps, a, q = args
     resid = (eps * a * math.log(q / (q - alpha))
              + eps * a * (0.5 - alpha) / (q - alpha) - 0.5)
@@ -53,10 +59,39 @@ def test_bakhvalov_alpha(args, expected, rtol):
 
 
 def test_bakhvalov_alpha_tangent_at_origin():
-    # a*eps == q puts the contact point at t = 0: empty layer part
-    assert bakhvalov_alpha(0.1, 4.0, 0.4) == 0.0
-    with pytest.raises(DegenerateMeshError):
-        bakhvalov_alpha(0.2, 4.0, 0.4)
+    # a*eps == q puts the contact point at t = 0: no layer part, as for vulanovic
+    for eps in (0.1, 0.2):
+        with pytest.raises(DegenerateMeshError):
+            bakhvalov_alpha(eps, 4.0, 0.4)
+
+
+@pytest.mark.parametrize("eps,a", [(1e-300, 1e-10), (1e-200, 1e-200)])
+def test_bakhvalov_alpha_subnormal_scale_has_no_double_root(eps, a):
+    # a*eps is subnormal or 0.0: q - alpha would lie far below the spacing at q
+    with pytest.raises(NoRootError, match="no double contact point"):
+        bakhvalov_alpha(eps, a, 0.4)
+
+
+def _bakhvalov_reference(eps, a, q):
+    """50-digit root for the double ``a*eps``: ``q - alpha = (1/2 - q)/W(e^C)``."""
+    with mpmath.workdps(50):
+        ea, q = mpmath.mpf(eps * a), mpmath.mpf(q)
+        c = 1 / (2 * ea) - 1 - mpmath.log(q / (0.5 - q))
+        return float(q - (0.5 - q) / mpmath.lambertw(mpmath.exp(c)).real)
+
+
+def test_bakhvalov_alpha_matches_lambert_w_root():
+    # half the draws put a*eps within 1e-15..1e-1 relative below q, where
+    # alpha is a small fraction of q and must keep its digits all the same
+    rng = np.random.default_rng(17)
+    for draw in range(1000):
+        eps, q = 10.0 ** rng.uniform(-12, 0), rng.uniform(0.01, 0.49)
+        a = (q / eps * (1.0 - 10.0 ** rng.uniform(-15, -1)) if draw % 2
+             else rng.uniform(0.1, 10))
+        if eps * a >= q:
+            continue
+        alpha, ref = bakhvalov_alpha(eps, a, q), _bakhvalov_reference(eps, a, q)
+        assert abs(alpha / ref - 1) <= 1e-15, (eps, a, q)
 
 
 def test_bakhvalov_alpha_approaches_q():
@@ -231,6 +266,8 @@ def test_spec_validation():
         MeshSpec("bakhvalov", 0.1, 8, q=0.6)
     with pytest.raises(ValueError):
         MeshSpec("vulanovic", 0.1, 8, a=-1.0)
+    with pytest.raises(ValueError, match="layer_sides"):
+        MeshSpec("uniform", 0.1, 8, layer_sides="right")
 
 
 def test_nodes_are_immutable():

@@ -87,8 +87,6 @@ def _where_half_map(spec, t):
     ea, q = spec.eps * spec.a, spec.q
     if spec.family == "bakhvalov":
         alpha = bakhvalov_alpha(spec.eps, spec.a, spec.q)
-        if alpha == 0.0:
-            raise DegenerateMeshError("tangent touches at the origin")
         layer = ea * np.log(q / np.maximum(q - t, 1e-300))
         val = ea * math.log(q / (q - alpha))
     else:
@@ -132,6 +130,8 @@ def _two_evaluation_mesh(spec):
 @example(MeshSpec("vulanovic", 0.5, 9, a=2.0, q=0.3), "both")  # degenerate
 @example(MeshSpec("bakhvalov", 0.5, 10, a=2.0, q=0.3), "left")  # degenerate
 @example(MeshSpec("bakhvalov", 1e-12, 2712, a=0.109375, q=0.375), "both")
+@example(MeshSpec("bakhvalov", 0.0625, 2, a=0.9999999999999999, q=0.0625),
+         "both")  # a*eps is the double next below q
 def test_one_half_evaluation_matches_two_evaluations_bitwise(spec, side):
     spec = replace(spec, layer_sides=side)
     try:

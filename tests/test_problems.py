@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -129,6 +130,17 @@ def test_log_transform_rejects_bad_boundary():
         bc_left=-1.0, bc_right=p.bc_right)
     with pytest.raises(ValueError):
         log_transform(at_limit)
+
+
+@pytest.mark.parametrize("example,changes,message", [
+    (example1, {"eps": 0.0}, r"eps must lie in \(0, 1\]"),
+    (example2, {"eps": 1.5}, r"eps must lie in \(0, 1\]"),
+    (example2, {"d": lambda u: 0.0 * np.asarray(u)},
+     "diffusion factor not positive at boundary data"),
+])
+def test_problem_record_checks(example, changes, message):
+    with pytest.raises(ValueError, match=message):
+        replace(example(0.1), **changes)
 
 
 def test_exact_boundary_consistency_enforced():

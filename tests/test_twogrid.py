@@ -1,5 +1,6 @@
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,12 +14,17 @@ from spgrid.twogrid import (OutOfDomainError, TwoGridPlan, algorithm1,
                             algorithm2, choose_r, interpolant_slopes,
                             interpolate)
 
-# 40-digit bisection reference values for N^r / r = N^2 / ln N
+# 50-digit reference values for N^r / r = N^2 / ln N (see _choose_r_reference)
 CHOOSE_R_REFERENCE = {
+    4: (2.39413562824760548, 28),
+    5: (2.19192828342087036, 34),
+    6: (2.0844445606794905, 42),
+    7: (2.01893122597730031, 51),
     8: (1.97528927244827121, 61),
     16: (1.85505758650848175, 171),
     32: (1.81305166261810564, 536),
     64: (1.79842266593839056, 1771),
+    2048: (1.81150191698178988, 996507),
 }
 
 
@@ -67,6 +73,8 @@ def test_interpolant_slopes_checks_values():
     for values in (np.zeros(4), np.zeros(6)):
         with pytest.raises(ValueError):
             interpolant_slopes(coarse, values, fine)
+        with pytest.raises(ValueError, match="values length"):
+            interpolate(coarse, values, fine.nodes)
 
 
 def test_interpolant_slopes_match_coarse_cells():
@@ -94,12 +102,27 @@ def test_choose_r_reference_values(n_coarse):
         n_coarse ** 2 / np.log(n_coarse), rel=1e-10)
 
 
-def test_choose_r_small_sizes_extend_bracket():
+def test_choose_r_small_sizes_have_roots_above_two():
     r, n = choose_r(4)
     assert r > 2.0
     assert n == round(4.0 ** r)
     with pytest.raises(ValueError):
         choose_r(3)
+
+
+def _choose_r_reference(n_coarse):
+    """50-digit root: ``r = -W_{-1}(-(ln N / N)^2) / ln N``."""
+    with mpmath.workdps(50):
+        ln_n = mpmath.log(n_coarse)
+        return float(-mpmath.lambertw(-(ln_n / n_coarse) ** 2, -1).real / ln_n)
+
+
+def test_choose_r_matches_lambert_w_root():
+    for n_coarse in range(4, 4096):
+        r, n = choose_r(n_coarse)
+        ref = _choose_r_reference(n_coarse)
+        assert abs(r / ref - 1) <= 1e-14, n_coarse
+        assert n == round(n_coarse ** ref), n_coarse
 
 
 def test_cascade_level_one_equals_algorithm1():

@@ -11,8 +11,10 @@ and fine-level solution bit for bit as it was:
 The grid is ex1, ex2 and log_transform(ex2) on the uniform, Shishkin,
 Bakhvalov and Vulanovic meshes at eps = 1e-2, 1e-4 and 1e-6, with the
 benchmark's grading ``a`` (perfbench/workloads.py).  The cases are the
-direct solve at n = 64, 4096 and 65536 and the cascade (algorithm2) with
-(N, levels) = (8, 2), (16, 2) and (256, 1).  Each line names its case and
+direct solve at n = 64, 4096 and 65536, the cascade (algorithm2) with
+(N, levels) = (8, 2), (16, 2) and (256, 1), and ``tg1_ropt``: algorithm1
+from N = 8 at r = choose_r(8), so its fine mesh has round(8**r) = 61
+intervals (r itself is not digested).  Each line names its case and
 gives, per kind, a 16-hex-digit digest over every array of that kind in
 call order: ``mesh`` (nodes, steps, half_steps, degenerate flag),
 ``newton`` (each Newton step's input iterate, interpolant slopes, output
@@ -50,6 +52,7 @@ def cases():
                     yield problem, family, eps, "solve", n, 0
                 for N, levels in CASCADES:
                     yield problem, family, eps, "algorithm2", N, levels
+                yield problem, family, eps, "tg1_ropt", 8, 1
 
 
 def case_key(case) -> str:
@@ -119,8 +122,10 @@ def digest_case(sp, case) -> str:
             recorder.add_mesh(mesh)
             recorder.add_outcome(sp.newton.solve(mesh, prob))
         else:
-            plan = sp.twogrid.TwoGridPlan(coarse=spec, cascade_levels=levels)
-            result = sp.twogrid.algorithm2(prob, plan)
+            tg, ropt = sp.twogrid, algorithm == "tg1_ropt"
+            plan = tg.TwoGridPlan(coarse=spec, r=tg.choose_r(size)[0] if ropt else 2.0,
+                                  cascade_levels=levels)
+            result = (tg.algorithm1 if ropt else tg.algorithm2)(prob, plan)
             for mesh in (result.coarse_mesh, *result.fine_meshes):
                 recorder.add_mesh(mesh)
             for out in (result.coarse, *result.fine):
