@@ -33,8 +33,8 @@ from .newton import (NoConvergenceError, NonpositiveJacobianError,
                      SingularDiffusionError, SolveOutcome, interior_source,
                      jacobian_fd_gap, newton_step, reduced_initial,
                      residual_for, solve)
-from .twogrid import (OutOfDomainError, TwoGridPlan, TwoGridResult, algorithm1,
-                      algorithm2, choose_r, interpolant_slopes, interpolate)
+from .twogrid import (TwoGridPlan, TwoGridResult, algorithm1, algorithm2,
+                      choose_r, interpolant_slopes)
 from .bench import (ConvergenceRow, DegenerateError, MissingExactError, Report,
                     ReportConfig, convergence_order, interpolant_error,
                     layer_report, make_plan, nodal_error, run_algorithm,
@@ -53,8 +53,8 @@ __all__ = [
     "NonpositiveJacobianError", "SingularDiffusionError", "solve",
     "newton_step", "reduced_initial", "residual_for", "interior_source",
     "jacobian_fd_gap",
-    "TwoGridPlan", "TwoGridResult", "OutOfDomainError", "interpolate",
-    "interpolant_slopes", "algorithm1", "algorithm2", "choose_r",
+    "TwoGridPlan", "TwoGridResult", "interpolant_slopes", "algorithm1",
+    "algorithm2", "choose_r",
     "ReportConfig", "Report", "ConvergenceRow", "MissingExactError",
     "DegenerateError", "nodal_error", "interpolant_error", "convergence_order",
     "make_plan", "run_algorithm", "run_report", "layer_report", "timing_comparison",

@@ -7,10 +7,11 @@ second cascade level step 3, and so on.  Observed convergence orders
 ``(ln E_N - ln E_2N) / ln 2`` are attached per step wherever the sweep
 contains the doubled coarse size; the finest row of each group has none.
 
-Solver errors in a cell, and a plan over the interval budget, are captured
-into the row instead of aborting the sweep, so one diverging cell cannot
-take down a table.  Invalid parameters raise when the config is built; any
-other exception is a defect and propagates.
+A cell's solver failures (``SOLVER_ERRORS``) and a fine level over the
+interval budget are captured into the row instead of aborting the sweep, so
+one diverging cell cannot take down a table.  Invalid parameters, repeated
+sweep values among them, raise when the config is built; any other
+exception, a ``ValueError`` from a callback too, is a defect and propagates.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .linsolve import ZeroPivotError
 from .mesh import Mesh, MeshSpec, NoRootError, build_mesh, layer_fraction
-from .newton import NoConvergenceError
+from .newton import NoConvergenceError, NonpositiveJacobianError, SingularDiffusionError
 from .problems import make_problem
 from .twogrid import TwoGridPlan, _run, choose_r
 
@@ -34,7 +35,8 @@ ALGORITHMS = ("direct", "tg1", "tg2", "tg1_ropt")
 FORMATS = ("markdown", "csv", "json")
 METRICS = ("nodal", "interpolant")
 #: What a valid run can still raise: a failed cell in a report, exit 3 in the CLI.
-SOLVER_ERRORS = (NoConvergenceError, ZeroPivotError, NoRootError)
+SOLVER_ERRORS = (NoConvergenceError, ZeroPivotError, NoRootError,
+                 NonpositiveJacobianError, SingularDiffusionError)
 
 CSV_HEADER = "problem,mesh,a,q,gamma0,eps,N,n,step,error,order,iterations,seconds"
 
@@ -119,8 +121,13 @@ class ReportConfig:
             raise ValueError(f"unknown format {self.fmt!r}")
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r}")
-        if not self.families or not list(self.eps_list) or not list(self.n_list):
-            raise ValueError("families, eps_list and n_list must be nonempty")
+        for key in ("families", "eps_list", "n_list"):
+            values = list(getattr(self, key))
+            if not values:
+                raise ValueError("families, eps_list and n_list must be nonempty")
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ValueError(f"repeated value {repeated[0]!r} in {key}")
         object.__setattr__(self, "plans", tuple(
             make_plan(self.algorithm, N, r=self.r, levels=self.levels, family=family,
                       eps=eps, a=self.a, q=self.q, gamma0=self.gamma0,
@@ -245,19 +252,21 @@ def _run_cell(cfg: ReportConfig, plan: TwoGridPlan) -> list:
     problem = make_problem(cfg.problem, spec.eps)
     base = dict(problem=cfg.problem, mesh=spec.family, a=cfg.a, q=cfg.q,
                 gamma0=cfg.gamma0, eps=spec.eps, N=spec.n)
-    rows = []
     try:
-        steps = run_algorithm(problem, plan)
-        for step, (mesh, out, seconds) in enumerate(steps, start=1):
-            rows.append(ConvergenceRow(
-                **base, n=mesh.n, step=step,
-                error=_error_of(cfg, mesh, out.y, problem.exact),
-                iterations=out.iterations, seconds=seconds))
-    except (ValueError, *SOLVER_ERRORS) as exc:
-        # solver and budget failures are captured per cell; the sweep continues
-        rows.append(ConvergenceRow(**base, n=spec.n, step=1,
-                                   failed=f"{type(exc).__name__}: {exc}"))
-    return rows
+        plan.fine_sizes()  # a level over the interval budget fails the cell
+    except ValueError as exc:
+        failed = exc
+    else:
+        try:
+            return [ConvergenceRow(**base, n=mesh.n, step=step,
+                                   error=_error_of(cfg, mesh, out.y, problem.exact),
+                                   iterations=out.iterations, seconds=seconds)
+                    for step, (mesh, out, seconds)
+                    in enumerate(run_algorithm(problem, plan), start=1)]
+        except SOLVER_ERRORS as exc:
+            failed = exc
+    return [ConvergenceRow(**base, n=spec.n, step=1,
+                           failed=f"{type(failed).__name__}: {failed}")]
 
 
 def _attach_orders(rows: list) -> None:

@@ -2,8 +2,10 @@
 
 Subcommands: ``solve`` (one problem instance), ``table`` (convergence
 sweep), ``layers`` (layer-point percentages), ``bench`` (direct vs
-two-grid timing).  Exit codes: 0 success, 2 validation error, 3 a solver
-failure (``bench.SOLVER_ERRORS``) in a solve or in any cell of a table.
+two-grid timing).  Exit codes: 0 success; 2 a validation error, a repeated
+``table`` sweep value too; 3 a solver failure (``bench.SOLVER_ERRORS``, a
+Jacobian or diffusion failure too) in a solve or in any cell of a table;
+141 once the reader closes stdout: the rest is dropped, with no traceback.
 """
 
 from __future__ import annotations
@@ -11,16 +13,19 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .bench import (ALGORITHMS, FORMATS, METRICS, SOLVER_ERRORS, ReportConfig,
                     fmt_float, layer_report, make_plan, nodal_error, render_layer_rows,
                     run_algorithm, run_report, timing_comparison)
+from .newton import residual_for
 from .problems import PROBLEMS, make_problem
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
+EXIT_BROKEN_PIPE = 141  # as a shell reports a writer that SIGPIPE ended
 
 
 def _float_list(text: str) -> list[float]:
@@ -111,7 +116,7 @@ def _cmd_solve(args) -> int:
                  "q": args.q, "gamma0": args.gamma0, "degenerate": mesh.degenerate},
         "iterations": out.iterations,
         "final_update": out.final_update,
-        "residual_norm": out.residual_norm,
+        "residual_norm": float(abs(residual_for(mesh, problem, out.y)).max()),
         "seconds": seconds,
         "nodal_error": error,
         "nodes": mesh.nodes.tolist(),
@@ -162,20 +167,21 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
+    command = {"solve": _cmd_solve, "table": _cmd_table, "layers": _cmd_layers,
+               "bench": _cmd_bench}[args.command]
     try:
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "table":
-            return _cmd_table(args)
-        if args.command == "layers":
-            return _cmd_layers(args)
-        return _cmd_bench(args)
+        code = command(args)
+        sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit
+        return code
     except SOLVER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except BrokenPipeError:  # drop what nobody reads, so the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

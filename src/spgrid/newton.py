@@ -29,8 +29,7 @@ leaving ``eps^2/h^2``-amplified rounding noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,20 +66,14 @@ class SolveOutcome:
     """Converged discrete solution plus iteration diagnostics.
 
     Built only once :func:`_converged` holds (a two-grid fine step tests at
-    ``tol = inf``: its first finite update converges).  ``residual_norm`` is
-    computed on first read.
+    ``tol = inf``: its first finite update converges).  Plain data: the
+    residual of ``y`` is :func:`residual_for` on the mesh it was solved on.
     """
 
     y: np.ndarray
     iterations: int
     final_update: float
-    mesh: Mesh = field(repr=False, compare=False)
-    problem: object = field(repr=False, compare=False)
-    update_history: list = field(default_factory=list)
-
-    @cached_property
-    def residual_norm(self) -> float:
-        return float(np.abs(residual_for(self.mesh, self.problem, self.y)).max())
+    update_history: list
 
 
 def _interval_slopes(mesh: Mesh, y: np.ndarray) -> np.ndarray:
@@ -292,7 +285,7 @@ def _iterate(mesh: Mesh, problem, y: np.ndarray, slopes: np.ndarray | None,
                 f"non-finite update in iteration {len(updates)}", final_update=upd)
         if _converged(updates, y, tol):
             return SolveOutcome(y=y, iterations=len(updates), final_update=upd,
-                                mesh=mesh, problem=problem, update_history=updates)
+                                update_history=updates)
     raise NoConvergenceError(f"no convergence in {MAX_ITER} iterations (last "
                              f"update {upd:.3e})", final_update=upd)
 

@@ -1,12 +1,13 @@
 """Two-grid algorithms: nonlinear coarse solve, linearized fine solve(s).
 
 The cheap route to fine-grid accuracy: solve the nonlinear scheme only on
-a coarse mesh with N intervals, interpolate, then perform a single Newton
-correction on the fine mesh (n = N^r intervals, r > 1) about the
+a coarse mesh with N intervals, then perform a single Newton correction on
+the fine mesh (n = N^r intervals, r > 1) about the coarse solution's
 interpolant.  Repeating the fine step on successively squared grid sizes
 (n = N^(2^m)) cascades the accuracy while only ever solving linear
-systems after the coarse stage.  The transfer is ``np.interp``'s
-interpolant bit for bit, built by run-length expansion over coarse cells.
+systems after the coarse stage.  The one transfer, :func:`interpolant_slopes`,
+is ``np.interp``'s interpolant at the fine nodes bit for bit, built by
+run-length expansion over coarse cells; no other interpolation function exists.
 """
 
 from __future__ import annotations
@@ -19,10 +20,6 @@ import numpy as np
 
 from .mesh import MAX_INTERVALS, Mesh, MeshSpec, build_mesh
 from .newton import SolveOutcome, _iterate, solve as newton_solve
-
-
-class OutOfDomainError(ValueError):
-    """Interpolation query outside [0, 1]."""
 
 
 @dataclass(frozen=True)
@@ -78,20 +75,6 @@ class TwoGridResult:
     fine_meshes: list
     fine: list
     step_seconds: list
-
-
-def interpolate(mesh: Mesh, values: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Piecewise-linear interpolant of nodal values at the query points.
-
-    Exact at nodes and for linear data; queries must lie in [0, 1] (the
-    check is negated so that NaN fails it, as infinities do).
-    """
-    q = np.asarray(query, dtype=float)
-    if q.size and not (q.min() >= 0.0 and q.max() <= 1.0):
-        raise OutOfDomainError("query points must lie in [0, 1]")
-    if len(values) != mesh.n + 1:
-        raise ValueError("values length does not match mesh")
-    return np.interp(q, mesh.nodes, values)
 
 
 def interpolant_slopes(coarse: Mesh, values: np.ndarray,

@@ -426,12 +426,15 @@ def test_criterion_7_jacobian_gaps():
 
 
 def test_criterion_7_interpolation_linear_exactness():
-    mesh = sp.build_mesh(sp.MeshSpec("shishkin", 1e-3, 64))
-    vals = -0.7 * mesh.nodes + 0.2
-    q = np.linspace(0.0, 1.0, 641)
-    gap = np.max(np.abs(sp.interpolate(mesh, vals, q) - (-0.7 * q + 0.2)))
-    ok = gap <= 1e-14
-    _report("7 interpolation linear exactness <= 1e-14", ok)
+    # the two-grid transfer at the 641 nodes of a uniform fine mesh
+    coarse = sp.build_mesh(sp.MeshSpec("shishkin", 1e-3, 64))
+    fine = sp.build_mesh(sp.MeshSpec("uniform", 1e-3, 640))
+    w, slopes = sp.interpolant_slopes(coarse, -0.7 * coarse.nodes + 0.2, fine)
+    gap = np.max(np.abs(w - (-0.7 * fine.nodes + 0.2)))
+    slope_gap = np.max(np.abs(slopes + 0.7))
+    ok = gap <= 1e-14 and slope_gap <= 1e-12
+    _report("7 interpolation linear exactness <= 1e-14, slopes <= 1e-12", ok,
+            f"{gap:.1e}, {slope_gap:.1e}")
     assert ok
 
 
@@ -481,6 +484,48 @@ def test_criterion_7_eps_stabilization():
         e4, _ = _direct("ex1", family, 1e-4, [32, 64])
         ok &= all(abs(a - b) / a <= 5e-3 for a, b in zip(e2, e4))
     _report("7 eps-stabilization of resolved rows (3 significant digits)", ok)
+    assert ok
+
+
+# the abstract's uniform convergence: the nodal error times the mesh's rate,
+# maximized over eps = 10^-k (k = 0..12), stays below 1.25 times the largest
+# such constant measured at N = 16, 64 and 256, per (family, problem)
+UNIFORM_EPS = [10.0 ** -k for k in range(13)]
+UNIFORM_SIZES = (16, 64, 256)
+UNIFORM_MEASURED = {
+    ("shishkin", "ex1", 1.0): 1.22, ("shishkin", "ex2", 1.0): 0.27,
+    ("bakhvalov", "ex1", 4.0): 1.92, ("bakhvalov", "ex2", 2.0): 2.25,
+    ("vulanovic", "ex1", 1.0): 8.55, ("vulanovic", "ex2", 2.0): 2.89,
+}
+
+
+def _uniform_constants(families, rate):
+    ok, detail = True, []
+    for (family, problem_id, a), measured in UNIFORM_MEASURED.items():
+        if family not in families:
+            continue
+        constants = [0.0] * len(UNIFORM_SIZES)
+        for eps in UNIFORM_EPS:
+            errs, iters = _direct(problem_id, family, eps, UNIFORM_SIZES, a=a)
+            ok &= max(iters) <= 8
+            constants = [max(c, e * rate(N))
+                         for c, e, N in zip(constants, errs, UNIFORM_SIZES)]
+        ok &= max(constants) <= 1.25 * measured
+        detail.append(f"{family} {problem_id} "
+                      + "/".join(f"{c:.2f}" for c in constants))
+    return ok, "; ".join(detail)
+
+
+def test_criterion_7_uniform_convergence_shishkin_at_rate_ln_n_over_n_squared():
+    ok, detail = _uniform_constants(("shishkin",), lambda N: (N / math.log(N)) ** 2)
+    _report("7 Shishkin error * (N/ln N)^2 bounded over eps = 1..1e-12", ok, detail)
+    assert ok
+
+
+def test_criterion_7_uniform_convergence_bakhvalov_vulanovic_at_rate_n_squared():
+    ok, detail = _uniform_constants(("bakhvalov", "vulanovic"), lambda N: N * N)
+    _report("7 Bakhvalov/Vulanovic error * N^2 bounded over eps = 1..1e-12", ok,
+            detail)
     assert ok
 
 

@@ -141,20 +141,21 @@ def test_run_report_captures_cell_failures():
 
 
 def test_run_report_raises_programming_errors(monkeypatch):
-    # only solver and validation errors become failed rows; a defect surfaces
-    def broken(eps):
-        p = example1(eps)
+    # only solver errors and an over-budget plan become failed rows; a defect
+    # surfaces, also one that numpy reports as a ValueError
+    def type_error(x, u):
+        raise TypeError("broken callback")
 
-        def f(x, u):
-            raise TypeError("broken callback")
-
-        return replace(p, f=f, f_u=f)
-
-    monkeypatch.setitem(PROBLEMS, "broken", broken)
-    cfg = ReportConfig(problem="broken", families=("uniform",), eps_list=(0.1,),
-                       n_list=(8,))
-    with pytest.raises(TypeError, match="broken callback"):
-        run_report(cfg)
+    for broken, error, message in (
+            (dict(f=type_error, f_u=type_error), TypeError, "broken callback"),
+            (dict(f_u=lambda x, u: np.ones(3)), ValueError,
+             r"could not be broadcast together with shapes \(7,\) \(3,\)")):
+        monkeypatch.setitem(PROBLEMS, "broken",
+                            lambda eps, kw=broken: replace(example1(eps), **kw))
+        cfg = ReportConfig(problem="broken", families=("uniform",), eps_list=(0.1,),
+                           n_list=(8,))
+        with pytest.raises(error, match=message):
+            run_report(cfg)
 
 
 def test_csv_format_exact_header_and_floats():
@@ -255,6 +256,13 @@ def test_report_config_validation():
         _small_cfg(fmt="yaml")
     with pytest.raises(ValueError):
         _small_cfg(metric="l2")
+    # a repeated value would render its cell twice and make the orders ambiguous
+    for repeated, message in (
+            (dict(families=("shishkin", "shishkin")), "'shishkin' in families"),
+            (dict(eps_list=(1e-2, 0.01)), "0.01 in eps_list"),
+            (dict(n_list=(8, 16, 8)), "8 in n_list")):
+        with pytest.raises(ValueError, match="^repeated value " + message):
+            _small_cfg(**repeated)
 
 
 def test_interpolant_metric_report():

@@ -1,14 +1,22 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spgrid import bench, newton, twogrid
-from spgrid.cli import main
+from spgrid.cli import EXIT_BROKEN_PIPE, main
 from spgrid.linsolve import ZeroPivotError
-from spgrid.mesh import MeshSpec
+from spgrid.mesh import MeshSpec, build_mesh
+from spgrid.problems import example1
 from spgrid.twogrid import TwoGridPlan, choose_r
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -31,6 +39,9 @@ def test_solve_direct_json(capsys):
     assert len(payload["nodes"]) == 33
     assert payload["nodal_error"] < 1e-1
     assert 0.0 <= payload["residual_norm"] <= 1e-9
+    mesh = build_mesh(MeshSpec("vulanovic", 0.01, 32, a=1.0))
+    residual = newton.residual_for(mesh, example1(0.01), np.array(payload["values"]))
+    assert payload["residual_norm"] == float(np.max(np.abs(residual)))  # bit for bit
 
 
 def test_solve_nodes_output(capsys):
@@ -119,6 +130,13 @@ def _zero_pivot(monkeypatch):
     monkeypatch.setattr(newton, "thomas_solve", zero_pivot)
 
 
+def _nonpositive_jacobian(monkeypatch):
+    def nonpositive(*args, **kw):
+        raise newton.NonpositiveJacobianError("reaction derivative must be positive")
+
+    monkeypatch.setattr(newton, "semilinear_jacobian", nonpositive)
+
+
 UNIFORM_8 = ("--mesh", "uniform", "--eps", "0.1", "--n", "8")
 
 
@@ -129,7 +147,9 @@ UNIFORM_8 = ("--mesh", "uniform", "--eps", "0.1", "--n", "8")
      "error: layer step below the double spacing near x = 1: mirrored nodes collapsed\n"),
     (UNIFORM_8, _one_newton_step, "error: no convergence in 1 iterations (last update "),
     (UNIFORM_8, _zero_pivot, "error: zero or non-finite pivot in row 3\n"),
-], ids=["collapsed-mesh", "no-convergence", "zero-pivot"])
+    (UNIFORM_8, _nonpositive_jacobian,
+     "error: reaction derivative must be positive\n"),
+], ids=["collapsed-mesh", "no-convergence", "zero-pivot", "nonpositive-jacobian"])
 def test_solve_solver_failure_exits_3(capsys, monkeypatch, flags, patch, message):
     if patch is not None:
         patch(monkeypatch)
@@ -219,6 +239,10 @@ def test_table_unknown_mesh_family_is_validation_error(capsys):
     (("--algorithm", "tg1", "--r", "inf"), "r must be finite and exceed 1"),
     # round(8**1.0001) = 8: a "fine" level of the coarse size
     (("--algorithm", "tg1", "--r", "1.0001"), "fine grid must be strictly finer"),
+    # a repeated value would print its cell twice and make the orders ambiguous
+    (("--mesh", "shishkin,shishkin"), "repeated value 'shishkin' in families"),
+    (("--eps", "0.01,1e-2"), "repeated value 0.01 in eps_list"),
+    (("--coarse", "8,8"), "repeated value 8 in n_list"),
 ])
 def test_table_invalid_mesh_or_plan_parameter_is_validation_error(capsys, flags,
                                                                   message):
@@ -252,6 +276,22 @@ def test_table_fine_size_over_the_budget_is_a_failed_cell(capsys, fmt):
         header, row = csv.reader(io.StringIO(out))
         assert ",".join(header) == bench.CSV_HEADER
         assert row[header.index("error"):] == ["", "", "", ""]
+
+
+@pytest.mark.parametrize("out,read", [("nodes", "readline"), ("json", "read10")])
+def test_closed_stdout_exits_quietly(out, read):
+    # the reader stops after one line (or ten bytes) and closes the pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "spgrid.cli", "solve", "--problem", "ex1",
+         "--mesh", "shishkin", "--eps", "1e-2", "--n", "65536", "--out", out],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))})
+    first = proc.stdout.readline() if read == "readline" else proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
+    assert first and err == b""
 
 
 def test_table_markdown_default(capsys):

@@ -20,7 +20,9 @@ call order: ``mesh`` (nodes, steps, half_steps, degenerate flag),
 ``newton`` (each Newton step's input iterate, interpolant slopes, output
 iterate and update), ``interp`` (each ``interpolant_slopes`` output) and
 ``out`` (final y, iterations, update history and residual norm of every
-level).  A case that raises prints its exception type and message digest.
+level; the norm is ``newton.residual_for`` on the level's mesh, so the tool
+reads no field that an outcome lacks on either tree).  A case that raises
+prints its exception type and message digest.
 """
 
 from __future__ import annotations
@@ -99,9 +101,9 @@ class _Recorder(Tracer):
     def add_mesh(self, mesh) -> None:
         self.add("mesh", mesh.nodes, mesh.steps, mesh.half_steps, mesh.degenerate)
 
-    def add_outcome(self, out) -> None:
-        self.add("out", out.y, out.iterations, list(out.update_history),
-                 out.residual_norm)
+    def add_outcome(self, sp, mesh, problem, out) -> None:
+        norm = float(np.abs(sp.newton.residual_for(mesh, problem, out.y)).max())
+        self.add("out", out.y, out.iterations, list(out.update_history), norm)
 
     def line(self) -> str:
         return " ".join(f"{k}={self.hashes[k].hexdigest()[:16]}" for k in KINDS)
@@ -120,16 +122,17 @@ def digest_case(sp, case) -> str:
         if algorithm == "solve":
             mesh = sp.mesh.build_mesh(spec)
             recorder.add_mesh(mesh)
-            recorder.add_outcome(sp.newton.solve(mesh, prob))
+            recorder.add_outcome(sp, mesh, prob, sp.newton.solve(mesh, prob))
         else:
             tg, ropt = sp.twogrid, algorithm == "tg1_ropt"
             plan = tg.TwoGridPlan(coarse=spec, r=tg.choose_r(size)[0] if ropt else 2.0,
                                   cascade_levels=levels)
             result = (tg.algorithm1 if ropt else tg.algorithm2)(prob, plan)
-            for mesh in (result.coarse_mesh, *result.fine_meshes):
+            meshes = (result.coarse_mesh, *result.fine_meshes)
+            for mesh in meshes:
                 recorder.add_mesh(mesh)
-            for out in (result.coarse, *result.fine):
-                recorder.add_outcome(out)
+            for mesh, out in zip(meshes, (result.coarse, *result.fine)):
+                recorder.add_outcome(sp, mesh, prob, out)
     except Exception as err:  # a case that fails must fail alike on both sides
         message = hashlib.sha256(str(err).encode()).hexdigest()[:16]
         return f"{case_key(case)} error={type(err).__name__}:{message}"
