@@ -21,7 +21,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -100,7 +100,7 @@ class ReportConfig:
     """One sweep.  ``plans`` (no field) holds each cell's :func:`make_plan`,
     built here: it, :class:`MeshSpec` and :class:`TwoGridPlan` own the checks
     of the algorithm, mesh and plan parameters, so a bad value fails before
-    a cell runs."""
+    a cell runs, as does a problem without an exact solution to measure."""
 
     problem: str
     families: Sequence[str]
@@ -128,6 +128,8 @@ class ReportConfig:
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
             if repeated:
                 raise ValueError(f"repeated value {repeated[0]!r} in {key}")
+        if any(make_problem(self.problem, eps).exact is None for eps in self.eps_list):
+            raise MissingExactError(f"problem {self.problem!r} has no exact solution")
         object.__setattr__(self, "plans", tuple(
             make_plan(self.algorithm, N, r=self.r, levels=self.levels, family=family,
                       eps=eps, a=self.a, q=self.q, gamma0=self.gamma0,
@@ -352,26 +354,33 @@ class TimingRow:
         return self.direct_seconds / self.twogrid_seconds
 
 
-def timing_comparison(problem_id: str, family: str, eps: float,
-                      coarse_sizes: Sequence[int], a: float = 1.0, q: float = 0.4,
-                      gamma0: float = 1.0, repeats: int = 3,
-                      layer_sides: str = "both") -> list:
-    """Best-of-``repeats`` step seconds: direct solve on n = N^2 vs two-grid.
+def timing_rows(problem_id: str, family: str, eps: float,
+                coarse_sizes: Sequence[int], a: float = 1.0, q: float = 0.4,
+                gamma0: float = 1.0, repeats: int = 3,
+                layer_sides: str = "both") -> Iterator[TimingRow]:
+    """Best-of-``repeats`` step seconds: direct solve on n = N^2 vs two-grid,
+    one row per N, timed as it is read.
 
-    Absolute times are hardware-bound; only the ratio is meaningful, and
-    only once n is large enough that the coarse stage is negligible.
+    The arguments and every fine size are checked in the call, before any
+    run.  Absolute times are hardware-bound; only the ratio is meaningful,
+    and only once n is large enough that the coarse stage is negligible.
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
     problem = make_problem(problem_id, eps)
     mesh = dict(family=family, eps=eps, a=a, q=q, gamma0=gamma0, layer_sides=layer_sides)
     plans = [make_plan("tg1", N, **mesh) for N in coarse_sizes]
-    sizes = [plan.fine_sizes() for plan in plans]  # before any run is timed
-    rows = []
-    for plan, [n] in zip(plans, sizes):
-        runs = (make_plan("direct", n=n, **mesh), plan)
-        seconds = [[sum(step[2] for step in run_algorithm(problem, run)) for run in runs]
-                   for _ in range(repeats)]
-        direct, tg = (min(column) for column in zip(*seconds))
-        rows.append(TimingRow(plan.coarse.n, n, direct, tg))
-    return rows
+    sizes = [plan.fine_sizes() for plan in plans]
+    def rows():
+        for plan, [n] in zip(plans, sizes):
+            runs = (make_plan("direct", n=n, **mesh), plan)
+            seconds = [[sum(step[2] for step in run_algorithm(problem, run))
+                        for run in runs] for _ in range(repeats)]
+            direct, tg = (min(column) for column in zip(*seconds))
+            yield TimingRow(plan.coarse.n, n, direct, tg)
+    return rows()
+
+
+def timing_comparison(*args, **kwargs) -> list:
+    """Every row of :func:`timing_rows`, called with the same arguments."""
+    return list(timing_rows(*args, **kwargs))

@@ -6,6 +6,8 @@ two-grid timing).  Exit codes: 0 success; 2 a validation error, a repeated
 ``table`` sweep value too; 3 a solver failure (``bench.SOLVER_ERRORS``, a
 Jacobian or diffusion failure too) in a solve or in any cell of a table;
 141 once the reader closes stdout: the rest is dropped, with no traceback.
+A command yields once planned: a ``ValueError`` until then is bad input
+(exit 2), and one raised by a run is a defect that propagates.
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ import functools
 import json
 import os
 import sys
+from collections.abc import Iterator
 
 from .bench import (ALGORITHMS, FORMATS, METRICS, SOLVER_ERRORS, ReportConfig,
                     fmt_float, layer_report, make_plan, nodal_error, render_layer_rows,
-                    run_algorithm, run_report, timing_comparison)
+                    run_algorithm, run_report, timing_rows)
 from .newton import residual_for
 from .problems import PROBLEMS, make_problem
 
@@ -96,11 +99,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> Iterator[int | None]:
     problem = make_problem(args.problem, args.eps)
     plan = make_plan(args.algorithm, args.coarse, args.n, args.r, args.levels,
                      family=args.mesh, eps=args.eps, a=args.a, q=args.q,
                      gamma0=args.gamma0, layer_sides=args.layer_sides)
+    plan.fine_sizes()  # every size is checked before any run
+    yield
     steps = run_algorithm(problem, plan)
     mesh, out, _ = steps[-1]
     seconds = sum(step[2] for step in steps)
@@ -108,7 +113,8 @@ def _cmd_solve(args) -> int:
     if args.out == "nodes":
         for x, v in zip(mesh.nodes, out.y):
             print(f"{x:.17g} {v:.17g}")
-        return EXIT_OK
+        yield EXIT_OK
+        return
     payload = {
         "problem": args.problem,
         "algorithm": args.algorithm,
@@ -123,42 +129,46 @@ def _cmd_solve(args) -> int:
         "values": out.y.tolist(),
     }
     print(json.dumps(payload))
-    return EXIT_OK
+    yield EXIT_OK
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> Iterator[int | None]:
     cfg = ReportConfig(problem=args.problem, families=args.mesh.split(","),
                        eps_list=args.eps, n_list=args.coarse,
                        algorithm=args.algorithm, r=args.r, levels=args.levels,
                        fmt=args.fmt, metric=args.metric, a=args.a, q=args.q,
                        gamma0=args.gamma0, layer_sides=args.layer_sides)
+    yield
     report = run_report(cfg)
     print(report.render(), end="")
     for row in report.rows:  # the CSV has no column for the reason
         if row.failed is not None:
             print(f"error: {row.mesh} eps={row.eps:g} N={row.N}: {row.failed}",
                   file=sys.stderr)
-    return EXIT_NO_CONVERGENCE if report.failed_cells() else EXIT_OK
+    yield EXIT_NO_CONVERGENCE if report.failed_cells() else EXIT_OK
 
 
-def _cmd_layers(args) -> int:
+def _cmd_layers(args) -> Iterator[int | None]:
     a = {"bakhvalov": args.a_bakhvalov, "vulanovic": args.a,
          "shishkin": args.a, "uniform": args.a}
     rows = layer_report(args.eps, ("shishkin", "vulanovic", "bakhvalov"),
                         args.coarse, args.fine, a=a, q=args.q, gamma0=args.gamma0)
+    yield  # no solve runs: the mesh builds count as planning
     print(render_layer_rows(rows), end="")
-    return EXIT_OK
+    yield EXIT_OK
 
 
-def _cmd_bench(args) -> int:
-    rows = timing_comparison(args.problem, args.mesh, args.eps, args.coarse,
-                             a=args.a, q=args.q, gamma0=args.gamma0,
-                             repeats=args.repeats, layer_sides=args.layer_sides)
+def _cmd_bench(args) -> Iterator[int | None]:
+    rows = timing_rows(args.problem, args.mesh, args.eps, args.coarse,
+                       a=args.a, q=args.q, gamma0=args.gamma0,
+                       repeats=args.repeats, layer_sides=args.layer_sides)
+    yield
+    rows = list(rows)  # every row timed before any is printed
     print("N,n,direct_seconds,twogrid_seconds,ratio")
     for row in rows:
         print(f"{row.N},{row.n},{fmt_float(row.direct_seconds)},"
               f"{fmt_float(row.twogrid_seconds)},{fmt_float(row.ratio)}")
-    return EXIT_OK
+    yield EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -167,16 +177,21 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
-    command = {"solve": _cmd_solve, "table": _cmd_table, "layers": _cmd_layers,
-               "bench": _cmd_bench}[args.command]
+    steps = {"solve": _cmd_solve, "table": _cmd_table, "layers": _cmd_layers,
+             "bench": _cmd_bench}[args.command](args)
+    planning = True
     try:
-        code = command(args)
+        next(steps)  # the command plans, then yields
+        planning = False
+        code = next(steps)  # ... and runs, then yields its exit code
         sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit
         return code
     except SOLVER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except ValueError as exc:
+        if not planning:  # a run's ValueError is a defect, not bad input
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except BrokenPipeError:  # drop what nobody reads, so the flush at exit cannot fail

@@ -80,7 +80,8 @@ def _values(func_or_array, x: np.ndarray) -> np.ndarray:
 
 def _scale(mesh: Mesh, eps: float, h: np.ndarray) -> np.ndarray:
     """``-eps^2/(hbar_i h)`` for ``h = steps[:-1]`` (left) or ``steps[1:]`` (right)."""
-    return -(eps * eps) / (mesh.half_steps * h)
+    prod = mesh.half_steps * h
+    return np.divide(-(eps * eps), prod, out=prod)
 
 
 def couplings(mesh: Mesh, eps: float, unit: bool = False) -> Couplings:
@@ -110,7 +111,9 @@ def stencil(mesh: Mesh, eps: float, b: np.ndarray,
     the plain second difference; the rows leave ``rhs`` None.  ``cpl`` are
     this mesh's :func:`couplings`, the unit-weight bands themselves; with
     ``total`` cached, unit weights cost one subtraction.  Weighted rows are
-    written straight into their bands, each band one array of ``n - 1``.
+    written straight into their bands, and a weighted call overwrites
+    ``right`` and ``left``: ``sup`` is ``right[1:]``, and ``left[1:]`` holds
+    the diagonal's second product.
     """
     if right is None:  # unit weights: the same rows without four products
         if cpl is None:  # bands of its own, not the read-only cached ones
@@ -125,10 +128,9 @@ def stencil(mesh: Mesh, eps: float, b: np.ndarray,
         sub = scale * left[:-1]
         del scale
         scale = _scale(mesh, eps, mesh.steps[1:]) if cpl is None else cpl.scale_r
-        sup = scale * left[1:]  # first the diagonal's second product
-        diag += sup
+        diag += np.multiply(scale, left[1:], out=left[1:])
         np.subtract(b, diag, out=diag)
-        np.multiply(scale, right[1:], out=sup)
+        sup = np.multiply(scale, right[1:], out=right[1:])
     return TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=None)
 
 

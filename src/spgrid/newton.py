@@ -37,7 +37,7 @@ from .linsolve import Couplings, TridiagonalSystem, couplings, stencil, thomas_s
 from .mesh import Mesh
 from .problems import QuasilinearDiffusionProblem, SemilinearProblem
 
-Midpoint = tuple[np.ndarray, np.ndarray]  # (m, d(m)), see _midpoint_diffusion
+Midpoint = tuple[np.ndarray, np.ndarray | None]  # (d(m), chain), see _midpoint_diffusion
 
 
 class NoConvergenceError(RuntimeError):
@@ -80,15 +80,20 @@ def _interval_slopes(mesh: Mesh, y: np.ndarray) -> np.ndarray:
     return (y[1:] - y[:-1]) / mesh.steps
 
 
-def _midpoint_diffusion(d, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Interval midpoint values of ``y`` and the diffusion factor there."""
+def _midpoint_diffusion(d, d_u, y: np.ndarray) -> Midpoint:
+    """``(d(m), chain)`` at the interval midpoints ``m`` of ``y``, with
+    ``chain_j = d_u(m_j) (y_{j+1} - y_j)/2`` (None when ``d_u`` is None)."""
     mid = 0.5 * (y[:-1] + y[1:])
     with np.errstate(divide="ignore", invalid="ignore"):
         dm = np.asarray(d(mid))
     if not (dm.min() > 0.0 and dm.max() < math.inf):  # NaN fails too
         raise SingularDiffusionError("diffusion factor not positive and finite "
                                      "at a midpoint")
-    return mid, dm
+    if d_u is None:
+        return dm, None
+    chain = 0.5 * d_u(mid)
+    chain *= y[1:] - y[:-1]
+    return dm, chain
 
 
 def interior_source(mesh: Mesh, problem) -> np.ndarray:
@@ -106,13 +111,13 @@ def _residual(mesh: Mesh, p, d, reaction, y: np.ndarray,
     The flux on an interval is ``d(midpoint) * slope``, or the slope alone
     when ``d`` is None (the semilinear scheme).  ``src`` is
     :func:`interior_source` and ``midpoint`` is :func:`_midpoint_diffusion`
-    of ``y``, each evaluated here when not given.
+    of ``y``, each evaluated here when not given; only its ``d(m)`` is read.
     """
     if src is None:
         src = interior_source(mesh, p)
     flux = _interval_slopes(mesh, y) if slopes is None else slopes
     if d is not None:
-        flux = (midpoint or _midpoint_diffusion(d, y))[1] * flux
+        flux = (midpoint or _midpoint_diffusion(d, None, y))[0] * flux
     return (-p.eps ** 2 * ((flux[1:] - flux[:-1]) / mesh.half_steps)
             + (reaction(mesh.interior(), y[1:-1]) - src))
 
@@ -125,9 +130,9 @@ def _jacobian(mesh: Mesh, eps: float, d, d_u, reaction_u, y: np.ndarray,
     ``d(m_j)`` moves by ``d_u(m_j)/2`` per unit change of either end value
     of interval j, so its flux weights are ``d(m_j) +- chain_j`` with
     ``chain_j = d_u(m_j) (y_{j+1} - y_j)/2``; the left weights overwrite the
-    chain.  ``cpl`` are the solve's :func:`spgrid.linsolve.couplings` and
-    ``midpoint`` is :func:`_midpoint_diffusion` of ``y``, each built here
-    when not given.
+    chain, and :func:`spgrid.linsolve.stencil` both weights.  ``cpl`` are the
+    solve's :func:`spgrid.linsolve.couplings` and ``midpoint`` is
+    :func:`_midpoint_diffusion` of ``y``, each built here when not given.
     """
     b = np.asarray(reaction_u(mesh.interior(), y[1:-1]))
     if not (b.min() > 0.0 and b.max() < math.inf):  # NaN fails too
@@ -135,9 +140,7 @@ def _jacobian(mesh: Mesh, eps: float, d, d_u, reaction_u, y: np.ndarray,
             "reaction derivative must be positive and finite along the iterate")
     if d is None:
         return stencil(mesh, eps, b, cpl=cpl)
-    mid, dm = midpoint or _midpoint_diffusion(d, y)
-    chain = 0.5 * d_u(mid)
-    chain *= y[1:] - y[:-1]
+    dm, chain = midpoint or _midpoint_diffusion(d, d_u, y)
     right = dm + chain
     left = np.subtract(dm, chain, out=chain)
     return stencil(mesh, eps, b, right, left, cpl=cpl)
@@ -164,8 +167,8 @@ def diffusion_residual(mesh: Mesh, p: QuasilinearDiffusionProblem, y: np.ndarray
 
     ``F_i = -eps^2/hbar_i [ d(m_{i+1/2}) s_{i+1} - d(m_{i-1/2}) s_i ]
     + r(x_i, y_i) - source(x_i)`` with interval midpoint values ``m`` and
-    slopes ``s``.  ``midpoint`` is ``(m, d(m))`` of ``y`` if already
-    evaluated (:func:`newton_step` shares it with the Jacobian).
+    slopes ``s``.  ``midpoint`` is :func:`_midpoint_diffusion` of ``y`` if
+    already evaluated (:func:`newton_step` shares it with the Jacobian).
     """
     return _residual(mesh, p, p.d, p.r, y, slopes, src, midpoint)
 
@@ -173,8 +176,9 @@ def diffusion_residual(mesh: Mesh, p: QuasilinearDiffusionProblem, y: np.ndarray
 def diffusion_jacobian(mesh: Mesh, p: QuasilinearDiffusionProblem, y: np.ndarray,
                        cpl: Couplings | None = None,
                        midpoint: Midpoint | None = None) -> TridiagonalSystem:
-    """Analytic tridiagonal Jacobian of the midpoint scheme about ``y``; ``midpoint``
-    is ``(m, d(m))`` of ``y`` if already evaluated."""
+    """Analytic tridiagonal Jacobian of the midpoint scheme about ``y``;
+    ``midpoint`` is :func:`_midpoint_diffusion` of ``y`` if already evaluated,
+    and the Jacobian writes over its chain."""
     return _jacobian(mesh, p.eps, p.d, p.d_u, p.r_u, y, cpl, midpoint)
 
 
@@ -200,12 +204,14 @@ def newton_step(mesh: Mesh, problem, y: np.ndarray,
     Boundary entries of ``y`` are kept verbatim (the correction has zero
     boundary values).  ``src`` is :func:`interior_source` and ``cpl`` the
     Jacobian's :func:`spgrid.linsolve.couplings`, if already built.  The
-    quasilinear scheme's midpoint values and diffusion are evaluated once,
-    shared by residual and Jacobian, and dropped before the linear solve.
+    quasilinear scheme's midpoint diffusion and chain are evaluated once,
+    shared by residual and Jacobian, and dropped before the linear solve;
+    ``slopes`` are dropped after the residual.
     """
     residual, jacobian, _, _, unit = _scheme(problem)
-    shared = {} if unit else {"midpoint": _midpoint_diffusion(problem.d, y)}
+    shared = {} if unit else {"midpoint": _midpoint_diffusion(problem.d, problem.d_u, y)}
     F = residual(mesh, problem, y, slopes, src, **shared)
+    del slopes  # the caller handed over its last reference (see _iterate)
     jac = jacobian(mesh, problem, y, cpl, **shared)
     del shared
     # J delta = -F solved as J (-delta) = F: the solve is odd in its
@@ -263,22 +269,23 @@ def _converged(updates: list, y: np.ndarray, tol: float) -> bool:
     return update <= tau or (theta <= 0.5 and theta / (1.0 - theta) * update <= tau)
 
 
-def _iterate(mesh: Mesh, problem, y: np.ndarray, slopes: np.ndarray | None,
+def _iterate(mesh: Mesh, problem, y: np.ndarray, first: list,
              src: np.ndarray | None, cpl: Couplings | None,
              tol: float) -> SolveOutcome:
     """Newton steps from ``y`` until :func:`_converged` holds at ``tol``,
     at most ``MAX_ITER`` of them.
 
-    ``y`` is pinned to the Dirichlet data in place.  ``slopes``, the start's
-    interval slopes, serve the first step only.  A non-finite update raises;
-    ``tol = inf`` accepts the first finite one.  ``newton_step`` is looked
-    up at call time, so a rebinding reaches it.
+    ``y`` is pinned to the Dirichlet data in place.  ``first`` holds the
+    start's interval slopes, or nothing: popped into the first step, they
+    die after its residual.  A non-finite update raises; ``tol = inf``
+    accepts the first finite one.  ``newton_step`` is looked up at call
+    time, so a rebinding reaches it.
     """
     y[0], y[-1] = problem.bc_left, problem.bc_right
     updates = []
     for _ in range(MAX_ITER):
-        y, upd = newton_step(mesh, problem, y, slopes=slopes, src=src, cpl=cpl)
-        slopes = None
+        y, upd = newton_step(mesh, problem, y, slopes=first.pop() if first else None,
+                             src=src, cpl=cpl)
         updates.append(upd)
         if not math.isfinite(upd):
             raise NoConvergenceError(
@@ -295,7 +302,7 @@ def solve(mesh: Mesh, problem) -> SolveOutcome:
     from :func:`reduced_initial`, to ``TOL`` within ``MAX_ITER`` steps."""
     src = interior_source(mesh, problem)
     cpl = couplings(mesh, problem.eps, unit=_scheme(problem)[4])
-    return _iterate(mesh, problem, reduced_initial(mesh, problem, src), None,
+    return _iterate(mesh, problem, reduced_initial(mesh, problem, src), [],
                     src, cpl, TOL)
 
 

@@ -112,9 +112,10 @@ def _fine_step(problem, fine_mesh: Mesh, prev_mesh: Mesh,
                prev_values: np.ndarray) -> SolveOutcome:
     """One linearized fine solve about the interpolant of the previous level:
     the Newton loop to ``tol = inf``.  Neither the couplings nor the source
-    are built ahead: held through the step, they would raise the peak memory."""
-    w, slopes = interpolant_slopes(prev_mesh, prev_values, fine_mesh)
-    return _iterate(fine_mesh, problem, w, slopes, None, None, math.inf)
+    are built ahead, and the slopes are handed over in a list that the loop
+    empties: held through the step, each would raise the peak memory."""
+    w, *first = interpolant_slopes(prev_mesh, prev_values, fine_mesh)
+    return _iterate(fine_mesh, problem, w, first, None, None, math.inf)
 
 
 def _run(problem, spec: MeshSpec, sizes: list[int]) -> TwoGridResult:

@@ -8,7 +8,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from spgrid import bench, twogrid
+from spgrid import bench, newton, problems, twogrid
 from spgrid.bench import (ConvergenceRow, DegenerateError, MissingExactError,
                           Report, ReportConfig, convergence_order, fmt_float,
                           interpolant_error, layer_report, nodal_error,
@@ -273,6 +273,19 @@ def test_interpolant_metric_report():
 
 
 EPS8 = 2.0 ** -8
+
+
+def test_report_config_rejects_a_problem_without_exact_solution(monkeypatch):
+    # before any cell runs: no linear solve may happen first
+    def no_solve(sys):
+        raise AssertionError("a linear solve ran before the config check")
+
+    monkeypatch.setattr(newton, "thomas_solve", no_solve)
+    monkeypatch.setitem(problems.PROBLEMS, "ex1",
+                        lambda eps: replace(problems.example1(eps), exact=None))
+    with pytest.raises(MissingExactError, match="no exact solution"):
+        ReportConfig(problem="ex1", families=("shishkin",), eps_list=(1e-2,),
+                     n_list=(8, 16), algorithm="tg1")
 
 
 def test_layer_report_cells():

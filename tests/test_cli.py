@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spgrid import bench, newton, twogrid
+from spgrid import bench, newton, problems, twogrid
 from spgrid.cli import EXIT_BROKEN_PIPE, main
 from spgrid.linsolve import ZeroPivotError
 from spgrid.mesh import MeshSpec, build_mesh
@@ -188,6 +189,43 @@ def test_bench_times_the_direct_solve_on_the_fine_size_of_tg1(monkeypatch):
     [n] = TwoGridPlan(MeshSpec("uniform", 0.1, N), fine_n=N * N).fine_sizes()
     assert row.n == n
     assert built == [n, N, n]  # the direct solve, then tg1's coarse and fine meshes
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--problem", "ex1", "--mesh", "uniform", "--eps", "0.1", "--n", "8"),
+    ("table", "--problem", "ex1", "--mesh", "uniform", "--eps", "0.1", "--coarse", "8"),
+    ("bench", "--problem", "ex1", "--mesh", "uniform", "--eps", "0.1", "--coarse", "8",
+     "--repeats", "1"),
+], ids=["solve", "table", "bench"])
+def test_a_value_error_from_a_run_is_a_defect_not_bad_input(monkeypatch, argv):
+    # the input is valid, so exit 2 would misreport a broken callback
+    broken = lambda eps: replace(example1(eps), f_u=lambda x, u: np.ones(3))
+    monkeypatch.setitem(problems.PROBLEMS, "ex1", broken)
+    with pytest.raises(ValueError, match="could not be broadcast"):
+        main(list(argv))
+
+
+def test_layers_mesh_that_doubles_cannot_hold_exits_3(capsys):
+    # the layers report builds its meshes while it plans: a solver failure
+    # there still exits 3, not 2 and not a traceback
+    code, out, err = run_cli(capsys, "layers", "--eps", "1e-12", "--a-bakhvalov",
+                             "0.109375", "--q", "0.375", "--coarse", "8",
+                             "--fine", "2712")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: layer step below the double spacing")
+
+
+def test_table_of_a_problem_without_exact_solution_is_validation_error(
+        capsys, monkeypatch):
+    _no_solve(monkeypatch)
+    monkeypatch.setitem(problems.PROBLEMS, "ex1",
+                        lambda eps: replace(example1(eps), exact=None))
+    code, out, err = run_cli(capsys, "table", "--problem", "ex1", "--mesh", "uniform",
+                             "--eps", "0.1", "--coarse", "8")
+    assert code == 2
+    assert out == ""
+    assert err == "error: problem 'ex1' has no exact solution\n"
 
 
 def test_bad_flag_exits_2(capsys):

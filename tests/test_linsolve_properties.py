@@ -34,7 +34,8 @@ def _same_bits(a, b):
 def test_weighted_rows_equal_the_explicit_expressions_bitwise(spec, seed, scalar_b,
                                                              cached):
     # stencil writes the weighted bands in place, one side's couplings at a
-    # time when none are cached; every entry must keep its operands and order
+    # time when none are cached, and over copies of the weights here (it
+    # overwrites them); every entry must keep its operands and order
     mesh = _build(spec)
     if mesh is None:
         return
@@ -44,7 +45,7 @@ def test_weighted_rows_equal_the_explicit_expressions_bitwise(spec, seed, scalar
     right, left = rng.uniform(0.1, 2.0, (2, spec.n))
     rhs = rng.normal(size=m)
     bc_left, bc_right = rng.normal(size=2)
-    sys = stencil(mesh, spec.eps, b, right, left,
+    sys = stencil(mesh, spec.eps, b, right.copy(), left.copy(),
                   cpl=couplings(mesh, spec.eps) if cached else None)
     e2 = spec.eps * spec.eps
     scale_l = -e2 / (mesh.half_steps * mesh.steps[:-1])

@@ -29,7 +29,7 @@ def _residual_norm(mesh, p, y):
 
 def _solve_from(mesh, p, y0):
     """Newton to ``newton.TOL`` from the start vector ``y0`` (not the reduced one)."""
-    return newton._iterate(mesh, p, np.array(y0, dtype=float), None, None, None,
+    return newton._iterate(mesh, p, np.array(y0, dtype=float), [], None, None,
                            newton.TOL)
 
 
@@ -205,8 +205,10 @@ def test_one_bad_midpoint_diffusion_value_is_rejected(bad):
 
 @pytest.mark.parametrize("constant", [False, True])
 def test_shared_midpoint_diffusion_changes_no_bit(constant):
-    # newton_step evaluates (m, d(m)) once for residual and Jacobian; either
-    # computes the same arrays without it, and neither writes into it
+    # newton_step evaluates (d(m), chain) once for residual and Jacobian;
+    # either computes the same arrays without it.  The residual reads d(m)
+    # alone and writes into neither; the Jacobian leaves d(m) as it was and
+    # writes its left weights over the chain, so each call uses up a pair
     p = example2(1e-2)
     if constant:  # d(m) comes back 0-d
         p = replace(p, d=lambda u: 1.5, d_u=lambda u: 0.0)
@@ -214,17 +216,20 @@ def test_shared_midpoint_diffusion_changes_no_bit(constant):
     rng = np.random.default_rng(5)
     y = rng.uniform(0.5, 2.0, 301)
     y[0], y[-1] = p.bc_left, p.bc_right
-    midpoint = _midpoint_diffusion(p.d, y)
+    midpoint = _midpoint_diffusion(p.d, p.d_u, y)
     kept = [v.copy() for v in midpoint]
     same = lambda a, b: a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert same(_midpoint_diffusion(p.d, None, y)[0], kept[0])
     assert same(diffusion_residual(mesh, p, y, midpoint=midpoint),
                 diffusion_residual(mesh, p, y))
+    assert all(same(v, k) for v, k in zip(midpoint, kept))
     for cpl in (None, couplings(mesh, p.eps)):
+        midpoint = _midpoint_diffusion(p.d, p.d_u, y)
         shared = diffusion_jacobian(mesh, p, y, cpl, midpoint=midpoint)
         alone = diffusion_jacobian(mesh, p, y, cpl)
         for band in ("sub", "diag", "sup"):
             assert same(getattr(shared, band), getattr(alone, band))
-    assert all(same(v, k) for v, k in zip(midpoint, kept))
+        assert same(midpoint[0], kept[0])
 
 
 def test_callbacks_returning_python_floats_solve_as_arrays_do():

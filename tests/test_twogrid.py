@@ -1,4 +1,5 @@
 import pickle
+import weakref
 from dataclasses import fields, replace
 
 import mpmath
@@ -6,11 +7,12 @@ import numpy as np
 import pytest
 
 import spgrid.newton
+import spgrid.twogrid
 from spgrid.bench import ReportConfig, run_report
 from spgrid.mesh import MeshSpec, build_mesh
 from spgrid.newton import (NoConvergenceError, NonpositiveJacobianError,
                            solve as newton_solve)
-from spgrid.problems import PROBLEMS, example1, example2
+from spgrid.problems import PROBLEMS, example1, example2, make_problem
 from spgrid.twogrid import (TwoGridPlan, algorithm1, algorithm2, choose_r,
                             interpolant_slopes)
 
@@ -161,6 +163,34 @@ def test_non_finite_fine_update_is_a_failed_report_cell(monkeypatch):
     assert report.failed_cells() == 1 and len(report.rows) == 1
     assert report.rows[0].failed == ("NoConvergenceError: non-finite update "
                                      "in iteration 1")
+
+
+@pytest.mark.parametrize("problem,family,a", [("ex1", "bakhvalov", 4.0),
+                                              ("ex2", "vulanovic", 2.0)])
+def test_fine_step_frees_the_slopes_before_its_jacobian(monkeypatch, problem, family,
+                                                        a):
+    # only the first residual reads the interpolant's slopes: no frame may
+    # hold them through the Jacobian and the solve, the step's memory peak
+    refs, dead = [], []
+
+    def slopes(*args):
+        w, s = interpolant_slopes(*args)
+        refs.append(weakref.ref(s))
+        return w, s
+
+    name = "semilinear_jacobian" if problem == "ex1" else "diffusion_jacobian"
+    real_jacobian = getattr(spgrid.newton, name)
+
+    def jacobian(*args, **kwargs):
+        if refs:  # the fine step's; the coarse solve's come first
+            dead.append(refs[-1]() is None)
+        return real_jacobian(*args, **kwargs)
+
+    monkeypatch.setattr(spgrid.twogrid, "interpolant_slopes", slopes)
+    monkeypatch.setattr(spgrid.newton, name, jacobian)
+    plan = TwoGridPlan(coarse=MeshSpec(family, 1e-4, 16, a=a))
+    algorithm1(make_problem(problem, 1e-4), plan)
+    assert dead == [True]
 
 
 def test_plan_validation_and_memory_guard():

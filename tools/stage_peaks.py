@@ -13,7 +13,10 @@ highest peak, the traced memory live at entry and the peak inside, both
 divided by ``8 n`` bytes (one float64 array per fine interval).  A stage's
 peak includes its inputs and whatever its callers hold, so it is the
 process's working set at that point of the run, counted from the start of
-the run.
+the run.  A wrapper holds its call's arguments until the call returns, so
+an array that a stage hands over and frees early stays alive here; the last
+line of each run is therefore the peak of the same call run again with
+nothing wrapped.
 """
 
 from __future__ import annotations
@@ -70,7 +73,8 @@ class _Peaks(Tracer):
 
 
 def stage_peaks(sp, problem: str, family: str, eps: float, coarse: int) -> dict:
-    """``{run: {stage: (calls, entry, peak)}}`` in n-sized arrays, for both RUNS."""
+    """``{run: {stage: (calls, entry, peak)}}`` in n-sized arrays, for both RUNS,
+    and ``{"unwrapped": {run: peak}}``, each run's peak with nothing wrapped."""
     prob = sp.problems.make_problem(problem, eps)
     a = perfbench("workloads").grading(problem, family)  # the benchmark's grading
     spec = sp.mesh.MeshSpec(family, eps, coarse, a=a)
@@ -82,7 +86,7 @@ def stage_peaks(sp, problem: str, family: str, eps: float, coarse: int) -> dict:
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
-    out = {}
+    out = {"unwrapped": {}}
     try:
         for run in RUNS:
             peaks = _Peaks()
@@ -94,6 +98,9 @@ def stage_peaks(sp, problem: str, family: str, eps: float, coarse: int) -> dict:
                 peaks.uninstall()
             out[run] = {name: (calls, entry / (8 * n), peak / (8 * n))
                         for name, (calls, (entry, peak)) in peaks.stages.items()}
+            tracemalloc.clear_traces()
+            runs[run]()
+            out["unwrapped"][run] = tracemalloc.get_traced_memory()[1] / (8 * n)
     finally:
         if started:
             tracemalloc.stop()
@@ -119,6 +126,7 @@ def main(argv=None) -> int:
         print(f"  {'stage':<28}{'calls':>6}{'entry':>8}{'peak':>8}")
         for name, (calls, entry, peak) in result[run].items():
             print(f"  {name:<28}{calls:>6}{entry:>8.2f}{peak:>8.2f}")
+        print(f"  {'(nothing wrapped)':<42}{result['unwrapped'][run]:>8.2f}")
     return 0
 
 
