@@ -7,10 +7,10 @@ second cascade level step 3, and so on.  Observed convergence orders
 ``(ln E_N - ln E_2N) / ln 2`` are attached per step wherever the sweep
 contains the doubled coarse size; the finest row of each group has none.
 
-A cell's solver failures (``SOLVER_ERRORS``) and a fine level over the
-interval budget are captured into the row instead of aborting the sweep, so
-one diverging cell cannot take down a table.  Invalid parameters, repeated
-sweep values among them, raise when the config is built; any other
+A cell's solver failures (``SOLVER_ERRORS``), and only those, are captured
+into the row instead of aborting the sweep, so one diverging cell cannot
+take down a table.  Invalid parameters, repeated sweep values and fine
+sizes over the budget among them, raise when the config is built; any other
 exception, a ``ValueError`` from a callback too, is a defect and propagates.
 """
 
@@ -214,8 +214,8 @@ def make_plan(algorithm: str, coarse: int | None = None, n: int | None = None,
     ``n`` (or on ``coarse`` alone, as ``table`` passes its N); ``tg1`` refines
     ``coarse`` once, to ``n`` or ``round(N**r)``; ``tg1_ropt`` picks r by
     :func:`choose_r`; ``tg2`` cascades ``levels`` times.  A size that the
-    algorithm never reads is an error.  Its fine sizes are checked by
-    :meth:`TwoGridPlan.fine_sizes` only when a run asks for them.
+    algorithm never reads is an error, and so is a fine size over the
+    interval budget: the plan checks its sizes when it is made.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -255,20 +255,14 @@ def _run_cell(cfg: ReportConfig, plan: TwoGridPlan) -> list:
     base = dict(problem=cfg.problem, mesh=spec.family, a=cfg.a, q=cfg.q,
                 gamma0=cfg.gamma0, eps=spec.eps, N=spec.n)
     try:
-        plan.fine_sizes()  # a level over the interval budget fails the cell
-    except ValueError as exc:
-        failed = exc
-    else:
-        try:
-            return [ConvergenceRow(**base, n=mesh.n, step=step,
-                                   error=_error_of(cfg, mesh, out.y, problem.exact),
-                                   iterations=out.iterations, seconds=seconds)
-                    for step, (mesh, out, seconds)
-                    in enumerate(run_algorithm(problem, plan), start=1)]
-        except SOLVER_ERRORS as exc:
-            failed = exc
-    return [ConvergenceRow(**base, n=spec.n, step=1,
-                           failed=f"{type(failed).__name__}: {failed}")]
+        return [ConvergenceRow(**base, n=mesh.n, step=step,
+                               error=_error_of(cfg, mesh, out.y, problem.exact),
+                               iterations=out.iterations, seconds=seconds)
+                for step, (mesh, out, seconds)
+                in enumerate(run_algorithm(problem, plan), start=1)]
+    except SOLVER_ERRORS as exc:
+        return [ConvergenceRow(**base, n=spec.n, step=1,
+                               failed=f"{type(exc).__name__}: {exc}")]
 
 
 def _attach_orders(rows: list) -> None:
@@ -313,6 +307,8 @@ def layer_report(eps: float, families: Sequence[str], coarse: Sequence[int],
     ``a`` may be a single value or a per-family mapping (the graded
     families are often run with different grading strengths).
     """
+    if not all(map(len, (families, coarse, fine))):
+        raise ValueError("families, coarse and fine must be nonempty")
     rows = []
     for family in families:
         fam_a = a[family] if isinstance(a, Mapping) else a
@@ -367,12 +363,14 @@ def timing_rows(problem_id: str, family: str, eps: float,
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
+    if not coarse_sizes:
+        raise ValueError("coarse_sizes must be nonempty")
     problem = make_problem(problem_id, eps)
     mesh = dict(family=family, eps=eps, a=a, q=q, gamma0=gamma0, layer_sides=layer_sides)
     plans = [make_plan("tg1", N, **mesh) for N in coarse_sizes]
-    sizes = [plan.fine_sizes() for plan in plans]
     def rows():
-        for plan, [n] in zip(plans, sizes):
+        for plan in plans:
+            [n] = plan.fine_sizes()
             runs = (make_plan("direct", n=n, **mesh), plan)
             seconds = [[sum(step[2] for step in run_algorithm(problem, run))
                         for run in runs] for _ in range(repeats)]

@@ -104,7 +104,6 @@ def _cmd_solve(args) -> Iterator[int | None]:
     plan = make_plan(args.algorithm, args.coarse, args.n, args.r, args.levels,
                      family=args.mesh, eps=args.eps, a=args.a, q=args.q,
                      gamma0=args.gamma0, layer_sides=args.layer_sides)
-    plan.fine_sizes()  # every size is checked before any run
     yield
     steps = run_algorithm(problem, plan)
     mesh, out, _ = steps[-1]
@@ -149,8 +148,7 @@ def _cmd_table(args) -> Iterator[int | None]:
 
 
 def _cmd_layers(args) -> Iterator[int | None]:
-    a = {"bakhvalov": args.a_bakhvalov, "vulanovic": args.a,
-         "shishkin": args.a, "uniform": args.a}
+    a = {"bakhvalov": args.a_bakhvalov, "vulanovic": args.a, "shishkin": args.a}
     rows = layer_report(args.eps, ("shishkin", "vulanovic", "bakhvalov"),
                         args.coarse, args.fine, a=a, q=args.q, gamma0=args.gamma0)
     yield  # no solve runs: the mesh builds count as planning

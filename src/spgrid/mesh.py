@@ -74,11 +74,11 @@ class MeshSpec:
             raise ValueError("eps must lie in (0, 1]")
         if not 2 <= self.n <= MAX_INTERVALS:
             raise ValueError(f"n must lie in [2, {MAX_INTERVALS}]")
-        if not self.gamma0 > 0.0:  # NaN fails too
-            raise ValueError("gamma0 must be positive")
+        if not 0.0 < self.gamma0 < math.inf:  # NaN fails too
+            raise ValueError("gamma0 must be positive and finite")
         if self.family in GRADED:
-            if not self.a > 0.0:
-                raise ValueError("a must be positive")
+            if not 0.0 < self.a < math.inf:
+                raise ValueError("a must be positive and finite")
             if not 0.0 < self.q < 0.5:
                 raise ValueError("q must lie in (0, 0.5)")
 

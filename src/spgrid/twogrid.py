@@ -42,26 +42,27 @@ class TwoGridPlan:
             raise ValueError("r must be finite and exceed 1")
         if self.cascade_levels < 0:
             raise ValueError("cascade_levels must not be negative")
-        # the single fine level must refine; round(N**r) in logs: N**r can overflow
-        if (self.fine_n <= self.coarse.n if self.fine_n is not None
-                else self.r * math.log(self.coarse.n) <= math.log(self.coarse.n + 0.5)):
-            raise ValueError("fine grid must be strictly finer than coarse")
+        self.fine_sizes()  # every plan that exists is runnable
 
     def fine_sizes(self) -> list[int]:
         """Interval counts of the ``cascade_levels`` fine levels.
 
         Level 1 has ``fine_n`` if given, else ``round(N**r)``; each later
         level raises the previous count to the power r (r = 2: the cascade's
-        ``N**(2**m)``).  The one check of a fine size against the interval
-        budget; a power past the float range is named, never formed.
+        ``N**(2**m)``).  A plan runs this, the one check of each size against
+        N and the budget, when it is made; a power past floats is named, not
+        formed.
         """
-        n, r, fine_n, sizes = self.coarse.n, self.r, self.fine_n, []
-        for _ in range(self.cascade_levels):
-            huge = fine_n is None and r * math.log(n) > 700.0  # e**709.8 overflows
-            n, fine_n = f"{n}**{r:g}" if huge else fine_n or round(n ** r), None
+        n, r, sizes = self.coarse.n, self.r, []
+        for level in range(self.cascade_levels):
+            formed = level or self.fine_n is None
+            huge = formed and r * math.log(n) > 700.0  # e**709.8 overflows
+            n = f"{n}**{r:g}" if huge else round(n ** r) if formed else self.fine_n
             if huge or n > MAX_INTERVALS:
                 raise ValueError(f"fine size {n} exceeds the {MAX_INTERVALS} "
                                  "interval budget")
+            if n <= self.coarse.n:  # only level 1 can fail: no level shrinks
+                raise ValueError("fine grid must be strictly finer than coarse")
             sizes.append(n)
         return sizes
 
@@ -85,10 +86,11 @@ def interpolant_slopes(coarse: Mesh, values: np.ndarray,
     built in O(n + N log n) by repeating each coarse cell's slope, node and
     value over its run of fine nodes; a fine node on a coarse node takes
     the nodal value (so -0.0 stays -0.0).  A fine interval gets the slope of
-    the coarse cell holding its left end verbatim, so equal slopes cancel
-    exactly in the fine second difference (slopes from ``w`` would leave
-    eps^2/h^2-amplified rounding noise); one straddling a coarse node takes
-    the chord of ``w``.  Non-finite values flow on (not in np.interp's bits).
+    the coarse cell holding its left end verbatim; one straddling a coarse
+    node takes the chord of ``w``.  The slopes come with the run-length
+    expansion for free and spare the fine step's first residual a slope
+    pass; slopes taken from ``w`` give the same fine solution to rounding.
+    Non-finite values flow on (not in np.interp's bits).
     """
     values = np.asarray(values, dtype=float)
     if len(values) != coarse.n + 1:

@@ -129,20 +129,35 @@ def test_run_report_deterministic():
 
 
 def test_run_report_captures_cell_failures():
-    # cascade on N=64 exceeds the interval budget -> failed cell, not a crash
-    cfg = ReportConfig(problem="ex1", families=("uniform",), eps_list=(0.1,),
-                       n_list=(4, 64), algorithm="tg2", levels=2)
+    # on N = 2712 the mirrored layer nodes collapse in doubles -> failed cell,
+    # not a crash; N = 8 solves
+    cfg = ReportConfig(problem="ex1", families=("bakhvalov",), eps_list=(1e-12,),
+                       n_list=(8, 2712), a=0.109375, q=0.375)
     report = run_report(cfg)
     failed = [r for r in report.rows if r.failed is not None]
     ok = [r for r in report.rows if r.failed is None]
-    assert len(failed) == 1 and failed[0].N == 64
-    assert ok and all(r.N == 4 for r in ok)
+    assert len(failed) == 1 and failed[0].N == 2712
+    assert failed[0].failed.startswith("NoRootError: layer step below")
+    assert [r.N for r in ok] == [8]
+    assert ok[0].error == pytest.approx(0.0925, abs=5e-5)
     assert report.failed_cells() == 1
 
 
+def test_report_config_rejects_a_fine_level_over_the_budget(monkeypatch):
+    # every plan checks its fine sizes when it is made: no cell runs first
+    def no_solve(sys):
+        raise AssertionError("a linear solve ran before the size check")
+
+    monkeypatch.setattr(newton, "thomas_solve", no_solve)
+    with pytest.raises(ValueError, match=r"^fine size 4000000 exceeds the 1048576 "
+                                         "interval budget$"):
+        ReportConfig(problem="ex1", families=("uniform",), eps_list=(0.01,),
+                     n_list=(8, 2000), algorithm="tg1")
+
+
 def test_run_report_raises_programming_errors(monkeypatch):
-    # only solver errors and an over-budget plan become failed rows; a defect
-    # surfaces, also one that numpy reports as a ValueError
+    # only solver errors become failed rows; a defect surfaces, also one
+    # that numpy reports as a ValueError
     def type_error(x, u):
         raise TypeError("broken callback")
 

@@ -235,13 +235,15 @@ def test_bad_flag_exits_2(capsys):
 
 
 def test_nonconvergence_exit_code(capsys):
-    # eps=1 on two intervals: fine; force failure via tg2 memory guard instead
+    # N = 8 solves; on N = 2712 the mirrored layer nodes collapse in doubles
     code, out, err = run_cli(capsys, "table", "--problem", "ex1",
-                             "--mesh", "uniform", "--eps", "0.1",
-                             "--coarse", "64", "--algorithm", "tg2",
-                             "--levels", "2")
+                             "--mesh", "bakhvalov", "--eps", "1e-12",
+                             "--a", "0.109375", "--q", "0.375",
+                             "--coarse", "8,2712")
     assert code == 3
-    assert "failed" in out
+    assert "failed: NoRootError: layer step below the double spacing" in out
+    assert err.startswith("error: bakhvalov eps=1e-12 N=2712: NoRootError: ")
+    assert err.count("\n") == 1
 
 
 def test_table_csv(capsys):
@@ -281,11 +283,16 @@ def test_table_unknown_mesh_family_is_validation_error(capsys):
     (("--mesh", "shishkin,shishkin"), "repeated value 'shishkin' in families"),
     (("--eps", "0.01,1e-2"), "repeated value 0.01 in eps_list"),
     (("--coarse", "8,8"), "repeated value 8 in n_list"),
+    (("--a", "inf"), "a must be positive"),
+    (("--mesh", "shishkin", "--gamma0", "inf"), "gamma0 must be positive"),
+    (("--algorithm", "tg2", "--levels", "3"),
+     "fine size 16777216 exceeds the 1048576 interval budget"),
 ])
-def test_table_invalid_mesh_or_plan_parameter_is_validation_error(capsys, flags,
-                                                                  message):
+def test_table_invalid_mesh_or_plan_parameter_is_validation_error(
+        capsys, monkeypatch, flags, message):
     # the mesh spec and the two-grid plan own these checks; their errors are
-    # bad input (exit 2), not failed cells (exit 3)
+    # bad input (exit 2) before any cell runs, not failed cells (exit 3)
+    _no_solve(monkeypatch)
     code, out, err = run_cli(capsys, "table", "--problem", "ex1", "--eps", "0.01",
                              "--coarse", "8,16", "--mesh", "bakhvalov",
                              "--format", "csv", *flags)
@@ -295,25 +302,19 @@ def test_table_invalid_mesh_or_plan_parameter_is_validation_error(capsys, flags,
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "markdown"])
-def test_table_fine_size_over_the_budget_is_a_failed_cell(capsys, fmt):
-    # 8**1000 overflows a float: the budget check must not form it.  Every
-    # format names the failed cell on stderr; the CSV has no column for it.
+def test_table_fine_size_over_the_budget_is_a_failed_cell(capsys, monkeypatch,
+                                                          fmt):
+    # 8**1000 overflows a float: the budget check must not form it.  The
+    # over-budget cell fails when the table is planned, so in every format the
+    # whole table is bad input (exit 2): no cell runs and stdout stays empty.
+    _no_solve(monkeypatch)
     code, out, err = run_cli(capsys, "table", "--problem", "ex1", "--eps", "0.01",
                              "--coarse", "8", "--mesh", "bakhvalov",
                              "--algorithm", "tg1", "--r", "1000", "--format", fmt)
-    assert code == 3
-    assert len(err.splitlines()) == 1
-    assert err == ("error: bakhvalov eps=0.01 N=8: ValueError: fine size 8**1000 "
-                   "exceeds the 1048576 interval budget\n")
-    if fmt == "json":
-        rows = json.loads(out)["rows"]
-        assert len(rows) == 1
-        assert rows[0]["failed"].startswith("ValueError: fine size")
-        assert "interval budget" in rows[0]["failed"]
-    elif fmt == "csv":
-        header, row = csv.reader(io.StringIO(out))
-        assert ",".join(header) == bench.CSV_HEADER
-        assert row[header.index("error"):] == ["", "", "", ""]
+    assert code == 2
+    assert out == ""
+    assert err == ("error: fine size 8**1000 exceeds the 1048576 interval "
+                   "budget\n")
 
 
 @pytest.mark.parametrize("out,read", [("nodes", "readline"), ("json", "read10")])
@@ -379,6 +380,20 @@ def test_bench_checks_every_fine_size_before_timing(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "fine size 1210000 exceeds the 1048576 interval budget" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("layers", "--coarse", ","), "families, coarse and fine must be nonempty"),
+    (("layers", "--fine", ","), "families, coarse and fine must be nonempty"),
+    (("bench", "--problem", "ex1", "--eps", "0.1", "--coarse", ","),
+     "coarse_sizes must be nonempty"),
+], ids=["layers-coarse", "layers-fine", "bench"])
+def test_empty_size_list_is_validation_error(capsys, argv, message):
+    # an empty list would print empty rows or a bare header and exit 0
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_bench_honors_layer_sides(capsys, monkeypatch):
