@@ -15,8 +15,8 @@ depend on the mesh and eps alone, so a Newton solve builds them once
 (:func:`couplings`, read-only) and every Jacobian reuses them.  With
 ``b > 0`` the matrix is an irreducibly diagonally dominant M-matrix, so
 elimination needs no pivoting: :func:`thomas_solve` removes the odd rows
-level by level (cyclic reduction, Hockney 1965) and ends in Thomas
-elimination.
+level by level, by one rule at every level length (cyclic reduction,
+Hockney 1965), and ends in Thomas elimination.
 """
 
 from __future__ import annotations
@@ -159,21 +159,17 @@ REDUCTION_BASE = 128
 def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
     """Odd-even cyclic reduction to ``REDUCTION_BASE`` rows, then Thomas.
 
-    ``sub[0]`` and ``sup[-1]`` are never read.  Even-length levels get a
-    decoupled unit row appended, trimmed again on the way back.  A zero or
-    non-finite pivot raises :class:`ZeroPivotError`.  Levels free their
-    temporaries early and are dropped once solved, so the solve holds at
-    most about four arrays of the system's length besides its input.
+    ``sub[0]`` and ``sup[-1]`` are never read.  An even length's last row is
+    odd with no right neighbour: it is eliminated into and solved from its
+    left neighbour alone.  A zero or non-finite pivot raises
+    :class:`ZeroPivotError`.  Levels free their temporaries early and are
+    dropped once solved, so the solve holds at most about four arrays of
+    the system's length besides its input.
     """
     a, b, c, d = sys.sub, sys.diag, sys.sup, sys.rhs
     levels = []
     while len(b) > REDUCTION_BASE:
-        m = len(b)
-        if m % 2 == 0:  # a decoupled unit row; one band at a time, so each
-            a = np.append(a, 0.0)  # old band goes before the next is copied
-            b = np.append(b, 1.0)
-            c = np.append(c[:-1], (0.0, 0.0))  # zeroes old sup[-1], read by odd row m - 1
-            d = np.append(d, 0.0)
+        k = len(b) // 2  # odd rows
         ao, bo, co, do = a[1::2], b[1::2], c[1::2], d[1::2]
         size = np.abs(bo)
         # min() propagates NaN, so these two tests catch NaN, zero, tiny and inf
@@ -184,20 +180,21 @@ def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
         ninv = np.divide(-1.0, bo, out=size)  # -1/b: no negated copies of a, c
         b, d = b[::2].copy(), d[::2].copy()
         del bo  # frees the input diagonal from the second level on
-        alpha = a[2::2] * ninv   # even row 2j+2 eliminates odd row 2j+1 ...
-        gamma = c[:-1:2] * ninv  # ... and so does even row 2j
+        j = len(b) - 1  # odd rows with an even row on their right
+        alpha = a[2::2] * ninv[:j]  # even row 2i+2 eliminates odd row 2i+1 ...
+        gamma = c[:2 * k:2] * ninv  # ... and so does even row 2i
         a, c = np.empty_like(b), np.empty_like(b)
         a[0] = c[-1] = 0.0
-        np.multiply(alpha, ao, out=a[1:])
-        # c[:-1] holds each product until it is added, and its own band last;
+        np.multiply(alpha, ao[:j], out=a[1:])
+        # c[:k] holds each product until it is added, and its own band last;
         # every row still adds its alpha term before its gamma term
-        b[1:] += np.multiply(alpha, co, out=c[:-1])
-        b[:-1] += np.multiply(gamma, ao, out=c[:-1])
-        d[1:] += np.multiply(alpha, do, out=c[:-1])
-        d[:-1] += np.multiply(gamma, do, out=c[:-1])
-        np.multiply(gamma, co, out=c[:-1])
+        b[1:] += np.multiply(alpha, co[:j], out=c[:j])
+        b[:k] += np.multiply(gamma, ao, out=c[:k])
+        d[1:] += np.multiply(alpha, do[:j], out=c[:j])
+        d[:k] += np.multiply(gamma, do, out=c[:k])
+        np.multiply(gamma, co, out=c[:k])  # even length: sup[-1] only reaches c[-1]
         del alpha, gamma  # before the next level allocates its own
-        levels.append((m, ao, co, do, ninv))
+        levels.append((ao, co, do, ninv))
     # scalar Thomas elimination; row i here is row i << len(levels) above
     sub, diag, sup, rhs = a.tolist(), b.tolist(), c.tolist(), d.tolist()
     sub[0] = 0.0  # sup[-1] only reaches c[-1], which no row reads
@@ -215,16 +212,17 @@ def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
         d[i] -= c[i] * d[i + 1]
     y = np.asarray(d)
     while levels:  # popped, so each level's arrays go once it is solved
-        m, ao, co, do, ninv = levels.pop()
-        full = np.empty(2 * len(y) - 1)
+        ao, co, do, ninv = levels.pop()
+        j = len(y) - 1
+        full = np.empty(len(y) + len(ao))
         full[::2] = y
         # (do - ao y - co y) / b, written as (ao y - do + co y) * (-1/b): round
         # to nearest is symmetric under negation, so the bits are the same
-        odd = np.multiply(ao, y[:-1], out=full[1::2])
+        odd = np.multiply(ao, y[:len(ao)], out=full[1::2])
         odd -= do
-        odd += co * y[1:]
+        odd[:j] += co[:j] * y[1:]
         odd *= ninv
-        y = full[:m]
+        y = full
     return y
 
 

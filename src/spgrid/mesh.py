@@ -123,9 +123,13 @@ def _layer_scale(eps: float, a: float, q: float) -> float:
 
 
 def vulanovic_alpha(eps: float, a: float, q: float) -> float:
-    """Closed-form contact abscissa of the tangent from (1/2, 1/2)."""
+    """Closed-form contact abscissa of the tangent from (1/2, 1/2); raises as
+    :func:`bakhvalov_alpha` does (a tiny a*eps rounds alpha to q)."""
     ea = _layer_scale(eps, a, q)
-    return (q - math.sqrt(ea * q * (1.0 - 2.0 * q + 2.0 * ea))) / (1.0 + 2.0 * ea)
+    alpha = (q - math.sqrt(ea * q * (1.0 - 2.0 * q + 2.0 * ea))) / (1.0 + 2.0 * ea)
+    if not 0.0 < alpha < q:
+        raise NoRootError(f"no double contact point in (0, {q:g}) for a*eps = {ea:g}")
+    return alpha
 
 
 def bakhvalov_alpha(eps: float, a: float, q: float) -> float:
@@ -135,14 +139,16 @@ def bakhvalov_alpha(eps: float, a: float, q: float) -> float:
     ``v + k (e^v - 1) = D = (q - a eps)/(2 a eps q)``, so ``k e^v = W(e^C)``
     (Lambert W), ``C = 1/(2 a eps) - 1 + ln k``.  Increasing and convex: Newton
     from ``min(D, ln(1 + D/k))``, right of the root, falls until an iterate no
-    longer falls.  ``alpha = q (1 - e^-v)`` takes ``expm1`` for small v, keeping
-    its digits as a*eps nears q.  Raises :class:`DegenerateMeshError` like
-    :func:`vulanovic_alpha`, and :class:`NoRootError` for no alpha in ``(0, q)``.
+    longer falls; a start capped at ``v = 700`` keeps ``e^v`` a double, and
+    alpha rounds to q there.  ``alpha = q (1 - e^-v)`` takes ``expm1`` for
+    small v, keeping its digits as a*eps nears q.  Raises
+    :class:`DegenerateMeshError` for ``a*eps >= q`` and :class:`NoRootError`
+    for no alpha in ``(0, q)``.
     """
     ea = _layer_scale(eps, a, q)
     k = (0.5 - q) / q
     d = (q - ea) / ea / (2.0 * q) if ea > 0.0 else math.inf
-    v = min(d, math.log1p(d / k))
+    v = min(d, math.log1p(d / k), 700.0)
     for _ in range(60):
         nxt = v - (v + k * math.expm1(v) - d) / (1.0 + k * math.exp(v))
         if not nxt < v:

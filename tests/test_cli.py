@@ -150,7 +150,15 @@ UNIFORM_8 = ("--mesh", "uniform", "--eps", "0.1", "--n", "8")
     (UNIFORM_8, _zero_pivot, "error: zero or non-finite pivot in row 3\n"),
     (UNIFORM_8, _nonpositive_jacobian,
      "error: reaction derivative must be positive\n"),
-], ids=["collapsed-mesh", "no-convergence", "zero-pivot", "nonpositive-jacobian"])
+    # the contact point rounds to q, which left q - alpha zero
+    (("--eps", "0.01", "--n", "64", "--mesh", "vulanovic", "--a", "1e-100"), None,
+     "error: no double contact point in (0, 0.4) for a*eps = 1e-102\n"),
+    # a subnormal a*eps, where exp overflowed in the Newton loop
+    (("--mesh", "bakhvalov", "--eps", "4.27e-309", "--a", "1", "--q",
+      "0.3428865302350336", "--n", "64"), None,
+     "error: no double contact point in (0, 0.342887) for a*eps = 4.27e-309\n"),
+], ids=["collapsed-mesh", "no-convergence", "zero-pivot", "nonpositive-jacobian",
+        "vulanovic-contact-point-at-q", "bakhvalov-subnormal-layer-scale"])
 def test_solve_solver_failure_exits_3(capsys, monkeypatch, flags, patch, message):
     if patch is not None:
         patch(monkeypatch)

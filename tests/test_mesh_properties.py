@@ -21,7 +21,20 @@ specs = st.builds(
     gamma0=st.floats(0.1, 10.0),
 )
 
-# A bounded example count keeps the three properties well under 2 s.
+# The whole float range: eps down into the subnormals, a and gamma0 from
+# 1e-300 to 1e300.
+wide_specs = st.builds(
+    MeshSpec,
+    family=st.sampled_from(FAMILIES),
+    eps=st.floats(-320.0, 0.0).map(lambda e: 10.0 ** e),
+    n=st.integers(2, 4096),
+    a=st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e),
+    q=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+    gamma0=st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e),
+    layer_sides=st.sampled_from(LAYER_SIDES),
+)
+
+# A bounded example count keeps the properties well under 2 s.
 bounded = settings(max_examples=150, deadline=None)
 
 
@@ -50,6 +63,22 @@ def test_nodes_strictly_increase_from_zero_to_one(spec):
         assert len(x) == spec.n + 1
         assert x[0] == 0.0 and x[-1] == 1.0
         assert np.all(np.diff(x) > 0.0)
+
+
+@bounded
+@given(wide_specs)
+@example(MeshSpec("vulanovic", 0.01, 64, a=1e-100))  # alpha rounded to q
+@example(MeshSpec("bakhvalov", 4.27e-309, 64, a=1.0, q=0.3428865302350336))
+@example(MeshSpec("bakhvalov", 4.27e-309, 64, a=1.0))  # exp(v) overflowed
+def test_every_spec_builds_or_raises_no_root_error(spec):
+    # a degenerate graded spec builds its uniform fallback, which counts
+    try:
+        mesh = build_mesh(spec)
+    except NoRootError:
+        return
+    x = mesh.nodes
+    assert len(x) == spec.n + 1 and x[0] == 0.0 and x[-1] == 1.0
+    assert np.all(np.diff(x) > 0.0)
 
 
 @bounded

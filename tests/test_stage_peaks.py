@@ -48,6 +48,15 @@ def test_fine_step_peak_stays_at_its_level(problem, family, ceiling):
             assert calls >= 1 and 0.0 <= entry <= peak
 
 
+# An odd fine size (N = 181, n = 32761) starts cyclic reduction on an even
+# level; eliminating its last row copies no band, so the fine step peaks at
+# 12.15 (ex1) and 13.05 (ex2) arrays, under the same ceilings as at 2^14.
+@pytest.mark.parametrize("problem,family", [("ex1", "bakhvalov"), ("ex2", "vulanovic")])
+def test_odd_fine_size_peaks_at_the_same_level(problem, family):
+    peaks = _tool().stage_peaks(spgrid, problem, family, 1e-4, 181)
+    assert peaks["unwrapped"]["algorithm1"] <= UNWRAPPED_CEILING[problem], peaks
+
+
 # The direct ex1 solve on the same mesh peaks at 11.2 arrays, in its
 # tridiagonal solve: the semilinear Jacobians take the cached couplings as
 # their off-diagonals, so a second n-sized copy of each band lifts it past 11.5.

@@ -14,7 +14,12 @@ workload's own check; a side that fails a cell stops the comparison.
 
 Prints each side's p50 and p90 of raw op seconds (linear-interpolated
 quantiles, no calibration scaling) and the median of the per-op ratios
-change/parent with their quartiles.  Nothing under ``perfbench/`` is
+change/parent with their quartiles.  For ``direct`` and ``twogrid`` it also
+prints the largest gap between the two sides' solutions of an op, level by
+level, relative to ``max(1, |y|_inf)`` of the parent's: one figure for the
+Newton-converged levels (the direct solve, the two-grid coarse level) and one
+for the one-step fine levels.  That is the numerical comparison for a change
+that moves the arithmetic on purpose.  Nothing under ``perfbench/`` is
 changed.
 """
 
@@ -47,13 +52,20 @@ def load_spgrid(checkout: Path, name: str):
     return sp
 
 
-def timed_op(sp, op, reference) -> float:
-    """Seconds of one ``workloads.run``; the answer is checked untimed."""
+def timed_op(sp, op, reference) -> tuple:
+    """Seconds of one ``workloads.run`` and its solutions, one per level (none
+    for a table op); the answer is checked untimed."""
     start = time.perf_counter()
     raw = wl.run(sp, op)
     seconds = time.perf_counter() - start
     wl.check(op, wl.answer_rows(sp, op, raw), reference)
-    return seconds
+    return seconds, [] if op.workload == "table" else [out.y for out in raw[2]]
+
+
+def level_gaps(parent: list, change: list) -> list:
+    """``max|y_parent - y_change| / max(1, |y_parent|_inf)`` per level."""
+    return [float(np.max(np.abs(p - c)) / max(1.0, np.max(np.abs(p))))
+            for p, c in zip(parent, change, strict=True)]
 
 
 def compare(parent_sp, change_sp, workload: str, rounds: int, seed: int) -> dict:
@@ -65,10 +77,17 @@ def compare(parent_sp, change_sp, workload: str, rounds: int, seed: int) -> dict
         timed_op(sp, cells[0], reference)
     rng = random.Random(f"ab:{workload}:{seed}")
     seconds = {side: [] for side in SIDES}
+    gaps = {"converged": [], "one_step": []}  # level 0 is Newton-converged
     for _ in range(rounds):
         for op in rng.sample(cells, len(cells)):
+            ys = {}
             for side in rng.sample(SIDES, 2):
-                seconds[side].append(timed_op(packages[side], op, reference))
+                op_s, ys[side] = timed_op(packages[side], op, reference)
+                seconds[side].append(op_s)
+            if ys["parent"]:
+                first, *rest = level_gaps(ys["parent"], ys["change"])
+                gaps["converged"].append(first)
+                gaps["one_step"].extend(rest)
     parent, change = (np.array(seconds[side]) for side in SIDES)
     ratio = change / parent
     summary = {"workload": workload, "pairs": len(ratio)}
@@ -77,6 +96,8 @@ def compare(parent_sp, change_sp, workload: str, rounds: int, seed: int) -> dict
         summary[f"{side}_p90_s"] = float(np.quantile(values, 0.9))
     summary["ratio_p25"], summary["ratio_p50"], summary["ratio_p75"] = (
         float(q) for q in np.quantile(ratio, [0.25, 0.5, 0.75]))
+    for kind, values in gaps.items():
+        summary[f"gap_{kind}"] = max(values) if values else None
     return summary
 
 
@@ -100,6 +121,11 @@ def main(argv=None) -> int:
               f"p90 {1e3 * s[f'{side}_p90_s']:.3f} ms")
     print(f"per-op ratio change/parent: median {s['ratio_p50']:.3f} "
           f"(quartiles {s['ratio_p25']:.3f}, {s['ratio_p75']:.3f})")
+    if s["gap_converged"] is not None:
+        fine = s["gap_one_step"]
+        print(f"largest solution gap / max(1, |y|_inf): converged "
+              f"{s['gap_converged']:.1e}, one-step fine "
+              f"{'none' if fine is None else f'{fine:.1e}'}")
     return 0
 
 
