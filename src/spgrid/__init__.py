@@ -27,8 +27,7 @@ from .mesh import (DegenerateMeshError, Mesh, MeshSpec, NoRootError,
                    vulanovic_alpha)
 from .problems import (QuasilinearDiffusionProblem, SemilinearProblem,
                        example1, example2, log_transform, make_problem)
-from .linsolve import (NonpositiveCoefficientError, TridiagonalSystem,
-                       ZeroPivotError, assemble, solve_linear, thomas_solve)
+from .linsolve import TridiagonalSystem, ZeroPivotError, thomas_solve
 from .newton import (NoConvergenceError, NonpositiveJacobianError,
                      SingularDiffusionError, SolveOutcome, interior_source,
                      jacobian_fd_gap, newton_step, reduced_initial,
@@ -47,8 +46,7 @@ __all__ = [
     "shishkin_alpha", "vulanovic_alpha", "bakhvalov_alpha", "build_mesh",
     "SemilinearProblem", "QuasilinearDiffusionProblem", "example1", "example2",
     "log_transform", "make_problem",
-    "TridiagonalSystem", "NonpositiveCoefficientError", "ZeroPivotError",
-    "assemble", "thomas_solve", "solve_linear",
+    "TridiagonalSystem", "ZeroPivotError", "thomas_solve",
     "SolveOutcome", "NoConvergenceError",
     "NonpositiveJacobianError", "SingularDiffusionError", "solve",
     "newton_step", "reduced_initial", "residual_for", "interior_source",

@@ -1,36 +1,31 @@
-"""Three-point difference scheme for linear reaction-diffusion problems.
+"""Three-point difference rows and their tridiagonal solve.
 
 For ``-eps^2 u'' + b(x) u = g(x)`` on a (possibly strongly nonuniform)
 mesh, interior row ``i`` of the discrete system reads
 
     -eps^2/(hbar_i h_i) y_{i-1}
       + [eps^2/hbar_i (1/h_i + 1/h_{i+1}) + b(x_i)] y_i
-      - eps^2/(hbar_i h_{i+1}) y_{i+1}  =  g(x_i),
+      - eps^2/(hbar_i h_{i+1}) y_{i+1}  =  g(x_i).
 
-with Dirichlet data folded into the first and last right-hand sides.
-:func:`stencil` builds these rows; with per-interval flux weights in place
-of the unit ones it also builds the Newton Jacobians of the nonlinear
-scheme (:mod:`spgrid.newton`).  The couplings ``-eps^2/(hbar_i h_i)``
-depend on the mesh and eps alone, so a Newton solve builds them once
-(:func:`couplings`, read-only) and every Jacobian reuses them.  With
-``b > 0`` the matrix is an irreducibly diagonally dominant M-matrix, so
-elimination needs no pivoting: :func:`thomas_solve` removes the odd rows
-level by level, by one rule at every level length (cyclic reduction,
-Hockney 1965), and ends in Thomas elimination.
+That is the semilinear problem ``f = b u``, ``source = g`` of
+:mod:`spgrid.newton`, whose residual carries ``g`` and the Dirichlet data.
+:func:`stencil` builds these rows, and with per-interval flux weights in
+place of the unit ones the Jacobians of the quasilinear scheme, from the
+:func:`couplings` a solve builds once.  With ``b > 0`` the matrix is an
+irreducibly diagonally dominant M-matrix, so elimination needs no
+pivoting: :func:`thomas_solve` removes the odd rows level by level, by one
+rule at every level length (cyclic reduction, Hockney 1965), and ends in
+Thomas elimination.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .mesh import Mesh
-
-
-class NonpositiveCoefficientError(ValueError):
-    """Reaction coefficient b(x_i) <= 0 or non-finite at some interior node."""
 
 
 class ZeroPivotError(RuntimeError):
@@ -43,8 +38,8 @@ class TridiagonalSystem:
 
     All four arrays have length ``n - 1``; ``sub[0]`` and ``sup[-1]`` hold
     the couplings to the boundary values and are never read by
-    :func:`thomas_solve`.  :func:`stencil` leaves ``rhs`` None: :func:`assemble`
-    supplies it, and a Newton step its residual.
+    :func:`thomas_solve`.  :func:`stencil` leaves ``rhs`` None; a Newton
+    step supplies its residual.
     """
 
     sub: np.ndarray
@@ -69,15 +64,6 @@ class Couplings:
     total: np.ndarray | None = None
 
 
-def _values(func_or_array, x: np.ndarray) -> np.ndarray:
-    if callable(func_or_array):
-        return np.asarray(func_or_array(x), dtype=float)
-    vals = np.asarray(func_or_array, dtype=float)
-    if vals.shape != x.shape:
-        raise ValueError("coefficient array length does not match interior nodes")
-    return vals
-
-
 def _scale(mesh: Mesh, eps: float, h: np.ndarray) -> np.ndarray:
     """``-eps^2/(hbar_i h)`` for ``h = steps[:-1]`` (left) or ``steps[1:]`` (right)."""
     prod = mesh.half_steps * h
@@ -85,11 +71,7 @@ def _scale(mesh: Mesh, eps: float, h: np.ndarray) -> np.ndarray:
 
 
 def couplings(mesh: Mesh, eps: float, unit: bool = False) -> Couplings:
-    """Build the :class:`Couplings` of ``mesh``; ``unit`` adds their sum.
-
-    Build them once per solve and pass them to :func:`stencil` for every
-    Jacobian; a one-shot assembly needs none.
-    """
+    """The :class:`Couplings` of ``mesh``, once per solve; ``unit`` adds their sum."""
     scale_l = _scale(mesh, eps, mesh.steps[:-1])
     scale_r = _scale(mesh, eps, mesh.steps[1:])
     arrays = [scale_l, scale_r]
@@ -132,24 +114,6 @@ def stencil(mesh: Mesh, eps: float, b: np.ndarray,
         np.subtract(b, diag, out=diag)
         sup = np.multiply(scale, right[1:], out=right[1:])
     return TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=None)
-
-
-def assemble(mesh: Mesh, eps: float, b, g,
-             bc_left: float = 0.0, bc_right: float = 0.0) -> TridiagonalSystem:
-    """Assemble the interior tridiagonal system.
-
-    ``b`` and ``g`` may be callables of the interior nodes or plain arrays
-    of interior values; the Dirichlet data is folded into a copy of ``g``.
-    """
-    xi = mesh.interior()
-    bvals = _values(b, xi)
-    if not (bvals.min() > 0.0 and bvals.max() < math.inf):  # NaN fails too
-        raise NonpositiveCoefficientError("b(x) must be positive and finite")
-    rhs = _values(g, xi).copy()
-    sys = stencil(mesh, eps, bvals)
-    rhs[0] -= sys.sub[0] * bc_left
-    rhs[-1] -= sys.sup[-1] * bc_right
-    return replace(sys, rhs=rhs)
 
 
 # Systems this small are cheaper in the scalar loop than as numpy levels.
@@ -223,15 +187,4 @@ def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
         odd[:j] += co[:j] * y[1:]
         odd *= ninv
         y = full
-    return y
-
-
-def solve_linear(mesh: Mesh, eps: float, b, g,
-                 bc_left: float = 0.0, bc_right: float = 0.0) -> np.ndarray:
-    """Assemble and solve; returns the full vector ``y_0 ... y_n``."""
-    sys = assemble(mesh, eps, b, g, bc_left, bc_right)
-    y = np.empty(mesh.n + 1)
-    y[0] = bc_left
-    y[-1] = bc_right
-    y[1:-1] = thomas_solve(sys)
     return y

@@ -126,7 +126,10 @@ def vulanovic_alpha(eps: float, a: float, q: float) -> float:
     """Closed-form contact abscissa of the tangent from (1/2, 1/2); raises as
     :func:`bakhvalov_alpha` does (a tiny a*eps rounds alpha to q)."""
     ea = _layer_scale(eps, a, q)
-    alpha = (q - math.sqrt(ea * q * (1.0 - 2.0 * q + 2.0 * ea))) / (1.0 + 2.0 * ea)
+    root = math.sqrt(ea * q * (1.0 - 2.0 * q + 2.0 * ea))
+    alpha = (q - root) / (1.0 + 2.0 * ea)
+    if alpha <= 0.0:  # q - root cancelled: a*eps lies within rounding of q
+        alpha = q * (q - ea) / (q + root)  # the same alpha, without the difference
     if not 0.0 < alpha < q:
         raise NoRootError(f"no double contact point in (0, {q:g}) for a*eps = {ea:g}")
     return alpha

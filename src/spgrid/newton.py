@@ -49,7 +49,7 @@ class NoConvergenceError(RuntimeError):
 
 
 class NonpositiveJacobianError(ValueError):
-    """Reaction derivative (f_u or r_u) <= 0 or non-finite along the iterate."""
+    """Reaction derivative f_u or r_u (a linear problem's b) <= 0 or non-finite."""
 
 
 class SingularDiffusionError(ValueError):

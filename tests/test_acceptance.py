@@ -15,11 +15,13 @@ import numpy as np
 import pytest
 
 import spgrid as sp
+from spgrid.linsolve import stencil
 from reference_values import (CASCADE_STEP3_N16, CASCADE_STEP3_ORDERS,
                               CHOOSE_R_PRINTED, EX1_STEP1, EX1_STEP1_ORDERS,
                               EX1_STEP2, EX2_STEP2, LAYER_COARSE_SIZES,
                               LAYER_FINE_SIZES, LAYER_TABLE,
                               LAYER_TABLE_PRINTED, ROPT_ORDERS_PRINTED)
+from test_linsolve import linear_problem
 
 SIZES = [8, 16, 32, 64]
 EPS8 = 2.0 ** -8
@@ -398,10 +400,10 @@ def test_criterion_7_m_matrix_and_maximum_principle():
         bvals = rng.uniform(0.5, 2.0) + rng.uniform(0.0, 0.5) * np.sin(7 * xi) ** 2
         gvals = rng.normal() * np.cos(4 * xi) + rng.normal()
         eps = 10.0 ** rng.uniform(-4, 0)
-        sys = sp.assemble(mesh, eps, bvals, gvals)
+        sys = stencil(mesh, eps, bvals)
         ok &= bool(np.all(sys.diag > 0) and np.all(sys.sub <= 0)
                    and np.all(sys.sup <= 0))
-        y = sp.solve_linear(mesh, eps, bvals, gvals, 0.0, 0.0)
+        y = sp.solve(mesh, linear_problem(eps, bvals, gvals)).y
         ok &= bool(np.max(np.abs(y)) <= np.max(np.abs(gvals)) / bvals.min() + 1e-12)
     _report("7 sign pattern + maximum principle on 20 random instances", ok)
     assert ok

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -162,10 +163,28 @@ UNIFORM_8 = ("--mesh", "uniform", "--eps", "0.1", "--n", "8")
 def test_solve_solver_failure_exits_3(capsys, monkeypatch, flags, patch, message):
     if patch is not None:
         patch(monkeypatch)
-    code, out, err = run_cli(capsys, "solve", "--problem", "ex1", *flags)
+    with warnings.catch_warnings(record=True) as caught:  # each would reach stderr
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "solve", "--problem", "ex1", *flags)
     assert code == 3
     assert out == ""
     assert err.startswith(message) and err.count("\n") == 1
+    assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("problem", ["ex1", "ex2"])
+def test_subnormal_eps_prints_the_error_line_alone(problem):
+    # the problem record evaluates exact(0), whose x/eps overflows at this eps
+    proc = subprocess.run(
+        [sys.executable, "-m", "spgrid.cli", "solve", "--problem", problem,
+         "--mesh", "bakhvalov", "--eps", "4.27e-309", "--a", "1", "--n", "64"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))})
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: no double contact point in (0, 0.4) "
+                           "for a*eps = 4.27e-309\n")
 
 
 @pytest.mark.parametrize("algorithm", bench.ALGORITHMS)

@@ -2,15 +2,35 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import spgrid
-from spgrid.linsolve import (REDUCTION_BASE, NonpositiveCoefficientError,
-                             TridiagonalSystem, ZeroPivotError, assemble,
-                             couplings, solve_linear, stencil, thomas_solve)
+from spgrid import newton
+from spgrid.linsolve import (REDUCTION_BASE, TridiagonalSystem, ZeroPivotError,
+                             couplings, stencil, thomas_solve)
 from spgrid.mesh import MeshSpec, build_mesh
+from spgrid.newton import NonpositiveJacobianError, solve
+from spgrid.problems import SemilinearProblem
+
+
+def linear_problem(eps, b, g, bc_left=0.0, bc_right=0.0):
+    """``-eps^2 u'' + b u = g`` as the semilinear problem ``f = b u``.
+
+    ``b`` and ``g`` are callables of x, or arrays of their values at the
+    interior nodes of the mesh the problem is solved on.
+    """
+    bx = b if callable(b) else lambda x: b
+    return SemilinearProblem(eps=eps, f=lambda x, u: bx(x) * u,
+                             f_u=lambda x, u: bx(x), bc_left=bc_left,
+                             bc_right=bc_right,
+                             source=g if callable(g) else lambda x: g)
+
+
+def ones(x):
+    return np.ones_like(x)
 
 
 def dense_matrix(sys: TridiagonalSystem) -> np.ndarray:
@@ -33,17 +53,19 @@ def random_mesh(rng, n):
 def test_single_unknown_hand_assembly():
     # uniform n=2, eps=1, b=g=1: (8 + 1) y_1 = 1
     mesh = build_mesh(MeshSpec("uniform", 1.0, 2))
-    sys = assemble(mesh, 1.0, lambda x: np.ones_like(x), lambda x: np.ones_like(x))
+    sys = stencil(mesh, 1.0, np.ones(1))
     assert sys.diag[0] == pytest.approx(9.0, rel=1e-15)
-    y = thomas_solve(sys)
-    assert y[0] == pytest.approx(1.0 / 9.0, rel=1e-15)
+    y = solve(mesh, linear_problem(1.0, ones, ones)).y
+    assert y[1] == pytest.approx(1.0 / 9.0, rel=1e-15)
 
 
 def test_zero_eps_reduces_to_pointwise_inversion():
+    # at eps = 0 the rows are diag = b with -0.0 off the diagonal
     mesh = build_mesh(MeshSpec("uniform", 1.0, 8))
-    g = lambda x: 1.0 + x ** 2
-    y = solve_linear(mesh, 0.0, lambda x: np.ones_like(x), g, 0.0, 0.0)
-    assert np.allclose(y[1:-1], g(mesh.interior()), rtol=0, atol=0)
+    g = 1.0 + mesh.interior() ** 2
+    rows = stencil(mesh, 0.0, np.ones(7))
+    y = thomas_solve(replace(rows, rhs=g))
+    assert np.allclose(y, g, rtol=0, atol=0)
 
 
 def test_assembly_matches_dense_oracle_entrywise():
@@ -52,7 +74,7 @@ def test_assembly_matches_dense_oracle_entrywise():
     bvals = rng.uniform(1.0, 2.0, 5)
     gvals = rng.normal(size=5)
     eps = 0.3
-    sys = assemble(mesh, eps, bvals, gvals, 0.7, -0.2)
+    sys = stencil(mesh, eps, bvals)
     h = mesh.steps
     hbar = mesh.half_steps
     A = np.zeros((5, 5))
@@ -70,7 +92,11 @@ def test_assembly_matches_dense_oracle_entrywise():
         else:
             rhs[4] -= up * (-0.2)
     assert np.allclose(dense_matrix(sys), A, rtol=0, atol=0)
-    assert np.allclose(sys.rhs, rhs, rtol=0, atol=0)
+    # the residual carries the Dirichlet data that the oracle folds into rhs
+    y = solve(mesh, linear_problem(eps, bvals, gvals, 0.7, -0.2)).y
+    assert (y[0], y[-1]) == (0.7, -0.2)
+    dense = np.linalg.solve(A, rhs)
+    assert np.max(np.abs(y[1:-1] - dense)) <= 1e-12 * max(1.0, np.max(np.abs(dense)))
 
 
 def test_thomas_identity_system():
@@ -207,26 +233,30 @@ def test_direct_solve_does_not_import_scipy():
                    env={**os.environ, "PYTHONPATH": path})
 
 
-def test_nonpositive_coefficient_rejected():
-    mesh = build_mesh(MeshSpec("uniform", 0.5, 8))
-    with pytest.raises(NonpositiveCoefficientError):
-        assemble(mesh, 0.5, lambda x: x - 0.5, lambda x: np.ones_like(x))
+def _no_linear_solve(monkeypatch):
+    def fail(sys):
+        raise AssertionError("a linear solve ran")
+
+    monkeypatch.setattr(newton, "thomas_solve", fail)
 
 
-def test_coefficient_array_of_the_wrong_length_rejected():
+def test_nonpositive_coefficient_rejected(monkeypatch):
+    _no_linear_solve(monkeypatch)
     mesh = build_mesh(MeshSpec("uniform", 0.5, 8))
-    for b, g in ((np.ones(6), np.ones(7)), (np.ones(7), np.ones(8))):
-        with pytest.raises(ValueError, match="coefficient array length"):
-            assemble(mesh, 0.5, b, g)
+    with pytest.raises(NonpositiveJacobianError, match="positive and finite"):
+        solve(mesh, linear_problem(0.5, lambda x: x - 0.5, ones))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_nonfinite_coefficient_rejected_before_the_solve(bad):
+def test_nonfinite_coefficient_rejected_before_the_solve(monkeypatch, bad):
+    _no_linear_solve(monkeypatch)
     mesh = build_mesh(MeshSpec("uniform", 0.1, 8))
     b = np.ones(7)
     b[3] = bad
-    with pytest.raises(NonpositiveCoefficientError, match="positive and finite"):
-        solve_linear(mesh, 0.1, b, np.ones(7))
+    # f = b u itself reads inf * 0 at the start, before the Jacobian's check
+    with pytest.raises(NonpositiveJacobianError, match="positive and finite"), \
+            np.errstate(invalid="ignore"):
+        solve(mesh, linear_problem(0.1, b, np.ones(7)))
 
 
 def test_m_matrix_sign_pattern_on_layer_meshes():
@@ -234,7 +264,7 @@ def test_m_matrix_sign_pattern_on_layer_meshes():
                  MeshSpec("bakhvalov", 1e-3, 32, a=2.0),
                  MeshSpec("vulanovic", 1e-4, 48, a=1.0)):
         mesh = build_mesh(spec)
-        sys = assemble(mesh, spec.eps, lambda x: 1.0 + x, lambda x: np.ones_like(x))
+        sys = stencil(mesh, spec.eps, 1.0 + mesh.interior())
         assert np.all(sys.diag > 0)
         assert np.all(sys.sub <= 0)
         assert np.all(sys.sup <= 0)
@@ -245,8 +275,7 @@ def test_m_matrix_sign_pattern_on_layer_meshes():
 
 def test_unique_zero_solution():
     mesh = build_mesh(MeshSpec("shishkin", 1e-2, 32))
-    y = solve_linear(mesh, 1e-2, lambda x: np.ones_like(x),
-                     lambda x: np.zeros_like(x), 0.0, 0.0)
+    y = solve(mesh, linear_problem(1e-2, ones, np.zeros_like)).y
     assert np.array_equal(y, np.zeros(33))
 
 
@@ -259,7 +288,7 @@ def test_discrete_maximum_principle_random_instances():
         bvals = c0 + 0.3 * np.sin(c1 + 3 * xi) ** 2
         gvals = c2 * np.cos(5 * xi) + rng.normal()
         eps = 10.0 ** rng.uniform(-4, 0)
-        y = solve_linear(mesh, eps, bvals, gvals, 0.0, 0.0)
+        y = solve(mesh, linear_problem(eps, bvals, gvals)).y
         bound = np.max(np.abs(gvals)) / bvals.min()
         assert np.max(np.abs(y)) <= bound + 1e-12
 
@@ -274,9 +303,14 @@ def residual_norm(sys: TridiagonalSystem, y: np.ndarray) -> float:
 
 def test_residual_norm_after_solve():
     mesh = build_mesh(MeshSpec("vulanovic", 1e-3, 64, a=2.0))
-    sys = assemble(mesh, 1e-3, lambda x: 1.0 + x * x, lambda x: np.exp(x), 0.3, -0.1)
-    y = thomas_solve(sys)
-    assert residual_norm(sys, y) <= 1e-10 * max(1.0, np.max(np.abs(sys.rhs)))
+    xi = mesh.interior()
+    rows = stencil(mesh, 1e-3, 1.0 + xi * xi)
+    rhs = np.exp(xi)  # with the Dirichlet data folded in by hand
+    rhs[0] -= rows.sub[0] * 0.3
+    rhs[-1] -= rows.sup[-1] * -0.1
+    y = solve(mesh, linear_problem(1e-3, lambda x: 1.0 + x * x, np.exp, 0.3, -0.1)).y
+    sys = replace(rows, rhs=rhs)
+    assert residual_norm(sys, y[1:-1]) <= 1e-10 * max(1.0, np.max(np.abs(sys.rhs)))
 
 
 def test_constant_coefficient_convergence():
@@ -287,15 +321,13 @@ def test_constant_coefficient_convergence():
     errs = []
     for n in (16, 32, 64, 128):
         mesh = build_mesh(MeshSpec("uniform", 1.0, n))
-        y = solve_linear(mesh, 1.0, lambda x: np.ones_like(x),
-                         lambda x: np.ones_like(x), 0.0, 0.0)
+        y = solve(mesh, linear_problem(1.0, ones, ones)).y
         errs.append(np.max(np.abs(y - exact(mesh.nodes))))
     # second order: each doubling divides the error by ~4
     for e_coarse, e_fine in zip(errs, errs[1:]):
         assert e_coarse / e_fine == pytest.approx(4.0, rel=0.05)
     mesh64 = build_mesh(MeshSpec("uniform", 1.0, 64))
-    y64 = solve_linear(mesh64, 1.0, lambda x: np.ones_like(x),
-                       lambda x: np.ones_like(x), 0.0, 0.0)
+    y64 = solve(mesh64, linear_problem(1.0, ones, ones)).y
     assert np.max(np.abs(y64 - exact(mesh64.nodes))) < 1e-4
 
 
@@ -311,8 +343,7 @@ def test_layer_problem_convergence_rate_on_shishkin_mesh():
     for n in ns:
         mesh = build_mesh(MeshSpec("shishkin", eps, n, gamma0=1.0))
         bc = float(exact(np.array(0.0)))
-        y = solve_linear(mesh, eps, lambda x: np.ones_like(x),
-                         lambda x: np.zeros_like(x), bc, bc)
+        y = solve(mesh, linear_problem(eps, ones, np.zeros_like, bc, bc)).y
         errs.append(np.max(np.abs(y - exact(mesh.nodes))))
     # slope of log error against log(N / ln N) isolates the log factor
     t = np.log(np.array(ns) / np.log(ns))

@@ -3,7 +3,9 @@
 import numpy as np
 from hypothesis import given, strategies as st
 
-from spgrid.linsolve import assemble, couplings, solve_linear, stencil
+from spgrid.linsolve import couplings, stencil
+from spgrid.newton import solve
+from test_linsolve import linear_problem
 from test_mesh_properties import _build, bounded, specs
 
 
@@ -18,7 +20,7 @@ def test_discrete_maximum_principle(spec, seed):
     m = spec.n - 1
     b = 10.0 ** rng.uniform(-3.0, 3.0, m)
     g = np.where(rng.random(m) < 0.2, 0.0, rng.uniform(0.0, 10.0, m))
-    y = solve_linear(mesh, spec.eps, b, g)
+    y = solve(mesh, linear_problem(spec.eps, b, g)).y
     assert y[0] == 0.0 and y[-1] == 0.0
     assert np.all(y >= 0.0)
     assert np.max(y) <= np.max(g / b, initial=0.0) * (1.0 + 1e-12)
@@ -30,12 +32,14 @@ def _same_bits(a, b):
 
 
 @bounded
-@given(specs, st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans())
+@given(specs, st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans(), st.booleans())
 def test_weighted_rows_equal_the_explicit_expressions_bitwise(spec, seed, scalar_b,
-                                                             cached):
+                                                             cached, unit):
     # stencil writes the weighted bands in place, one side's couplings at a
     # time when none are cached, and over copies of the weights here (it
-    # overwrites them); every entry must keep its operands and order
+    # overwrites them); unit weights (right = left = None) read the couplings
+    # as bands, with their sum cached as a Newton solve caches it; every
+    # entry must keep its operands and order
     mesh = _build(spec)
     if mesh is None:
         return
@@ -43,21 +47,18 @@ def test_weighted_rows_equal_the_explicit_expressions_bitwise(spec, seed, scalar
     m = spec.n - 1
     b = np.asarray(rng.uniform(0.1, 10.0)) if scalar_b else rng.uniform(0.1, 10.0, m)
     right, left = rng.uniform(0.1, 2.0, (2, spec.n))
-    rhs = rng.normal(size=m)
-    bc_left, bc_right = rng.normal(size=2)
-    sys = stencil(mesh, spec.eps, b, right.copy(), left.copy(),
-                  cpl=couplings(mesh, spec.eps) if cached else None)
+    cpl = couplings(mesh, spec.eps, unit=unit) if cached else None
+    weights = (None, None) if unit else (right.copy(), left.copy())
+    sys = stencil(mesh, spec.eps, b, *weights, cpl=cpl)
     e2 = spec.eps * spec.eps
     scale_l = -e2 / (mesh.half_steps * mesh.steps[:-1])
     scale_r = -e2 / (mesh.half_steps * mesh.steps[1:])
-    lower, upper = scale_l * left[:-1], scale_r * right[1:]
-    assert _same_bits(sys.diag, b - (scale_l * right[:-1] + scale_r * left[1:]))
+    if unit:
+        diag, lower, upper = b - (scale_l + scale_r), scale_l, scale_r
+    else:
+        diag = b - (scale_l * right[:-1] + scale_r * left[1:])
+        lower, upper = scale_l * left[:-1], scale_r * right[1:]
+    assert _same_bits(sys.diag, diag)
     assert _same_bits(sys.sub, lower)  # the band ends are the boundary couplings
     assert _same_bits(sys.sup, upper)
     assert sys.rhs is None
-    # assemble folds the Dirichlet data through the unit-weight band ends
-    unit = assemble(mesh, spec.eps, np.broadcast_to(b, (m,)), rhs, bc_left, bc_right)
-    want_rhs = rhs.copy()
-    want_rhs[0] -= scale_l[0] * bc_left
-    want_rhs[-1] -= scale_r[-1] * bc_right
-    assert _same_bits(unit.rhs, want_rhs)

@@ -19,6 +19,8 @@ SHISHKIN_CASES = [
 VULANOVIC_CASES = [
     ((1e-2, 1.0, 0.4), 0.36307373142315426),
     ((EPS8, 1.0, 0.4), 0.37901928279896001),
+    # a*eps one ulp below q, where q - sqrt(.) cancels: alpha = (q - a*eps)/2
+    ((1.0 - 2.0 ** -53, 0.2331608915957545, 0.2331608915957545), 1.3877787807814457e-17),
 ]
 # residual tolerance scales with the root conditioning: q - alpha ~ a*eps
 BAKHVALOV_CASES = [

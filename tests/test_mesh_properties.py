@@ -83,6 +83,8 @@ def test_every_spec_builds_or_raises_no_root_error(spec):
 
 @bounded
 @given(specs)
+@example(MeshSpec("vulanovic", 1.0 - 2.0 ** -53, 2, a=0.2331608915957545,
+                  q=0.2331608915957545))  # a*eps one ulp below q
 def test_two_sided_mesh_is_exactly_mirror_symmetric(spec):
     mesh = _build(spec)
     if mesh is not None and not mesh.degenerate:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spgrid import newton
-from spgrid.linsolve import assemble, couplings
+from spgrid.linsolve import couplings, stencil
 from spgrid.mesh import MeshSpec, build_mesh
 from spgrid.newton import (NoConvergenceError, NonpositiveJacobianError,
                            SingularDiffusionError, _midpoint_diffusion,
@@ -13,14 +13,7 @@ from spgrid.newton import (NoConvergenceError, NonpositiveJacobianError,
                            residual_for, semilinear_jacobian, solve)
 from spgrid.problems import (QuasilinearDiffusionProblem, SemilinearProblem,
                              example1, example2, log_transform, make_problem)
-
-
-def _linear_problem(eps):
-    return SemilinearProblem(
-        eps=eps,
-        f=lambda x, u: u,
-        f_u=lambda x, u: np.ones_like(np.asarray(u, dtype=float)),
-        bc_left=0.0, bc_right=0.0)
+from test_linsolve import linear_problem, ones
 
 
 def _residual_norm(mesh, p, y):
@@ -35,7 +28,7 @@ def _solve_from(mesh, p, y0):
 
 def test_linear_problem_one_iteration_from_zero():
     mesh = build_mesh(MeshSpec("shishkin", 1e-2, 16))
-    out = _solve_from(mesh, _linear_problem(1e-2), np.zeros(17))
+    out = _solve_from(mesh, linear_problem(1e-2, ones, np.zeros_like), np.zeros(17))
     assert out.iterations == 1
     assert np.array_equal(out.y, np.zeros(17))
 
@@ -267,7 +260,7 @@ def test_example2_solver_accuracy(eps):
 
 
 def test_constant_diffusion_reduces_to_linear_scheme():
-    # d = 1: midpoint-scheme Jacobian must equal the linear assembly rows
+    # d = 1: midpoint-scheme Jacobian must equal the unit-weight rows
     eps = 0.05
     gsrc = lambda x: np.cos(3 * x)
     p = QuasilinearDiffusionProblem(
@@ -281,15 +274,13 @@ def test_constant_diffusion_reduces_to_linear_scheme():
     rng = np.random.default_rng(3)
     y = rng.normal(size=25)
     jac = diffusion_jacobian(mesh, p, y)
-    ref = assemble(mesh, eps, lambda x: np.ones_like(x), gsrc, 0.3, -0.2)
+    ref = stencil(mesh, eps, np.ones(23))
     assert np.allclose(jac.diag, ref.diag, rtol=1e-15, atol=0)
     assert np.allclose(jac.sub, ref.sub, rtol=1e-15, atol=0)
     assert np.allclose(jac.sup, ref.sup, rtol=1e-15, atol=0)
-    # and the converged solution equals the one-shot linear solve
-    from spgrid.linsolve import solve_linear
-
+    # and the converged solution equals the one of the linear problem
     out = _solve_from(mesh, p, np.zeros(25))
-    lin = solve_linear(mesh, eps, lambda x: np.ones_like(x), gsrc, 0.3, -0.2)
+    lin = solve(mesh, linear_problem(eps, ones, gsrc, 0.3, -0.2)).y
     assert np.max(np.abs(out.y - lin)) < 1e-12
 
 

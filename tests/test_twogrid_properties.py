@@ -36,7 +36,7 @@ def _assert_matches_oracle(coarse, values, fine):
     assert np.array_equal(slopes, slopes_ref) and _same_bits(slopes, slopes_ref)
 
 
-def _values(rng, n):
+def _nodal_values(rng, n):
     return rng.normal(size=n + 1) * 10.0 ** rng.uniform(-3.0, 3.0)
 
 
@@ -61,7 +61,7 @@ def test_run_length_transfer_matches_interp_bitwise(coarse_spec, fine_spec,
     coarse, fine = _build(coarse_spec), _build(fine_spec)
     if coarse is None or fine is None:
         return
-    _assert_matches_oracle(coarse, _values(np.random.default_rng(seed), N), fine)
+    _assert_matches_oracle(coarse, _nodal_values(np.random.default_rng(seed), N), fine)
 
 
 def test_coarse_cells_without_fine_nodes_and_multi_node_straddles():
@@ -72,7 +72,8 @@ def test_coarse_cells_without_fine_nodes_and_multi_node_straddles():
     # the first fine interval holds every coarse layer node
     assert np.count_nonzero(coarse.nodes < fine.nodes[1]) > 2
     for seed in range(5):
-        _assert_matches_oracle(coarse, _values(np.random.default_rng(seed), 64), fine)
+        values = _nodal_values(np.random.default_rng(seed), 64)
+        _assert_matches_oracle(coarse, values, fine)
 
 
 def _mesh(nodes):
