@@ -26,12 +26,11 @@ from .mesh import (DegenerateMeshError, Mesh, MeshSpec, NoRootError,
                    bakhvalov_alpha, build_mesh, layer_fraction, shishkin_alpha,
                    vulanovic_alpha)
 from .problems import (QuasilinearDiffusionProblem, SemilinearProblem,
-                       example1, example2, log_transform, make_problem)
+                       example1, example2, make_problem)
 from .linsolve import TridiagonalSystem, ZeroPivotError, thomas_solve
 from .newton import (NoConvergenceError, NonpositiveJacobianError,
                      SingularDiffusionError, SolveOutcome, interior_source,
-                     jacobian_fd_gap, newton_step, reduced_initial,
-                     residual_for, solve)
+                     newton_step, reduced_initial, residual_for, solve)
 from .twogrid import (TwoGridPlan, TwoGridResult, algorithm1, algorithm2,
                       choose_r, interpolant_slopes)
 from .bench import (ConvergenceRow, DegenerateError, MissingExactError, Report,
@@ -45,12 +44,11 @@ __all__ = [
     "Mesh", "MeshSpec", "DegenerateMeshError", "NoRootError", "layer_fraction",
     "shishkin_alpha", "vulanovic_alpha", "bakhvalov_alpha", "build_mesh",
     "SemilinearProblem", "QuasilinearDiffusionProblem", "example1", "example2",
-    "log_transform", "make_problem",
+    "make_problem",
     "TridiagonalSystem", "ZeroPivotError", "thomas_solve",
     "SolveOutcome", "NoConvergenceError",
     "NonpositiveJacobianError", "SingularDiffusionError", "solve",
     "newton_step", "reduced_initial", "residual_for", "interior_source",
-    "jacobian_fd_gap",
     "TwoGridPlan", "TwoGridResult", "interpolant_slopes", "algorithm1",
     "algorithm2", "choose_r",
     "ReportConfig", "Report", "ConvergenceRow", "MissingExactError",

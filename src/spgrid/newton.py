@@ -309,38 +309,3 @@ def solve(mesh: Mesh, problem) -> SolveOutcome:
 def residual_for(mesh: Mesh, problem, y: np.ndarray) -> np.ndarray:
     """Interior nonlinear-scheme residual, dispatched on the problem type."""
     return _scheme(problem)[0](mesh, problem, y)
-
-
-def jacobian_fd_gap(mesh: Mesh, problem, y: np.ndarray) -> float:
-    """Max entrywise gap between the analytic Jacobian and central differences.
-
-    The gap is relative to the entry magnitude, floored at one; intended
-    as a correctness check, not for production paths.  Row i of the
-    residual reads only unknowns i-1, i and i+1, so perturbing every third
-    unknown at once (Curtis, Powell and Reid 1974) leaves each row one
-    perturbed neighbour: three residual pairs give the same entries as a
-    loop over single columns, in O(n).
-    """
-    residual, jacobian, _, _, _ = _scheme(problem)
-    jac = jacobian(mesh, problem, y)
-    src = interior_source(mesh, problem)
-    m = mesh.n - 1
-    gap = 0.0
-    for colour in range(3):
-        cols = np.arange(colour, m, 3)
-        step = 1e-6 * (1.0 + np.abs(y[cols + 1]))
-        yp = y.copy()
-        yp[cols + 1] += step
-        ym = y.copy()
-        ym[cols + 1] -= step
-        diff = (residual(mesh, problem, yp, src=src)
-                - residual(mesh, problem, ym, src=src))
-        # column j holds diag[j], sup[j - 1] in row j - 1 and sub[j + 1] in row j + 1
-        for shift, band in ((0, jac.diag), (-1, jac.sup), (1, jac.sub)):
-            rows = cols + shift
-            inside = (rows >= 0) & (rows < m)
-            a = band[rows[inside]]
-            fd = diff[rows[inside]] / (2.0 * step[inside])
-            rel = np.abs(a - fd) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(fd)))
-            gap = max(gap, float(np.max(rel, initial=0.0)))
-    return gap

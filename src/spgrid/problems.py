@@ -147,40 +147,6 @@ def example2(eps: float) -> QuasilinearDiffusionProblem:
                                        exact=exact, source=fsrc)
 
 
-def log_transform(p: QuasilinearDiffusionProblem) -> SemilinearProblem:
-    """Rewrite a ``d(u) = 1/(1+u)`` diffusion problem in semilinear form.
-
-    With ``v = ln(1 + u)`` the flux ``u'/(1+u)`` becomes ``v'``, so ``v``
-    solves ``-eps^2 v'' + r(x, exp(v) - 1) = source(x)`` with transformed
-    boundary data and the same source.  Used as an independent cross-check
-    of the quasilinear solver.
-    """
-    if p.bc_left <= -1.0 or p.bc_right <= -1.0:
-        raise ValueError("boundary values must exceed -1 for the log substitution")
-    us = np.linspace(-0.9, 9.0, 67)
-    if not np.allclose(p.d(us), 1.0 / (1.0 + us), rtol=1e-12, atol=1e-12):
-        raise ValueError("diffusion factor is not 1/(1+u); transform does not apply")
-
-    def f(x, v):
-        return p.r(x, np.expm1(v))
-
-    def f_u(x, v):
-        ev = np.exp(v)
-        return p.r_u(x, ev - 1.0) * ev
-
-    exact = None
-    if p.exact is not None:
-        inner = p.exact
-
-        def exact(x):
-            return np.log1p(inner(x))
-
-    return SemilinearProblem(eps=p.eps, f=f, f_u=f_u,
-                             bc_left=math.log1p(p.bc_left),
-                             bc_right=math.log1p(p.bc_right),
-                             exact=exact, source=p.source)
-
-
 PROBLEMS: dict[str, Callable] = {"ex1": example1, "ex2": example2}
 
 

@@ -16,6 +16,7 @@ import pytest
 
 import spgrid as sp
 from spgrid.linsolve import stencil
+from oracles import jacobian_fd_gap
 from reference_values import (CASCADE_STEP3_N16, CASCADE_STEP3_ORDERS,
                               CHOOSE_R_PRINTED, EX1_STEP1, EX1_STEP1_ORDERS,
                               EX1_STEP2, EX2_STEP2, LAYER_COARSE_SIZES,
@@ -415,12 +416,12 @@ def test_criterion_7_jacobian_gaps():
     mesh = sp.build_mesh(sp.MeshSpec("vulanovic", 1e-1, 32))
     y = rng.uniform(0.0, 1.0, 33)
     y[0] = y[-1] = 0.0
-    gap1 = sp.jacobian_fd_gap(mesh, p1, y)
+    gap1 = jacobian_fd_gap(mesh, p1, y)
     p2 = sp.example2(1e-1)
     mesh2 = sp.build_mesh(sp.MeshSpec("bakhvalov", 1e-1, 32, a=2.0))
     y2 = rng.uniform(-0.5, 2.0, 33)
     y2[0], y2[-1] = p2.bc_left, p2.bc_right
-    gap2 = sp.jacobian_fd_gap(mesh2, p2, y2)
+    gap2 = jacobian_fd_gap(mesh2, p2, y2)
     ok = gap1 <= 1e-5 and gap2 <= 1e-5
     _report("7 analytic vs finite-difference Jacobian gap <= 1e-5", ok,
             f"{gap1:.1e}, {gap2:.1e}")

@@ -2,15 +2,16 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import spgrid
-from spgrid import newton
-from spgrid.linsolve import (REDUCTION_BASE, TridiagonalSystem, ZeroPivotError,
-                             couplings, stencil, thomas_solve)
+from spgrid import linsolve, newton
+from spgrid.linsolve import (REDUCTION_BASE, SCALAR_BASE, TridiagonalSystem,
+                             ZeroPivotError, couplings, stencil, thomas_solve)
 from spgrid.mesh import MeshSpec, build_mesh
 from spgrid.newton import NonpositiveJacobianError, solve
 from spgrid.problems import SemilinearProblem
@@ -106,14 +107,34 @@ def test_thomas_identity_system():
     assert np.array_equal(thomas_solve(sys), sys.rhs)
 
 
-B = REDUCTION_BASE
+S, R = SCALAR_BASE, REDUCTION_BASE
 
 
-# around the reduction base, odd and even level lengths; 2^k - 1 rows (every
+def tails(monkeypatch):
+    """Yields the base of each tail of :func:`thomas_solve` while it is in
+    use: ``REDUCTION_BASE`` and ``dgtsv`` where numpy's LAPACK has it, then
+    ``SCALAR_BASE`` and the scalar loop, with the lookup patched off."""
+    if linsolve.lapack_dgtsv() is not None:
+        yield R
+    monkeypatch.setattr(linsolve, "lapack_dgtsv", lambda: None)
+    yield S
+
+
+def diagonally_dominant(m, seed):
+    """A random system whose off-diagonals lie in [-1, 0] and whose
+    diagonal lies in [2, 3]; its band ends are not zeroed."""
+    rng = np.random.default_rng(seed)
+    sub = rng.uniform(-1.0, 0.0, m)
+    sup = rng.uniform(-1.0, 0.0, m)
+    diag = 2.0 + rng.uniform(0.0, 1.0, m)
+    return TridiagonalSystem(sub, diag, sup, rng.normal(size=m))
+
+
+# around both bases, odd and even level lengths; 2^k - 1 rows (every
 # benchmark solve) reduce to an even level after the first, odd one
-@pytest.mark.parametrize("m", [1, 2, 5, 40, B - 1, B, B + 1,
-                               1023, 1024, 1025, 4095, 4097])
-def test_thomas_matches_dense_oracle(m):
+@pytest.mark.parametrize("m", [1, 2, 5, 40, S - 1, S, S + 1,
+                               1023, 1024, 1025, R - 1, R, R + 1])
+def test_thomas_matches_dense_oracle(m, monkeypatch):
     rng = np.random.default_rng(m)
     sub = rng.uniform(-1.0, 0.0, m)
     sup = rng.uniform(-1.0, 0.0, m)
@@ -122,85 +143,131 @@ def test_thomas_matches_dense_oracle(m):
     diag = np.abs(sub) + np.abs(sup) + rng.uniform(0.5, 2.0, m)
     rhs = rng.normal(size=m)
     sys = TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs)
-    y = thomas_solve(sys)
-    y_dense = np.linalg.solve(dense_matrix(sys), rhs)
-    assert np.max(np.abs(y - y_dense)) <= 1e-12 * max(1.0, np.max(np.abs(y_dense)))
+    # above about 1100 rows a dense matrix takes ten megabytes and more
+    y_dense = np.linalg.solve(dense_matrix(sys), rhs) if m <= 1100 else None
+    for base in tails(monkeypatch):
+        y = thomas_solve(sys)
+        if y_dense is None:
+            assert residual_norm(sys, y) <= 1e-12 * max(1.0, np.max(np.abs(rhs))), base
+        else:
+            gap = np.max(np.abs(y - y_dense))
+            assert gap <= 1e-12 * max(1.0, np.max(np.abs(y_dense))), base
 
 
-def test_thomas_zero_pivot_detected():
+def test_thomas_zero_pivot_detected(monkeypatch):
     sys = TridiagonalSystem(sub=np.array([0.0, -1.0]), diag=np.array([1.0, 0.0]),
                             sup=np.array([0.0, 0.0]), rhs=np.ones(2))
-    with pytest.raises(ZeroPivotError):
-        thomas_solve(sys)
+    for _ in tails(monkeypatch):
+        with pytest.raises(ZeroPivotError, match="row 1$"):
+            thomas_solve(sys)
 
 
-def test_zero_pivot_inside_reduced_level():
+def test_zero_pivot_inside_reduced_level(monkeypatch):
     # rows 1 and 2 are equal, every diagonal entry is one: the zero pivot
     # appears only after the first level has eliminated row 1
-    m = 4 * B + 1
+    for base in tails(monkeypatch):
+        m = 4 * base + 1
+        sub = np.zeros(m)
+        sup = np.zeros(m)
+        sub[2] = sup[1] = 1.0
+        sys = TridiagonalSystem(sub=sub, diag=np.ones(m), sup=sup, rhs=np.ones(m))
+        with pytest.raises(ZeroPivotError, match="row 2"):
+            thomas_solve(sys)
+
+
+def test_zero_pivot_in_the_dgtsv_tail_names_the_original_row():
+    # one level takes 2R rows to R, which dgtsv solves: rows 2999 and 3000
+    # are equal, so eliminating odd row 2999 leaves even row 3000 (row 1500
+    # of the tail) all zero, and U's diagonal is zero there
+    if linsolve.lapack_dgtsv() is None:
+        pytest.skip("numpy's LAPACK has no dgtsv")
+    m = 2 * R
     sub = np.zeros(m)
     sup = np.zeros(m)
-    sub[2] = sup[1] = 1.0
+    sub[3000] = sup[2999] = 1.0
     sys = TridiagonalSystem(sub=sub, diag=np.ones(m), sup=sup, rhs=np.ones(m))
-    with pytest.raises(ZeroPivotError, match="row 2"):
+    with pytest.raises(ZeroPivotError, match="row 3000$"):
         thomas_solve(sys)
 
 
-def test_tiny_pivot_inside_reduced_level_names_original_row():
+def test_tiny_pivot_inside_reduced_level_names_original_row(monkeypatch):
     # row 2 is not a pivot of the first level; eliminating row 1 leaves it
     # 2e-305 - 1e-305, below the 1e-300 floor, as row 1 of the second level
-    m = 4 * B + 1
-    sub = np.zeros(m)
-    sup = np.zeros(m)
-    diag = np.ones(m)
-    sub[2], sup[1], diag[2] = 1.0, 1e-305, 2e-305
-    sys = TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=np.ones(m))
-    with pytest.raises(ZeroPivotError, match="row 2$"):
-        thomas_solve(sys)
+    for base in tails(monkeypatch):
+        m = 4 * base + 1
+        sub = np.zeros(m)
+        sup = np.zeros(m)
+        diag = np.ones(m)
+        sub[2], sup[1], diag[2] = 1.0, 1e-305, 2e-305
+        sys = TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=np.ones(m))
+        with pytest.raises(ZeroPivotError, match="row 2$"):
+            thomas_solve(sys)
 
 
-@pytest.mark.parametrize("m", [3, 4 * B + 1])
+# 3 rows never reduce; 4 S + 1 and 4 R + 1 reduce twice on one tail or both
+@pytest.mark.parametrize("m", [3, 4 * S + 1, 4 * R + 1])
 @pytest.mark.parametrize("row", [1, 2])
 @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf, -np.inf, 1e-305])
-def test_thomas_rejects_zero_and_nonfinite_pivots(m, row, bad):
+def test_thomas_rejects_zero_and_nonfinite_pivots(m, row, bad, monkeypatch):
     diag = np.ones(m)
     diag[row] = bad
     sys = TridiagonalSystem(sub=np.zeros(m), diag=diag, sup=np.zeros(m),
                             rhs=np.ones(m))
-    with pytest.raises(ZeroPivotError):
-        thomas_solve(sys)
+    for _ in tails(monkeypatch):
+        with pytest.raises(ZeroPivotError, match=f"row {row}$"):
+            thomas_solve(sys)
 
 
-@pytest.mark.parametrize("m", [3, B + 1, 4097])
-def test_thomas_leaves_its_input_unchanged(m):
+@pytest.mark.parametrize("m", [3, S + 1, R + 1])
+def test_thomas_leaves_its_input_unchanged(m, monkeypatch):
     # Newton shares the cached off-diagonals between iterations
-    rng = np.random.default_rng(m)
-    sub = rng.uniform(-1.0, 0.0, m)
-    sup = rng.uniform(-1.0, 0.0, m)  # the band ends too: never read, never written
-    diag = 2.0 + rng.uniform(0.0, 1.0, m)
-    rhs = rng.normal(size=m)
-    arrays = (sub, diag, sup, rhs)
+    sys = diagonally_dominant(m, m)  # the band ends too: never read, never written
+    arrays = (sys.sub, sys.diag, sys.sup, sys.rhs)
     copies = [v.copy() for v in arrays]
-    thomas_solve(TridiagonalSystem(*arrays))
-    for v, before in zip(arrays, copies):
-        assert np.array_equal(v, before)
+    for _ in tails(monkeypatch):
+        thomas_solve(TridiagonalSystem(*arrays))
+        for v, before in zip(arrays, copies):
+            assert np.array_equal(v, before)
 
 
-@pytest.mark.parametrize("m", [3, B, B + 1, B + 2, 1023, 4097, 4098])
+@pytest.mark.parametrize("m", [3, S, S + 1, S + 2, 1023, R, R + 1, R + 2])
 @pytest.mark.parametrize("end", [np.nan, np.inf, -np.inf])
-def test_thomas_never_reads_the_band_ends(m, end):
+def test_thomas_never_reads_the_band_ends(m, end, monkeypatch):
     # sub[0] and sup[-1] hold the boundary couplings: whatever they are, the
     # solution is the one of zero ends, bit for bit, on every path
-    rng = np.random.default_rng(m)
-    sub = rng.uniform(-1.0, 0.0, m)
-    sup = rng.uniform(-1.0, 0.0, m)
-    diag = 2.0 + rng.uniform(0.0, 1.0, m)
-    rhs = rng.normal(size=m)
-    sub[0] = sup[-1] = 0.0
-    want = thomas_solve(TridiagonalSystem(sub, diag, sup, rhs))
-    sub[0] = sup[-1] = end
-    got = thomas_solve(TridiagonalSystem(sub, diag, sup, rhs))
-    assert got.tobytes() == want.tobytes()
+    sys = diagonally_dominant(m, m)
+    sub, diag, sup, rhs = sys.sub, sys.diag, sys.sup, sys.rhs
+    for _ in tails(monkeypatch):
+        sub[0] = sup[-1] = 0.0
+        want = thomas_solve(TridiagonalSystem(sub, diag, sup, rhs))
+        sub[0] = sup[-1] = end
+        got = thomas_solve(TridiagonalSystem(sub, diag, sup, rhs))
+        assert got.tobytes() == want.tobytes()
+
+
+def test_threads_solving_at_once_get_their_own_answers():
+    # dgtsv runs without the GIL, so solves of different sizes overlap (more
+    # threads than cores); each must read its own sizes and write its own bands
+    systems = [diagonally_dominant(m, m) for m in (700, 1500, 3000, R - 1)]
+    want = [{thomas_solve(system).tobytes()} for system in systems]
+    got = [set() for _ in systems]
+
+    def solve_many(k):
+        for _ in range(1000):
+            got[k].add(thomas_solve(systems[k]).tobytes())
+
+    threads = [threading.Thread(target=solve_many, args=(k,)) for k in range(len(systems))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads between most bytecodes
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
 
 
 @pytest.mark.parametrize("unit", [True, False])
@@ -226,7 +293,12 @@ def test_direct_solve_does_not_import_scipy():
     code = ("import sys, spgrid as sp\n"
             "mesh = sp.build_mesh(sp.MeshSpec('bakhvalov', 1e-2, 4096, a=4.0))\n"
             "sp.solve(mesh, sp.example1(1e-2))\n"
-            "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
+            "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+            # a numpy wheel's OpenBLAS has dgtsv: the solve must not fall back
+            "import numpy\n"
+            "lapack = numpy.show_config(mode='dicts')['Build Dependencies']['lapack']\n"
+            "if lapack['name'] == 'scipy-openblas':\n"
+            "    assert sp.linsolve.lapack_dgtsv() is not None, 'dgtsv not found'\n")
     src = os.path.dirname(os.path.dirname(spgrid.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     subprocess.run([sys.executable, "-c", code], check=True,

@@ -9,10 +9,11 @@ from spgrid.mesh import MeshSpec, build_mesh
 from spgrid.newton import (NoConvergenceError, NonpositiveJacobianError,
                            SingularDiffusionError, _midpoint_diffusion,
                            diffusion_jacobian, diffusion_residual,
-                           jacobian_fd_gap, newton_step, reduced_initial,
-                           residual_for, semilinear_jacobian, solve)
+                           newton_step, reduced_initial, residual_for,
+                           semilinear_jacobian, solve)
 from spgrid.problems import (QuasilinearDiffusionProblem, SemilinearProblem,
-                             example1, example2, log_transform, make_problem)
+                             example1, example2, make_problem)
+from oracles import jacobian_fd_gap, log_transform
 from test_linsolve import linear_problem, ones
 
 

@@ -25,7 +25,7 @@ def _tool():
 # the Jacobian's weights built over the chain and the upper band over the
 # right weights.  The wrapped ceilings sit just above the peaks reached (13.2
 # in the tridiagonal solve of either problem, where the stage wrappers still
-# hold the slopes).  The unwrapped ceilings sit above 12.2 (ex1) and 13.1
+# hold the slopes).  The unwrapped ceilings sit above 12.1 (ex1) and 13.1
 # (ex2): keeping the slopes through the step, evaluating the midpoint values
 # alongside the chain or the weights beside their bands lifts the peak past them.
 UNWRAPPED_CEILING = {"ex1": 12.5, "ex2": 13.5}
@@ -50,14 +50,14 @@ def test_fine_step_peak_stays_at_its_level(problem, family, ceiling):
 
 # An odd fine size (N = 181, n = 32761) starts cyclic reduction on an even
 # level; eliminating its last row copies no band, so the fine step peaks at
-# 12.15 (ex1) and 13.05 (ex2) arrays, under the same ceilings as at 2^14.
+# 12.05 (ex1) and 13.04 (ex2) arrays, under the same ceilings as at 2^14.
 @pytest.mark.parametrize("problem,family", [("ex1", "bakhvalov"), ("ex2", "vulanovic")])
 def test_odd_fine_size_peaks_at_the_same_level(problem, family):
     peaks = _tool().stage_peaks(spgrid, problem, family, 1e-4, 181)
     assert peaks["unwrapped"]["algorithm1"] <= UNWRAPPED_CEILING[problem], peaks
 
 
-# The direct ex1 solve on the same mesh peaks at 11.2 arrays, in its
+# The direct ex1 solve on the same mesh peaks at 11.0 arrays, in its
 # tridiagonal solve: the semilinear Jacobians take the cached couplings as
 # their off-diagonals, so a second n-sized copy of each band lifts it past 11.5.
 def test_direct_solve_peak_holds_one_copy_of_the_bands():

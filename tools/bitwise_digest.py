@@ -8,15 +8,15 @@ and fine-level solution bit for bit as it was:
     python3 tools/bitwise_digest.py > after.txt
     diff before.txt after.txt
 
-The grid is ex1, ex2 and log_transform(ex2) on the uniform, Shishkin,
-Bakhvalov and Vulanovic meshes at eps = 1e-2, 1e-4 and 1e-6, with the
-benchmark's grading ``a`` (perfbench/workloads.py).  The cases are the
-direct solve at n = 64, 4096 and 65536, the cascade (algorithm2) with
-(N, levels) = (8, 2), (16, 2) and (256, 1), and ``tg1_ropt``: algorithm1
-from N = 8 at r = choose_r(8), so its fine mesh has round(8**r) = 61
-intervals (r itself is not digested).  Each line names its case and
-gives, per kind, a 16-hex-digit digest over every array of that kind in
-call order: ``mesh`` (nodes, steps, half_steps, degenerate flag),
+The grid is ex1, ex2 and ``log_transform(ex2)`` (from ``tests/oracles.py``)
+on the uniform, Shishkin, Bakhvalov and Vulanovic meshes at eps = 1e-2, 1e-4
+and 1e-6, with the benchmark's grading ``a`` (perfbench/workloads.py).  The
+cases are the direct solve at n = 64, 4096 and 65536, the cascade
+(algorithm2) with (N, levels) = (8, 2), (16, 2) and (256, 1), and
+``tg1_ropt``: algorithm1 from N = 8 at r = choose_r(8), so its fine mesh has
+round(8**r) = 61 intervals (r itself is not digested).  Each line names its
+case and gives, per kind, a 16-hex-digit digest over every array of that kind
+in call order: ``mesh`` (nodes, steps, half_steps, degenerate flag),
 ``newton`` (each Newton step's input iterate, interpolant slopes, output
 iterate and update), ``interp`` (each ``interpolant_slopes`` output) and
 ``out`` (final y, iterations, update history and residual norm of every
@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from toolbox import ROOT, Tracer, import_spgrid, perfbench
+from toolbox import ROOT, Tracer, import_spgrid, load, perfbench
 
 grading = perfbench("workloads").grading
 PROBLEMS = ("ex1", "ex2", "ex2log")
@@ -43,6 +43,14 @@ EPS = (1e-2, 1e-4, 1e-6)
 SOLVE_N = (64, 4096, 65536)
 CASCADES = ((8, 2), (16, 2), (256, 1))
 KINDS = ("mesh", "newton", "interp", "out")
+
+
+def log_transform(problem):
+    """``tests/oracles.py``'s ``log_transform``; that file imports ``spgrid``
+    by name, so it is loaded on first use, after ``spgrid`` is."""
+    oracles = sys.modules.get("spgrid_oracles")
+    oracles = oracles or load("spgrid_oracles", ROOT / "tests" / "oracles.py")
+    return oracles.log_transform(problem)
 
 
 def cases():
@@ -117,7 +125,7 @@ def digest_case(sp, case) -> str:
     try:
         prob = sp.problems.make_problem(problem[:3], eps)
         if problem == "ex2log":
-            prob = sp.problems.log_transform(prob)
+            prob = log_transform(prob)
         spec = sp.mesh.MeshSpec(family, eps, size, a=grading(problem[:3], family))
         if algorithm == "solve":
             mesh = sp.mesh.build_mesh(spec)
