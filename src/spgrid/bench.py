@@ -268,10 +268,10 @@ def _run_cell(cfg: ReportConfig, plan: TwoGridPlan) -> list:
 def _attach_orders(rows: list) -> None:
     index = {(r.mesh, r.eps, r.step, r.N): r for r in rows if r.failed is None}
     for row in rows:
-        if row.failed is not None or row.error is None:
+        if row.failed is not None:
             continue
         finer = index.get((row.mesh, row.eps, row.step, 2 * row.N))
-        if finer is None or finer.error is None:
+        if finer is None:
             continue
         try:
             row.order = convergence_order(row.error, finer.error)
@@ -377,8 +377,3 @@ def timing_rows(problem_id: str, family: str, eps: float,
             direct, tg = (min(column) for column in zip(*seconds))
             yield TimingRow(plan.coarse.n, n, direct, tg)
     return rows()
-
-
-def timing_comparison(*args, **kwargs) -> list:
-    """Every row of :func:`timing_rows`, called with the same arguments."""
-    return list(timing_rows(*args, **kwargs))

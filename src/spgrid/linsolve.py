@@ -63,14 +63,12 @@ class Couplings:
 
     ``scale_l = -eps^2/(hbar_i h_i)`` and ``scale_r = -eps^2/(hbar_i
     h_{i+1})`` couple row i through its left and its right interval; for
-    unit flux weights they are the rows' off-diagonals ``sub``/``sup``, and
-    their sum ``total`` is fixed too (None unless asked for).  All arrays
-    are read-only, because every Newton iteration shares them.
+    unit flux weights they are the rows' off-diagonals ``sub``/``sup``.
+    Both arrays are read-only, because every Newton iteration shares them.
     """
 
     scale_l: np.ndarray
     scale_r: np.ndarray
-    total: np.ndarray | None = None
 
 
 def _scale(mesh: Mesh, eps: float, h: np.ndarray) -> np.ndarray:
@@ -79,16 +77,12 @@ def _scale(mesh: Mesh, eps: float, h: np.ndarray) -> np.ndarray:
     return np.divide(-(eps * eps), prod, out=prod)
 
 
-def couplings(mesh: Mesh, eps: float, unit: bool = False) -> Couplings:
-    """The :class:`Couplings` of ``mesh``, once per solve; ``unit`` adds their sum."""
+def couplings(mesh: Mesh, eps: float) -> Couplings:
+    """The :class:`Couplings` of ``mesh``, once per solve."""
     scale_l = _scale(mesh, eps, mesh.steps[:-1])
     scale_r = _scale(mesh, eps, mesh.steps[1:])
-    arrays = [scale_l, scale_r]
-    if unit:
-        arrays.append(scale_l + scale_r)
-    for arr in arrays:
-        arr.flags.writeable = False
-    return Couplings(*arrays)
+    scale_l.flags.writeable = scale_r.flags.writeable = False
+    return Couplings(scale_l, scale_r)
 
 
 def stencil(mesh: Mesh, eps: float, b: np.ndarray,
@@ -100,18 +94,15 @@ def stencil(mesh: Mesh, eps: float, b: np.ndarray,
     ``phi_j = (right_j y_{j+1} - left_j y_j) / h_j``.  ``right`` and
     ``left`` are per-interval arrays, given together; both default to one,
     the plain second difference; the rows leave ``rhs`` None.  ``cpl`` are
-    this mesh's :func:`couplings`, the unit-weight bands themselves; with
-    ``total`` cached, unit weights cost one subtraction.  Weighted rows are
-    written straight into their bands, and a weighted call overwrites
-    ``right`` and ``left``: ``sup`` is ``right[1:]``, and ``left[1:]`` holds
-    the diagonal's second product.
+    this mesh's :func:`couplings`, the unit-weight bands themselves (built
+    afresh when not given).  Weighted rows are written straight into their
+    bands, and a weighted call overwrites ``right`` and ``left``: ``sup`` is
+    ``right[1:]``, and ``left[1:]`` holds the diagonal's second product.
     """
     if right is None:  # unit weights: the same rows without four products
-        if cpl is None:  # bands of its own, not the read-only cached ones
-            cpl = Couplings(_scale(mesh, eps, mesh.steps[:-1]),
-                            _scale(mesh, eps, mesh.steps[1:]))
+        cpl = couplings(mesh, eps) if cpl is None else cpl
         sub, sup = cpl.scale_l, cpl.scale_r
-        diag = b - (sub + sup if cpl.total is None else cpl.total)
+        diag = b - (sub + sup)
     else:
         # without cached couplings, one side's at a time: a band fewer at the peak
         scale = _scale(mesh, eps, mesh.steps[:-1]) if cpl is None else cpl.scale_l

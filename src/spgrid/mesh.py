@@ -52,9 +52,10 @@ class NoRootError(RuntimeError):
 class MeshSpec:
     """Parameters defining one mesh.
 
-    ``a`` and ``q`` are only meaningful for the graded families, ``gamma0``
-    only for the Shishkin family; the stored defaults are harmless
-    otherwise.
+    ``eps`` is a normal double in (0, 1]: below 2**-1022, ``x/eps``
+    overflows on [0, 1].  ``a`` and ``q`` are only meaningful for the graded
+    families, ``gamma0`` only for the Shishkin family; the stored defaults
+    are harmless otherwise.
     """
 
     family: str
@@ -70,8 +71,8 @@ class MeshSpec:
             raise ValueError(f"unknown mesh family {self.family!r}")
         if self.layer_sides not in LAYER_SIDES:
             raise ValueError(f"unknown layer_sides {self.layer_sides!r}")
-        if not 0.0 < self.eps <= 1.0:
-            raise ValueError("eps must lie in (0, 1]")
+        if not 2.0 ** -1022 <= self.eps <= 1.0:  # a normal double
+            raise ValueError("eps must lie in [2**-1022, 1]")
         if not 2 <= self.n <= MAX_INTERVALS:
             raise ValueError(f"n must lie in [2, {MAX_INTERVALS}]")
         if not 0.0 < self.gamma0 < math.inf:  # NaN fails too

@@ -301,7 +301,7 @@ def solve(mesh: Mesh, problem) -> SolveOutcome:
     """Solve the nonlinear scheme of either problem type by Newton's method
     from :func:`reduced_initial`, to ``TOL`` within ``MAX_ITER`` steps."""
     src = interior_source(mesh, problem)
-    cpl = couplings(mesh, problem.eps, unit=_scheme(problem)[4])
+    cpl = couplings(mesh, problem.eps)
     return _iterate(mesh, problem, reduced_initial(mesh, problem, src), [],
                     src, cpl, TOL)
 

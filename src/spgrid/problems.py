@@ -33,16 +33,15 @@ Callback1 = Callable[[np.ndarray], np.ndarray]
 
 
 def _check_eps_and_exact(p) -> None:
-    """The checks both problem records share: eps in (0, 1], and the exact
-    solution, if given, matching the Dirichlet data."""
-    if not 0.0 < p.eps <= 1.0:
-        raise ValueError("eps must lie in (0, 1]")
+    """The checks both problem records share: eps a normal double in (0, 1],
+    so that ``x/eps`` stays finite on [0, 1], and the exact solution, if
+    given, matching the Dirichlet data."""
+    if not 2.0 ** -1022 <= p.eps <= 1.0:
+        raise ValueError("eps must lie in [2**-1022, 1]")
     if p.exact is not None:
-        # at a subnormal eps, x/eps overflows in a layer term; its limit is right
-        with np.errstate(over="ignore"):
-            for x, bc, side in (0.0, p.bc_left, "bc_left"), (1.0, p.bc_right, "bc_right"):
-                if abs(float(p.exact(np.array(x))) - bc) > 1e-12:
-                    raise ValueError(f"exact({x:g}) does not match {side}")
+        for x, bc, side in (0.0, p.bc_left, "bc_left"), (1.0, p.bc_right, "bc_right"):
+            if abs(float(p.exact(np.array(x))) - bc) > 1e-12:
+                raise ValueError(f"exact({x:g}) does not match {side}")
 
 
 @dataclass(frozen=True)

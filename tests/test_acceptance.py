@@ -537,7 +537,7 @@ def test_criterion_7_uniform_convergence_bakhvalov_vulanovic_at_rate_n_squared()
 # --------------------------------------------------------------------------
 
 def test_criterion_8_two_grid_faster_than_direct():
-    rows = sp.timing_comparison("ex1", "bakhvalov", 1e-2, [64], a=4.0, repeats=3)
+    rows = list(sp.timing_rows("ex1", "bakhvalov", 1e-2, [64], a=4.0, repeats=3))
     row = rows[0]
     ok = row.n == 4096 and row.ratio > 1.0
     _report("8 two-grid faster than direct at n=4096", ok,

@@ -155,7 +155,7 @@ UNIFORM_8 = ("--mesh", "uniform", "--eps", "0.1", "--n", "8")
     (("--eps", "0.01", "--n", "64", "--mesh", "vulanovic", "--a", "1e-100"), None,
      "error: no double contact point in (0, 0.4) for a*eps = 1e-102\n"),
     # a subnormal a*eps, where exp overflowed in the Newton loop
-    (("--mesh", "bakhvalov", "--eps", "4.27e-309", "--a", "1", "--q",
+    (("--mesh", "bakhvalov", "--eps", "1e-8", "--a", "4.27e-301", "--q",
       "0.3428865302350336", "--n", "64"), None,
      "error: no double contact point in (0, 0.342887) for a*eps = 4.27e-309\n"),
 ], ids=["collapsed-mesh", "no-convergence", "zero-pivot", "nonpositive-jacobian",
@@ -174,17 +174,26 @@ def test_solve_solver_failure_exits_3(capsys, monkeypatch, flags, patch, message
 
 @pytest.mark.parametrize("problem", ["ex1", "ex2"])
 def test_subnormal_eps_prints_the_error_line_alone(problem):
-    # the problem record evaluates exact(0), whose x/eps overflows at this eps
-    proc = subprocess.run(
-        [sys.executable, "-m", "spgrid.cli", "solve", "--problem", problem,
-         "--mesh", "bakhvalov", "--eps", "4.27e-309", "--a", "1", "--n", "64"],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))})
-    assert proc.returncode == 3
-    assert proc.stdout == ""
-    assert proc.stderr == ("error: no double contact point in (0, 0.4) "
-                           "for a*eps = 4.27e-309\n")
+    # a subnormal eps is bad input: x/eps would overflow in the layer terms
+    for mesh in (("bakhvalov", "--a", "1"), ("uniform",)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "spgrid.cli", "solve", "--problem", problem,
+             "--mesh", *mesh, "--eps", "4.27e-309", "--n", "64"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))})
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: eps must lie in [2**-1022, 1]\n"
+
+
+@pytest.mark.parametrize("problem", ["ex1", "ex2"])
+def test_smallest_normal_eps_solves_on_the_uniform_mesh(capsys, problem):
+    # x/eps stays finite on [0, 1]: no callback warns (a RuntimeWarning fails here)
+    code, out, err = run_cli(capsys, "solve", "--problem", problem, "--mesh",
+                             "uniform", "--eps", repr(2.0 ** -1022), "--n", "64")
+    assert code == 0 and err == ""
+    assert json.loads(out)["iterations"] >= 1
 
 
 @pytest.mark.parametrize("algorithm", bench.ALGORITHMS)
@@ -212,7 +221,7 @@ def test_bench_times_the_direct_solve_on_the_fine_size_of_tg1(monkeypatch):
     real = twogrid.build_mesh
     monkeypatch.setattr(twogrid, "build_mesh",
                         lambda spec: built.append(spec.n) or real(spec))
-    [row] = bench.timing_comparison("ex1", "uniform", 0.1, [N], repeats=1)
+    [row] = bench.timing_rows("ex1", "uniform", 0.1, [N], repeats=1)
     [n] = TwoGridPlan(MeshSpec("uniform", 0.1, N), fine_n=N * N).fine_sizes()
     assert row.n == n
     assert built == [n, N, n]  # the direct solve, then tg1's coarse and fine meshes

@@ -274,9 +274,9 @@ def test_threads_solving_at_once_get_their_own_answers():
 def test_cached_couplings_are_read_only_and_give_the_same_rows(unit):
     rng = np.random.default_rng(5)
     mesh = build_mesh(MeshSpec("bakhvalov", 1e-4, 257, a=2.0))
-    cpl = couplings(mesh, 1e-4, unit=unit)
-    cached = [v for v in vars(cpl).values() if v is not None]
-    assert len(cached) == (3 if unit else 2)  # scale_l, scale_r (and total)
+    cpl = couplings(mesh, 1e-4)
+    cached = list(vars(cpl).values())
+    assert len(cached) == 2  # scale_l and scale_r
     assert not any(v.flags.writeable for v in cached)
     b = rng.uniform(0.5, 2.0, mesh.n - 1)
     weights = {} if unit else {"right": rng.uniform(0.5, 2.0, mesh.n),

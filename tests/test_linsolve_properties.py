@@ -38,7 +38,7 @@ def test_weighted_rows_equal_the_explicit_expressions_bitwise(spec, seed, scalar
     # stencil writes the weighted bands in place, one side's couplings at a
     # time when none are cached, and over copies of the weights here (it
     # overwrites them); unit weights (right = left = None) read the couplings
-    # as bands, with their sum cached as a Newton solve caches it; every
+    # as bands, cached as a Newton solve caches them or built afresh; every
     # entry must keep its operands and order
     mesh = _build(spec)
     if mesh is None:
@@ -47,7 +47,7 @@ def test_weighted_rows_equal_the_explicit_expressions_bitwise(spec, seed, scalar
     m = spec.n - 1
     b = np.asarray(rng.uniform(0.1, 10.0)) if scalar_b else rng.uniform(0.1, 10.0, m)
     right, left = rng.uniform(0.1, 2.0, (2, spec.n))
-    cpl = couplings(mesh, spec.eps, unit=unit) if cached else None
+    cpl = couplings(mesh, spec.eps) if cached else None
     weights = (None, None) if unit else (right.copy(), left.copy())
     sys = stencil(mesh, spec.eps, b, *weights, cpl=cpl)
     e2 = spec.eps * spec.eps

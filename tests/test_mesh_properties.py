@@ -21,10 +21,9 @@ specs = st.builds(
     gamma0=st.floats(0.1, 10.0),
 )
 
-# The whole float range: eps down into the subnormals, a and gamma0 from
-# 1e-300 to 1e300.
-wide_specs = st.builds(
-    MeshSpec,
+# The whole float range, as MeshSpec arguments: eps down into the subnormals,
+# which MeshSpec refuses, a and gamma0 from 1e-300 to 1e300.
+wide_specs = st.fixed_dictionaries(dict(
     family=st.sampled_from(FAMILIES),
     eps=st.floats(-320.0, 0.0).map(lambda e: 10.0 ** e),
     n=st.integers(2, 4096),
@@ -32,7 +31,7 @@ wide_specs = st.builds(
     q=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
     gamma0=st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e),
     layer_sides=st.sampled_from(LAYER_SIDES),
-)
+))
 
 # A bounded example count keeps the properties well under 2 s.
 bounded = settings(max_examples=150, deadline=None)
@@ -67,11 +66,18 @@ def test_nodes_strictly_increase_from_zero_to_one(spec):
 
 @bounded
 @given(wide_specs)
-@example(MeshSpec("vulanovic", 0.01, 64, a=1e-100))  # alpha rounded to q
-@example(MeshSpec("bakhvalov", 4.27e-309, 64, a=1.0, q=0.3428865302350336))
-@example(MeshSpec("bakhvalov", 4.27e-309, 64, a=1.0))  # exp(v) overflowed
-def test_every_spec_builds_or_raises_no_root_error(spec):
-    # a degenerate graded spec builds its uniform fallback, which counts
+@example(dict(family="vulanovic", eps=0.01, n=64, a=1e-100))  # alpha rounded to q
+# a subnormal a*eps: exp(v) overflowed at Bakhvalov's uncapped Newton start
+@example(dict(family="bakhvalov", eps=1e-8, n=64, a=4.27e-301, q=0.3428865302350336))
+@example(dict(family="bakhvalov", eps=1e-8, n=64, a=4.27e-301))
+def test_every_spec_builds_or_raises_no_root_error(args):
+    # a subnormal eps is refused; a degenerate graded spec builds its uniform
+    # fallback, which counts
+    if args["eps"] < 2.0 ** -1022:
+        with pytest.raises(ValueError, match="eps must lie in"):
+            MeshSpec(**args)
+        return
+    spec = MeshSpec(**args)
     try:
         mesh = build_mesh(spec)
     except NoRootError:

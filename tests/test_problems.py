@@ -134,10 +134,12 @@ def test_log_transform_rejects_bad_boundary():
 
 
 @pytest.mark.parametrize("example,changes,message", [
-    (example1, {"eps": 0.0}, r"eps must lie in \(0, 1\]"),
-    (example2, {"eps": 1.5}, r"eps must lie in \(0, 1\]"),
+    (example1, {"eps": 0.0}, r"eps must lie in \[2\*\*-1022, 1\]"),
+    (example2, {"eps": 1.5}, r"eps must lie in \[2\*\*-1022, 1\]"),
     (example2, {"d": lambda u: 0.0 * np.asarray(u)},
      "diffusion factor not positive at boundary data"),
+    # a subnormal eps: x/eps would overflow in the layer terms
+    (example1, {"eps": 4.27e-309}, r"eps must lie in \[2\*\*-1022, 1\]"),
 ])
 def test_problem_record_checks(example, changes, message):
     with pytest.raises(ValueError, match=message):
