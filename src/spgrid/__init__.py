@@ -35,8 +35,8 @@ from .twogrid import (TwoGridPlan, TwoGridResult, algorithm1, algorithm2,
                       choose_r, interpolant_slopes)
 from .bench import (ConvergenceRow, DegenerateError, MissingExactError, Report,
                     ReportConfig, convergence_order, interpolant_error,
-                    layer_report, make_plan, nodal_error, run_algorithm,
-                    run_report, timing_rows)
+                    layer_report, make_plan, nodal_error, run_report,
+                    timing_rows)
 
 __version__ = "0.1.0"
 
@@ -53,5 +53,5 @@ __all__ = [
     "algorithm2", "choose_r",
     "ReportConfig", "Report", "ConvergenceRow", "MissingExactError",
     "DegenerateError", "nodal_error", "interpolant_error", "convergence_order",
-    "make_plan", "run_algorithm", "run_report", "layer_report", "timing_rows",
+    "make_plan", "run_report", "layer_report", "timing_rows",
 ]

@@ -29,7 +29,7 @@ from .linsolve import ZeroPivotError
 from .mesh import Mesh, MeshSpec, NoRootError, build_mesh, layer_fraction
 from .newton import NoConvergenceError, NonpositiveJacobianError, SingularDiffusionError
 from .problems import make_problem
-from .twogrid import TwoGridPlan, _run, choose_r
+from .twogrid import TwoGridPlan, algorithm2, choose_r
 
 ALGORITHMS = ("direct", "tg1", "tg2", "tg1_ropt")
 FORMATS = ("markdown", "csv", "json")
@@ -208,7 +208,7 @@ def _error_of(cfg: ReportConfig, mesh: Mesh, y: np.ndarray, exact) -> float:
 
 def make_plan(algorithm: str, coarse: int | None = None, n: int | None = None,
               r: float = 2.0, levels: int = 2, **mesh) -> TwoGridPlan:
-    """The one reader of an algorithm name: the plan :func:`run_algorithm` runs.
+    """The one reader of an algorithm name: the plan :func:`algorithm2` runs.
 
     ``mesh`` holds the :class:`MeshSpec` fields but n.  ``direct`` solves on
     ``n`` (or on ``coarse`` alone, as ``table`` passes its N); ``tg1`` refines
@@ -239,15 +239,6 @@ def make_plan(algorithm: str, coarse: int | None = None, n: int | None = None,
     return TwoGridPlan(spec, r, n)
 
 
-def run_algorithm(problem, plan: TwoGridPlan) -> list:
-    """Run a :func:`make_plan` plan: the solve on ``plan.coarse``, then a fine
-    step per size of :meth:`TwoGridPlan.fine_sizes`.  ``(mesh, outcome,
-    seconds)`` per step; a step's seconds include the build of its mesh."""
-    result = _run(problem, plan.coarse, plan.fine_sizes())
-    return list(zip([result.coarse_mesh] + result.fine_meshes,
-                    [result.coarse] + result.fine, result.step_seconds))
-
-
 def _run_cell(cfg: ReportConfig, plan: TwoGridPlan) -> list:
     """Rows for one (family, eps, N) cell; one row per step."""
     spec = plan.coarse
@@ -255,14 +246,16 @@ def _run_cell(cfg: ReportConfig, plan: TwoGridPlan) -> list:
     base = dict(problem=cfg.problem, mesh=spec.family, a=cfg.a, q=cfg.q,
                 gamma0=cfg.gamma0, eps=spec.eps, N=spec.n)
     try:
-        return [ConvergenceRow(**base, n=mesh.n, step=step,
-                               error=_error_of(cfg, mesh, out.y, problem.exact),
-                               iterations=out.iterations, seconds=seconds)
-                for step, (mesh, out, seconds)
-                in enumerate(run_algorithm(problem, plan), start=1)]
+        result = algorithm2(problem, plan)
     except SOLVER_ERRORS as exc:
         return [ConvergenceRow(**base, n=spec.n, step=1,
                                failed=f"{type(exc).__name__}: {exc}")]
+    steps = zip([result.coarse_mesh, *result.fine_meshes],
+                [result.coarse, *result.fine], result.step_seconds)
+    return [ConvergenceRow(**base, n=mesh.n, step=step,
+                           error=_error_of(cfg, mesh, out.y, problem.exact),
+                           iterations=out.iterations, seconds=seconds)
+            for step, (mesh, out, seconds) in enumerate(steps, start=1)]
 
 
 def _attach_orders(rows: list) -> None:
@@ -372,8 +365,8 @@ def timing_rows(problem_id: str, family: str, eps: float,
         for plan in plans:
             [n] = plan.fine_sizes()
             runs = (make_plan("direct", n=n, **mesh), plan)
-            seconds = [[sum(step[2] for step in run_algorithm(problem, run))
-                        for run in runs] for _ in range(repeats)]
+            seconds = [[sum(algorithm2(problem, run).step_seconds) for run in runs]
+                       for _ in range(repeats)]
             direct, tg = (min(column) for column in zip(*seconds))
             yield TimingRow(plan.coarse.n, n, direct, tg)
     return rows()

@@ -21,9 +21,10 @@ from collections.abc import Iterator
 
 from .bench import (ALGORITHMS, FORMATS, METRICS, SOLVER_ERRORS, ReportConfig,
                     fmt_float, layer_report, make_plan, nodal_error, render_layer_rows,
-                    run_algorithm, run_report, timing_rows)
+                    run_report, timing_rows)
 from .newton import residual_for
 from .problems import PROBLEMS, make_problem
+from .twogrid import algorithm2
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -105,9 +106,9 @@ def _cmd_solve(args) -> Iterator[int | None]:
                      family=args.mesh, eps=args.eps, a=args.a, q=args.q,
                      gamma0=args.gamma0, layer_sides=args.layer_sides)
     yield
-    steps = run_algorithm(problem, plan)
-    mesh, out, _ = steps[-1]
-    seconds = sum(step[2] for step in steps)
+    result = algorithm2(problem, plan)
+    mesh = (result.fine_meshes or [result.coarse_mesh])[-1]
+    out = (result.fine or [result.coarse])[-1]
     error = None if problem.exact is None else nodal_error(mesh, out.y, problem.exact)
     if args.out == "nodes":
         for x, v in zip(mesh.nodes, out.y):
@@ -122,7 +123,7 @@ def _cmd_solve(args) -> Iterator[int | None]:
         "iterations": out.iterations,
         "final_update": out.final_update,
         "residual_norm": float(abs(residual_for(mesh, problem, out.y)).max()),
-        "seconds": seconds,
+        "seconds": sum(result.step_seconds),
         "nodal_error": error,
         "nodes": mesh.nodes.tolist(),
         "values": out.y.tolist(),

@@ -154,7 +154,8 @@ def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
 
     Where numpy's LAPACK has no ``dgtsv`` (:func:`lapack_dgtsv` is None),
     the levels go on to ``SCALAR_BASE`` rows and scalar Thomas elimination
-    ends the solve.  ``sub[0]`` and ``sup[-1]`` are never read.  An even
+    ends the solve.  Four bands not of one length, on either tail, raise
+    :class:`ValueError`.  ``sub[0]`` and ``sup[-1]`` are never read.  An even
     length's last row is odd with no right neighbour: it is eliminated into
     and solved from its left neighbour alone.  A zero or non-finite pivot
     (for ``dgtsv``, a diagonal entry of its U) raises :class:`ZeroPivotError`
@@ -165,6 +166,9 @@ def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
     its input.
     """
     a, b, c, d = sys.sub, sys.diag, sys.sup, sys.rhs
+    # dgtsv trusts its n; rhs is None until a Newton step supplies it
+    if not getattr(d, "shape", None) == a.shape == b.shape == c.shape == (len(b),):
+        raise ValueError("the four bands are not of one length")
     dgtsv = lapack_dgtsv()
     levels = []
     while len(b) > (SCALAR_BASE if dgtsv is None else REDUCTION_BASE):
@@ -217,8 +221,6 @@ def _dgtsv(dgtsv, a, b, c, d, shift: int) -> np.ndarray:
     own = np.ascontiguousarray if shift else np.array
     a, b, c, d = bands = [own(v, dtype=np.float64) for v in (a, b, c, d)]
     m = len(b)
-    if not a.shape == b.shape == c.shape == d.shape == (m,):  # dgtsv trusts its n
-        raise ValueError("the four bands are not of one length")
     # n, nrhs, ldb and info, this call's own: ctypes releases the GIL
     ints = (ctypes.c_int64 * 4)(m, 1, m, 0)
     p = ctypes.addressof(ints)

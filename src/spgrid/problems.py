@@ -13,7 +13,7 @@ Two families are described:
 out of ``f``/``r`` lets a solver evaluate it once per mesh instead of in
 every residual.  All callbacks must be pure, accept numpy arrays
 elementwise, and be total on ``[0, 1] x [-10, 10]``; problem records are
-immutable and safe to share across threads.
+immutable, built by keyword only, and safe to share across threads.
 
 The built-in test problems have closed-form solutions; their sources are
 manufactured by substituting the solution into the equation, so the
@@ -32,46 +32,43 @@ Callback2 = Callable[[np.ndarray, np.ndarray], np.ndarray]
 Callback1 = Callable[[np.ndarray], np.ndarray]
 
 
-def _check_eps_and_exact(p) -> None:
-    """The checks both problem records share: eps a normal double in (0, 1],
-    so that ``x/eps`` stays finite on [0, 1], and the exact solution, if
-    given, matching the Dirichlet data."""
-    if not 2.0 ** -1022 <= p.eps <= 1.0:
-        raise ValueError("eps must lie in [2**-1022, 1]")
-    if p.exact is not None:
-        for x, bc, side in (0.0, p.bc_left, "bc_left"), (1.0, p.bc_right, "bc_right"):
-            if abs(float(p.exact(np.array(x))) - bc) > 1e-12:
-                raise ValueError(f"exact({x:g}) does not match {side}")
+@dataclass(frozen=True, kw_only=True)
+class _Problem:
+    """What both problem records share, and its checks: eps a normal double
+    in (0, 1], so that ``x/eps`` stays finite on [0, 1], and the exact
+    solution, if given, matching the Dirichlet data."""
 
-
-@dataclass(frozen=True)
-class SemilinearProblem:
     eps: float
-    f: Callback2
-    f_u: Callback2
     bc_left: float
     bc_right: float
     exact: Callback1 | None = None
     source: Callback1 | None = None
 
     def __post_init__(self) -> None:
-        _check_eps_and_exact(self)
+        if not 2.0 ** -1022 <= self.eps <= 1.0:
+            raise ValueError("eps must lie in [2**-1022, 1]")
+        if self.exact is not None:
+            for x, bc, side in ((0.0, self.bc_left, "bc_left"),
+                                (1.0, self.bc_right, "bc_right")):
+                if abs(float(self.exact(np.array(x))) - bc) > 1e-12:
+                    raise ValueError(f"exact({x:g}) does not match {side}")
 
 
-@dataclass(frozen=True)
-class QuasilinearDiffusionProblem:
-    eps: float
+@dataclass(frozen=True, kw_only=True)
+class SemilinearProblem(_Problem):
+    f: Callback2
+    f_u: Callback2
+
+
+@dataclass(frozen=True, kw_only=True)
+class QuasilinearDiffusionProblem(_Problem):
     d: Callback1
     d_u: Callback1
     r: Callback2
     r_u: Callback2
-    bc_left: float
-    bc_right: float
-    exact: Callback1 | None = None
-    source: Callback1 | None = None
 
     def __post_init__(self) -> None:
-        _check_eps_and_exact(self)
+        super().__post_init__()
         for bc in (self.bc_left, self.bc_right):
             if float(self.d(np.array(bc))) <= 0.0:
                 raise ValueError("diffusion factor not positive at boundary data")

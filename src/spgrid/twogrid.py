@@ -26,10 +26,10 @@ from .newton import SolveOutcome, _iterate, solve as newton_solve
 class TwoGridPlan:
     """The coarse mesh (N intervals) and the fine sizes that follow it.
 
-    :func:`algorithm1` refines once, to ``fine_n`` if given, else
-    ``round(N**r)``; it must exceed N, and r must be finite.
-    :func:`algorithm2` cascades ``cascade_levels`` times; it ignores r.
-    Zero levels is the direct solve on ``coarse``.
+    Level 1 has ``fine_n`` intervals if given, else ``round(N**r)``; it
+    must exceed N, and r must be finite.  :func:`algorithm2` runs
+    ``cascade_levels`` levels, :func:`algorithm1` level 1 alone; zero
+    levels is the direct solve on ``coarse``.
     """
 
     coarse: MeshSpec
@@ -115,7 +115,13 @@ def _fine_step(problem, fine_mesh: Mesh, prev_mesh: Mesh,
     """One linearized fine solve about the interpolant of the previous level:
     the Newton loop to ``tol = inf``.  Neither the couplings nor the source
     are built ahead, and the slopes are handed over in a list that the loop
-    empties: held through the step, each would raise the peak memory."""
+    empties: held through the step, each would raise the peak memory.
+
+    The step certifies its own gap to the direct fine solution ``y_h``.  For
+    the semilinear scheme ``y - y_h = J(w)^-1 R``, ``R_i = f_uu(xi_i)/2 (w_i -
+    y_h,i)^2``; the M-matrix ``J(w)`` has ``|J(w)^-1|_inf <= 1/min f_u`` for
+    every eps, so ``|y - y_h| <= max|f_uu|/(2 min f_u) |w - y_h|^2``, where
+    ``final_update = |y - w|`` stands in for ``|w - y_h|``."""
     w, *first = interpolant_slopes(prev_mesh, prev_values, fine_mesh)
     return _iterate(fine_mesh, problem, w, first, None, None, math.inf)
 
@@ -148,13 +154,13 @@ def algorithm1(problem, plan: TwoGridPlan) -> TwoGridResult:
 
 
 def algorithm2(problem, plan: TwoGridPlan) -> TwoGridResult:
-    """Cascade: repeat the fine step on n = N^(2^m), m = 1..cascade_levels.
+    """Cascade: a fine step per size of :meth:`TwoGridPlan.fine_sizes`.
 
     Each level linearizes about the interpolant of the previous level's
-    solution; with one level this coincides with :func:`algorithm1` at
-    r = 2.
+    solution; at r = 2 the sizes are n = N^(2^m), m = 1..cascade_levels.
+    One level is :func:`algorithm1`, and zero levels the direct solve.
     """
-    return _run(problem, plan.coarse, replace(plan, r=2.0, fine_n=None).fine_sizes())
+    return _run(problem, plan.coarse, plan.fine_sizes())
 
 
 def choose_r(n_coarse: int) -> tuple[float, int]:

@@ -480,3 +480,27 @@ def test_parser_is_built_once_and_reused(capsys):
     code, _, err = run_cli(capsys, "solve", "--problem", "ex1", "--n", "nope")
     assert code == 2 and "invalid int value" in err
     assert build_parser() is parser
+
+
+@pytest.mark.parametrize("command", [
+    ("table", "--eps", "0.01", "--coarse", "8", "--algorithm", "tg1"),
+    ("solve", "--eps", "0.01", "--coarse", "8", "--algorithm", "tg1"),
+    ("bench", "--eps", "0.01", "--coarse", "8", "--repeats", "1"),
+], ids=lambda command: command[0])
+def test_traced_command_counts_its_two_grid_stages(capsys, command):
+    # every command runs its plan through a public algorithm, whose span the
+    # tracer counts: tg1 on N = 8 solves for 63 fine unknowns
+    import spgrid
+    from toolbox import Tracer
+
+    tracer = Tracer()
+    tracer.install(spgrid)
+    try:
+        code, _, err = run_cli(capsys, command[0], "--problem", "ex1", "--mesh",
+                               "bakhvalov", "--a", "4", *command[1:])
+    finally:
+        tracer.uninstall()
+    assert code == 0, err
+    assert tracer.counts["twogrid.fine_unknowns"] == 63
+    assert tracer.counts["twogrid.coarse_stage.s"] > 0
+    assert tracer.counts["twogrid.fine_stage.s"] > 0

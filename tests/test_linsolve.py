@@ -245,6 +245,40 @@ def test_thomas_never_reads_the_band_ends(m, end, monkeypatch):
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("band, bad", [("rhs", np.ones(7)), ("sub", np.zeros(4)),
+                                       ("rhs", None), ("rhs", np.ones((5, 1)))],
+                         ids=["long-rhs", "short-sub", "no-rhs", "2d-rhs"])
+def test_thomas_rejects_bands_not_of_one_length(band, bad, monkeypatch):
+    sys = replace(diagonally_dominant(5, 5), **{band: bad})
+    for _ in tails(monkeypatch):
+        with pytest.raises(ValueError, match="the four bands are not of one length"):
+            thomas_solve(sys)
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-6])
+@pytest.mark.parametrize("name, family, a, sides", [("ex1", "bakhvalov", 4.0, "both"),
+                                                    ("ex2", "vulanovic", 2.0, "left")])
+def test_solver_stack_on_the_scalar_tail_matches_the_dgtsv_tail(name, family, a,
+                                                                sides, eps, monkeypatch):
+    # the direct solve at n = 2^14 and tg1 at N = 128, through every layer
+    # above thomas_solve, with the scalar loop ending each solve
+    if linsolve.lapack_dgtsv() is None:
+        pytest.skip("numpy's LAPACK has no dgtsv")
+    problem = spgrid.make_problem(name, eps)
+    direct = build_mesh(MeshSpec(family, eps, 2 ** 14, a=a, layer_sides=sides))
+    plan = spgrid.TwoGridPlan(MeshSpec(family, eps, 128, a=a, layer_sides=sides))
+
+    def solutions():
+        return [solve(direct, problem).y, *(out.y for out in
+                                            spgrid.algorithm1(problem, plan).fine)]
+
+    want = solutions()
+    monkeypatch.setattr(linsolve, "lapack_dgtsv", lambda: None)
+    for y, y_dgtsv in zip(solutions(), want, strict=True):
+        scale = max(1.0, np.max(np.abs(y_dgtsv)))
+        assert np.max(np.abs(y - y_dgtsv)) <= 1e-14 * scale
+
+
 def test_threads_solving_at_once_get_their_own_answers():
     # dgtsv runs without the GIL, so solves of different sizes overlap (more
     # threads than cores); each must read its own sizes and write its own bands

@@ -95,6 +95,15 @@ def test_cascade_level_one_equals_algorithm1():
     assert np.array_equal(res1.fine[0].y, res2.fine[0].y)
 
 
+def test_algorithm2_runs_the_fine_sizes_of_its_plan():
+    # r and fine_n are read, not replaced by r = 2: 4**1.5 = 8, 8**1.5 -> 23
+    plan = TwoGridPlan(MeshSpec("uniform", 0.1, 4), r=1.5, cascade_levels=2)
+    result = algorithm2(example1(0.1), plan)
+    assert [m.n for m in result.fine_meshes] == plan.fine_sizes() == [8, 23]
+    plan = TwoGridPlan(MeshSpec("uniform", 0.1, 4), fine_n=10, cascade_levels=2)
+    assert [m.n for m in algorithm2(example1(0.1), plan).fine_meshes] == [10, 100]
+
+
 def test_outcomes_are_plain_data_that_pickle():
     # an outcome holds what the Newton loop computed, not the mesh or the
     # problem: example1's callbacks are local functions, which pickle refuses
