@@ -211,11 +211,11 @@ def make_plan(algorithm: str, coarse: int | None = None, n: int | None = None,
     """The one reader of an algorithm name: the plan :func:`algorithm2` runs.
 
     ``mesh`` holds the :class:`MeshSpec` fields but n.  ``direct`` solves on
-    ``n`` (or on ``coarse`` alone, as ``table`` passes its N); ``tg1`` refines
-    ``coarse`` once, to ``n`` or ``round(N**r)``; ``tg1_ropt`` picks r by
-    :func:`choose_r`; ``tg2`` cascades ``levels`` times.  A size that the
-    algorithm never reads is an error, and so is a fine size over the
-    interval budget: the plan checks its sizes when it is made.
+    ``n`` (or on ``coarse`` alone, as ``table`` passes its N).  The others
+    refine ``coarse`` by ``round(n**r)`` per level: ``tg1`` once, at r = ln n
+    / ln N if given n; ``tg1_ropt`` once, at :func:`choose_r`'s r; ``tg2``
+    ``levels`` times.  A size that the algorithm never reads is an error, and
+    so is a fine size over the budget: the plan checks its sizes when made.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -229,14 +229,16 @@ def make_plan(algorithm: str, coarse: int | None = None, n: int | None = None,
         raise ValueError("--coarse is required for two-grid algorithms")
     if n is not None and algorithm != "tg1":
         raise ValueError(f"{algorithm} reads no --n: only tg1 takes a fine size")
-    spec = MeshSpec(n=coarse, **mesh)
-    if algorithm == "tg2":
-        if levels < 1:
-            raise ValueError("cascade_levels must be at least 1")
-        return TwoGridPlan(spec, cascade_levels=levels)  # r is tg1's
+    spec = MeshSpec(n=coarse, **mesh)  # checks N before any log of it
+    if algorithm == "tg2" and levels < 1:
+        raise ValueError("cascade_levels must be at least 1")
     if algorithm == "tg1_ropt":
         r = choose_r(coarse)[0]
-    return TwoGridPlan(spec, r, n)
+    elif n is not None:
+        if n <= coarse:
+            raise ValueError("fine grid must be strictly finer than coarse")
+        r = math.log(n) / math.log(coarse)
+    return TwoGridPlan(spec, r, levels if algorithm == "tg2" else 1)
 
 
 def _run_cell(cfg: ReportConfig, plan: TwoGridPlan) -> list:

@@ -3,8 +3,8 @@
 The cheap route to fine-grid accuracy: solve the nonlinear scheme only on
 a coarse mesh with N intervals, then perform a single Newton correction on
 the fine mesh (n = N^r intervals, r > 1) about the coarse solution's
-interpolant.  Repeating the fine step on successively squared grid sizes
-(n = N^(2^m)) cascades the accuracy while only ever solving linear
+interpolant.  Repeating the fine step, each level on round(n^r) intervals
+(r = 2: n = N^(2^m)), cascades the accuracy while only ever solving linear
 systems after the coarse stage.  The one transfer, :func:`interpolant_slopes`,
 is ``np.interp``'s interpolant at the fine nodes bit for bit, built by
 run-length expansion over coarse cells; no other interpolation function exists.
@@ -26,15 +26,14 @@ from .newton import SolveOutcome, _iterate, solve as newton_solve
 class TwoGridPlan:
     """The coarse mesh (N intervals) and the fine sizes that follow it.
 
-    Level 1 has ``fine_n`` intervals if given, else ``round(N**r)``; it
-    must exceed N, and r must be finite.  :func:`algorithm2` runs
+    Every level has ``round(n**r)`` intervals, n those of the level before
+    (Xu's size rule), and r is finite and exceeds 1.  :func:`algorithm2` runs
     ``cascade_levels`` levels, :func:`algorithm1` level 1 alone; zero
     levels is the direct solve on ``coarse``.
     """
 
     coarse: MeshSpec
     r: float = 2.0
-    fine_n: int | None = None
     cascade_levels: int = 1
 
     def __post_init__(self) -> None:
@@ -47,17 +46,15 @@ class TwoGridPlan:
     def fine_sizes(self) -> list[int]:
         """Interval counts of the ``cascade_levels`` fine levels.
 
-        Level 1 has ``fine_n`` if given, else ``round(N**r)``; each later
-        level raises the previous count to the power r (r = 2: the cascade's
-        ``N**(2**m)``).  A plan runs this, the one check of each size against
-        N and the budget, when it is made; a power past floats is named, not
-        formed.
+        Each level raises the previous count to the power r and rounds (r = 2:
+        the cascade's ``N**(2**m)``).  A plan runs this, the one check of each
+        size against N and the budget, when it is made; a power past floats
+        is named, not formed.
         """
         n, r, sizes = self.coarse.n, self.r, []
-        for level in range(self.cascade_levels):
-            formed = level or self.fine_n is None
-            huge = formed and r * math.log(n) > 700.0  # e**709.8 overflows
-            n = f"{n}**{r:g}" if huge else round(n ** r) if formed else self.fine_n
+        for _ in range(self.cascade_levels):
+            huge = r * math.log(n) > 700.0  # e**709.8 overflows
+            n = f"{n}**{r:g}" if huge else round(n ** r)
             if huge or n > MAX_INTERVALS:
                 raise ValueError(f"fine size {n} exceeds the {MAX_INTERVALS} "
                                  "interval budget")
@@ -126,18 +123,18 @@ def _fine_step(problem, fine_mesh: Mesh, prev_mesh: Mesh,
     return _iterate(fine_mesh, problem, w, first, None, None, math.inf)
 
 
-def _run(problem, spec: MeshSpec, sizes: list[int]) -> TwoGridResult:
-    """Solve on ``spec``'s mesh, then a fine step per size (none: the direct solve)."""
+def _run(problem, plan: TwoGridPlan) -> TwoGridResult:
+    """Solve on the coarse mesh, then a fine step per size (none: the direct solve)."""
     t0 = time.perf_counter()
-    coarse_mesh = build_mesh(spec)
+    coarse_mesh = build_mesh(plan.coarse)
     coarse = newton_solve(coarse_mesh, problem)
     seconds = [time.perf_counter() - t0]
     fine_meshes = []
     fine = []
     prev_mesh, prev_values = coarse_mesh, coarse.y
-    for n in sizes:
+    for n in plan.fine_sizes():
         t1 = time.perf_counter()
-        fine_mesh = build_mesh(replace(spec, n=n))
+        fine_mesh = build_mesh(replace(plan.coarse, n=n))
         outcome = _fine_step(problem, fine_mesh, prev_mesh, prev_values)
         seconds.append(time.perf_counter() - t1)
         fine_meshes.append(fine_mesh)
@@ -150,17 +147,17 @@ def _run(problem, spec: MeshSpec, sizes: list[int]) -> TwoGridResult:
 
 def algorithm1(problem, plan: TwoGridPlan) -> TwoGridResult:
     """Coarse nonlinear solve, then one linearized solve on the fine mesh."""
-    return _run(problem, plan.coarse, replace(plan, cascade_levels=1).fine_sizes())
+    return _run(problem, replace(plan, cascade_levels=1))
 
 
 def algorithm2(problem, plan: TwoGridPlan) -> TwoGridResult:
     """Cascade: a fine step per size of :meth:`TwoGridPlan.fine_sizes`.
 
-    Each level linearizes about the interpolant of the previous level's
-    solution; at r = 2 the sizes are n = N^(2^m), m = 1..cascade_levels.
-    One level is :func:`algorithm1`, and zero levels the direct solve.
+    Level m linearizes about the interpolant of level m - 1 on round(n**r)
+    intervals, n those of level m - 1 (r = 2: n = N^(2^m)).  One level is
+    :func:`algorithm1`, and zero levels the direct solve.
     """
-    return _run(problem, plan.coarse, plan.fine_sizes())
+    return _run(problem, plan)
 
 
 def choose_r(n_coarse: int) -> tuple[float, int]:

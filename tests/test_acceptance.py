@@ -72,8 +72,7 @@ def _twogrid(problem_id, family, eps, sizes, a=1.0, gamma0=1.0, ropt=False):
     for n in sizes:
         spec = sp.MeshSpec(family, eps, n, a=a, gamma0=gamma0)
         if ropt:
-            r, fine_n = sp.choose_r(n)
-            plan = sp.TwoGridPlan(coarse=spec, r=r, fine_n=fine_n)
+            plan = sp.TwoGridPlan(coarse=spec, r=sp.choose_r(n)[0])
         else:
             plan = sp.TwoGridPlan(coarse=spec)
         result = sp.algorithm1(p, plan)

@@ -67,6 +67,26 @@ def test_solve_tg1(capsys):
     assert payload["iterations"] == 1  # fine step is one linearized solve
 
 
+def test_solve_tg1_runs_the_fine_size_it_is_given(capsys):
+    code, out, err = run_cli(capsys, "solve", "--problem", "ex1", "--mesh", "uniform",
+                             "--eps", "0.01", "--algorithm", "tg1", "--coarse", "16",
+                             "--n", "1000")
+    assert code == 0
+    assert json.loads(out)["mesh"]["n"] == 1000
+
+
+def test_tg2_runs_the_r_it_is_given(capsys):
+    # every level is round(n**r) of the one before: 4**1.5 = 8, 8**1.5 -> 23
+    common = ("--problem", "ex1", "--mesh", "uniform", "--eps", "0.01",
+              "--coarse", "4", "--algorithm", "tg2", "--r", "1.5")
+    code, out, _ = run_cli(capsys, "solve", *common)
+    assert code == 0
+    assert json.loads(out)["mesh"]["n"] == 23
+    code, out, _ = run_cli(capsys, "table", *common, "--format", "json")
+    assert code == 0
+    assert [row["n"] for row in json.loads(out)["rows"]] == [4, 8, 23]
+
+
 def test_solve_missing_n_is_validation_error(capsys):
     code, out, err = run_cli(capsys, "solve", "--problem", "ex1",
                              "--mesh", "uniform", "--eps", "0.1")
@@ -110,6 +130,10 @@ def _no_solve(monkeypatch):
      "error: fine size 4000000 exceeds the 1048576 interval budget\n"),
     (("--algorithm", "tg1", "--coarse", "8", "--r", "1000"),
      "error: fine size 8**1000 exceeds the 1048576 interval budget\n"),
+    (("--algorithm", "tg1", "--coarse", "16", "--n", "16"),
+     "error: fine grid must be strictly finer than coarse\n"),
+    (("--algorithm", "tg2", "--coarse", "4", "--r", "nan"),
+     "error: r must be finite and exceed 1\n"),
 ])
 def test_solve_size_the_algorithm_cannot_run_is_validation_error(capsys, monkeypatch,
                                                                  flags, message):
@@ -222,7 +246,7 @@ def test_bench_times_the_direct_solve_on_the_fine_size_of_tg1(monkeypatch):
     monkeypatch.setattr(twogrid, "build_mesh",
                         lambda spec: built.append(spec.n) or real(spec))
     [row] = bench.timing_rows("ex1", "uniform", 0.1, [N], repeats=1)
-    [n] = TwoGridPlan(MeshSpec("uniform", 0.1, N), fine_n=N * N).fine_sizes()
+    n = N * N  # tg1 at r = 2
     assert row.n == n
     assert built == [n, N, n]  # the direct solve, then tg1's coarse and fine meshes
 
@@ -323,6 +347,7 @@ def test_table_unknown_mesh_family_is_validation_error(capsys):
     (("--mesh", "shishkin", "--gamma0", "inf"), "gamma0 must be positive"),
     (("--algorithm", "tg2", "--levels", "3"),
      "fine size 16777216 exceeds the 1048576 interval budget"),
+    (("--algorithm", "tg2", "--r", "nan"), "r must be finite and exceed 1"),
 ])
 def test_table_invalid_mesh_or_plan_parameter_is_validation_error(
         capsys, monkeypatch, flags, message):

@@ -96,12 +96,12 @@ def test_cascade_level_one_equals_algorithm1():
 
 
 def test_algorithm2_runs_the_fine_sizes_of_its_plan():
-    # r and fine_n are read, not replaced by r = 2: 4**1.5 = 8, 8**1.5 -> 23
+    # r is read, not replaced by r = 2: 4**1.5 = 8, 8**1.5 -> 23, 23**1.5 -> 110
     plan = TwoGridPlan(MeshSpec("uniform", 0.1, 4), r=1.5, cascade_levels=2)
     result = algorithm2(example1(0.1), plan)
     assert [m.n for m in result.fine_meshes] == plan.fine_sizes() == [8, 23]
-    plan = TwoGridPlan(MeshSpec("uniform", 0.1, 4), fine_n=10, cascade_levels=2)
-    assert [m.n for m in algorithm2(example1(0.1), plan).fine_meshes] == [10, 100]
+    plan = TwoGridPlan(MeshSpec("uniform", 0.1, 4), 1.5, 3)  # (coarse, r, levels)
+    assert [m.n for m in algorithm2(example1(0.1), plan).fine_meshes] == [8, 23, 110]
 
 
 def test_outcomes_are_plain_data_that_pickle():
@@ -206,8 +206,8 @@ def test_plan_validation_and_memory_guard():
     spec = MeshSpec("uniform", 0.1, 64)
     with pytest.raises(ValueError):
         TwoGridPlan(coarse=spec, r=1.0)
-    with pytest.raises(ValueError):
-        TwoGridPlan(coarse=spec, fine_n=64)
+    with pytest.raises(ValueError, match="^fine grid must be strictly finer"):
+        TwoGridPlan(coarse=spec, r=1.0001)  # round(64**1.0001) = 64
     with pytest.raises(ValueError):
         TwoGridPlan(coarse=spec, cascade_levels=-1)
     with pytest.raises(ValueError, match="^fine size 16777216 exceeds"):
@@ -215,6 +215,7 @@ def test_plan_validation_and_memory_guard():
     coarse = MeshSpec("uniform", 0.1, 4)
     assert TwoGridPlan(coarse, cascade_levels=3).fine_sizes() == [16, 256, 65536]
     assert TwoGridPlan(coarse, cascade_levels=0).fine_sizes() == []
+    assert [f.name for f in fields(TwoGridPlan)] == ["coarse", "r", "cascade_levels"]
 
 
 def test_two_grid_matches_direct_fine_solve():
@@ -274,6 +275,30 @@ def test_fine_step_gap_is_quadratic_in_the_interpolant_gap(name, family):
             w = interpolant_slopes(result.coarse_mesh, result.coarse.y, fine_mesh)[0]
             gap_tg = np.max(np.abs(result.fine[0].y - y_direct))
             assert gap_tg <= 0.37 * np.max(np.abs(w - y_direct)) ** 2, (eps, N)
+
+
+@pytest.mark.parametrize("family,a", [("shishkin", 1.0), ("bakhvalov", 4.0),
+                                      ("bakhvalov", 1.0), ("vulanovic", 1.0)])
+def test_ex1_fine_step_gap_is_within_the_one_step_newton_bound(family, a):
+    """``max|y_tg - y_h| <= C max|w - y_h|^2`` with the rigorous constant
+    ``C = max f_uu / (2 min f_u)`` (see ``_fine_step``).  For ex1, ``f_u =
+    (2 - u)^-2`` and ``f_uu = 2 (2 - u)^-3``, so over the range [lo, hi]
+    spanned by w and y_h, ``C = (2 - lo)^2 / (2 - hi)^3``.  Not the nominal
+    4 of u in [0, 1]: the discrete vectors overshoot 1 (hi up to 1.0037
+    here).  gap / |w - y_h|^2 measured at most 0.334 (Bakhvalov a = 1,
+    eps = 1e-8, N = 64), where C = 4.006.
+    """
+    for eps in (1e-2, 1e-4, 1e-8):
+        p = example1(eps)
+        for N in (8, 16, 32, 64):
+            result = algorithm1(p, TwoGridPlan(MeshSpec(family, eps, N, a=a)))
+            fine_mesh = result.fine_meshes[0]
+            y_h = newton_solve(fine_mesh, p).y
+            w = interpolant_slopes(result.coarse_mesh, result.coarse.y, fine_mesh)[0]
+            lo, hi = min(w.min(), y_h.min()), max(w.max(), y_h.max())
+            C = (2.0 - lo) ** 2 / (2.0 - hi) ** 3
+            gap = np.max(np.abs(result.fine[0].y - y_h))
+            assert gap <= C * np.max(np.abs(w - y_h)) ** 2, (eps, N)
 
 
 @pytest.mark.parametrize("family,a", [("bakhvalov", 4.0), ("vulanovic", 1.0)])

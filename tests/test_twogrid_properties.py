@@ -1,12 +1,17 @@
 """The coarse-to-fine transfer against its np.interp construction, bitwise,
-and each fine level's gap to the direct solve against its own update."""
+each fine level's gap to the direct solve against its own update, and the
+one size rule of a plan."""
 
+import math
+import re
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spgrid.mesh import Mesh, MeshSpec, build_mesh
+from spgrid.bench import make_plan
+from spgrid.mesh import MAX_INTERVALS, Mesh, MeshSpec, build_mesh
 from spgrid.newton import solve
 from spgrid.problems import make_problem
 from spgrid.twogrid import TwoGridPlan, algorithm2, interpolant_slopes
@@ -133,3 +138,44 @@ def test_fine_level_gap_is_certified_by_its_own_update(name, family, k, a, level
     for mesh, out in zip(result.fine_meshes, result.fine, strict=True):
         gap = np.max(np.abs(out.y - solve(mesh, problem).y))
         assert gap <= C_CERTIFICATE * out.final_update ** 2, (mesh.n, gap)
+
+
+@given(st.integers(2, MAX_INTERVALS),
+       st.one_of(st.floats(1.0, 4.0, exclude_min=True),
+                 st.floats(1.0, 1e300, exclude_min=True)),
+       st.integers(0, 4))
+@example(8, 1.0001, 1)  # round(8**1.0001) = 8
+@example(4, 1.5, 3)
+@example(8, 1000.0, 1)  # 8**1000 overflows a float
+def test_every_fine_level_is_the_rounded_power_of_the_one_before(N, r, levels):
+    n, sizes, message = N, [], None
+    for _ in range(levels):
+        if r * math.log(n) > 700.0:
+            message = f"fine size {n}**{r:g} exceeds the {MAX_INTERVALS} interval budget"
+            break
+        n = round(n ** r)
+        if n > MAX_INTERVALS:
+            message = f"fine size {n} exceeds the {MAX_INTERVALS} interval budget"
+            break
+        if n <= N:
+            message = "fine grid must be strictly finer than coarse"
+            break
+        sizes.append(n)
+    spec = MeshSpec("uniform", 0.1, N)
+    if message is None:
+        assert TwoGridPlan(spec, r, levels).fine_sizes() == sizes
+    else:  # past e**709.8, forming n**r would raise OverflowError instead
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TwoGridPlan(spec, r, levels)
+
+
+@given(st.integers(2, MAX_INTERVALS - 1).flatmap(
+    lambda N: st.tuples(st.just(N), st.integers(N + 1, MAX_INTERVALS))))
+@example((2, 3))
+@example((2, MAX_INTERVALS))
+@example((MAX_INTERVALS - 1, MAX_INTERVALS))
+@example((1000, 1001))
+def test_tg1_fine_size_comes_back_from_its_exponent(sizes):
+    # tg1 --n n runs at r = ln n / ln N, and round(N**r) is n again
+    N, n = sizes
+    assert make_plan("tg1", N, n, family="uniform", eps=0.1).fine_sizes() == [n]
