@@ -27,7 +27,7 @@ from .mesh import (DegenerateMeshError, Mesh, MeshSpec, NoRootError,
                    vulanovic_alpha)
 from .problems import (QuasilinearDiffusionProblem, SemilinearProblem,
                        example1, example2, make_problem)
-from .linsolve import TridiagonalSystem, ZeroPivotError, thomas_solve
+from .linsolve import ZeroPivotError, thomas_solve
 from .newton import (NoConvergenceError, NonpositiveJacobianError,
                      SingularDiffusionError, SolveOutcome, interior_source,
                      newton_step, reduced_initial, residual_for, solve)
@@ -45,7 +45,7 @@ __all__ = [
     "shishkin_alpha", "vulanovic_alpha", "bakhvalov_alpha", "build_mesh",
     "SemilinearProblem", "QuasilinearDiffusionProblem", "example1", "example2",
     "make_problem",
-    "TridiagonalSystem", "ZeroPivotError", "thomas_solve",
+    "ZeroPivotError", "thomas_solve",
     "SolveOutcome", "NoConvergenceError",
     "NonpositiveJacobianError", "SingularDiffusionError", "solve",
     "newton_step", "reduced_initial", "residual_for", "interior_source",

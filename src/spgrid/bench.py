@@ -60,8 +60,10 @@ def interpolant_error(mesh: Mesh, y: np.ndarray, exact: Callable | None) -> floa
     """Max-norm error of the piecewise-linear interpolant, sampled per interval.
 
     Every mesh interval is cut into ten equal parts and sampled at their
-    ends, nodes included, so the result dominates the nodal error and a
-    layer interval is sampled however small eps is.
+    ends, nodes included, so the result dominates the nodal error.  A layer
+    thinner than a tenth of its interval falls between the samples: on the
+    uniform family, ex1 at eps = 1e-4 and 1e-6, N = 4..16, reads 0.900 where
+    1001 points per interval read 0.988-0.999.
     """
     if exact is None:
         raise MissingExactError("problem has no exact solution")
@@ -91,6 +93,7 @@ class ConvergenceRow:
     error: float | None = None
     order: float | None = None
     iterations: int | None = None
+    final_update: float | None = None  # in the JSON rows; no CSV column
     seconds: float | None = None
     failed: str | None = None
 
@@ -256,7 +259,8 @@ def _run_cell(cfg: ReportConfig, plan: TwoGridPlan) -> list:
                 [result.coarse, *result.fine], result.step_seconds)
     return [ConvergenceRow(**base, n=mesh.n, step=step,
                            error=_error_of(cfg, mesh, out.y, problem.exact),
-                           iterations=out.iterations, seconds=seconds)
+                           iterations=out.iterations, final_update=out.final_update,
+                           seconds=seconds)
             for step, (mesh, out, seconds) in enumerate(steps, start=1)]
 
 

@@ -40,9 +40,9 @@ def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok]
 
 
-def _add_mesh_args(p: argparse.ArgumentParser) -> None:
+def _add_mesh_args(p: argparse.ArgumentParser, what: str = "mesh family") -> None:
     p.add_argument("--mesh", default="shishkin",
-                   help="mesh family or comma list: uniform|shishkin|bakhvalov|vulanovic")
+                   help=f"{what}: uniform|shishkin|bakhvalov|vulanovic")
     p.add_argument("--a", type=float, default=1.0, help="grading strength (B/V)")
     p.add_argument("--q", type=float, default=0.4, help="layer point fraction (B/V)")
     p.add_argument("--gamma0", type=float, default=1.0,
@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pt = sub.add_parser("table", help="convergence table over (eps, N) cells")
     pt.add_argument("--problem", required=True, choices=tuple(PROBLEMS))
-    _add_mesh_args(pt)
+    _add_mesh_args(pt, "mesh family or comma list")
     pt.add_argument("--eps", type=_float_list, required=True, help="comma list")
     pt.add_argument("--coarse", type=_int_list, required=True, help="comma list of N")
     pt.add_argument("--algorithm", default="direct", choices=ALGORITHMS)

@@ -1,28 +1,20 @@
-"""Three-point difference rows and their tridiagonal solve.
+"""The tridiagonal solve of every Newton step.
 
-For ``-eps^2 u'' + b(x) u = g(x)`` on a (possibly strongly nonuniform)
-mesh, interior row ``i`` of the discrete system reads
-
-    -eps^2/(hbar_i h_i) y_{i-1}
-      + [eps^2/hbar_i (1/h_i + 1/h_{i+1}) + b(x_i)] y_i
-      - eps^2/(hbar_i h_{i+1}) y_{i+1}  =  g(x_i).
-
-That is the semilinear problem ``f = b u``, ``source = g`` of
-:mod:`spgrid.newton`, whose residual carries ``g`` and the Dirichlet data.
-:func:`stencil` builds these rows, and with per-interval flux weights in
-place of the unit ones the Jacobians of the quasilinear scheme, from the
-:func:`couplings` a solve builds once.  With ``b > 0`` the matrix is an
-irreducibly diagonally dominant M-matrix, so elimination needs no
-pivoting: :func:`thomas_solve` removes the odd rows level by level, by one
-rule at every level length (cyclic reduction, Hockney 1965), until
-``REDUCTION_BASE`` rows are left, and solves those by LAPACK's ``dgtsv``
-from the OpenBLAS that numpy's wheels load.  The base is finite because
-``dgtsv`` eliminates one row after another, and where a Newton system
-holds runs of subnormal entries that loop takes the slow path of subnormal
-arithmetic: handed whole systems, the direct solve of ex1 on Shishkin at
-eps = 1e-4 and n = 2^16 ran 2.4 times slower than with the levels.  Where
-numpy links another LAPACK (conda's, MKL, Accelerate), the levels go on to
-``SCALAR_BASE`` rows and scalar Thomas elimination ends the solve.
+A system is four bands of one length, ``sub``, ``diag``, ``sup`` and
+``rhs``; the rows are the three-point scheme's, assembled by
+:func:`spgrid.newton._jacobian`, and this module knows no mesh.  With a
+positive reaction derivative the matrix is an irreducibly diagonally
+dominant M-matrix, so elimination needs no pivoting: :func:`thomas_solve`
+removes the odd rows level by level, by one rule at every level length
+(cyclic reduction, Hockney 1965), until ``REDUCTION_BASE`` rows are left,
+and solves those by LAPACK's ``dgtsv`` from the OpenBLAS that numpy's
+wheels load.  The base is finite because ``dgtsv`` eliminates one row
+after another, and where a Newton system holds runs of subnormal entries
+that loop takes the slow path of subnormal arithmetic: handed whole
+systems, the direct solve of ex1 on Shishkin at eps = 1e-4 and n = 2^16
+ran 2.4 times slower than with the levels.  Where numpy links another
+LAPACK (conda's, MKL, Accelerate), the levels go on to ``SCALAR_BASE``
+rows and scalar Thomas elimination ends the solve.
 """
 
 from __future__ import annotations
@@ -30,90 +22,12 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-from .mesh import Mesh
 
 
 class ZeroPivotError(RuntimeError):
     """Vanishing pivot during elimination; diagonal dominance is broken."""
-
-
-@dataclass(frozen=True)
-class TridiagonalSystem:
-    """Interior system for unknowns ``y_1 ... y_{n-1}``.
-
-    All four arrays have length ``n - 1``; ``sub[0]`` and ``sup[-1]`` hold
-    the couplings to the boundary values and are never read by
-    :func:`thomas_solve`.  :func:`stencil` leaves ``rhs`` None; a Newton
-    step supplies its residual.
-    """
-
-    sub: np.ndarray
-    diag: np.ndarray
-    sup: np.ndarray
-    rhs: np.ndarray | None
-
-
-@dataclass(frozen=True)
-class Couplings:
-    """The parts of the stencil rows that depend on the mesh and eps alone.
-
-    ``scale_l = -eps^2/(hbar_i h_i)`` and ``scale_r = -eps^2/(hbar_i
-    h_{i+1})`` couple row i through its left and its right interval; for
-    unit flux weights they are the rows' off-diagonals ``sub``/``sup``.
-    Both arrays are read-only, because every Newton iteration shares them.
-    """
-
-    scale_l: np.ndarray
-    scale_r: np.ndarray
-
-
-def _scale(mesh: Mesh, eps: float, h: np.ndarray) -> np.ndarray:
-    """``-eps^2/(hbar_i h)`` for ``h = steps[:-1]`` (left) or ``steps[1:]`` (right)."""
-    prod = mesh.half_steps * h
-    return np.divide(-(eps * eps), prod, out=prod)
-
-
-def couplings(mesh: Mesh, eps: float) -> Couplings:
-    """The :class:`Couplings` of ``mesh``, once per solve."""
-    scale_l = _scale(mesh, eps, mesh.steps[:-1])
-    scale_r = _scale(mesh, eps, mesh.steps[1:])
-    scale_l.flags.writeable = scale_r.flags.writeable = False
-    return Couplings(scale_l, scale_r)
-
-
-def stencil(mesh: Mesh, eps: float, b: np.ndarray,
-            right: np.ndarray | None = None, left: np.ndarray | None = None,
-            cpl: Couplings | None = None) -> TridiagonalSystem:
-    """Three-point rows of ``-eps^2/hbar_i (phi_{i+1/2} - phi_{i-1/2}) + b_i y_i``.
-
-    The flux on interval j (nodes j, j+1) is linear in its end values,
-    ``phi_j = (right_j y_{j+1} - left_j y_j) / h_j``.  ``right`` and
-    ``left`` are per-interval arrays, given together; both default to one,
-    the plain second difference; the rows leave ``rhs`` None.  ``cpl`` are
-    this mesh's :func:`couplings`, the unit-weight bands themselves (built
-    afresh when not given).  Weighted rows are written straight into their
-    bands, and a weighted call overwrites ``right`` and ``left``: ``sup`` is
-    ``right[1:]``, and ``left[1:]`` holds the diagonal's second product.
-    """
-    if right is None:  # unit weights: the same rows without four products
-        cpl = couplings(mesh, eps) if cpl is None else cpl
-        sub, sup = cpl.scale_l, cpl.scale_r
-        diag = b - (sub + sup)
-    else:
-        # without cached couplings, one side's at a time: a band fewer at the peak
-        scale = _scale(mesh, eps, mesh.steps[:-1]) if cpl is None else cpl.scale_l
-        diag = scale * right[:-1]
-        sub = scale * left[:-1]
-        del scale
-        scale = _scale(mesh, eps, mesh.steps[1:]) if cpl is None else cpl.scale_r
-        diag += np.multiply(scale, left[1:], out=left[1:])
-        np.subtract(b, diag, out=diag)
-        sup = np.multiply(scale, right[1:], out=right[1:])
-    return TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=None)
 
 
 # Levels longer than this are reduced in numpy, and dgtsv solves the rest.
@@ -148,7 +62,8 @@ def _pivot_sizes(piv: np.ndarray, row) -> np.ndarray:
     return size
 
 
-def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
+def thomas_solve(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
+                 rhs: np.ndarray) -> np.ndarray:
     """Odd-even cyclic reduction to ``REDUCTION_BASE`` rows, then LAPACK's
     ``dgtsv`` (Anderson et al., *LAPACK Users' Guide*, 3rd ed., 1999).
 
@@ -165,8 +80,8 @@ def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
     solve holds at most about four arrays of the system's length besides
     its input.
     """
-    a, b, c, d = sys.sub, sys.diag, sys.sup, sys.rhs
-    # dgtsv trusts its n; rhs is None until a Newton step supplies it
+    a, b, c, d = sub, diag, sup, rhs
+    # dgtsv trusts its n; a None rhs has no shape and raises here too
     if not getattr(d, "shape", None) == a.shape == b.shape == c.shape == (len(b),):
         raise ValueError("the four bands are not of one length")
     dgtsv = lapack_dgtsv()

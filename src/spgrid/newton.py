@@ -3,13 +3,12 @@
 Both problem types share one scheme, the conservative midpoint
 discretization of ``-eps^2 (d(u) u')' + r(x, u) = source(x)``; a
 semilinear problem is the case ``d = 1``, ``r = f``.  One residual and one
-Jacobian implement it, the Jacobian's rows come from
-:func:`spgrid.linsolve.stencil`, and :func:`_scheme` is the only dispatch
-on the problem type.  The source depends on the mesh alone:
-:func:`solve` evaluates it once (:func:`interior_source`) and hands the
-array to the start sweep and to every residual; likewise it builds the
-stencil couplings once (:func:`spgrid.linsolve.couplings`) for every
-Jacobian.
+Jacobian implement it: :func:`_jacobian` assembles the three-point rows
+that :func:`spgrid.linsolve.thomas_solve` solves, and :func:`_scheme` is
+the only dispatch on the problem type.  The source depends on the mesh
+alone: :func:`solve` evaluates it once (:func:`interior_source`) and hands
+the array to the start sweep and to every residual; likewise it builds the
+rows' :func:`couplings` once for every Jacobian.
 
 :func:`solve` and the two-grid fine step run one loop, :func:`_iterate`, in
 correction form: each sweep solves the linearized tridiagonal system ``J(y)
@@ -33,11 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linsolve import Couplings, TridiagonalSystem, couplings, stencil, thomas_solve
+from .linsolve import thomas_solve
 from .mesh import Mesh
 from .problems import QuasilinearDiffusionProblem, SemilinearProblem
 
 Midpoint = tuple[np.ndarray, np.ndarray | None]  # (d(m), chain), see _midpoint_diffusion
+Scales = tuple[np.ndarray, np.ndarray]  # (scale_l, scale_r), see couplings
+Bands = tuple[np.ndarray, np.ndarray, np.ndarray]  # (sub, diag, sup), see _jacobian
 
 
 class NoConvergenceError(RuntimeError):
@@ -122,28 +123,59 @@ def _residual(mesh: Mesh, p, d, reaction, y: np.ndarray,
             + (reaction(mesh.interior(), y[1:-1]) - src))
 
 
-def _jacobian(mesh: Mesh, eps: float, d, d_u, reaction_u, y: np.ndarray,
-              cpl: Couplings | None, midpoint: Midpoint | None = None
-              ) -> TridiagonalSystem:
-    """Tridiagonal Jacobian of :func:`_residual` about ``y`` (rhs left None).
+def _scale(mesh: Mesh, eps: float, h: np.ndarray) -> np.ndarray:
+    """``-eps^2/(hbar_i h)`` for ``h = steps[:-1]`` (left) or ``steps[1:]`` (right)."""
+    prod = mesh.half_steps * h
+    return np.divide(-(eps * eps), prod, out=prod)
 
-    ``d(m_j)`` moves by ``d_u(m_j)/2`` per unit change of either end value
-    of interval j, so its flux weights are ``d(m_j) +- chain_j`` with
-    ``chain_j = d_u(m_j) (y_{j+1} - y_j)/2``; the left weights overwrite the
-    chain, and :func:`spgrid.linsolve.stencil` both weights.  ``cpl`` are the
-    solve's :func:`spgrid.linsolve.couplings` and ``midpoint`` is
+
+def couplings(mesh: Mesh, eps: float) -> Scales:
+    """``(scale_l, scale_r)``, built once per solve: ``-eps^2/(hbar_i h_i)``
+    and ``-eps^2/(hbar_i h_{i+1})`` couple row i through its left and its
+    right interval (for unit flux weights they are ``sub`` and ``sup``).
+    Read-only, because every Newton iteration shares them."""
+    scale_l = _scale(mesh, eps, mesh.steps[:-1])
+    scale_r = _scale(mesh, eps, mesh.steps[1:])
+    scale_l.flags.writeable = scale_r.flags.writeable = False
+    return scale_l, scale_r
+
+
+def _jacobian(mesh: Mesh, eps: float, d, d_u, reaction_u, y: np.ndarray,
+              cpl: Scales | None, midpoint: Midpoint | None = None) -> Bands:
+    """Tridiagonal Jacobian ``(sub, diag, sup)`` of :func:`_residual` about ``y``.
+
+    Row i is ``-eps^2/hbar_i (phi_{i+1/2} - phi_{i-1/2}) + b_i y_i``, ``b =
+    reaction_u``, with the flux ``phi_j = (right_j y_{j+1} - left_j y_j) /
+    h_j`` on interval j; ``sub[0]`` and ``sup[-1]`` couple to the boundary
+    values.  With ``d`` None the weights are one and the off-diagonals are
+    the couplings themselves.  Else ``d(m_j)`` moves by ``d_u(m_j)/2`` per
+    unit change of either end value of interval j, so the weights are
+    ``d(m_j) +- chain_j``, ``chain_j = d_u(m_j) (y_{j+1} - y_j)/2``, written
+    straight into the bands: ``left`` overwrites the chain, ``sup`` is
+    ``right[1:]`` and ``left[1:]`` holds the diagonal's second product.
+    ``cpl`` are the solve's :func:`couplings` and ``midpoint`` is
     :func:`_midpoint_diffusion` of ``y``, each built here when not given.
     """
     b = np.asarray(reaction_u(mesh.interior(), y[1:-1]))
     if not (b.min() > 0.0 and b.max() < math.inf):  # NaN fails too
         raise NonpositiveJacobianError(
             "reaction derivative must be positive and finite along the iterate")
-    if d is None:
-        return stencil(mesh, eps, b, cpl=cpl)
+    if d is None:  # unit weights: the same rows without four products
+        sub, sup = couplings(mesh, eps) if cpl is None else cpl
+        return sub, b - (sub + sup), sup
     dm, chain = midpoint or _midpoint_diffusion(d, d_u, y)
     right = dm + chain
     left = np.subtract(dm, chain, out=chain)
-    return stencil(mesh, eps, b, right, left, cpl=cpl)
+    # without cached couplings, one side's at a time: a band fewer at the peak
+    scale = _scale(mesh, eps, mesh.steps[:-1]) if cpl is None else cpl[0]
+    diag = scale * right[:-1]
+    sub = scale * left[:-1]
+    del scale
+    scale = _scale(mesh, eps, mesh.steps[1:]) if cpl is None else cpl[1]
+    diag += np.multiply(scale, left[1:], out=left[1:])
+    np.subtract(b, diag, out=diag)
+    sup = np.multiply(scale, right[1:], out=right[1:])
+    return sub, diag, sup
 
 
 def semilinear_residual(mesh: Mesh, p: SemilinearProblem, y: np.ndarray,
@@ -154,7 +186,7 @@ def semilinear_residual(mesh: Mesh, p: SemilinearProblem, y: np.ndarray,
 
 
 def semilinear_jacobian(mesh: Mesh, p: SemilinearProblem, y: np.ndarray,
-                        cpl: Couplings | None = None) -> TridiagonalSystem:
+                        cpl: Scales | None = None) -> Bands:
     """Tridiagonal Jacobian rows about ``y``."""
     return _jacobian(mesh, p.eps, None, None, p.f_u, y, cpl)
 
@@ -174,8 +206,8 @@ def diffusion_residual(mesh: Mesh, p: QuasilinearDiffusionProblem, y: np.ndarray
 
 
 def diffusion_jacobian(mesh: Mesh, p: QuasilinearDiffusionProblem, y: np.ndarray,
-                       cpl: Couplings | None = None,
-                       midpoint: Midpoint | None = None) -> TridiagonalSystem:
+                       cpl: Scales | None = None,
+                       midpoint: Midpoint | None = None) -> Bands:
     """Analytic tridiagonal Jacobian of the midpoint scheme about ``y``;
     ``midpoint`` is :func:`_midpoint_diffusion` of ``y`` if already evaluated,
     and the Jacobian writes over its chain."""
@@ -198,15 +230,15 @@ def _scheme(problem):
 def newton_step(mesh: Mesh, problem, y: np.ndarray,
                 slopes: np.ndarray | None = None,
                 src: np.ndarray | None = None,
-                cpl: Couplings | None = None) -> tuple[np.ndarray, float]:
+                cpl: Scales | None = None) -> tuple[np.ndarray, float]:
     """One Newton correction about ``y``; returns (new iterate, |delta|_inf).
 
     Boundary entries of ``y`` are kept verbatim (the correction has zero
     boundary values).  ``src`` is :func:`interior_source` and ``cpl`` the
-    Jacobian's :func:`spgrid.linsolve.couplings`, if already built.  The
-    quasilinear scheme's midpoint diffusion and chain are evaluated once,
-    shared by residual and Jacobian, and dropped before the linear solve;
-    ``slopes`` are dropped after the residual.
+    Jacobian's :func:`couplings`, if already built.  The quasilinear
+    scheme's midpoint diffusion and chain are evaluated once, shared by
+    residual and Jacobian, and dropped before the linear solve; ``slopes``
+    are dropped after the residual.
     """
     residual, jacobian, _, _, unit = _scheme(problem)
     shared = {} if unit else {"midpoint": _midpoint_diffusion(problem.d, problem.d_u, y)}
@@ -216,8 +248,7 @@ def newton_step(mesh: Mesh, problem, y: np.ndarray,
     del shared
     # J delta = -F solved as J (-delta) = F: the solve is odd in its
     # right-hand side, bit for bit, so no negated copy of F is needed
-    neg_delta = thomas_solve(TridiagonalSystem(sub=jac.sub, diag=jac.diag,
-                                               sup=jac.sup, rhs=F))
+    neg_delta = thomas_solve(*jac, F)
     out = y.copy()
     out[1:-1] -= neg_delta
     return out, float(np.abs(neg_delta).max())
@@ -270,7 +301,7 @@ def _converged(updates: list, y: np.ndarray, tol: float) -> bool:
 
 
 def _iterate(mesh: Mesh, problem, y: np.ndarray, first: list,
-             src: np.ndarray | None, cpl: Couplings | None,
+             src: np.ndarray | None, cpl: Scales | None,
              tol: float) -> SolveOutcome:
     """Newton steps from ``y`` until :func:`_converged` holds at ``tol``,
     at most ``MAX_ITER`` of them.

@@ -110,9 +110,9 @@ def interpolant_slopes(coarse: Mesh, values: np.ndarray,
 def _fine_step(problem, fine_mesh: Mesh, prev_mesh: Mesh,
                prev_values: np.ndarray) -> SolveOutcome:
     """One linearized fine solve about the interpolant of the previous level:
-    the Newton loop to ``tol = inf``.  Neither the couplings nor the source
-    are built ahead, and the slopes are handed over in a list that the loop
-    empties: held through the step, each would raise the peak memory.
+    the Newton loop to ``tol = inf``.  Neither ``newton.couplings`` nor the
+    source are built ahead, and the slopes are handed over in a list that the
+    loop empties: held through the step, each would raise the peak memory.
 
     The step certifies its own gap to the direct fine solution ``y_h``.  For
     the semilinear scheme ``y - y_h = J(w)^-1 R``, ``R_i = f_uu(xi_i)/2 (w_i -

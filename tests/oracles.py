@@ -61,7 +61,7 @@ def jacobian_fd_gap(mesh: Mesh, problem, y: np.ndarray) -> float:
     loop over single columns, in O(n).
     """
     residual, jacobian, _, _, _ = _scheme(problem)
-    jac = jacobian(mesh, problem, y)
+    sub, diag, sup = jacobian(mesh, problem, y)
     src = interior_source(mesh, problem)
     m = mesh.n - 1
     gap = 0.0
@@ -75,7 +75,7 @@ def jacobian_fd_gap(mesh: Mesh, problem, y: np.ndarray) -> float:
         diff = (residual(mesh, problem, yp, src=src)
                 - residual(mesh, problem, ym, src=src))
         # column j holds diag[j], sup[j - 1] in row j - 1 and sub[j + 1] in row j + 1
-        for shift, band in ((0, jac.diag), (-1, jac.sup), (1, jac.sub)):
+        for shift, band in ((0, diag), (-1, sup), (1, sub)):
             rows = cols + shift
             inside = (rows >= 0) & (rows < m)
             a = band[rows[inside]]

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import spgrid as sp
-from spgrid.linsolve import stencil
+from spgrid.newton import semilinear_jacobian
 from oracles import jacobian_fd_gap
 from reference_values import (CASCADE_STEP3_N16, CASCADE_STEP3_ORDERS,
                               CHOOSE_R_PRINTED, EX1_STEP1, EX1_STEP1_ORDERS,
@@ -382,10 +382,9 @@ def test_criterion_7_thomas_vs_dense_oracle():
         sub[0] = sup[-1] = 0.0
         diag = np.abs(sub) + np.abs(sup) + rng.uniform(0.5, 2.0, m)
         rhs = rng.normal(size=m)
-        sys = sp.TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs)
         A = np.diag(diag) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
         dense = np.linalg.solve(A, rhs)
-        gap = np.max(np.abs(sp.thomas_solve(sys) - dense))
+        gap = np.max(np.abs(sp.thomas_solve(sub, diag, sup, rhs) - dense))
         ok &= gap <= 1e-12 * max(1.0, np.max(np.abs(dense)))
     _report("7 elimination matches dense oracle to 1e-12", ok)
     assert ok
@@ -400,9 +399,9 @@ def test_criterion_7_m_matrix_and_maximum_principle():
         bvals = rng.uniform(0.5, 2.0) + rng.uniform(0.0, 0.5) * np.sin(7 * xi) ** 2
         gvals = rng.normal() * np.cos(4 * xi) + rng.normal()
         eps = 10.0 ** rng.uniform(-4, 0)
-        sys = stencil(mesh, eps, bvals)
-        ok &= bool(np.all(sys.diag > 0) and np.all(sys.sub <= 0)
-                   and np.all(sys.sup <= 0))
+        sub, diag, sup = semilinear_jacobian(mesh, linear_problem(eps, bvals, 0.0),
+                                             np.zeros(mesh.n + 1))
+        ok &= bool(np.all(diag > 0) and np.all(sub <= 0) and np.all(sup <= 0))
         y = sp.solve(mesh, linear_problem(eps, bvals, gvals)).y
         ok &= bool(np.max(np.abs(y)) <= np.max(np.abs(gvals)) / bvals.min() + 1e-12)
     _report("7 sign pattern + maximum principle on 20 random instances", ok)

@@ -145,7 +145,7 @@ def test_run_report_captures_cell_failures():
 
 def test_report_config_rejects_a_fine_level_over_the_budget(monkeypatch):
     # every plan checks its fine sizes when it is made: no cell runs first
-    def no_solve(sys):
+    def no_solve(*bands):
         raise AssertionError("a linear solve ran before the size check")
 
     monkeypatch.setattr(newton, "thomas_solve", no_solve)
@@ -205,6 +205,19 @@ def test_json_format_shape():
     for key in ("problem", "mesh", "a", "q", "gamma0", "eps", "N", "n", "step",
                 "error", "order", "iterations", "seconds"):
         assert key in row
+
+
+def test_json_rows_carry_the_final_update_of_each_step():
+    # the key is JSON's alone: CSV_HEADER and the markdown columns are pinned
+    cfg = _small_cfg(algorithm="tg2", fmt="json")
+    want = {}
+    for plan in cfg.plans:
+        result = twogrid.algorithm2(example1(plan.coarse.eps), plan)
+        for step, out in enumerate([result.coarse, *result.fine], start=1):
+            want[plan.coarse.n, step] = out.final_update
+    rows = json.loads(run_report(cfg).render())["rows"]
+    assert {(row["N"], row["step"]): row["final_update"] for row in rows} == want
+    assert len(want) == 6  # N = 8 and 16, three steps each
 
 
 def test_markdown_format():
@@ -292,7 +305,7 @@ EPS8 = 2.0 ** -8
 
 def test_report_config_rejects_a_problem_without_exact_solution(monkeypatch):
     # before any cell runs: no linear solve may happen first
-    def no_solve(sys):
+    def no_solve(*bands):
         raise AssertionError("a linear solve ran before the config check")
 
     monkeypatch.setattr(newton, "thomas_solve", no_solve)

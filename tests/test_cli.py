@@ -110,7 +110,7 @@ def test_mesh_size_over_the_budget_is_validation_error(capsys, argv):
 
 
 def _no_solve(monkeypatch):
-    def no_solve(sys):
+    def no_solve(*bands):
         raise AssertionError("a linear solve ran before the size check")
 
     monkeypatch.setattr(newton, "thomas_solve", no_solve)
@@ -150,7 +150,7 @@ def _one_newton_step(monkeypatch):
 
 
 def _zero_pivot(monkeypatch):
-    def zero_pivot(sys):
+    def zero_pivot(*bands):
         raise ZeroPivotError("zero or non-finite pivot in row 3")
 
     monkeypatch.setattr(newton, "thomas_solve", zero_pivot)
@@ -326,6 +326,26 @@ def test_table_unknown_mesh_family_is_validation_error(capsys):
     assert code == 2
     assert out == ""
     assert "unknown mesh family 'nope'" in err
+
+
+@pytest.mark.parametrize("command, argv, lists", [
+    ("solve", ("--problem", "ex1", "--eps", "0.01", "--n", "64"), False),
+    ("bench", ("--problem", "ex1", "--eps", "0.01", "--coarse", "8"), False),
+    ("table", ("--problem", "ex1", "--eps", "0.1", "--coarse", "8", "--format", "csv"),
+     True)])
+def test_mesh_help_names_a_comma_list_only_where_one_is_split(capsys, command, argv,
+                                                              lists):
+    code, out, _ = run_cli(capsys, command, "--help")
+    assert code == 0
+    assert ("mesh family or comma list:" in " ".join(out.split())) == lists
+    code, out, err = run_cli(capsys, command, *argv, "--mesh", "shishkin,bakhvalov")
+    if lists:
+        assert code == 0
+        assert {row["mesh"] for row in csv.DictReader(io.StringIO(out))} == {
+            "shishkin", "bakhvalov"}
+    else:
+        assert (code, out) == (2, "")
+        assert "unknown mesh family 'shishkin,bakhvalov'" in err
 
 
 @pytest.mark.parametrize("flags,message", [

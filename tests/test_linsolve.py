@@ -3,18 +3,17 @@ import os
 import subprocess
 import sys
 import threading
-from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 import spgrid
 from spgrid import linsolve, newton
-from spgrid.linsolve import (REDUCTION_BASE, SCALAR_BASE, TridiagonalSystem,
-                             ZeroPivotError, couplings, stencil, thomas_solve)
+from spgrid.linsolve import REDUCTION_BASE, SCALAR_BASE, ZeroPivotError, thomas_solve
 from spgrid.mesh import MeshSpec, build_mesh
-from spgrid.newton import NonpositiveJacobianError, solve
-from spgrid.problems import SemilinearProblem
+from spgrid.newton import NonpositiveJacobianError, couplings, semilinear_jacobian, solve
+from spgrid.problems import SemilinearProblem, example2
 
 
 def linear_problem(eps, b, g, bc_left=0.0, bc_right=0.0):
@@ -34,7 +33,23 @@ def ones(x):
     return np.ones_like(x)
 
 
-def dense_matrix(sys: TridiagonalSystem) -> np.ndarray:
+class System(NamedTuple):
+    """The four bands :func:`thomas_solve` takes, in its order."""
+
+    sub: np.ndarray
+    diag: np.ndarray
+    sup: np.ndarray
+    rhs: np.ndarray | None = None
+
+
+def rows(mesh, eps, b) -> System:
+    """The rows of ``-eps^2 u'' + b u``: the semilinear Jacobian of ``f = b u``,
+    whatever the iterate."""
+    jac = semilinear_jacobian(mesh, linear_problem(eps, b, 0.0), np.zeros(mesh.n + 1))
+    return System(*jac)
+
+
+def dense_matrix(sys: System) -> np.ndarray:
     A = np.diag(sys.diag)
     A += np.diag(sys.sub[1:], -1)
     A += np.diag(sys.sup[:-1], 1)
@@ -54,18 +69,18 @@ def random_mesh(rng, n):
 def test_single_unknown_hand_assembly():
     # uniform n=2, eps=1, b=g=1: (8 + 1) y_1 = 1
     mesh = build_mesh(MeshSpec("uniform", 1.0, 2))
-    sys = stencil(mesh, 1.0, np.ones(1))
+    sys = rows(mesh, 1.0, np.ones(1))
     assert sys.diag[0] == pytest.approx(9.0, rel=1e-15)
     y = solve(mesh, linear_problem(1.0, ones, ones)).y
     assert y[1] == pytest.approx(1.0 / 9.0, rel=1e-15)
 
 
 def test_zero_eps_reduces_to_pointwise_inversion():
-    # at eps = 0 the rows are diag = b with -0.0 off the diagonal
+    # eps = 2^-1022, the smallest a problem takes, gives the rows of eps = 0:
+    # eps * eps underflows, so diag = b with -0.0 off the diagonal
     mesh = build_mesh(MeshSpec("uniform", 1.0, 8))
     g = 1.0 + mesh.interior() ** 2
-    rows = stencil(mesh, 0.0, np.ones(7))
-    y = thomas_solve(replace(rows, rhs=g))
+    y = thomas_solve(*rows(mesh, 2.0 ** -1022, np.ones(7))._replace(rhs=g))
     assert np.allclose(y, g, rtol=0, atol=0)
 
 
@@ -75,7 +90,7 @@ def test_assembly_matches_dense_oracle_entrywise():
     bvals = rng.uniform(1.0, 2.0, 5)
     gvals = rng.normal(size=5)
     eps = 0.3
-    sys = stencil(mesh, eps, bvals)
+    sys = rows(mesh, eps, bvals)
     h = mesh.steps
     hbar = mesh.half_steps
     A = np.zeros((5, 5))
@@ -102,9 +117,9 @@ def test_assembly_matches_dense_oracle_entrywise():
 
 def test_thomas_identity_system():
     m = 11
-    sys = TridiagonalSystem(sub=np.zeros(m), diag=np.ones(m), sup=np.zeros(m),
-                            rhs=np.linspace(-1, 1, m))
-    assert np.array_equal(thomas_solve(sys), sys.rhs)
+    sys = System(sub=np.zeros(m), diag=np.ones(m), sup=np.zeros(m),
+                 rhs=np.linspace(-1, 1, m))
+    assert np.array_equal(thomas_solve(*sys), sys.rhs)
 
 
 S, R = SCALAR_BASE, REDUCTION_BASE
@@ -127,7 +142,7 @@ def diagonally_dominant(m, seed):
     sub = rng.uniform(-1.0, 0.0, m)
     sup = rng.uniform(-1.0, 0.0, m)
     diag = 2.0 + rng.uniform(0.0, 1.0, m)
-    return TridiagonalSystem(sub, diag, sup, rng.normal(size=m))
+    return System(sub, diag, sup, rng.normal(size=m))
 
 
 # around both bases, odd and even level lengths; 2^k - 1 rows (every
@@ -142,11 +157,11 @@ def test_thomas_matches_dense_oracle(m, monkeypatch):
     sup[-1] = 0.0
     diag = np.abs(sub) + np.abs(sup) + rng.uniform(0.5, 2.0, m)
     rhs = rng.normal(size=m)
-    sys = TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs)
+    sys = System(sub=sub, diag=diag, sup=sup, rhs=rhs)
     # above about 1100 rows a dense matrix takes ten megabytes and more
     y_dense = np.linalg.solve(dense_matrix(sys), rhs) if m <= 1100 else None
     for base in tails(monkeypatch):
-        y = thomas_solve(sys)
+        y = thomas_solve(*sys)
         if y_dense is None:
             assert residual_norm(sys, y) <= 1e-12 * max(1.0, np.max(np.abs(rhs))), base
         else:
@@ -155,11 +170,11 @@ def test_thomas_matches_dense_oracle(m, monkeypatch):
 
 
 def test_thomas_zero_pivot_detected(monkeypatch):
-    sys = TridiagonalSystem(sub=np.array([0.0, -1.0]), diag=np.array([1.0, 0.0]),
-                            sup=np.array([0.0, 0.0]), rhs=np.ones(2))
+    sys = System(sub=np.array([0.0, -1.0]), diag=np.array([1.0, 0.0]),
+                 sup=np.array([0.0, 0.0]), rhs=np.ones(2))
     for _ in tails(monkeypatch):
         with pytest.raises(ZeroPivotError, match="row 1$"):
-            thomas_solve(sys)
+            thomas_solve(*sys)
 
 
 def test_zero_pivot_inside_reduced_level(monkeypatch):
@@ -170,9 +185,9 @@ def test_zero_pivot_inside_reduced_level(monkeypatch):
         sub = np.zeros(m)
         sup = np.zeros(m)
         sub[2] = sup[1] = 1.0
-        sys = TridiagonalSystem(sub=sub, diag=np.ones(m), sup=sup, rhs=np.ones(m))
+        sys = System(sub=sub, diag=np.ones(m), sup=sup, rhs=np.ones(m))
         with pytest.raises(ZeroPivotError, match="row 2"):
-            thomas_solve(sys)
+            thomas_solve(*sys)
 
 
 def test_zero_pivot_in_the_dgtsv_tail_names_the_original_row():
@@ -185,9 +200,9 @@ def test_zero_pivot_in_the_dgtsv_tail_names_the_original_row():
     sub = np.zeros(m)
     sup = np.zeros(m)
     sub[3000] = sup[2999] = 1.0
-    sys = TridiagonalSystem(sub=sub, diag=np.ones(m), sup=sup, rhs=np.ones(m))
+    sys = System(sub=sub, diag=np.ones(m), sup=sup, rhs=np.ones(m))
     with pytest.raises(ZeroPivotError, match="row 3000$"):
-        thomas_solve(sys)
+        thomas_solve(*sys)
 
 
 def test_tiny_pivot_inside_reduced_level_names_original_row(monkeypatch):
@@ -199,9 +214,9 @@ def test_tiny_pivot_inside_reduced_level_names_original_row(monkeypatch):
         sup = np.zeros(m)
         diag = np.ones(m)
         sub[2], sup[1], diag[2] = 1.0, 1e-305, 2e-305
-        sys = TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=np.ones(m))
+        sys = System(sub=sub, diag=diag, sup=sup, rhs=np.ones(m))
         with pytest.raises(ZeroPivotError, match="row 2$"):
-            thomas_solve(sys)
+            thomas_solve(*sys)
 
 
 # 3 rows never reduce; 4 S + 1 and 4 R + 1 reduce twice on one tail or both
@@ -211,11 +226,10 @@ def test_tiny_pivot_inside_reduced_level_names_original_row(monkeypatch):
 def test_thomas_rejects_zero_and_nonfinite_pivots(m, row, bad, monkeypatch):
     diag = np.ones(m)
     diag[row] = bad
-    sys = TridiagonalSystem(sub=np.zeros(m), diag=diag, sup=np.zeros(m),
-                            rhs=np.ones(m))
+    sys = System(sub=np.zeros(m), diag=diag, sup=np.zeros(m), rhs=np.ones(m))
     for _ in tails(monkeypatch):
         with pytest.raises(ZeroPivotError, match=f"row {row}$"):
-            thomas_solve(sys)
+            thomas_solve(*sys)
 
 
 @pytest.mark.parametrize("m", [3, S + 1, R + 1])
@@ -225,7 +239,7 @@ def test_thomas_leaves_its_input_unchanged(m, monkeypatch):
     arrays = (sys.sub, sys.diag, sys.sup, sys.rhs)
     copies = [v.copy() for v in arrays]
     for _ in tails(monkeypatch):
-        thomas_solve(TridiagonalSystem(*arrays))
+        thomas_solve(*arrays)
         for v, before in zip(arrays, copies):
             assert np.array_equal(v, before)
 
@@ -239,9 +253,9 @@ def test_thomas_never_reads_the_band_ends(m, end, monkeypatch):
     sub, diag, sup, rhs = sys.sub, sys.diag, sys.sup, sys.rhs
     for _ in tails(monkeypatch):
         sub[0] = sup[-1] = 0.0
-        want = thomas_solve(TridiagonalSystem(sub, diag, sup, rhs))
+        want = thomas_solve(sub, diag, sup, rhs)
         sub[0] = sup[-1] = end
-        got = thomas_solve(TridiagonalSystem(sub, diag, sup, rhs))
+        got = thomas_solve(sub, diag, sup, rhs)
         assert got.tobytes() == want.tobytes()
 
 
@@ -249,10 +263,10 @@ def test_thomas_never_reads_the_band_ends(m, end, monkeypatch):
                                        ("rhs", None), ("rhs", np.ones((5, 1)))],
                          ids=["long-rhs", "short-sub", "no-rhs", "2d-rhs"])
 def test_thomas_rejects_bands_not_of_one_length(band, bad, monkeypatch):
-    sys = replace(diagonally_dominant(5, 5), **{band: bad})
+    sys = diagonally_dominant(5, 5)._replace(**{band: bad})
     for _ in tails(monkeypatch):
         with pytest.raises(ValueError, match="the four bands are not of one length"):
-            thomas_solve(sys)
+            thomas_solve(*sys)
 
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-6])
@@ -283,12 +297,12 @@ def test_threads_solving_at_once_get_their_own_answers():
     # dgtsv runs without the GIL, so solves of different sizes overlap (more
     # threads than cores); each must read its own sizes and write its own bands
     systems = [diagonally_dominant(m, m) for m in (700, 1500, 3000, R - 1)]
-    want = [{thomas_solve(system).tobytes()} for system in systems]
+    want = [{thomas_solve(*system).tobytes()} for system in systems]
     got = [set() for _ in systems]
 
     def solve_many(k):
         for _ in range(1000):
-            got[k].add(thomas_solve(systems[k]).tobytes())
+            got[k].add(thomas_solve(*systems[k]).tobytes())
 
     threads = [threading.Thread(target=solve_many, args=(k,)) for k in range(len(systems))]
     interval = sys.getswitchinterval()
@@ -305,22 +319,31 @@ def test_threads_solving_at_once_get_their_own_answers():
 
 
 @pytest.mark.parametrize("unit", [True, False])
-def test_cached_couplings_are_read_only_and_give_the_same_rows(unit):
+def test_cached_couplings_are_read_only_and_give_the_same_rows(unit, monkeypatch):
+    # every Newton iteration shares the couplings: the unit rows are the cached
+    # arrays themselves, so no Jacobian and no solve may write into them
     rng = np.random.default_rng(5)
     mesh = build_mesh(MeshSpec("bakhvalov", 1e-4, 257, a=2.0))
     cpl = couplings(mesh, 1e-4)
-    cached = list(vars(cpl).values())
-    assert len(cached) == 2  # scale_l and scale_r
-    assert not any(v.flags.writeable for v in cached)
-    b = rng.uniform(0.5, 2.0, mesh.n - 1)
-    weights = {} if unit else {"right": rng.uniform(0.5, 2.0, mesh.n),
-                               "left": rng.uniform(0.5, 2.0, mesh.n)}
-    # a weighted call writes over its weights, so each call gets its own copy
-    fresh = stencil(mesh, 1e-4, b, **{k: v.copy() for k, v in weights.items()})
-    rows = stencil(mesh, 1e-4, b, **weights, cpl=cpl)
-    for band in ("sub", "diag", "sup"):
-        assert getattr(rows, band).tobytes() == getattr(fresh, band).tobytes()
-    assert rows.rhs is None
+    assert len(cpl) == 2  # scale_l and scale_r
+    kept = [v.copy() for v in cpl]
+    y = rng.uniform(0.5, 2.0, mesh.n + 1)
+    if unit:
+        p = linear_problem(1e-4, rng.uniform(0.5, 2.0, mesh.n - 1), 0.0)
+    else:  # the quasilinear Jacobian weights the couplings about y
+        p = example2(1e-4)
+    jacobian = newton.semilinear_jacobian if unit else newton.diffusion_jacobian
+    fresh = jacobian(mesh, p, y)
+    rows = jacobian(mesh, p, y, cpl)
+    for got, want in zip(rows, fresh, strict=True):
+        assert got.tobytes() == want.tobytes()
+    assert not any(np.shares_memory(band, v) for band in fresh for v in cpl)
+    if unit:
+        assert rows[0] is cpl[0] and rows[2] is cpl[1]
+    for _ in tails(monkeypatch):  # no level runs on the dgtsv tail, one on the other
+        newton.newton_step(mesh, p, y, cpl=cpl)
+        assert not any(v.flags.writeable for v in cpl)
+        assert all(np.array_equal(v, k) for v, k in zip(cpl, kept))
 
 
 def test_direct_solve_does_not_import_scipy():
@@ -340,7 +363,7 @@ def test_direct_solve_does_not_import_scipy():
 
 
 def _no_linear_solve(monkeypatch):
-    def fail(sys):
+    def fail(*bands):
         raise AssertionError("a linear solve ran")
 
     monkeypatch.setattr(newton, "thomas_solve", fail)
@@ -370,7 +393,7 @@ def test_m_matrix_sign_pattern_on_layer_meshes():
                  MeshSpec("bakhvalov", 1e-3, 32, a=2.0),
                  MeshSpec("vulanovic", 1e-4, 48, a=1.0)):
         mesh = build_mesh(spec)
-        sys = stencil(mesh, spec.eps, 1.0 + mesh.interior())
+        sys = rows(mesh, spec.eps, 1.0 + mesh.interior())
         assert np.all(sys.diag > 0)
         assert np.all(sys.sub <= 0)
         assert np.all(sys.sup <= 0)
@@ -399,7 +422,7 @@ def test_discrete_maximum_principle_random_instances():
         assert np.max(np.abs(y)) <= bound + 1e-12
 
 
-def residual_norm(sys: TridiagonalSystem, y: np.ndarray) -> float:
+def residual_norm(sys: System, y: np.ndarray) -> float:
     """Oracle: max-norm of ``A y - rhs`` for an interior solution vector."""
     ay = sys.diag * y
     ay[1:] += sys.sub[1:] * y[:-1]
@@ -410,12 +433,12 @@ def residual_norm(sys: TridiagonalSystem, y: np.ndarray) -> float:
 def test_residual_norm_after_solve():
     mesh = build_mesh(MeshSpec("vulanovic", 1e-3, 64, a=2.0))
     xi = mesh.interior()
-    rows = stencil(mesh, 1e-3, 1.0 + xi * xi)
+    sys = rows(mesh, 1e-3, 1.0 + xi * xi)
     rhs = np.exp(xi)  # with the Dirichlet data folded in by hand
-    rhs[0] -= rows.sub[0] * 0.3
-    rhs[-1] -= rows.sup[-1] * -0.1
+    rhs[0] -= sys.sub[0] * 0.3
+    rhs[-1] -= sys.sup[-1] * -0.1
     y = solve(mesh, linear_problem(1e-3, lambda x: 1.0 + x * x, np.exp, 0.3, -0.1)).y
-    sys = replace(rows, rhs=rhs)
+    sys = sys._replace(rhs=rhs)
     assert residual_norm(sys, y[1:-1]) <= 1e-10 * max(1.0, np.max(np.abs(sys.rhs)))
 
 

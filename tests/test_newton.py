@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from spgrid import newton
-from spgrid.linsolve import couplings, stencil
 from spgrid.mesh import MeshSpec, build_mesh
 from spgrid.newton import (NoConvergenceError, NonpositiveJacobianError,
-                           SingularDiffusionError, _midpoint_diffusion,
+                           SingularDiffusionError, _midpoint_diffusion, couplings,
                            diffusion_jacobian, diffusion_residual,
                            newton_step, reduced_initial, residual_for,
                            semilinear_jacobian, solve)
@@ -221,8 +220,7 @@ def test_shared_midpoint_diffusion_changes_no_bit(constant):
         midpoint = _midpoint_diffusion(p.d, p.d_u, y)
         shared = diffusion_jacobian(mesh, p, y, cpl, midpoint=midpoint)
         alone = diffusion_jacobian(mesh, p, y, cpl)
-        for band in ("sub", "diag", "sup"):
-            assert same(getattr(shared, band), getattr(alone, band))
+        assert all(same(a, b) for a, b in zip(shared, alone, strict=True))
         assert same(midpoint[0], kept[0])
 
 
@@ -275,10 +273,9 @@ def test_constant_diffusion_reduces_to_linear_scheme():
     rng = np.random.default_rng(3)
     y = rng.normal(size=25)
     jac = diffusion_jacobian(mesh, p, y)
-    ref = stencil(mesh, eps, np.ones(23))
-    assert np.allclose(jac.diag, ref.diag, rtol=1e-15, atol=0)
-    assert np.allclose(jac.sub, ref.sub, rtol=1e-15, atol=0)
-    assert np.allclose(jac.sup, ref.sup, rtol=1e-15, atol=0)
+    ref = semilinear_jacobian(mesh, linear_problem(eps, np.ones(23), 0.0), y)
+    for band, want in zip(jac, ref, strict=True):  # sub, diag, sup
+        assert np.allclose(band, want, rtol=1e-15, atol=0)
     # and the converged solution equals the one of the linear problem
     out = _solve_from(mesh, p, np.zeros(25))
     lin = solve(mesh, linear_problem(eps, ones, gsrc, 0.3, -0.2)).y
@@ -321,7 +318,7 @@ def _column_loop_fd_gap(mesh, p, y):
     """Reference for jacobian_fd_gap: one residual pair per column."""
     jacobian = (diffusion_jacobian if isinstance(p, QuasilinearDiffusionProblem)
                 else semilinear_jacobian)
-    jac = jacobian(mesh, p, y)
+    sub, diag, sup = jacobian(mesh, p, y)
     m = mesh.n - 1
     gap = 0.0
     for j in range(m):
@@ -331,11 +328,11 @@ def _column_loop_fd_gap(mesh, p, y):
         ym = y.copy()
         ym[j + 1] -= step
         col = (residual_for(mesh, p, yp) - residual_for(mesh, p, ym)) / (2.0 * step)
-        entries = [(j, jac.diag[j])]
+        entries = [(j, diag[j])]
         if j > 0:
-            entries.append((j - 1, jac.sup[j - 1]))
+            entries.append((j - 1, sup[j - 1]))
         if j < m - 1:
-            entries.append((j + 1, jac.sub[j + 1]))
+            entries.append((j + 1, sub[j + 1]))
         for i, a in entries:
             gap = max(gap, abs(a - col[i]) / max(1.0, abs(a), abs(col[i])))
     return gap
