@@ -224,6 +224,11 @@ def build_mesh(spec: MeshSpec) -> Mesh:
                  else 1.0 - left[n - m::-1])
         nodes, degenerate = np.concatenate((left, right)), False
     nodes[0], nodes[-1] = 0.0, 1.0
+    return _on_nodes(nodes, degenerate)
+
+
+def _on_nodes(nodes: np.ndarray, degenerate: bool) -> Mesh:
+    """The read-only :class:`Mesh` on ``nodes``, which it takes over."""
     steps = nodes[1:] - nodes[:-1]
     if np.any(steps <= 0.0):
         raise NoRootError("layer step below the double spacing near x = 1: "
@@ -233,6 +238,46 @@ def build_mesh(spec: MeshSpec) -> Mesh:
         arr.flags.writeable = False
     return Mesh(nodes=nodes, steps=steps, half_steps=half_steps,
                 degenerate=degenerate)
+
+
+def coarsen(mesh: Mesh, k: int) -> Mesh:
+    """The mesh on every k-th node ``x_0, x_k, x_2k, ...``, plus ``x_n`` when
+    k does not divide n."""
+    return _on_nodes(mesh.nodes[np.append(np.arange(0, mesh.n, k), mesh.n)],
+                     mesh.degenerate)
+
+
+def interpolant_slopes(coarse: Mesh, values: np.ndarray,
+                       fine: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """Interpolant values at fine nodes plus exact per-interval slopes: the
+    one coarse-to-fine transfer, of the two-grid steps and the nested start.
+
+    ``w`` is ``np.interp(fine.nodes, coarse.nodes, values)`` bit for bit,
+    built in O(n + N log n) by repeating each coarse cell's slope, node and
+    value over its run of fine nodes; a fine node on a coarse node takes
+    the nodal value (so -0.0 stays -0.0).  A fine interval gets the slope of
+    the coarse cell holding its left end verbatim; one straddling a coarse
+    node takes the chord of ``w``.  The slopes come with the run-length
+    expansion for free and spare the fine step's first residual a slope
+    pass; slopes taken from ``w`` give the same fine solution to rounding.
+    Non-finite values flow on (not in np.interp's bits).
+    """
+    values = np.asarray(values, dtype=float)
+    if len(values) != coarse.n + 1:
+        raise ValueError("values length does not match mesh")
+    X, x = coarse.nodes, fine.nodes
+    # cell j holds fine nodes k[j] .. k[j+1] - 1; a last run holds x_n alone
+    k = np.searchsorted(x, X)
+    run = np.concatenate((k[1:], [len(x)])) - k
+    s = np.repeat(np.concatenate(((values[1:] - values[:-1]) / coarse.steps, [0.0])),
+                  run)
+    w = (x - np.repeat(X, run)) * s + np.repeat(values, run)
+    on = x[k] == X
+    w[k[on]] = values[on]
+    # chords: the intervals with an interior coarse node strictly inside
+    c = k[1:-1][~on[1:-1]] - 1
+    s[c] = (w[c + 1] - w[c]) / fine.steps[c]
+    return w, s[:-1]
 
 
 def layer_fraction(mesh: Mesh, eps: float) -> float:

@@ -5,9 +5,9 @@ a coarse mesh with N intervals, then perform a single Newton correction on
 the fine mesh (n = N^r intervals, r > 1) about the coarse solution's
 interpolant.  Repeating the fine step, each level on round(n^r) intervals
 (r = 2: n = N^(2^m)), cascades the accuracy while only ever solving linear
-systems after the coarse stage.  The one transfer, :func:`interpolant_slopes`,
-is ``np.interp``'s interpolant at the fine nodes bit for bit, built by
-run-length expansion over coarse cells; no other interpolation function exists.
+systems after the coarse stage.  The transfer is
+:func:`spgrid.mesh.interpolant_slopes`, the one interpolation function, which
+the direct solve's nested start shares; it is imported here by name.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .mesh import MAX_INTERVALS, Mesh, MeshSpec, build_mesh
+from .mesh import MAX_INTERVALS, Mesh, MeshSpec, build_mesh, interpolant_slopes
 from .newton import SolveOutcome, _iterate, solve as newton_solve
 
 
@@ -73,38 +73,6 @@ class TwoGridResult:
     fine_meshes: list
     fine: list
     step_seconds: list
-
-
-def interpolant_slopes(coarse: Mesh, values: np.ndarray,
-                       fine: Mesh) -> tuple[np.ndarray, np.ndarray]:
-    """Interpolant values at fine nodes plus exact per-interval slopes.
-
-    ``w`` is ``np.interp(fine.nodes, coarse.nodes, values)`` bit for bit,
-    built in O(n + N log n) by repeating each coarse cell's slope, node and
-    value over its run of fine nodes; a fine node on a coarse node takes
-    the nodal value (so -0.0 stays -0.0).  A fine interval gets the slope of
-    the coarse cell holding its left end verbatim; one straddling a coarse
-    node takes the chord of ``w``.  The slopes come with the run-length
-    expansion for free and spare the fine step's first residual a slope
-    pass; slopes taken from ``w`` give the same fine solution to rounding.
-    Non-finite values flow on (not in np.interp's bits).
-    """
-    values = np.asarray(values, dtype=float)
-    if len(values) != coarse.n + 1:
-        raise ValueError("values length does not match mesh")
-    X, x = coarse.nodes, fine.nodes
-    # cell j holds fine nodes k[j] .. k[j+1] - 1; a last run holds x_n alone
-    k = np.searchsorted(x, X)
-    run = np.concatenate((k[1:], [len(x)])) - k
-    s = np.repeat(np.concatenate(((values[1:] - values[:-1]) / coarse.steps, [0.0])),
-                  run)
-    w = (x - np.repeat(X, run)) * s + np.repeat(values, run)
-    on = x[k] == X
-    w[k[on]] = values[on]
-    # chords: the intervals with an interior coarse node strictly inside
-    c = k[1:-1][~on[1:-1]] - 1
-    s[c] = (w[c + 1] - w[c]) / fine.steps[c]
-    return w, s[:-1]
 
 
 def _fine_step(problem, fine_mesh: Mesh, prev_mesh: Mesh,

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from spgrid.mesh import Mesh
-from spgrid.newton import _scheme, interior_source
+from spgrid.newton import TOL, SolveOutcome, _iterate, _scheme, interior_source, reduced_initial
 from spgrid.problems import QuasilinearDiffusionProblem, SemilinearProblem
 
 
@@ -48,6 +48,12 @@ def log_transform(p: QuasilinearDiffusionProblem) -> SemilinearProblem:
                              bc_left=math.log1p(p.bc_left),
                              bc_right=math.log1p(p.bc_right),
                              exact=exact, source=p.source)
+
+
+def reduced_start_solve(mesh: Mesh, problem) -> SolveOutcome:
+    """Newton to ``TOL`` from :func:`spgrid.newton.reduced_initial` on ``mesh``
+    itself, at any size: :func:`spgrid.newton.solve` without its nested start."""
+    return _iterate(mesh, problem, reduced_initial(mesh, problem), [], None, None, TOL)
 
 
 def jacobian_fd_gap(mesh: Mesh, problem, y: np.ndarray) -> float:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spgrid.mesh import (MAX_INTERVALS, DegenerateMeshError, MeshSpec,
-                         NoRootError, bakhvalov_alpha, build_mesh, layer_fraction,
+                         NoRootError, bakhvalov_alpha, build_mesh, coarsen, layer_fraction,
                          shishkin_alpha, vulanovic_alpha)
 
 EPS8 = 2.0 ** -8
@@ -283,3 +283,19 @@ def test_collapsed_right_layer_is_reported_as_such():
     spec = MeshSpec("bakhvalov", 1e-12, 2712, a=0.109375, q=0.375)
     with pytest.raises(NoRootError, match="double spacing near x = 1"):
         build_mesh(spec)
+
+
+@pytest.mark.parametrize("spec", [MeshSpec("bakhvalov", 1e-2, 64, a=4.0),
+                                  MeshSpec("shishkin", 1e-4, 67),
+                                  MeshSpec("vulanovic", 1e-2, 65, layer_sides="left"),
+                                  MeshSpec("bakhvalov", 0.5, 40, a=4.0)])  # degenerate
+def test_coarsen_keeps_every_kth_node_and_the_last(spec):
+    fine = build_mesh(spec)
+    coarse = coarsen(fine, 16)
+    assert np.array_equal(coarse.nodes, fine.nodes[list(range(0, spec.n, 16)) + [spec.n]])
+    assert coarse.n == math.ceil(spec.n / 16)
+    assert np.array_equal(coarse.steps, np.diff(coarse.nodes))
+    assert np.array_equal(coarse.half_steps, 0.5 * (coarse.steps[:-1] + coarse.steps[1:]))
+    assert coarse.degenerate == fine.degenerate
+    for arr in (coarse.nodes, coarse.steps, coarse.half_steps):
+        assert not arr.flags.writeable

@@ -12,7 +12,7 @@ from spgrid.newton import (NoConvergenceError, NonpositiveJacobianError,
                            semilinear_jacobian, solve)
 from spgrid.problems import (QuasilinearDiffusionProblem, SemilinearProblem,
                              example1, example2, make_problem)
-from oracles import jacobian_fd_gap, log_transform
+from oracles import jacobian_fd_gap, log_transform, reduced_start_solve
 from test_linsolve import linear_problem, ones
 
 
@@ -518,3 +518,69 @@ def test_residuals_run_once_per_iteration_and_once_per_fine_step(monkeypatch, na
     calls.clear()
     result = algorithm1(p, TwoGridPlan(coarse=MeshSpec("vulanovic", 1e-2, 16, a=2.0)))
     assert calls.count(result.fine_meshes[0].n) == 1
+
+
+def _recorded_starts(monkeypatch):
+    """The meshes that ``reduced_initial`` runs on, from now on."""
+    meshes = []
+
+    def recorded(mesh, *args, real=newton.reduced_initial):
+        meshes.append(mesh)
+        return real(mesh, *args)
+
+    monkeypatch.setattr(newton, "reduced_initial", recorded)
+    return meshes
+
+
+def _check_nested_start(monkeypatch, name, spec, base_n):
+    # the nested start converges to the reduced start's solution, in at most
+    # three sweeps on the fine mesh, and only the base mesh takes the reduced root
+    p = make_problem(name, spec.eps)
+    mesh = build_mesh(spec)
+    ref = reduced_start_solve(mesh, p)
+    starts = _recorded_starts(monkeypatch)
+    out = solve(mesh, p)
+    assert np.max(np.abs(out.y - ref.y)) <= 1e-15 * max(1.0, np.max(np.abs(ref.y)))
+    assert out.iterations <= 3 < ref.iterations
+    assert [m.n for m in starts] == [base_n]
+    assert out.y[0] == p.bc_left and out.y[-1] == p.bc_right
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2"])
+@pytest.mark.parametrize("family", ["shishkin", "bakhvalov", "vulanovic"])
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
+def test_nested_start_matches_the_reduced_start_on_the_benchmark_grid(
+        monkeypatch, name, family, eps):
+    spec = MeshSpec(family, eps, 2 ** 14, a=_grading(name, family))
+    _check_nested_start(monkeypatch, name, spec, 2 ** 10)
+
+
+@pytest.mark.parametrize("name,spec,base_n", [
+    # 16 divides neither n nor 4097: x_n closes both coarse meshes
+    ("ex1", MeshSpec("bakhvalov", 1e-4, 65537, a=4.0), 257),
+    ("ex2", MeshSpec("shishkin", 1e-6, 5000, a=2.0), 313),
+    ("ex2", MeshSpec("vulanovic", 1e-4, 2 ** 14, a=2.0, layer_sides="left"), 2 ** 10),
+    ("ex1", MeshSpec("vulanovic", 1e-2, 65537, a=1.0, layer_sides="left"), 257),
+])
+def test_nested_start_matches_on_odd_sizes_and_one_sided_meshes(monkeypatch, name,
+                                                                spec, base_n):
+    _check_nested_start(monkeypatch, name, spec, base_n)
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2"])
+@pytest.mark.parametrize("family", ["shishkin", "vulanovic"])
+def test_solve_at_the_nested_base_keeps_the_reduced_start(monkeypatch, name, family):
+    p = make_problem(name, 1e-4)
+    mesh = build_mesh(MeshSpec(family, 1e-4, newton.NESTED_BASE, a=_grading(name, family)))
+    ref = reduced_start_solve(mesh, p)
+    starts = _recorded_starts(monkeypatch)
+
+    def no_transfer(*args):
+        raise AssertionError("a transfer at n <= NESTED_BASE")
+
+    monkeypatch.setattr(newton, "coarsen", no_transfer)
+    monkeypatch.setattr(newton, "interpolant_slopes", no_transfer)
+    out = solve(mesh, p)
+    assert len(starts) == 1 and starts[0] is mesh
+    assert np.array_equal(out.y, ref.y)
+    assert out.update_history == ref.update_history

@@ -18,3 +18,9 @@ def test_linsolve_imports_no_spgrid_module():
             assert node.level == 0 and node.module.split(".")[0] != "spgrid"
         elif isinstance(node, ast.Import):
             assert all(alias.name.split(".")[0] != "spgrid" for alias in node.names)
+
+
+def test_one_transfer_function_in_one_home():
+    # the two-grid fine steps and the direct solve's nested start share it
+    assert (spgrid.twogrid.interpolant_slopes is spgrid.mesh.interpolant_slopes
+            is spgrid.newton.interpolant_slopes is spgrid.interpolant_slopes)

@@ -14,7 +14,7 @@ import pytest
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
-@pytest.mark.parametrize("tool", ["ab_paired", "bitwise_digest", "stage_peaks"])
+@pytest.mark.parametrize("tool", ["ab_paired", "bench_layers", "bitwise_digest", "stage_peaks"])
 def test_tool_runs_as_a_script(tool):
     done = subprocess.run([sys.executable, str(TOOLS / f"{tool}.py"), "--help"],
                           capture_output=True, text=True, timeout=60)
