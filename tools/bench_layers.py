@@ -192,8 +192,10 @@ def measure(sp, sizes, repeat: int) -> dict:
                           "end_to_end_s": {k: min(samples[k]) for k in RUNS},
                           "samples_s": samples})
             calibration.append(calibrate())
-    table = [table_sweep(sp, reference) for _ in range(repeat)]
-    calibration.append(calibrate())
+    table = []
+    for _ in range(repeat):  # a sample after each sweep, which takes 0.1-0.2 s
+        table.append(table_sweep(sp, reference))
+        calibration.append(calibrate())
     return {"cases": cases, "table_s": min(table), "table_samples_s": table,
             "calibration_s": calibration}
 
