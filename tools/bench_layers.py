@@ -172,6 +172,7 @@ def provenance(sp, src: Path) -> dict:
 
 def measure(sp, sizes, repeat: int) -> dict:
     reference = wl.load_reference()
+    calibrate()  # the first call runs cold
     calibration = [calibrate() for _ in range(3)]
     cases = []
     for problem_name, family, a, sides in CASES:
