@@ -94,6 +94,7 @@ class ConvergenceRow:
     order: float | None = None
     iterations: int | None = None
     final_update: float | None = None  # in the JSON rows; no CSV column
+    degenerate: bool | None = None  # the coarse mesh fell back to uniform; JSON only
     seconds: float | None = None
     failed: str | None = None
 
@@ -260,7 +261,7 @@ def _run_cell(cfg: ReportConfig, plan: TwoGridPlan) -> list:
     return [ConvergenceRow(**base, n=mesh.n, step=step,
                            error=_error_of(cfg, mesh, out.y, problem.exact),
                            iterations=out.iterations, final_update=out.final_update,
-                           seconds=seconds)
+                           degenerate=result.coarse_mesh.degenerate, seconds=seconds)
             for step, (mesh, out, seconds) in enumerate(steps, start=1)]
 
 

@@ -141,10 +141,13 @@ def _cmd_table(args) -> Iterator[int | None]:
     yield
     report = run_report(cfg)
     print(report.render(), end="")
-    for row in report.rows:  # the CSV has no column for the reason
+    for row in report.rows:  # the CSV has no column for either
         if row.failed is not None:
             print(f"error: {row.mesh} eps={row.eps:g} N={row.N}: {row.failed}",
                   file=sys.stderr)
+        elif row.degenerate and row.step == 1:
+            print(f"warning: {row.mesh} eps={row.eps:g} N={row.N}: "
+                  "the mesh fell back to uniform", file=sys.stderr)
     yield EXIT_NO_CONVERGENCE if report.failed_cells() else EXIT_OK
 
 

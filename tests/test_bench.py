@@ -140,6 +140,7 @@ def test_run_report_captures_cell_failures():
     assert failed[0].failed.startswith("NoRootError: layer step below")
     assert [r.N for r in ok] == [8]
     assert ok[0].error == pytest.approx(0.0925, abs=5e-5)
+    assert ok[0].degenerate is False and failed[0].degenerate is None
     assert report.failed_cells() == 1
 
 

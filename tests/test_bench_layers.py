@@ -1,41 +1,89 @@
-"""tools/bench_layers.py: the BENCH record's schema, at its smallest size."""
+"""tools/bench_layers.py: the BENCH record at its smallest size, one side or
+two, and the paired sweep's answer check and solution gaps."""
 
-import importlib.util
 import json
+import random
+import re
 import sys
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_layers.py"
+import numpy as np
+import pytest
+
+import bench_layers as tool
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
-def _tool():
-    spec = importlib.util.spec_from_file_location("bench_layers", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def _run(tmp_path, *argv) -> dict:
+    argv = ["--label", "t", "--out", str(tmp_path), "--sizes", "4096", "--repeat", "1", *argv]
+    assert tool.main(argv) == 0
+    return json.loads((tmp_path / "BENCH_t.json").read_text())
 
 
-def test_writer_records_every_layer_run_and_provenance_field(tmp_path, monkeypatch, capsys):
-    tool = _tool()
-    monkeypatch.setattr(sys, "path", list(sys.path))  # main() prepends --src
-    assert tool.main(["--label", "t", "--out", str(tmp_path), "--sizes", "4096",
-                      "--repeat", "1"]) == 0
-    record = json.loads((tmp_path / "BENCH_t.json").read_text())
+def test_writer_records_every_layer_run_and_provenance_field(tmp_path, capsys):
+    record = _run(tmp_path)
     assert record["label"] == "t" and record["repeat"] == 1
-    assert set(record["provenance"]) == {"cores", "python", "numpy", "glibc", "dgtsv",
-                                         "git_sha", "git_dirty"}
+    assert list(record["provenance"]) == ["change"]
+    assert set(record["provenance"]["change"]) == {"cores", "python", "numpy", "glibc",
+                                                   "dgtsv", "git_sha", "git_dirty"}
     assert record["calibration_s"] and all(c > 0 for c in record["calibration_s"])
     assert record["calibration_ref_s"] > 0
-    assert record["table_s"] == min(record["table_samples_s"]) > 0
     cases = record["cases"]
     assert [(c["problem"], c["family"], c["layer_sides"], c["n"]) for c in cases] == [
         ("ex1", "bakhvalov", "both", 4096), ("ex2", "vulanovic", "left", 4096)]
     for case in cases:
-        assert set(case["layers_s"]) == set(tool.LAYERS)
-        assert set(case["end_to_end_s"]) == set(tool.RUNS)
-        for name, best in {**case["layers_s"], **case["end_to_end_s"]}.items():
-            assert best == min(case["samples_s"][name]) > 0, name
+        assert "ratio" not in case
+        side = case["change"]
+        assert set(side["layers_s"]) == set(tool.LAYERS)
+        assert set(side["end_to_end_s"]) == set(tool.RUNS)
+        for name, best in {**side["layers_s"], **side["end_to_end_s"]}.items():
+            assert best == min(side["samples_s"][name]) > 0, name
         # one call each of mesh, start and interpolation; a call per sweep of the rest
-        assert len(case["samples_s"]["start"]) == 1
-        assert len(case["samples_s"]["solve"]) == case["iterations"] >= 1
-    assert capsys.readouterr().out.count("\n") == 3
+        assert len(side["samples_s"]["start"]) == 1
+        assert len(side["samples_s"]["solve"]) == side["iterations"] >= 1
+    assert list(record["workloads"]) == ["direct", "twogrid", "table"]
+    for name, workload in record["workloads"].items():
+        assert workload["ops"] == len(workload["change"]["samples_s"]) == len(tool.wl.cells(name))
+        assert 0 < workload["change"]["p50_s"] <= workload["change"]["p90_s"]
+        assert "ratio_p50" not in workload and "gap_converged" not in workload
+    assert capsys.readouterr().out.count("\n") == 2 + 3 + 1  # cases, workloads, path
+
+
+def test_paired_run_of_this_checkout_has_both_sides_and_no_solution_gap(tmp_path):
+    record = _run(tmp_path, "--parent", str(ROOT))
+    parent, change = sys.modules["spgrid_parent"], sys.modules["spgrid_change"]
+    assert parent.newton is not change.newton  # two packages, side by side
+    assert parent.cli.__name__ == "spgrid_parent.cli"
+    assert record["provenance"]["parent"] == record["provenance"]["change"]
+    for case in record["cases"]:
+        assert case["parent"]["iterations"] == case["change"]["iterations"]
+        assert set(case["ratio"]) == set(tool.LAYERS + tool.RUNS)
+    workloads = record["workloads"]
+    for workload in workloads.values():
+        assert len(workload["parent"]["samples_s"]) == len(workload["change"]["samples_s"])
+        assert 0 < workload["ratio_p25"] <= workload["ratio_p50"] <= workload["ratio_p75"]
+    # the same code on both sides; a direct op has no fine level, a table op no solution
+    gaps = {name: (w["gap_converged"], w["gap_one_step"]) for name, w in workloads.items()}
+    assert gaps == {"direct": (0.0, None), "twogrid": (0.0, 0.0), "table": (None, None)}
+
+
+def test_a_wrong_answer_stops_the_sweep(monkeypatch):
+    sides = {"change": tool.load_spgrid(ROOT / "src", "spgrid_change")}
+    narrow = tool.wl.cells("direct")[:2]
+    monkeypatch.setattr(tool.wl, "cells", lambda workload: narrow)
+    reference = tool.wl.load_reference()
+    key = narrow[1].row_key(narrow[1].eps[0], narrow[1].size, 1)
+    reference[key] = [reference[key][0], 2.0 * reference[key][1]]
+    monkeypatch.setattr(tool.wl, "load_reference", lambda: reference)
+    with pytest.raises(tool.wl.AnswerError, match=re.escape(key)):
+        tool.sweep(sides, "direct", 1, random.Random(1), [])
+
+
+def test_level_gaps_are_relative_to_the_parents_scale():
+    parent = [np.array([0.0, 0.5, 0.0]), np.array([4.0, -8.0])]
+    change = [np.array([0.0, 0.5 + 2.0 ** -20, 0.0]),
+              np.array([4.0, -8.0 - 2.0 ** -20])]
+    assert tool.level_gaps(parent, change) == [2.0 ** -20, 2.0 ** -23]
+    with pytest.raises(ValueError):  # a level missing on one side
+        tool.level_gaps(parent, change[:1])

@@ -1,32 +1,20 @@
 """Smoke test of tools/bitwise_digest.py on its smallest cases."""
 
-import importlib.util
 import re
-import sys
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 
-import spgrid
+import bitwise_digest as tool
+import spgrid.cli  # the tracer rebinds there too
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "bitwise_digest.py"
 LINE = re.compile(r"^ex1 bakhvalov 0\.01 algorithm2 8 levels=2"
                   r"( (mesh|newton|interp|out)=[0-9a-f]{16}){4}$")
 
 
-def _tool():
-    spec = importlib.util.spec_from_file_location("bitwise_digest", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_one_case_prints_one_line_per_case_and_is_reproducible(monkeypatch, capsys):
-    tool = _tool()
     case = ("ex1", "bakhvalov", 0.01, "algorithm2", 8, 2)
     monkeypatch.setattr(tool, "cases", lambda: iter([case]))
-    monkeypatch.setattr(sys, "path", list(sys.path))  # main() prepends --src
     assert tool.main([]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1 and LINE.match(lines[0]), lines
@@ -39,7 +27,6 @@ def test_one_case_prints_one_line_per_case_and_is_reproducible(monkeypatch, caps
 
 
 def test_tg1_ropt_case_refines_to_the_size_of_choose_r(monkeypatch):
-    tool = _tool()
     sizes = []
     real_add_mesh = tool._Recorder.add_mesh
 
@@ -57,7 +44,6 @@ def test_tg1_ropt_case_refines_to_the_size_of_choose_r(monkeypatch):
 def test_newton_digest_covers_every_cascade_level(monkeypatch):
     # count the newton_step wrapper's calls per mesh size by the input
     # records it feeds the recorder: (iterate, slopes or None)
-    tool = _tool()
     steps = Counter()
     real_add = tool._Recorder.add
 

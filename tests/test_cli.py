@@ -306,6 +306,20 @@ def test_nonconvergence_exit_code(capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("eps,degenerate", [("0.1", True), ("0.01", False)])
+def test_table_marks_cells_whose_mesh_fell_back_to_uniform(capsys, eps, degenerate):
+    # a*eps = 0.4 reaches q = 0.4 at eps = 0.1: both graded meshes are uniform
+    code, out, err = run_cli(capsys, "table", "--problem", "ex1",
+                             "--mesh", "bakhvalov,vulanovic", "--a", "4", "--eps", eps,
+                             "--coarse", "8,16", "--algorithm", "tg1", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 8 and all(row["degenerate"] is degenerate for row in rows)
+    want = [f"warning: {family} eps={eps} N={N}: the mesh fell back to uniform"
+            for family in ("bakhvalov", "vulanovic") for N in (8, 16)]
+    assert err.splitlines() == (want if degenerate else [])
+
+
 def test_table_csv(capsys):
     code, out, err = run_cli(capsys, "table", "--problem", "ex1",
                              "--mesh", "vulanovic", "--eps", "0.01,0.0001",

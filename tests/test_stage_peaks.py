@@ -1,21 +1,9 @@
 """tools/stage_peaks.py: the two-grid fine step's peak working set."""
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
 
-import spgrid
-
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "stage_peaks.py"
-
-
-def _tool():
-    spec = importlib.util.spec_from_file_location("stage_peaks", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+import spgrid.cli  # the tracer rebinds there too
+import stage_peaks as tool
 
 
 # In arrays of n float64 at n = 2^14 (eps = 1e-4).  The fine step's working
@@ -34,7 +22,6 @@ UNWRAPPED_CEILING = {"ex1": 12.5, "ex2": 13.5}
 @pytest.mark.parametrize("problem,family,ceiling", [("ex1", "bakhvalov", 13.5),
                                                     ("ex2", "vulanovic", 13.5)])
 def test_fine_step_peak_stays_at_its_level(problem, family, ceiling):
-    tool = _tool()
     bindings = {m: dict(vars(getattr(spgrid, m))) for m in tool.MODULES}
     peaks = tool.stage_peaks(spgrid, problem, family, 1e-4, 128)
     for m, before in bindings.items():  # every rebinding is undone
@@ -53,7 +40,7 @@ def test_fine_step_peak_stays_at_its_level(problem, family, ceiling):
 # 12.05 (ex1) and 13.04 (ex2) arrays, under the same ceilings as at 2^14.
 @pytest.mark.parametrize("problem,family", [("ex1", "bakhvalov"), ("ex2", "vulanovic")])
 def test_odd_fine_size_peaks_at_the_same_level(problem, family):
-    peaks = _tool().stage_peaks(spgrid, problem, family, 1e-4, 181)
+    peaks = tool.stage_peaks(spgrid, problem, family, 1e-4, 181)
     assert peaks["unwrapped"]["algorithm1"] <= UNWRAPPED_CEILING[problem], peaks
 
 
@@ -62,7 +49,7 @@ def test_odd_fine_size_peaks_at_the_same_level(problem, family):
 # their off-diagonals, so a second n-sized copy of each band, or a cached
 # sum of the two, lifts it past 10.5.
 def test_direct_solve_peak_holds_one_copy_of_the_bands():
-    peaks = _tool().stage_peaks(spgrid, "ex1", "bakhvalov", 1e-4, 128)
+    peaks = tool.stage_peaks(spgrid, "ex1", "bakhvalov", 1e-4, 128)
     direct = peaks["solve"]["newton.solve"]
     assert direct[2] <= 10.5, direct
 
@@ -70,14 +57,12 @@ def test_direct_solve_peak_holds_one_copy_of_the_bands():
 # The direct ex2 solve peaks at 12.05 arrays, in its tridiagonal solve too:
 # its weighted Jacobian's three bands are its own, beside the cached couplings.
 def test_quasilinear_direct_solve_peak_stays_at_its_level():
-    peaks = _tool().stage_peaks(spgrid, "ex2", "vulanovic", 1e-4, 128)
+    peaks = tool.stage_peaks(spgrid, "ex2", "vulanovic", 1e-4, 128)
     direct = peaks["solve"]["newton.solve"]
     assert direct[2] <= 12.5, direct
 
 
-def test_main_prints_one_line_per_stage(monkeypatch, capsys):
-    tool = _tool()
-    monkeypatch.setattr(sys, "path", list(sys.path))  # main() prepends --src
+def test_main_prints_one_line_per_stage(capsys):
     assert tool.main(["--problem", "ex1", "--family", "shishkin", "--coarse", "16"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("ex1 shishkin eps=0.0001 N=16 n=256")

@@ -1,11 +1,16 @@
 """Per-layer and end-to-end seconds of the solver stack, written to BENCH_<label>.json.
 
-    python3 tools/bench_layers.py --label pr31
-    python3 tools/bench_layers.py --label parent --src /path/to/parent/src
+    python3 tools/bench_layers.py --label pr32
+    python3 tools/bench_layers.py --label pr32 --parent /path/to/parent/checkout
+
+This checkout's ``src/spgrid`` is the side ``change``.  ``--parent`` loads a
+second checkout's beside it, in the same interpreter, and every timed item
+then runs on both sides back to back, the side that goes first drawn from a
+seed fixed by ``--label``: drift that separates two runs cancels in the ratio.
 
 Two cases, at eps = 1e-4: ex1 on Bakhvalov (a = 4) and ex2 on one-sided
-Vulanovic (a = 2), each at n = 2^12, 2^16 and 2^20.  Per case and size the
-record holds the best of ``--repeat`` runs of
+Vulanovic (a = 2), each at n = 2^12, 2^16 and 2^20.  Per case, size and side
+the record holds the best of ``--repeat`` runs of
 
 * the layers of one direct solve, from spans that perfbench's tracer takes
   on the size-n mesh: ``mesh`` (``build_mesh``), ``start`` (the solve's time
@@ -16,11 +21,17 @@ record holds the best of ``--repeat`` runs of
 * untraced end-to-end seconds: ``direct`` (mesh and solve), ``tg1`` (from N
   = n^(1/2)) and ``tg2`` (from N = n^(1/4), two levels).
 
-It also holds the best total of a fixed ``table`` sweep (perfbench's csv
-table cells for all three eps: 216 cells, answers checked), the samples of
-perfbench's calibration kernel, taken between the cases, every raw sample
-behind a best value, and the provenance.  Only same-file ratios, or ratios
-of two files whose calibration samples agree, carry weight.
+Then every cell of perfbench's ``direct``, ``twogrid`` and ``table``
+workloads runs once per round, ``--repeat`` rounds, in a seeded order, each
+answer checked against ``perfbench/reference.json``.  Per workload and side
+the record holds the raw op seconds, with their p50 and p90.  With two sides
+it adds the ratios change/parent of every case's best values, the quartiles
+of every workload's per-op ratios, and per workload the largest gap between
+the two sides' solutions, relative to ``max(1, |y|_inf)`` of the parent's:
+over the Newton-converged levels (the direct solve, the two-grid coarse
+level) and over the one-step fine levels.  perfbench's calibration samples,
+taken between the cases and after each round, and each side's provenance
+complete it; one-sided files compare only where those samples agree.
 """
 
 from __future__ import annotations
@@ -29,6 +40,7 @@ import argparse
 import json
 import os
 import platform
+import random
 import subprocess
 import sys
 import time
@@ -37,10 +49,11 @@ from pathlib import Path
 
 import numpy as np
 
-from toolbox import ROOT, Tracer, import_spgrid, perfbench
+from toolbox import ROOT, Tracer, load_spgrid, perfbench
 
 EPS = 1e-4
-CASES = (("ex1", "bakhvalov", 4.0, "both"), ("ex2", "vulanovic", 2.0, "left"))
+CASES = ({"problem": "ex1", "family": "bakhvalov", "a": 4.0, "layer_sides": "both"},
+         {"problem": "ex2", "family": "vulanovic", "a": 2.0, "layer_sides": "left"})
 SIZES = (2 ** 12, 2 ** 16, 2 ** 20)
 LAYERS = ("mesh", "start", "residual", "jacobian", "solve", "interpolation")
 RUNS = ("direct", "tg1", "tg2")
@@ -132,19 +145,91 @@ def end_to_end(sp, problem, spec) -> dict:
     for name, run in runs.items():
         start = time.perf_counter()
         run()
-        out[name] = time.perf_counter() - start
+        out[name] = [time.perf_counter() - start]
     return out
 
 
-def table_sweep(sp, reference) -> float:
-    """Seconds of perfbench's csv table cells over all three eps, checked."""
-    ops = [op for op in wl.cells("table") if op.eps == wl.EPS and op.fmt == "csv"]
+def each_side(sides: dict, rng) -> list:
+    """``(side, package)`` of every side, in an order drawn from ``rng``."""
+    return [(side, sides[side]) for side in rng.sample(list(sides), len(sides))]
+
+
+def _inputs(sp, case: dict, n: int) -> tuple:
+    return (sp.problems.make_problem(case["problem"], EPS),
+            sp.mesh.MeshSpec(case["family"], EPS, n, a=case["a"],
+                             layer_sides=case["layer_sides"]))
+
+
+def measure_case(sides: dict, case: dict, n: int, repeat: int, rng, calibration: list) -> dict:
+    """Best and raw seconds of every layer and run of one case on every side;
+    a calibration sample after them."""
+    samples = {side: {name: [] for name in LAYERS + RUNS} for side in sides}
+    for _ in range(repeat):
+        for run in (traced_layers, end_to_end):
+            for side, sp in each_side(sides, rng):
+                for name, seconds in run(sp, *_inputs(sp, case, n)).items():
+                    samples[side][name].extend(seconds)
+    out = {**case, "eps": EPS, "n": n}
+    for side, sp in sides.items():
+        prob, spec = _inputs(sp, case, n)
+        out[side] = {"iterations": sp.newton.solve(sp.mesh.build_mesh(spec), prob).iterations,
+                     "layers_s": {k: min(samples[side][k]) for k in LAYERS},
+                     "end_to_end_s": {k: min(samples[side][k]) for k in RUNS},
+                     "samples_s": samples[side]}
+    if len(sides) == 2:
+        parent, change = ({**out[s]["layers_s"], **out[s]["end_to_end_s"]}
+                          for s in ("parent", "change"))
+        out["ratio"] = {k: change[k] / parent[k] for k in LAYERS + RUNS}
+    calibration.append(calibrate())
+    return out
+
+
+def timed_op(sp, op, reference) -> tuple:
+    """Seconds of one ``workloads.run`` and its solutions, one per level (none
+    for a table op); the answer is checked untimed."""
     start = time.perf_counter()
-    raws = [wl.run(sp, op) for op in ops]
+    raw = wl.run(sp, op)
     seconds = time.perf_counter() - start
-    for op, raw in zip(ops, raws):
-        wl.check(op, wl.answer_rows(sp, op, raw), reference)
-    return seconds
+    wl.check(op, wl.answer_rows(sp, op, raw), reference)
+    return seconds, [] if op.workload == "table" else [out.y for out in raw[2]]
+
+
+def level_gaps(parent: list, change: list) -> list:
+    """``max|y_parent - y_change| / max(1, |y_parent|_inf)`` per level."""
+    return [float(np.max(np.abs(p - c)) / max(1.0, np.max(np.abs(p))))
+            for p, c in zip(parent, change, strict=True)]
+
+
+def sweep(sides: dict, workload: str, rounds: int, rng, calibration: list) -> dict:
+    """Every cell of ``workload`` once per round, on every side back to back."""
+    reference = wl.load_reference()
+    cells = wl.cells(workload)
+    for sp in sides.values():  # first-call costs land outside the timing
+        timed_op(sp, cells[0], reference)
+    seconds = {side: [] for side in sides}
+    gaps = {"converged": [], "one_step": []}  # level 0 is Newton-converged
+    for _ in range(rounds):
+        for op in rng.sample(cells, len(cells)):
+            ys = {}
+            for side, sp in each_side(sides, rng):
+                op_s, ys[side] = timed_op(sp, op, reference)
+                seconds[side].append(op_s)
+            if len(ys) == 2 and ys["parent"]:
+                first, *rest = level_gaps(ys["parent"], ys["change"])
+                gaps["converged"].append(first)
+                gaps["one_step"].extend(rest)
+        calibration.append(calibrate())
+    out = {"ops": len(cells) * rounds}
+    for side, values in seconds.items():
+        out[side] = {"p50_s": float(np.quantile(values, 0.5)),
+                     "p90_s": float(np.quantile(values, 0.9)), "samples_s": values}
+    if len(sides) == 2:
+        ratio = np.divide(seconds["change"], seconds["parent"])
+        out["ratio_p25"], out["ratio_p50"], out["ratio_p75"] = (
+            float(q) for q in np.quantile(ratio, [0.25, 0.5, 0.75]))
+        for kind, values in gaps.items():
+            out[f"gap_{kind}"] = max(values, default=None)
+    return out
 
 
 def provenance(sp, src: Path) -> dict:
@@ -170,44 +255,44 @@ def provenance(sp, src: Path) -> dict:
             "git_dirty": None if sha is None else bool(git("status", "--porcelain", "."))}
 
 
-def measure(sp, sizes, repeat: int) -> dict:
-    reference = wl.load_reference()
+def measure(sides: dict, sizes, repeat: int, rng) -> dict:
     calibrate()  # the first call runs cold
     calibration = [calibrate() for _ in range(3)]
-    cases = []
-    for problem_name, family, a, sides in CASES:
-        problem = sp.problems.make_problem(problem_name, EPS)
-        for n in sizes:
-            spec = sp.mesh.MeshSpec(family, EPS, n, a=a, layer_sides=sides)
-            samples = {name: [] for name in LAYERS + RUNS}
-            for _ in range(repeat):
-                for name, seconds in traced_layers(sp, problem, spec).items():
-                    samples[name].extend(seconds)
-                for name, seconds in end_to_end(sp, problem, spec).items():
-                    samples[name].append(seconds)
-            iterations = sp.newton.solve(sp.mesh.build_mesh(spec), problem).iterations
-            cases.append({"problem": problem_name, "family": family, "a": a,
-                          "layer_sides": sides, "eps": EPS, "n": n,
-                          "iterations": iterations,
-                          "layers_s": {k: min(samples[k], default=None) for k in LAYERS},
-                          "end_to_end_s": {k: min(samples[k]) for k in RUNS},
-                          "samples_s": samples})
-            calibration.append(calibrate())
-    table = []
-    for _ in range(repeat):  # a sample after each sweep, which takes 0.1-0.2 s
-        table.append(table_sweep(sp, reference))
-        calibration.append(calibrate())
-    return {"cases": cases, "table_s": min(table), "table_samples_s": table,
-            "calibration_s": calibration}
+    cases = [measure_case(sides, case, n, repeat, rng, calibration)
+             for case in CASES for n in sizes]
+    workloads = {w: sweep(sides, w, repeat, rng, calibration) for w in wl.WORKLOADS}
+    return {"cases": cases, "workloads": workloads, "calibration_s": calibration}
+
+
+def report(record: dict) -> None:
+    """A line per case and side and per workload and side; then the ratios."""
+    for case in record["cases"]:
+        name = f"{case['problem']} {case['family']} n={case['n']}"
+        for side in record["provenance"]:
+            best = {**case[side]["layers_s"], **case[side]["end_to_end_s"]}
+            print(f"{side} {name} it={case[side]['iterations']} ms: "
+                  + " ".join(f"{k}={1e3 * v:.3f}" for k, v in best.items()))
+        if "ratio" in case:
+            print(f"ratio {name}: " + " ".join(f"{k}={v:.3f}" for k, v in case["ratio"].items()))
+    for workload, w in record["workloads"].items():
+        for side in record["provenance"]:
+            print(f"{side} {workload}: {w['ops']} ops, p50 {1e3 * w[side]['p50_s']:.3f} ms, "
+                  f"p90 {1e3 * w[side]['p90_s']:.3f} ms")
+        if "ratio_p50" in w:
+            print(f"ratio {workload}: median {w['ratio_p50']:.3f} (quartiles "
+                  f"{w['ratio_p25']:.3f}, {w['ratio_p75']:.3f}); solution gap: converged "
+                  f"{w['gap_converged']}, one-step fine {w['gap_one_step']}")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--label", required=True, help="the file is BENCH_<label>.json")
-    parser.add_argument("--src", type=Path, default=ROOT / "src",
-                        help="source tree holding the spgrid package (default: this checkout's)")
+    parser.add_argument("--label", required=True,
+                        help="the file is BENCH_<label>.json; it also seeds the order")
+    parser.add_argument("--parent", type=Path,
+                        help="checkout whose src/spgrid runs beside this one's")
     parser.add_argument("--out", type=Path, default=ROOT, help="directory to write to")
-    parser.add_argument("--repeat", type=int, default=5, help="runs per best value")
+    parser.add_argument("--repeat", type=int, default=5,
+                        help="runs per best value, and rounds of every workload")
     parser.add_argument("--sizes", default=",".join(map(str, SIZES)),
                         help="comma list of n, each a 4th power (tg2 starts at n^(1/4))")
     args = parser.parse_args(argv)
@@ -216,20 +301,17 @@ def main(argv=None) -> int:
         parser.error("--repeat must be at least 1")
     for n in sizes:
         _root(n, 4)
-    sp = import_spgrid(args.src)
+    trees = {"parent": args.parent, "change": ROOT} if args.parent else {"change": ROOT}
+    trees = {side: tree / "src" for side, tree in trees.items()}
+    sides = {side: load_spgrid(src, f"spgrid_{side}") for side, src in trees.items()}
     record = {"label": args.label, "repeat": args.repeat,
-              "provenance": provenance(sp, args.src)}
-    record.update(measure(sp, sizes, args.repeat))
+              "provenance": {side: provenance(sides[side], src) for side, src in trees.items()}}
+    record.update(measure(sides, sizes, args.repeat, random.Random(f"bench:{args.label}")))
     record["calibration_ref_s"] = perfbench("run").CAL_REF_S
     path = args.out / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
-    for case in record["cases"]:
-        layers = " ".join(f"{k}={1e3 * v:.3f}" if v is not None else f"{k}=-"
-                          for k, v in case["layers_s"].items())
-        runs = " ".join(f"{k}={1e3 * v:.2f}" for k, v in case["end_to_end_s"].items())
-        print(f"{case['problem']} {case['family']} n={case['n']} it={case['iterations']} "
-              f"ms: {layers} | {runs}")
-    print(f"table {1e3 * record['table_s']:.1f} ms; wrote {path}")
+    report(record)
+    print(f"wrote {path}")
     return 0
 
 

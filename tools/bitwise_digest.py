@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from toolbox import ROOT, Tracer, import_spgrid, load, perfbench
+from toolbox import ROOT, Tracer, load, load_spgrid, perfbench
 
 grading = perfbench("workloads").grading
 PROBLEMS = ("ex1", "ex2", "ex2log")
@@ -154,7 +154,7 @@ def main(argv=None) -> int:
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="source tree holding the spgrid package (default: this checkout's)")
     args = parser.parse_args(argv)
-    sp = import_spgrid(args.src)
+    sp = load_spgrid(args.src)
     for case in cases():
         print(digest_case(sp, case), flush=True)
     return 0

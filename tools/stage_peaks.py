@@ -27,7 +27,7 @@ import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
-from toolbox import ROOT, Tracer, import_spgrid, perfbench
+from toolbox import ROOT, Tracer, load_spgrid, perfbench
 
 MODULES = ("mesh", "linsolve", "newton", "twogrid")
 RUNS = ("algorithm1", "solve")
@@ -117,7 +117,7 @@ def main(argv=None) -> int:
     parser.add_argument("--coarse", type=int, default=512,
                         help="coarse intervals N; the fine mesh has N^2")
     args = parser.parse_args(argv)
-    sp = import_spgrid(args.src)
+    sp = load_spgrid(args.src)
     result = stage_peaks(sp, args.problem, args.family, args.eps, args.coarse)
     print(f"{args.problem} {args.family} eps={args.eps!r} N={args.coarse} "
           f"n={args.coarse ** 2}; memory in arrays of 8n bytes")

@@ -1,9 +1,9 @@
-"""What the tools share: one file loader, one way to import spgrid from a
+"""What the tools share: one file loader, one way to load spgrid from a
 chosen source tree, and perfbench's ``Tracer`` for their instrument hooks.
 
 A tool imports this module by name: Python puts tools/ first on
 ``sys.path`` when a tool runs as a script, and the test configuration
-puts it there for the tool tests.
+puts it there for the tool tests, which import the tools by name too.
 """
 
 from __future__ import annotations
@@ -33,21 +33,23 @@ def perfbench(name: str):
     return module or load(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
 
 
-def import_spgrid(src: Path):
-    """Import ``spgrid`` from ``src`` and nowhere else."""
-    sys.path.insert(0, str(src))
-    import spgrid
+def load_spgrid(src: Path, name: str = "spgrid"):
+    """``src/spgrid`` as package ``name``, with its ``cli`` submodule; a
+    ``name`` already loaded from there is returned as it is, and a ``name``
+    loaded from elsewhere or a ``src`` without ``spgrid`` is an error."""
+    package_dir = (src / "spgrid").resolve()
+    if not (package_dir / "__init__.py").is_file():
+        raise FileNotFoundError(f"no spgrid sources under {src}")
+    sp = sys.modules.get(name)
+    if sp is None:
+        sp = load(name, package_dir / "__init__.py", package_dir)
+    elif Path(sp.__file__).resolve().parent != package_dir:
+        raise ValueError(f"{name} is already loaded from {sp.__file__}, not {src}")
+    importlib.import_module(f"{name}.cli")
+    return sp
 
-    if Path(spgrid.__file__).resolve().parent != src.resolve() / "spgrid":
-        raise SystemExit(f"spgrid imported from {spgrid.__file__}, not {src}")
-    return spgrid
 
-
-class Tracer(perfbench("tracing").Tracer):
-    """perfbench's tracer.  A tool overrides ``wrap`` to hook the spans it
-    measures and returns every other function as it is; ``uninstall``
-    restores every binding."""
-
-    def install(self, sp) -> None:
-        importlib.import_module(f"{sp.__name__}.cli")  # the tracer rebinds there too
-        super().install(sp)
+# perfbench's tracer, which rebinds in ``cli`` too.  A tool overrides ``wrap``
+# to hook the spans it measures and returns every other function as it is;
+# ``uninstall`` restores every binding.
+Tracer = perfbench("tracing").Tracer
