@@ -1,9 +1,7 @@
 """tools/bench_layers.py: the BENCH record at its smallest size, one side or
-two, and the paired sweep's answer check and solution gaps."""
+two, and the solution gaps (the paired sweep itself: test_ab_paired.py)."""
 
 import json
-import random
-import re
 import sys
 from pathlib import Path
 
@@ -66,18 +64,6 @@ def test_paired_run_of_this_checkout_has_both_sides_and_no_solution_gap(tmp_path
     # the same code on both sides; a direct op has no fine level, a table op no solution
     gaps = {name: (w["gap_converged"], w["gap_one_step"]) for name, w in workloads.items()}
     assert gaps == {"direct": (0.0, None), "twogrid": (0.0, 0.0), "table": (None, None)}
-
-
-def test_a_wrong_answer_stops_the_sweep(monkeypatch):
-    sides = {"change": tool.load_spgrid(ROOT / "src", "spgrid_change")}
-    narrow = tool.wl.cells("direct")[:2]
-    monkeypatch.setattr(tool.wl, "cells", lambda workload: narrow)
-    reference = tool.wl.load_reference()
-    key = narrow[1].row_key(narrow[1].eps[0], narrow[1].size, 1)
-    reference[key] = [reference[key][0], 2.0 * reference[key][1]]
-    monkeypatch.setattr(tool.wl, "load_reference", lambda: reference)
-    with pytest.raises(tool.wl.AnswerError, match=re.escape(key)):
-        tool.sweep(sides, "direct", 1, random.Random(1), [])
 
 
 def test_level_gaps_are_relative_to_the_parents_scale():

@@ -265,7 +265,8 @@ def measure(sides: dict, sizes, repeat: int, rng) -> dict:
 
 
 def report(record: dict) -> None:
-    """A line per case and side and per workload and side; then the ratios."""
+    """A line per case and side and per workload and side; then the ratios and,
+    where a workload's ops hold solutions, their largest gap."""
     for case in record["cases"]:
         name = f"{case['problem']} {case['family']} n={case['n']}"
         for side in record["provenance"]:
@@ -280,8 +281,12 @@ def report(record: dict) -> None:
                   f"p90 {1e3 * w[side]['p90_s']:.3f} ms")
         if "ratio_p50" in w:
             print(f"ratio {workload}: median {w['ratio_p50']:.3f} (quartiles "
-                  f"{w['ratio_p25']:.3f}, {w['ratio_p75']:.3f}); solution gap: converged "
-                  f"{w['gap_converged']}, one-step fine {w['gap_one_step']}")
+                  f"{w['ratio_p25']:.3f}, {w['ratio_p75']:.3f})")
+        if w.get("gap_converged") is not None:  # a table op holds no solution
+            converged, one_step = (f"{g:.1e}" if g is not None else "none"
+                                   for g in (w["gap_converged"], w["gap_one_step"]))
+            print(f"largest solution gap / max(1, |y|_inf): converged {converged}, "
+                  f"one-step fine {one_step}")
 
 
 def main(argv=None) -> int:
