@@ -107,8 +107,8 @@ def _cmd_solve(args) -> Iterator[int | None]:
                      gamma0=args.gamma0, layer_sides=args.layer_sides)
     yield
     result = algorithm2(problem, plan)
-    mesh = (result.fine_meshes or [result.coarse_mesh])[-1]
-    out = (result.fine or [result.coarse])[-1]
+    meshes, outs = [result.coarse_mesh, *result.fine_meshes], [result.coarse, *result.fine]
+    mesh, out = meshes[-1], outs[-1]
     error = None if problem.exact is None else nodal_error(mesh, out.y, problem.exact)
     if args.out == "nodes":
         for x, v in zip(mesh.nodes, out.y):
@@ -125,6 +125,9 @@ def _cmd_solve(args) -> Iterator[int | None]:
         "residual_norm": float(abs(residual_for(mesh, problem, out.y)).max()),
         "seconds": sum(result.step_seconds),
         "nodal_error": error,
+        "levels": [{"n": m.n, "iterations": o.iterations, "final_update": o.final_update,
+                    "update_history": o.update_history, "seconds": s}
+                   for m, o, s in zip(meshes, outs, result.step_seconds, strict=True)],
         "nodes": mesh.nodes.tolist(),
         "values": out.y.tolist(),
     }

@@ -2,13 +2,16 @@
 two, and the solution gaps (the paired sweep itself: test_ab_paired.py)."""
 
 import json
+import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bench_layers as tool
+from toolbox import load_spgrid
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -73,3 +76,27 @@ def test_level_gaps_are_relative_to_the_parents_scale():
     assert tool.level_gaps(parent, change) == [2.0 ** -20, 2.0 ** -23]
     with pytest.raises(ValueError):  # a level missing on one side
         tool.level_gaps(parent, change[:1])
+
+
+def test_every_layer_case_gets_one_untimed_call_per_side(monkeypatch):
+    sides = {"parent": load_spgrid(ROOT / "src", "spgrid_parent"),
+             "change": load_spgrid(ROOT / "src", "spgrid_change")}
+    calls = Counter()
+
+    def counted(run):
+        def fake(sp, problem, spec):
+            calls[run.__name__, sp.__name__] += 1
+            return {name: [float(calls[run.__name__, sp.__name__])]
+                    for name in run(sp, problem, spec)}
+        return fake
+
+    for run in (tool.traced_layers, tool.end_to_end):
+        monkeypatch.setattr(tool, run.__name__, counted(run))
+    monkeypatch.setattr(tool, "calibrate", lambda: 1.0)
+    repeat = 3
+    case = tool.measure_case(sides, tool.CASES[0], 4096, repeat, random.Random(0), [])
+    assert calls == {(run, sp): repeat + 1 for run in ("traced_layers", "end_to_end")
+                     for sp in ("spgrid_parent", "spgrid_change")}
+    for side in sides:  # the first call of each run is in no sample
+        for name, samples in case[side]["samples_s"].items():
+            assert samples == [2.0, 3.0, 4.0], name

@@ -1,12 +1,14 @@
 """Smoke test of tools/bitwise_digest.py on its smallest cases."""
 
 import re
+import sys
 from collections import Counter
 
 import numpy as np
 
 import bitwise_digest as tool
-import spgrid.cli  # the tracer rebinds there too
+import spgrid
+from spgrid.linsolve import ZeroPivotError
 
 LINE = re.compile(r"^ex1 bakhvalov 0\.01 algorithm2 8 levels=2"
                   r"( (mesh|newton|interp|out)=[0-9a-f]{16}){4}$")
@@ -18,10 +20,10 @@ def test_one_case_prints_one_line_per_case_and_is_reproducible(monkeypatch, caps
     assert tool.main([]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1 and LINE.match(lines[0]), lines
+    before = sys.getprofile()
     assert tool.digest_case(spgrid, case) == lines[0]
-    # the wrappers are gone again, and an empty kind is the empty digest
-    assert spgrid.twogrid.interpolant_slopes is spgrid.interpolant_slopes
-    assert spgrid.newton.newton_step is spgrid.newton_step
+    # the hook is gone again, and an empty kind is the empty digest
+    assert sys.getprofile() is before
     solve_line = tool.digest_case(spgrid, ("ex1", "uniform", 0.01, "solve", 64, 0))
     assert "interp=e3b0c44298fc1c14" in solve_line
 
@@ -56,3 +58,21 @@ def test_newton_digest_covers_every_cascade_level(monkeypatch):
     tool.digest_case(spgrid, ("ex1", "bakhvalov", 0.01, "algorithm2", 8, 2))
     assert sorted(steps) == [8, 64, 4096]
     assert steps[8] >= 2 and steps[64] == 1 and steps[4096] == 1
+
+
+def test_a_case_that_raises_restores_the_profile_function_in_force(monkeypatch):
+    def zero_pivot(*bands):
+        raise ZeroPivotError("zero pivot")
+
+    def outer(frame, event, arg):  # a profiler that was running before
+        pass
+
+    monkeypatch.setattr(spgrid.newton, "thomas_solve", zero_pivot)
+    before = sys.getprofile()
+    sys.setprofile(outer)
+    try:
+        line = tool.digest_case(spgrid, ("ex1", "uniform", 0.01, "solve", 64, 0))
+        assert sys.getprofile() is outer
+    finally:
+        sys.setprofile(before)
+    assert line.startswith("ex1 uniform 0.01 solve 64 error=ZeroPivotError:")

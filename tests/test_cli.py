@@ -35,8 +35,12 @@ def test_solve_direct_json(capsys):
     payload = json.loads(out)
     assert set(payload) == {"problem", "algorithm", "mesh", "iterations",
                             "final_update", "residual_norm", "seconds",
-                            "nodal_error", "nodes", "values"}
+                            "nodal_error", "nodes", "values", "levels"}
     assert payload["iterations"] <= 8
+    [level] = payload["levels"]  # the direct solve is one level
+    assert level["n"] == 32 and level["seconds"] > 0
+    assert level["iterations"] == payload["iterations"] == len(level["update_history"])
+    assert level["final_update"] == payload["final_update"] == level["update_history"][-1]
     assert payload["mesh"]["n"] == 32
     assert len(payload["nodes"]) == 33
     assert payload["nodal_error"] < 1e-1
@@ -65,6 +69,24 @@ def test_solve_tg1(capsys):
     payload = json.loads(out)
     assert payload["mesh"]["n"] == 64
     assert payload["iterations"] == 1  # fine step is one linearized solve
+
+
+def test_solve_json_reports_every_cascade_level(capsys):
+    code, out, err = run_cli(capsys, "solve", "--problem", "ex1", "--mesh", "uniform",
+                             "--eps", "0.1", "--algorithm", "tg2", "--coarse", "4",
+                             "--levels", "2")
+    assert code == 0
+    payload = json.loads(out)
+    levels = payload["levels"]
+    assert [level["n"] for level in levels] == [4, 16, 256]  # coarse first
+    assert all(set(level) == {"n", "iterations", "final_update", "update_history",
+                              "seconds"} for level in levels)
+    assert levels[0]["iterations"] >= 2
+    assert [level["iterations"] for level in levels[1:]] == [1, 1]
+    assert payload["seconds"] == sum(level["seconds"] for level in levels)
+    last = levels[-1]  # the top-level keys describe the last level
+    assert (payload["mesh"]["n"], payload["iterations"], payload["final_update"]) == (
+        last["n"], last["iterations"], last["final_update"])
 
 
 def test_solve_tg1_runs_the_fine_size_it_is_given(capsys):
@@ -529,9 +551,11 @@ def test_parser_is_built_once_and_reused(capsys):
     for (code, out, err), (code_alone, out_alone, _) in zip(
             both, (alone_table, alone_solve)):
         assert code == code_alone == 0
-        if out.startswith("{"):  # the solve JSON carries its wall time
+        if out.startswith("{"):  # the solve JSON carries its wall time, per level too
             out, out_alone = json.loads(out), json.loads(out_alone)
-            out.pop("seconds"), out_alone.pop("seconds")
+            for payload in (out, out_alone):
+                for record in (payload, *payload["levels"]):
+                    record.pop("seconds")
         else:  # the table CSV carries a seconds column
             out = [r[:-1] for r in csv.reader(io.StringIO(out))]
             out_alone = [r[:-1] for r in csv.reader(io.StringIO(out_alone))]

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import spgrid
-from toolbox import load_spgrid
+from toolbox import load_spgrid, profiled
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -33,3 +33,39 @@ def test_loader_refuses_a_tree_without_spgrid_or_a_name_taken_elsewhere(tmp_path
     with pytest.raises(ValueError, match="already loaded"):
         load_spgrid(tmp_path, "spgrid")  # the tests' spgrid is this checkout's
     assert load_spgrid(TOOLS.parent / "src", "spgrid") is spgrid
+
+
+@pytest.mark.parametrize("broken", ["__init__.py", "cli.py"])
+def test_a_load_that_fails_leaves_no_module_behind(tmp_path, broken):
+    package = tmp_path / "spgrid"
+    package.mkdir()
+    (package / "__init__.py").write_text("from . import mesh\n")
+    (package / "mesh.py").write_text("")
+    (package / "cli.py").write_text("")
+    (package / broken).write_text('from . import mesh\nraise RuntimeError("broken on purpose")\n')
+    for _ in range(2):  # a second load runs the tree again and fails alike
+        with pytest.raises(RuntimeError, match="broken on purpose"):
+            load_spgrid(tmp_path, "spgrid_broken")
+        assert not [key for key in sys.modules if key.startswith("spgrid_broken")]
+
+
+def test_profiled_puts_back_the_profile_function_in_force():
+    seen = []
+
+    def outer(frame, event, arg):
+        pass
+
+    def hook(frame, event, arg):
+        seen.append(event)
+
+    before = sys.getprofile()
+    sys.setprofile(outer)
+    try:
+        with pytest.raises(RuntimeError):
+            with profiled(hook):
+                assert sys.getprofile() is hook
+                raise RuntimeError
+        assert sys.getprofile() is outer
+        assert "c_call" in seen  # sys.getprofile itself, inside the block
+    finally:
+        sys.setprofile(before)

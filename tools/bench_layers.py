@@ -161,9 +161,12 @@ def _inputs(sp, case: dict, n: int) -> tuple:
 
 
 def measure_case(sides: dict, case: dict, n: int, repeat: int, rng, calibration: list) -> dict:
-    """Best and raw seconds of every layer and run of one case on every side;
-    a calibration sample after them."""
+    """Best and raw seconds of every layer and run of one case on every side,
+    after one untimed call of each; a calibration sample after them."""
     samples = {side: {name: [] for name in LAYERS + RUNS} for side in sides}
+    for run in (traced_layers, end_to_end):  # first-call costs land outside the samples
+        for sp in sides.values():
+            run(sp, *_inputs(sp, case, n))
     for _ in range(repeat):
         for run in (traced_layers, end_to_end):
             for side, sp in each_side(sides, rng):

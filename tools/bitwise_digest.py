@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from toolbox import ROOT, Tracer, load, load_spgrid, perfbench
+from toolbox import ROOT, load, load_spgrid, perfbench, profiled
 
 grading = perfbench("workloads").grading
 PROBLEMS = ("ex1", "ex2", "ex2log")
@@ -71,31 +71,22 @@ def case_key(case) -> str:
     return f"{problem} {family} {eps!r} {algorithm} {size}{tail}"
 
 
-class _Recorder(Tracer):
-    """Running sha256 per kind, fed by its hooks on ``newton_step`` and
+class _Recorder:
+    """Running sha256 per kind, fed by its profile hook on ``newton_step`` and
     ``interpolant_slopes`` while a case runs."""
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, sp):
         self.hashes = {kind: hashlib.sha256() for kind in KINDS}
+        self.kinds = {sp.newton.newton_step.__code__: "newton",
+                      sp.twogrid.interpolant_slopes.__code__: "interp"}
 
-    def wrap(self, name: str, fn, counters=None):
-        if name == "newton.newton_step":
-            def newton_step(mesh, problem, y, slopes=None, **kw):
-                self.add("newton", y, slopes)
-                y_new, update = fn(mesh, problem, y, slopes=slopes, **kw)
-                self.add("newton", y_new, update)
-                return y_new, update
-
-            return newton_step
-        if name == "twogrid.interpolant_slopes":
-            def interpolant_slopes(coarse, values, fine):
-                w, slopes = fn(coarse, values, fine)
-                self.add("interp", w, slopes)
-                return w, slopes
-
-            return interpolant_slopes
-        return fn
+    def profile(self, frame, event, arg) -> None:
+        """Hashes a step's input iterate and slopes, and what a step or a transfer returns."""
+        kind = self.kinds.get(frame.f_code)  # a c_call event carries the caller's
+        if kind == "newton" and event == "call":
+            self.add(kind, frame.f_locals["y"], frame.f_locals["slopes"])
+        elif kind and event == "return" and arg is not None:  # None: the call raised
+            self.add(kind, *arg)
 
     def add(self, kind: str, *items) -> None:
         h = self.hashes[kind]
@@ -120,32 +111,30 @@ class _Recorder(Tracer):
 def digest_case(sp, case) -> str:
     """One output line: the case key and a digest per kind (or the error)."""
     problem, family, eps, algorithm, size, levels = case
-    recorder = _Recorder()
-    recorder.install(sp)
+    recorder = _Recorder(sp)
     try:
         prob = sp.problems.make_problem(problem[:3], eps)
         if problem == "ex2log":
             prob = log_transform(prob)
         spec = sp.mesh.MeshSpec(family, eps, size, a=grading(problem[:3], family))
-        if algorithm == "solve":
-            mesh = sp.mesh.build_mesh(spec)
-            recorder.add_mesh(mesh)
-            recorder.add_outcome(sp, mesh, prob, sp.newton.solve(mesh, prob))
-        else:
-            tg, ropt = sp.twogrid, algorithm == "tg1_ropt"
-            plan = tg.TwoGridPlan(coarse=spec, r=tg.choose_r(size)[0] if ropt else 2.0,
-                                  cascade_levels=levels)
-            result = (tg.algorithm1 if ropt else tg.algorithm2)(prob, plan)
-            meshes = (result.coarse_mesh, *result.fine_meshes)
-            for mesh in meshes:
+        with profiled(recorder.profile):
+            if algorithm == "solve":
+                mesh = sp.mesh.build_mesh(spec)
                 recorder.add_mesh(mesh)
-            for mesh, out in zip(meshes, (result.coarse, *result.fine)):
-                recorder.add_outcome(sp, mesh, prob, out)
+                recorder.add_outcome(sp, mesh, prob, sp.newton.solve(mesh, prob))
+            else:
+                tg, ropt = sp.twogrid, algorithm == "tg1_ropt"
+                plan = tg.TwoGridPlan(coarse=spec, cascade_levels=levels,
+                                      r=tg.choose_r(size)[0] if ropt else 2.0)
+                result = (tg.algorithm1 if ropt else tg.algorithm2)(prob, plan)
+                meshes = (result.coarse_mesh, *result.fine_meshes)
+                for mesh in meshes:
+                    recorder.add_mesh(mesh)
+                for mesh, out in zip(meshes, (result.coarse, *result.fine)):
+                    recorder.add_outcome(sp, mesh, prob, out)
     except Exception as err:  # a case that fails must fail alike on both sides
         message = hashlib.sha256(str(err).encode()).hexdigest()[:16]
         return f"{case_key(case)} error={type(err).__name__}:{message}"
-    finally:
-        recorder.uninstall()
     return f"{case_key(case)} {recorder.line()}"
 
 

@@ -5,18 +5,14 @@
 Runs one ``twogrid.algorithm1`` (coarse N, fine n = N^2) and then one
 ``newton.solve`` on the fine mesh, with tracemalloc on.  The stages are the
 ``mesh``, ``linsolve``, ``newton`` and ``twogrid`` functions that
-``perfbench/tracing.py`` spans, under the tracer's span names; the tracer
-rebinds each in every spgrid module that holds it, as it does for
-``tools/bitwise_digest.py``'s hooks, and restores every binding afterwards.
-For each stage the tool prints its calls and, for the call with the
-highest peak, the traced memory live at entry and the peak inside, both
-divided by ``8 n`` bytes (one float64 array per fine interval).  A stage's
-peak includes its inputs and whatever its callers hold, so it is the
-process's working set at that point of the run, counted from the start of
-the run.  A wrapper holds its call's arguments until the call returns, so
-an array that a stage hands over and frees early stays alive here; the last
-line of each run is therefore the peak of the same call run again with
-nothing wrapped.
+``perfbench/tracing.py`` spans, under its span names.  A profile hook keyed
+on their code objects sees every call, however it is reached: nothing is
+rebound, and as it reads no ``f_locals`` (a snapshot that would keep them),
+no argument lives longer than the program keeps it.  For each stage the tool
+prints its calls and, for the call with the highest peak, the traced memory
+live at entry and the peak inside, both divided by ``8 n`` bytes (one
+float64 array per fine interval).  A stage's peak includes its inputs and
+whatever its callers hold: the working set at that point of the run.
 """
 
 from __future__ import annotations
@@ -27,54 +23,37 @@ import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
-from toolbox import ROOT, Tracer, load_spgrid, perfbench
+from toolbox import ROOT, load_spgrid, perfbench, profiled
 
 MODULES = ("mesh", "linsolve", "newton", "twogrid")
 RUNS = ("algorithm1", "solve")
 
 
-class _Peaks(Tracer):
-    """Per stage in MODULES: calls and the ``(entry, peak)`` bytes of its
-    highest call.
-
-    tracemalloc keeps one peak, so a stage folds the peak reached so far into
-    its caller's before resetting it, and hands its own peak up on return.
-    """
-
-    def __init__(self):
-        super().__init__()
-        self.stages = {}
-        self._frames = []
-
-    def wrap(self, name: str, fn, counters=None):
-        if name.split(".")[0] not in MODULES:
-            return fn
-
-        def staged(*args, **kwargs):
-            entry, peak = tracemalloc.get_traced_memory()
-            self.stages.setdefault(name, (0, (0, -1)))  # listed in call order
-            if self._frames:
-                self._frames[-1][1] = max(self._frames[-1][1], peak)
-            frame = [entry, entry]
-            self._frames.append(frame)
-            tracemalloc.reset_peak()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                frame[1] = max(frame[1], tracemalloc.get_traced_memory()[1])
-                self._frames.pop()
-                if self._frames:
-                    self._frames[-1][1] = max(self._frames[-1][1], frame[1])
-                calls, best = self.stages[name]
-                self.stages[name] = (calls + 1, max(best, tuple(frame),
-                                                    key=lambda f: f[1]))
-
-        return staged
-
-
 def stage_peaks(sp, problem: str, family: str, eps: float, coarse: int) -> dict:
-    """``{run: {stage: (calls, entry, peak)}}`` in n-sized arrays, for both RUNS,
-    and ``{"unwrapped": {run: peak}}``, each run's peak with nothing wrapped."""
+    """``{run: {stage: (calls, entry, peak)}}`` in n-sized arrays, for both RUNS:
+    per stage, its calls and the memory at entry and the peak of its highest
+    call.  tracemalloc keeps one peak, so at every stage call and return the
+    hook hands it to every open call and resets it."""
+    names = {getattr(getattr(sp, module), func).__code__: name
+             for module, func, name, _ in perfbench("tracing").TARGETS
+             if module in MODULES}
+    stages, frames = {}, []  # frames: [entry, peak] of every open stage call
+
+    def hook(frame, event, arg):
+        name = names.get(frame.f_code) if event in ("call", "return") else None
+        if name is None:  # a c_call event carries the caller's frame
+            return
+        current, peak = tracemalloc.get_traced_memory()
+        for open_call in frames:
+            open_call[1] = max(open_call[1], peak)
+        tracemalloc.reset_peak()
+        if event == "call":
+            stages.setdefault(name, (0, (0, -1)))  # listed in call order
+            frames.append([current, current])
+        else:
+            calls, best = stages[name]
+            stages[name] = (calls + 1, max(best, tuple(frames.pop()), key=lambda f: f[1]))
+
     prob = sp.problems.make_problem(problem, eps)
     a = perfbench("workloads").grading(problem, family)  # the benchmark's grading
     spec = sp.mesh.MeshSpec(family, eps, coarse, a=a)
@@ -86,21 +65,15 @@ def stage_peaks(sp, problem: str, family: str, eps: float, coarse: int) -> dict:
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
-    out = {"unwrapped": {}}
+    out = {}
     try:
         for run in RUNS:
-            peaks = _Peaks()
-            peaks.install(sp)
-            try:
-                tracemalloc.clear_traces()
-                runs[run]()
-            finally:
-                peaks.uninstall()
-            out[run] = {name: (calls, entry / (8 * n), peak / (8 * n))
-                        for name, (calls, (entry, peak)) in peaks.stages.items()}
+            stages.clear()
             tracemalloc.clear_traces()
-            runs[run]()
-            out["unwrapped"][run] = tracemalloc.get_traced_memory()[1] / (8 * n)
+            with profiled(hook):
+                runs[run]()
+            out[run] = {name: (calls, entry / (8 * n), peak / (8 * n))
+                        for name, (calls, (entry, peak)) in stages.items()}
     finally:
         if started:
             tracemalloc.stop()
@@ -126,7 +99,6 @@ def main(argv=None) -> int:
         print(f"  {'stage':<28}{'calls':>6}{'entry':>8}{'peak':>8}")
         for name, (calls, entry, peak) in result[run].items():
             print(f"  {name:<28}{calls:>6}{entry:>8.2f}{peak:>8.2f}")
-        print(f"  {'(nothing wrapped)':<42}{result['unwrapped'][run]:>8.2f}")
     return 0
 
 

@@ -1,5 +1,6 @@
 """What the tools share: one file loader, one way to load spgrid from a
-chosen source tree, and perfbench's ``Tracer`` for their instrument hooks.
+chosen source tree, one way to watch the solver through a profile hook, and
+perfbench's ``Tracer`` for ``bench_layers``' timing spans.
 
 A tool imports this module by name: Python puts tools/ first on
 ``sys.path`` when a tool runs as a script, and the test configuration
@@ -11,19 +12,29 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def load(name: str, path: Path, package_dir: Path | None = None):
-    """Import the file ``path`` as module ``name`` (a package if it has a dir)."""
+def load(name: str, path: Path, package_dir: Path | None = None, *submodules: str):
+    """Import the file ``path`` as module ``name`` (a package if it has a dir),
+    then its ``submodules``; a load that fails leaves no ``name`` or
+    ``name.*`` module behind."""
     search = None if package_dir is None else [str(package_dir)]
     spec = importlib.util.spec_from_file_location(
         name, path, submodule_search_locations=search)
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module  # dataclasses look their module up
-    spec.loader.exec_module(module)
+    try:
+        spec.loader.exec_module(module)
+        for submodule in submodules:
+            importlib.import_module(f"{name}.{submodule}")
+    except BaseException:
+        for key in [k for k in sys.modules if k == name or k.startswith(f"{name}.")]:
+            del sys.modules[key]
+        raise
     return module
 
 
@@ -42,14 +53,24 @@ def load_spgrid(src: Path, name: str = "spgrid"):
         raise FileNotFoundError(f"no spgrid sources under {src}")
     sp = sys.modules.get(name)
     if sp is None:
-        sp = load(name, package_dir / "__init__.py", package_dir)
-    elif Path(sp.__file__).resolve().parent != package_dir:
+        return load(name, package_dir / "__init__.py", package_dir, "cli")
+    if Path(sp.__file__).resolve().parent != package_dir:
         raise ValueError(f"{name} is already loaded from {sp.__file__}, not {src}")
-    importlib.import_module(f"{name}.cli")
     return sp
 
 
-# perfbench's tracer, which rebinds in ``cli`` too.  A tool overrides ``wrap``
-# to hook the spans it measures and returns every other function as it is;
-# ``uninstall`` restores every binding.
+@contextmanager
+def profiled(hook):
+    """Run the block under ``sys.setprofile(hook)``, then put back the profile
+    function in force before, also when the block raises."""
+    before = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        yield
+    finally:
+        sys.setprofile(before)
+
+
+# perfbench's tracer, for ``bench_layers``' timing spans: its wrappers cost far
+# less than a profile hook, which runs on every Python and C call.
 Tracer = perfbench("tracing").Tracer
