@@ -1,7 +1,7 @@
 """Test oracles: independent routes to what the library computes.
 
 Nothing in ``spgrid`` calls them; tests and ``tools/bitwise_digest.py``
-(which loads this file by path, after importing ``spgrid`` from the source
+(which imports this file by name, after loading ``spgrid`` from the source
 tree it digests) do.
 """
 

@@ -51,7 +51,9 @@ def test_writer_records_every_layer_run_and_provenance_field(tmp_path, capsys):
     assert capsys.readouterr().out.count("\n") == 2 + 3 + 1  # cases, workloads, path
 
 
-def test_paired_run_of_this_checkout_has_both_sides_and_no_solution_gap(tmp_path):
+def test_paired_run_of_this_checkout_has_both_sides_and_no_solution_gap(tmp_path, monkeypatch):
+    cells = tool.wl.cells  # each workload's first cell: test_ab_paired.py sweeps more
+    monkeypatch.setattr(tool.wl, "cells", lambda workload: cells(workload)[:1])
     record = _run(tmp_path, "--parent", str(ROOT))
     parent, change = sys.modules["spgrid_parent"], sys.modules["spgrid_change"]
     assert parent.newton is not change.newton  # two packages, side by side
@@ -67,6 +69,20 @@ def test_paired_run_of_this_checkout_has_both_sides_and_no_solution_gap(tmp_path
     # the same code on both sides; a direct op has no fine level, a table op no solution
     gaps = {name: (w["gap_converged"], w["gap_one_step"]) for name, w in workloads.items()}
     assert gaps == {"direct": (0.0, None), "twogrid": (0.0, 0.0), "table": (None, None)}
+
+
+@pytest.mark.parametrize("argv", [["--sizes", "100"], ["--sizes", "abc"], ["--sizes", "1"],
+                                  ["--parent", "{tmp}/nowhere"], ["--out", "{tmp}/missing"],
+                                  ["--label", "missing/t"]],
+                         ids=" ".join)
+def test_bad_arguments_stop_the_tool_before_it_measures(tmp_path, monkeypatch, argv):
+    calls = []
+    monkeypatch.setattr(tool.perfbench_run, "calibrate", lambda: calls.append(1) or 1.0)
+    argv = ["--label", "t", "--out", str(tmp_path), *(a.format(tmp=tmp_path) for a in argv)]
+    with pytest.raises(SystemExit) as stop:
+        tool.main(argv)
+    assert stop.value.code == 2
+    assert calls == [] and list(tmp_path.rglob("BENCH_*.json")) == []
 
 
 def test_level_gaps_are_relative_to_the_parents_scale():
@@ -92,7 +108,7 @@ def test_every_layer_case_gets_one_untimed_call_per_side(monkeypatch):
 
     for run in (tool.traced_layers, tool.end_to_end):
         monkeypatch.setattr(tool, run.__name__, counted(run))
-    monkeypatch.setattr(tool, "calibrate", lambda: 1.0)
+    monkeypatch.setattr(tool.perfbench_run, "calibrate", lambda: 1.0)
     repeat = 3
     case = tool.measure_case(sides, tool.CASES[0], 4096, repeat, random.Random(0), [])
     assert calls == {(run, sp): repeat + 1 for run in ("traced_layers", "end_to_end")

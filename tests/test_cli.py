@@ -574,9 +574,9 @@ def test_traced_command_counts_its_two_grid_stages(capsys, command):
     # every command runs its plan through a public algorithm, whose span the
     # tracer counts: tg1 on N = 8 solves for 63 fine unknowns
     import spgrid
-    from toolbox import Tracer
+    from toolbox import tracing
 
-    tracer = Tracer()
+    tracer = tracing.Tracer()
     tracer.install(spgrid)
     try:
         code, _, err = run_cli(capsys, command[0], "--problem", "ex1", "--mesh",

@@ -32,6 +32,7 @@ over the Newton-converged levels (the direct solve, the two-grid coarse
 level) and over the one-step fine levels.  perfbench's calibration samples,
 taken between the cases and after each round, and each side's provenance
 complete it; one-sided files compare only where those samples agree.
+Bad arguments stop the tool before it loads or measures anything.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
-from toolbox import ROOT, Tracer, load_spgrid, perfbench
+from toolbox import ROOT, load_spgrid, run as perfbench_run, tracing, workloads as wl
 
 EPS = 1e-4
 CASES = ({"problem": "ex1", "family": "bakhvalov", "a": 4.0, "layer_sides": "both"},
@@ -67,11 +68,10 @@ SPANS = {
     "linsolve.thomas_solve": ("solve", lambda a: len(a[1]) + 1),
     "twogrid.interpolant_slopes": ("interpolation", lambda a: a[2].n),
 }
-wl = perfbench("workloads")
 
 
-class _Spans(Tracer):
-    """``(layer, n, start, end)`` of every call named in SPANS."""
+class _Spans(tracing.Tracer):
+    """``(layer, n, start, end)`` of every SPANS call, by wrappers: cheaper than a profile hook."""
 
     def __init__(self):
         super().__init__()
@@ -91,19 +91,10 @@ class _Spans(Tracer):
         return timed
 
 
-def calibrate() -> float:
-    """perfbench's calibration kernel (it loads ``workloads`` by name)."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    try:
-        return perfbench("run").calibrate()
-    finally:
-        sys.path.remove(str(ROOT / "perfbench"))
-
-
 def _root(n: int, power: int) -> int:
-    N = round(n ** (1.0 / power))
-    if N ** power != n:
-        raise ValueError(f"size {n} is not a {power}th power")
+    N = round(max(n, 1) ** (1.0 / power))
+    if N < 2 or N ** power != n:  # a mesh has at least 2 intervals
+        raise ValueError(f"size {n} is not the {power}th power of an integer above 1")
     return N
 
 
@@ -183,7 +174,7 @@ def measure_case(sides: dict, case: dict, n: int, repeat: int, rng, calibration:
         parent, change = ({**out[s]["layers_s"], **out[s]["end_to_end_s"]}
                           for s in ("parent", "change"))
         out["ratio"] = {k: change[k] / parent[k] for k in LAYERS + RUNS}
-    calibration.append(calibrate())
+    calibration.append(perfbench_run.calibrate())
     return out
 
 
@@ -221,7 +212,7 @@ def sweep(sides: dict, workload: str, rounds: int, rng, calibration: list) -> di
                 first, *rest = level_gaps(ys["parent"], ys["change"])
                 gaps["converged"].append(first)
                 gaps["one_step"].extend(rest)
-        calibration.append(calibrate())
+        calibration.append(perfbench_run.calibrate())
     out = {"ops": len(cells) * rounds}
     for side, values in seconds.items():
         out[side] = {"p50_s": float(np.quantile(values, 0.5)),
@@ -259,8 +250,8 @@ def provenance(sp, src: Path) -> dict:
 
 
 def measure(sides: dict, sizes, repeat: int, rng) -> dict:
-    calibrate()  # the first call runs cold
-    calibration = [calibrate() for _ in range(3)]
+    perfbench_run.calibrate()  # the first call runs cold
+    calibration = [perfbench_run.calibrate() for _ in range(3)]
     cases = [measure_case(sides, case, n, repeat, rng, calibration)
              for case in CASES for n in sizes]
     workloads = {w: sweep(sides, w, repeat, rng, calibration) for w in wl.WORKLOADS}
@@ -302,21 +293,29 @@ def main(argv=None) -> int:
     parser.add_argument("--repeat", type=int, default=5,
                         help="runs per best value, and rounds of every workload")
     parser.add_argument("--sizes", default=",".join(map(str, SIZES)),
-                        help="comma list of n, each a 4th power (tg2 starts at n^(1/4))")
+                        help="comma list of n, each a 4th power of N >= 2 (tg2 starts at N)")
     args = parser.parse_args(argv)
-    sizes = [int(s) for s in args.sizes.split(",")]
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
-    for n in sizes:
-        _root(n, 4)
+    try:
+        sizes = [int(s) for s in args.sizes.split(",")]
+        for n in sizes:
+            _root(n, 4)
+    except ValueError as err:
+        parser.error(f"--sizes: {err}")
+    path = args.out / f"BENCH_{args.label}.json"
+    if not path.parent.is_dir():  # checked before minutes of runs, not after
+        parser.error(f"cannot write {path}: no directory {path.parent}")
     trees = {"parent": args.parent, "change": ROOT} if args.parent else {"change": ROOT}
     trees = {side: tree / "src" for side, tree in trees.items()}
-    sides = {side: load_spgrid(src, f"spgrid_{side}") for side, src in trees.items()}
+    try:
+        sides = {side: load_spgrid(src, f"spgrid_{side}") for side, src in trees.items()}
+    except FileNotFoundError as err:
+        parser.error(str(err))
     record = {"label": args.label, "repeat": args.repeat,
               "provenance": {side: provenance(sides[side], src) for side, src in trees.items()}}
     record.update(measure(sides, sizes, args.repeat, random.Random(f"bench:{args.label}")))
-    record["calibration_ref_s"] = perfbench("run").CAL_REF_S
-    path = args.out / f"BENCH_{args.label}.json"
+    record["calibration_ref_s"] = perfbench_run.CAL_REF_S
     path.write_text(json.dumps(record, indent=1) + "\n")
     report(record)
     print(f"wrote {path}")

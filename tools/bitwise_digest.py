@@ -34,9 +34,9 @@ from pathlib import Path
 
 import numpy as np
 
-from toolbox import ROOT, load, load_spgrid, perfbench, profiled
+from toolbox import ROOT, load_spgrid, profiled, workloads
 
-grading = perfbench("workloads").grading
+grading = workloads.grading
 PROBLEMS = ("ex1", "ex2", "ex2log")
 FAMILIES = ("uniform", "shishkin", "bakhvalov", "vulanovic")
 EPS = (1e-2, 1e-4, 1e-6)
@@ -47,9 +47,8 @@ KINDS = ("mesh", "newton", "interp", "out")
 
 def log_transform(problem):
     """``tests/oracles.py``'s ``log_transform``; that file imports ``spgrid``
-    by name, so it is loaded on first use, after ``spgrid`` is."""
-    oracles = sys.modules.get("spgrid_oracles")
-    oracles = oracles or load("spgrid_oracles", ROOT / "tests" / "oracles.py")
+    by name, so it is imported on first use, after ``--src``'s ``spgrid`` is."""
+    import oracles
     return oracles.log_transform(problem)
 
 
@@ -143,7 +142,10 @@ def main(argv=None) -> int:
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="source tree holding the spgrid package (default: this checkout's)")
     args = parser.parse_args(argv)
-    sp = load_spgrid(args.src)
+    try:
+        sp = load_spgrid(args.src)
+    except FileNotFoundError as err:
+        parser.error(str(err))
     for case in cases():
         print(digest_case(sp, case), flush=True)
     return 0

@@ -23,10 +23,16 @@ import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
-from toolbox import ROOT, load_spgrid, perfbench, profiled
+from toolbox import ROOT, load_spgrid, profiled, tracing, workloads
 
 MODULES = ("mesh", "linsolve", "newton", "twogrid")
 RUNS = ("algorithm1", "solve")
+
+
+def tg1_inputs(sp, problem: str, family: str, eps: float, coarse: int) -> tuple:
+    """The problem and tg1's plan at the benchmark's grading, or ``ValueError``."""
+    spec = sp.mesh.MeshSpec(family, eps, coarse, a=workloads.grading(problem, family))
+    return sp.problems.make_problem(problem, eps), sp.twogrid.TwoGridPlan(coarse=spec)
 
 
 def stage_peaks(sp, problem: str, family: str, eps: float, coarse: int) -> dict:
@@ -35,7 +41,7 @@ def stage_peaks(sp, problem: str, family: str, eps: float, coarse: int) -> dict:
     call.  tracemalloc keeps one peak, so at every stage call and return the
     hook hands it to every open call and resets it."""
     names = {getattr(getattr(sp, module), func).__code__: name
-             for module, func, name, _ in perfbench("tracing").TARGETS
+             for module, func, name, _ in tracing.TARGETS
              if module in MODULES}
     stages, frames = {}, []  # frames: [entry, peak] of every open stage call
 
@@ -54,12 +60,9 @@ def stage_peaks(sp, problem: str, family: str, eps: float, coarse: int) -> dict:
             calls, best = stages[name]
             stages[name] = (calls + 1, max(best, tuple(frames.pop()), key=lambda f: f[1]))
 
-    prob = sp.problems.make_problem(problem, eps)
-    a = perfbench("workloads").grading(problem, family)  # the benchmark's grading
-    spec = sp.mesh.MeshSpec(family, eps, coarse, a=a)
-    plan = sp.twogrid.TwoGridPlan(coarse=spec)
+    prob, plan = tg1_inputs(sp, problem, family, eps, coarse)
     [n] = plan.fine_sizes()
-    fine_mesh = sp.mesh.build_mesh(replace(spec, n=n))
+    fine_mesh = sp.mesh.build_mesh(replace(plan.coarse, n=n))
     runs = {"algorithm1": lambda: sp.twogrid.algorithm1(prob, plan),
             "solve": lambda: sp.newton.solve(fine_mesh, prob)}
     started = not tracemalloc.is_tracing()
@@ -90,7 +93,11 @@ def main(argv=None) -> int:
     parser.add_argument("--coarse", type=int, default=512,
                         help="coarse intervals N; the fine mesh has N^2")
     args = parser.parse_args(argv)
-    sp = load_spgrid(args.src)
+    try:
+        sp = load_spgrid(args.src)
+        tg1_inputs(sp, args.problem, args.family, args.eps, args.coarse)
+    except (FileNotFoundError, ValueError) as err:
+        parser.error(str(err))
     result = stage_peaks(sp, args.problem, args.family, args.eps, args.coarse)
     print(f"{args.problem} {args.family} eps={args.eps!r} N={args.coarse} "
           f"n={args.coarse ** 2}; memory in arrays of 8n bytes")
