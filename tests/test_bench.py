@@ -119,6 +119,24 @@ def test_run_report_rows_and_orders():
     assert step1[0].order == pytest.approx(expected, rel=1e-12)
 
 
+def test_a_problem_the_scheme_reproduces_exactly_has_no_orders(monkeypatch):
+    # u = 0 solves -eps^2 u'' + u = 0 and its scheme exactly: every error is
+    # 0.0, so no doubling pair has an order and the order cells stay empty
+    def zero(eps):
+        return problems.SemilinearProblem(
+            eps=eps, f=lambda x, u: u, f_u=lambda x, u: np.ones_like(u),
+            bc_left=0.0, bc_right=0.0, exact=np.zeros_like)
+
+    monkeypatch.setitem(problems.PROBLEMS, "zero", zero)
+    for algorithm, steps in (("direct", 1), ("tg1", 2)):
+        report = run_report(_small_cfg(problem="zero", eps_list=(0.01,), algorithm=algorithm))
+        assert [(r.N, r.step) for r in report.rows] == [
+            (N, step) for N in (8, 16) for step in range(1, steps + 1)]
+        assert [(r.error, r.order) for r in report.rows] == [(0.0, None)] * 2 * steps
+        assert [row["order"] for row in csv.DictReader(io.StringIO(report.to_csv()))] == [
+            ""] * 2 * steps
+
+
 def test_run_report_deterministic():
     cfg = _small_cfg()
     a = run_report(cfg)

@@ -51,6 +51,20 @@ def test_writer_records_every_layer_run_and_provenance_field(tmp_path, capsys):
     assert capsys.readouterr().out.count("\n") == 2 + 3 + 1  # cases, workloads, path
 
 
+@pytest.mark.parametrize("case", tool.CASES, ids=lambda case: case["problem"])
+def test_layers_of_a_nested_solve_are_its_own_steps_alone(case):
+    # at 16^4 the solve starts from a solve on a coarser mesh, whose steps
+    # run residual, jacobian and thomas_solve too, one span level deeper
+    sp = load_spgrid(ROOT / "src", "spgrid_change")
+    problem, spec = tool._inputs(sp, case, 16 ** 4)
+    assert spec.n > sp.newton.NESTED_BASE
+    layers = tool.traced_layers(sp, problem, spec)
+    iterations = sp.newton.solve(sp.mesh.build_mesh(spec), problem).iterations
+    assert {k: len(v) for k, v in layers.items()} == {
+        "mesh": 1, "start": 1, "residual": iterations, "jacobian": iterations,
+        "solve": iterations, "interpolation": 1}
+
+
 def test_paired_run_of_this_checkout_has_both_sides_and_no_solution_gap(tmp_path, monkeypatch):
     cells = tool.wl.cells  # each workload's first cell: test_ab_paired.py sweeps more
     monkeypatch.setattr(tool.wl, "cells", lambda workload: cells(workload)[:1])

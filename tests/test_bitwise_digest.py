@@ -5,6 +5,7 @@ import sys
 from collections import Counter
 
 import numpy as np
+import pytest
 
 import bitwise_digest as tool
 import spgrid
@@ -76,3 +77,13 @@ def test_a_case_that_raises_restores_the_profile_function_in_force(monkeypatch):
     finally:
         sys.setprofile(before)
     assert line.startswith("ex1 uniform 0.01 solve 64 error=ZeroPivotError:")
+
+
+def test_a_tree_without_make_plan_is_a_usage_error(monkeypatch, capsys):
+    ran = []
+    monkeypatch.delattr(spgrid.bench, "make_plan")  # main loads this checkout's spgrid
+    monkeypatch.setattr(tool, "digest_case", lambda sp, case: ran.append(case))
+    with pytest.raises(SystemExit) as stop:
+        tool.main([])
+    assert stop.value.code == 2 and ran == []
+    assert "no spgrid.bench.make_plan" in capsys.readouterr().err

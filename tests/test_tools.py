@@ -35,7 +35,7 @@ print(json.dumps({
     "aliases": [k for k in sys.modules if k.startswith("perfbench_") or k == "spgrid_oracles"],
     "workloads": bench_layers.wl is sys.modules["workloads"],
     "tracing": bench_layers.tracing is sys.modules["tracing"],
-    "tracer": bench_layers._Spans.__base__ is sys.modules["run"].Tracer,
+    "tracer": bench_layers.tracing.Tracer is sys.modules["run"].Tracer,
 }))
 """
 

@@ -12,12 +12,13 @@ Two cases, at eps = 1e-4: ex1 on Bakhvalov (a = 4) and ex2 on one-sided
 Vulanovic (a = 2), each at n = 2^12, 2^16 and 2^20.  Per case, size and side
 the record holds the best of ``--repeat`` runs of
 
-* the layers of one direct solve, from spans that perfbench's tracer takes
-  on the size-n mesh: ``mesh`` (``build_mesh``), ``start`` (the solve's time
-  before its first Newton step on that mesh: source, couplings and the
-  reduced or nested start), and one call each of ``residual``, ``jacobian``
-  and ``solve`` (``thomas_solve``); ``interpolation`` is the tg1 run's
-  ``interpolant_slopes`` onto the mesh;
+* the layers of one direct solve, from the spans of perfbench's own
+  ``tracing.Tracer`` (the wrappers of perfbench's ``--trace 1``): ``mesh``
+  (the top-level ``build_mesh``), ``start`` (the solve's time before its
+  first own Newton step: source, couplings and the reduced or nested start),
+  and per own step one call each of ``residual``, ``jacobian`` and ``solve``
+  (``thomas_solve``), not those of a nested start's steps; ``interpolation``
+  is the tg1 run's ``interpolant_slopes`` onto the mesh;
 * untraced end-to-end seconds: ``direct`` (mesh and solve), ``tg1`` (from N
   = n^(1/2)) and ``tg2`` (from N = n^(1/4), two levels).
 
@@ -45,6 +46,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import defaultdict
 from dataclasses import replace
 from pathlib import Path
 
@@ -58,37 +60,6 @@ CASES = ({"problem": "ex1", "family": "bakhvalov", "a": 4.0, "layer_sides": "bot
 SIZES = (2 ** 12, 2 ** 16, 2 ** 20)
 LAYERS = ("mesh", "start", "residual", "jacobian", "solve", "interpolation")
 RUNS = ("direct", "tg1", "tg2")
-# span name -> (layer, size of the mesh the call works on, from its arguments)
-SPANS = {
-    "mesh.build_mesh": ("mesh", lambda a: a[0].n),
-    "newton.solve": ("solve_call", lambda a: a[0].n),
-    "newton.newton_step": ("step", lambda a: a[0].n),
-    "newton.residual": ("residual", lambda a: a[0].n),
-    "newton.jacobian": ("jacobian", lambda a: a[0].n),
-    "linsolve.thomas_solve": ("solve", lambda a: len(a[1]) + 1),
-    "twogrid.interpolant_slopes": ("interpolation", lambda a: a[2].n),
-}
-
-
-class _Spans(tracing.Tracer):
-    """``(layer, n, start, end)`` of every SPANS call, by wrappers: cheaper than a profile hook."""
-
-    def __init__(self):
-        super().__init__()
-        self.calls = []
-
-    def wrap(self, name: str, fn, counters=None):
-        if name not in SPANS:
-            return fn
-        layer, size = SPANS[name]
-
-        def timed(*args, **kwargs):
-            start = time.perf_counter()
-            out = fn(*args, **kwargs)
-            self.calls.append((layer, size(args), start, time.perf_counter()))
-            return out
-
-        return timed
 
 
 def _root(n: int, power: int) -> int:
@@ -99,26 +70,31 @@ def _root(n: int, power: int) -> int:
 
 
 def traced_layers(sp, problem, spec) -> dict:
-    """Seconds per layer of one traced direct solve and tg1 run on ``spec.n``."""
-    n, tracer = spec.n, _Spans()
+    """Seconds per layer of one traced direct solve and tg1 run on ``spec.n``,
+    read from the tracer's ``(name, start, end, parent, op)`` spans."""
+    tracer = tracing.Tracer()
     tracer.install(sp)
     try:
         sp.newton.solve(sp.mesh.build_mesh(spec), problem)
-        tg1_from = time.perf_counter()
         sp.twogrid.algorithm1(problem, sp.twogrid.TwoGridPlan(
-            coarse=replace(spec, n=_root(n, 2))))
+            coarse=replace(spec, n=_root(spec.n, 2))))
     finally:
         tracer.uninstall()
-    fine = [c for c in tracer.calls if c[1] == n]
-    [solve] = [c for c in fine if c[0] == "solve_call" and c[3] < tg1_from]
-    inside = [c for c in fine if solve[2] <= c[2] and c[3] <= solve[3]]
-    first_step = min(c[2] for c in inside if c[0] == "step")
-    out = {"mesh": [c[3] - c[2] for c in fine if c[0] == "mesh" and c[3] < tg1_from],
-           "start": [first_step - solve[2]],
-           "interpolation": [c[3] - c[2] for c in fine
-                             if c[0] == "interpolation" and c[2] >= tg1_from]}
-    for layer in ("residual", "jacobian", "solve"):
-        out[layer] = [c[3] - c[2] for c in inside if c[0] == layer]
+    spans, children = tracer.spans, defaultdict(list)
+    for index, (name, _, _, parent, _) in enumerate(spans):
+        children[parent, name].append(index)
+    [mesh], [solve], [tg1] = (children[-1, name] for name in
+                              ("mesh.build_mesh", "newton.solve", "twogrid.algorithm"))
+    steps = children[solve, "newton.newton_step"]  # a nested start's sit one level deeper
+
+    def seconds(indices):
+        return [spans[i][2] - spans[i][1] for i in indices]
+
+    out = {"mesh": seconds([mesh]), "start": [spans[steps[0]][1] - spans[solve][1]],
+           "interpolation": seconds(children[tg1, "twogrid.interpolant_slopes"])}
+    for layer, name in (("residual", "newton.residual"), ("jacobian", "newton.jacobian"),
+                        ("solve", "linsolve.thomas_solve")):
+        out[layer] = seconds([i for step in steps for i in children[step, name]])
     return out
 
 

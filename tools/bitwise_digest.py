@@ -8,20 +8,20 @@ and fine-level solution bit for bit as it was:
     python3 tools/bitwise_digest.py > after.txt
     diff before.txt after.txt
 
-The grid is ex1, ex2 and ``log_transform(ex2)`` (from ``tests/oracles.py``)
-on the uniform, Shishkin, Bakhvalov and Vulanovic meshes at eps = 1e-2, 1e-4
-and 1e-6, with the benchmark's grading ``a`` (perfbench/workloads.py).  The
-cases are the direct solve at n = 64, 4096 and 65536, the cascade
-(algorithm2) with (N, levels) = (8, 2), (16, 2) and (256, 1), and
-``tg1_ropt``: algorithm1 from N = 8 at r = choose_r(8), so its fine mesh has
-round(8**r) = 61 intervals (r itself is not digested).  Each line names its
-case and gives, per kind, a 16-hex-digit digest over every array of that kind
-in call order: ``mesh`` (nodes, steps, half_steps, degenerate flag),
-``newton`` (each Newton step's input iterate, interpolant slopes, output
-iterate and update), ``interp`` (each ``interpolant_slopes`` output) and
-``out`` (final y, iterations, update history and residual norm of every
-level; the norm is ``newton.residual_for`` on the level's mesh, so the tool
-reads no field that an outcome lacks on either tree).  A case that raises
+The grid is ex1, ex2 and ``log_transform(ex2)`` (from ``tests/oracles.py``) on
+the uniform, Shishkin, Bakhvalov and Vulanovic meshes at eps = 1e-2, 1e-4 and
+1e-6, with the benchmark's grading ``a`` (perfbench/workloads.py).  Every case
+runs ``algorithm2`` on the plan of ``spgrid.bench.make_plan``: ``direct`` at n
+= 64, 4096 and 65536, ``tg2`` with (N, levels) = (8, 2), (16, 2) and (256, 1),
+and ``tg1_ropt`` from N = 8, whose fine mesh has round(8**r) = 61 intervals (r
+itself is not digested); a tree without ``make_plan`` is a usage error.  Each
+line names its case and gives, per kind, a 16-hex-digit digest over every
+array of that kind in call order: ``mesh`` (nodes, steps, half_steps,
+degenerate flag), ``newton`` (each Newton step's input iterate, interpolant
+slopes, output iterate and update), ``interp`` (each ``interpolant_slopes``
+output) and ``out`` (final y, iterations, update history and residual norm of
+every level; the norm is ``newton.residual_for`` on the level's mesh, so the
+tool reads no field that an outcome lacks on either tree).  A case that raises
 prints its exception type and message digest.
 """
 
@@ -43,6 +43,7 @@ EPS = (1e-2, 1e-4, 1e-6)
 SOLVE_N = (64, 4096, 65536)
 CASCADES = ((8, 2), (16, 2), (256, 1))
 KINDS = ("mesh", "newton", "interp", "out")
+PLANS = {"solve": "direct", "algorithm2": "tg2", "tg1_ropt": "tg1_ropt"}  # case kind -> plan name
 
 
 def log_transform(problem):
@@ -115,22 +116,15 @@ def digest_case(sp, case) -> str:
         prob = sp.problems.make_problem(problem[:3], eps)
         if problem == "ex2log":
             prob = log_transform(prob)
-        spec = sp.mesh.MeshSpec(family, eps, size, a=grading(problem[:3], family))
+        plan = sp.bench.make_plan(PLANS[algorithm], size, levels=levels, family=family,
+                                  eps=eps, a=grading(problem[:3], family))
         with profiled(recorder.profile):
-            if algorithm == "solve":
-                mesh = sp.mesh.build_mesh(spec)
+            result = sp.twogrid.algorithm2(prob, plan)
+            meshes = (result.coarse_mesh, *result.fine_meshes)
+            for mesh in meshes:
                 recorder.add_mesh(mesh)
-                recorder.add_outcome(sp, mesh, prob, sp.newton.solve(mesh, prob))
-            else:
-                tg, ropt = sp.twogrid, algorithm == "tg1_ropt"
-                plan = tg.TwoGridPlan(coarse=spec, cascade_levels=levels,
-                                      r=tg.choose_r(size)[0] if ropt else 2.0)
-                result = (tg.algorithm1 if ropt else tg.algorithm2)(prob, plan)
-                meshes = (result.coarse_mesh, *result.fine_meshes)
-                for mesh in meshes:
-                    recorder.add_mesh(mesh)
-                for mesh, out in zip(meshes, (result.coarse, *result.fine)):
-                    recorder.add_outcome(sp, mesh, prob, out)
+            for mesh, out in zip(meshes, (result.coarse, *result.fine)):
+                recorder.add_outcome(sp, mesh, prob, out)
     except Exception as err:  # a case that fails must fail alike on both sides
         message = hashlib.sha256(str(err).encode()).hexdigest()[:16]
         return f"{case_key(case)} error={type(err).__name__}:{message}"
@@ -146,6 +140,8 @@ def main(argv=None) -> int:
         sp = load_spgrid(args.src)
     except FileNotFoundError as err:
         parser.error(str(err))
+    if not hasattr(sp.bench, "make_plan"):
+        parser.error(f"{args.src} has no spgrid.bench.make_plan to plan the cases")
     for case in cases():
         print(digest_case(sp, case), flush=True)
     return 0
