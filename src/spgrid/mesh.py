@@ -54,8 +54,9 @@ class MeshSpec:
 
     ``eps`` is a normal double in (0, 1]: below 2**-1022, ``x/eps``
     overflows on [0, 1].  ``a`` and ``q`` are only meaningful for the graded
-    families, ``gamma0`` only for the Shishkin family; the stored defaults
-    are harmless otherwise.
+    families, which check their ranges, and ``gamma0`` only for the Shishkin
+    family.  Every family refuses a non-finite value of any of the three:
+    the JSON outputs that echo them could not hold it.
     """
 
     family: str
@@ -82,6 +83,9 @@ class MeshSpec:
                 raise ValueError("a must be positive and finite")
             if not 0.0 < self.q < 0.5:
                 raise ValueError("q must lie in (0, 0.5)")
+        for key in ("a", "q"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite")
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,32 @@
-"""Frozen reference values for the acceptance suite.
+"""Published cells for the acceptance suite, and the run that computes each.
 
-PUBLISHED_* dicts hold cells from the published benchmark tables this
-package aims to reproduce.  Independent re-runs reproduce some of those
-cells to high accuracy and demonstrably cannot reproduce others from the
-stated constructions (see notes next to each acceptance test); the
-acceptance suite pins every published cell at its stated tolerance and
-marks the irreproducible groups as expected failures rather than loosening
-any tolerance.
-
-LAYER_TABLE_* values are exact integer-count ratios and reproduce
-bit-for-bit.
+The EX*, CASCADE_* and ROPT_* groups are cells of the published tables.
+Beside its values, each has its recipe in ``RECIPES``: the arguments of
+:func:`cells` (the ``run_report`` sweep behind ``spgrid table``) that its
+key does not give.  The suite pins every cell at its stated tolerance and
+marks the groups that the stated constructions cannot reproduce as strict
+expected failures, whose reasons say why, rather than loosening any
+tolerance.  The LAYER_* and CHOOSE_R_* values come from ``layer_report``
+and ``choose_r``; the layer counts reproduce bit for bit.
 """
+
+import spgrid as sp
+
+SIZES = (8, 16, 32, 64)
+RECIPES = {}
+
+
+def cells(problem, algorithm, family, eps, n_list=SIZES, step=None, **config):
+    """The rows of one step (the last by default) of the ``run_report`` sweep
+    of one (family, eps) over ``n_list``; ``config`` holds the remaining
+    ``ReportConfig`` fields.  A failed cell is an error."""
+    report = sp.run_report(sp.ReportConfig(
+        problem=problem, families=(family,), eps_list=(eps,), n_list=n_list,
+        algorithm=algorithm, **config))
+    assert report.failed_cells() == 0
+    step = report.rows[-1].step if step is None else step
+    return [row for row in report.rows if row.step == step]
+
 
 # --- layer-point percentages (eps = 2^-8, q = 0.4) -------------------------
 # grading strengths that reproduce the published counts: a = 1 for the
@@ -35,6 +51,7 @@ LAYER_TABLE_PRINTED = {
 }
 
 # --- example 1, direct nonlinear solve (step 1), N = 8, 16, 32, 64 ---------
+# keyed (family, a, eps), as are all example-1 groups
 EX1_STEP1 = {
     ("bakhvalov", 4.0, 1e-2): [5.810e-2, 1.380e-2, 3.400e-3, 8.491e-4],
     ("bakhvalov", 4.0, 1e-4): [5.810e-2, 1.380e-2, 3.400e-3, 8.491e-4],
@@ -47,6 +64,8 @@ EX1_STEP1_ORDERS = {
     ("bakhvalov", 4.0, 1e-2): [2.0739, 2.0211, 2.0016],
     ("shishkin", 1.0, 1e-2): [0.9283, 1.4053, 1.4815],
 }
+RECIPES["EX1_STEP1"] = RECIPES["EX1_STEP1_ORDERS"] = dict(
+    problem="ex1", algorithm="direct", step=1)
 
 # --- example 1, two-grid step 2 with n = N^2 --------------------------------
 EX1_STEP2 = {
@@ -55,19 +74,26 @@ EX1_STEP2 = {
     ("vulanovic", 1.0, 1e-4): [5.400e-3, 2.170e-4, 1.248e-5, 7.363e-7],
     ("shishkin", 1.0, 1e-2): [7.000e-3, 1.100e-3, 1.299e-4, 1.298e-5],
 }
+RECIPES["EX1_STEP2"] = dict(problem="ex1", algorithm="tg1", step=2)
 
 # --- example 1 cascade (rational mesh, a = 3), step-3 orders at eps = 1e-1 --
 CASCADE_STEP3_ORDERS = [7.9299, 7.9533]
 CASCADE_STEP3_N16 = 1.113e-10
+RECIPES["CASCADE_STEP3_ORDERS"] = RECIPES["CASCADE_STEP3_N16"] = dict(
+    problem="ex1", algorithm="tg2", step=3, family="vulanovic", eps=1e-1,
+    n_list=(4, 8, 16), a=3.0)
 
-# --- example 2, two-grid step 2 (a = 2) -------------------------------------
+# --- example 2, two-grid step 2 (a = 2), keyed (family, eps) ---------------
 EX2_STEP2 = {
     ("vulanovic", 1e-2): [2.056e-3, 1.148e-4, 6.971e-6, 4.368e-7],
     ("vulanovic", 1e-4): [1.935e-3, 1.168e-4, 7.087e-6, 4.444e-7],
     ("bakhvalov", 1e-2): [5.069e-4, 3.051e-5, 1.677e-6, 1.032e-7],
     ("bakhvalov", 1e-4): [8.857e-4, 6.401e-5, 4.009e-6, 2.401e-7],
 }
+RECIPES["EX2_STEP2"] = dict(problem="ex2", algorithm="tg1", step=2, a=2.0)
 
 # --- cost-balancing exponent table ------------------------------------------
 CHOOSE_R_PRINTED = {8: 1.9752, 16: 1.8550, 32: 1.8131, 64: 1.7984}
 ROPT_ORDERS_PRINTED = [2.8931, 3.0180, 3.0968]
+RECIPES["ROPT_ORDERS_PRINTED"] = dict(
+    problem="ex2", algorithm="tg1_ropt", step=2, family="shishkin", eps=1e-1)

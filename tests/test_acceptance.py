@@ -4,8 +4,10 @@ Each test prints a single PASS/FAIL line (visible with ``pytest -s`` or
 ``-rA``).  Criteria whose published reference cells are demonstrably not
 reproducible from the stated mesh/scheme constructions are implemented at
 their stated tolerance anyway and marked ``xfail(strict=True)``: they run,
-fail honestly, and would flag loudly if they ever started passing.  The
-blocking analyses live outside the package in the project notes.
+fail honestly, and would flag loudly if they ever started passing; each
+reason states why its cells cannot be reproduced.  Every published cell
+comes from ``reference_values.cells``, the ``run_report`` sweep behind
+``spgrid table``, run with its group's recipe.
 """
 
 import math
@@ -14,17 +16,19 @@ import time
 import numpy as np
 import pytest
 
+import reference_values
 import spgrid as sp
+from spgrid.bench import render_layer_rows
 from spgrid.newton import semilinear_jacobian
 from oracles import jacobian_fd_gap
 from reference_values import (CASCADE_STEP3_N16, CASCADE_STEP3_ORDERS,
                               CHOOSE_R_PRINTED, EX1_STEP1, EX1_STEP1_ORDERS,
                               EX1_STEP2, EX2_STEP2, LAYER_COARSE_SIZES,
                               LAYER_FINE_SIZES, LAYER_TABLE,
-                              LAYER_TABLE_PRINTED, ROPT_ORDERS_PRINTED)
+                              LAYER_TABLE_PRINTED, RECIPES, ROPT_ORDERS_PRINTED,
+                              SIZES, cells)
 from test_linsolve import linear_problem
 
-SIZES = [8, 16, 32, 64]
 EPS8 = 2.0 ** -8
 
 _timings = {}
@@ -47,37 +51,21 @@ def _elapsed(key):
     return time.perf_counter() - _timings[key]
 
 
-def _orders(errors):
-    return [math.log(a / b) / math.log(2.0) for a, b in zip(errors, errors[1:])]
-
-
 def _span_order(errors, sizes):
     return math.log(errors[0] / errors[-1]) / math.log(sizes[-1] / sizes[0])
 
 
-def _direct(problem_id, family, eps, sizes, a=1.0, gamma0=1.0):
-    p = sp.make_problem(problem_id, eps)
-    errs, iters = [], []
-    for n in sizes:
-        mesh = sp.build_mesh(sp.MeshSpec(family, eps, n, a=a, gamma0=gamma0))
-        out = sp.solve(mesh, p)
-        errs.append(sp.nodal_error(mesh, out.y, p.exact))
-        iters.append(out.iterations)
-    return errs, iters
+def _run(group, **cell):
+    """The rows of ``group``'s recipe at one cell: its key, and any override."""
+    return cells(**{**RECIPES[group], **cell})
 
 
-def _twogrid(problem_id, family, eps, sizes, a=1.0, gamma0=1.0, ropt=False):
-    p = sp.make_problem(problem_id, eps)
-    errs = []
-    for n in sizes:
-        spec = sp.MeshSpec(family, eps, n, a=a, gamma0=gamma0)
-        if ropt:
-            plan = sp.TwoGridPlan(coarse=spec, r=sp.choose_r(n)[0])
-        else:
-            plan = sp.TwoGridPlan(coarse=spec)
-        result = sp.algorithm1(p, plan)
-        errs.append(sp.nodal_error(result.fine_meshes[0], result.fine[0].y, p.exact))
-    return errs
+def _errors(rows):
+    return [row.error for row in rows]
+
+
+def _orders(rows):
+    return [row.order for row in rows[:-1]]
 
 
 # --------------------------------------------------------------------------
@@ -92,11 +80,9 @@ def test_criterion_1_layer_table_exact():
     got = {(r.family, r.step): r.percents for r in rows}
     ok = got == LAYER_TABLE
     # rendered cells match the printed table (half-up at two decimals)
-    from spgrid.bench import render_layer_rows
-
     text = render_layer_rows(rows)
-    printed_ok = all(cell in text for cells in LAYER_TABLE_PRINTED.values()
-                     for cell in cells)
+    printed_ok = all(cell in text for printed in LAYER_TABLE_PRINTED.values()
+                     for cell in printed)
     elapsed = time.perf_counter() - t0
     _report("1 layer-percentage table (24 cells exact)",
             ok and printed_ok and elapsed < 1.0, f"{elapsed:.2f}s")
@@ -123,10 +109,10 @@ def test_criterion_2_shishkin_errors_within_factor_two():
     _stopwatch("c2")
     ok = True
     for eps in (1e-2, 1e-4):
-        errs, iters = _direct("ex1", "shishkin", eps, SIZES)
+        rows = _run("EX1_STEP1", family="shishkin", eps=eps)
         ref = EX1_STEP1[("shishkin", 1.0, eps)]
-        ok &= all(max(e / r, r / e) <= 2.0 for e, r in zip(errs, ref))
-        ok &= all(i <= 8 for i in iters)
+        ok &= all(max(e / r, r / e) <= 2.0 for e, r in zip(_errors(rows), ref))
+        ok &= all(row.iterations <= 8 for row in rows)
     _report("2 piecewise-uniform mesh, direct errors within factor 2", ok)
     assert ok
 
@@ -139,7 +125,7 @@ def test_criterion_2_shishkin_errors_within_factor_two():
 def test_criterion_2_log_mesh_errors_5pct():
     ok = True
     for eps in (1e-2, 1e-4):
-        errs, _ = _direct("ex1", "bakhvalov", eps, SIZES, a=4.0)
+        errs = _errors(_run("EX1_STEP1", family="bakhvalov", a=4.0, eps=eps))
         ref = EX1_STEP1[("bakhvalov", 4.0, eps)]
         ok &= all(abs(e - r) / r <= 0.05 for e, r in zip(errs, ref))
     _report("2 log mesh, direct errors within 5%", ok)
@@ -150,9 +136,9 @@ def test_criterion_2_log_mesh_errors_5pct():
     "published step-1 orders (~2.0) reflect the printed error cells; the "
     "converged scheme shows ~4.0 on this mesh over N=8..64"))
 def test_criterion_2_log_mesh_orders():
-    errs, _ = _direct("ex1", "bakhvalov", 1e-2, SIZES, a=4.0)
+    rows = _run("EX1_STEP1_ORDERS", family="bakhvalov", a=4.0, eps=1e-2)
     ref = EX1_STEP1_ORDERS[("bakhvalov", 4.0, 1e-2)]
-    ok = all(abs(o - r) <= 0.1 for o, r in zip(_orders(errs), ref))
+    ok = all(abs(o - r) <= 0.1 for o, r in zip(_orders(rows), ref))
     _report("2 log mesh, step-1 orders within +-0.1", ok)
     assert ok
 
@@ -164,7 +150,7 @@ def test_criterion_2_log_mesh_orders():
 def test_criterion_2_rational_mesh_errors_5pct():
     ok = True
     for eps in (1e-2, 1e-4):
-        errs, _ = _direct("ex1", "vulanovic", eps, SIZES)
+        errs = _errors(_run("EX1_STEP1", family="vulanovic", eps=eps))
         ref = EX1_STEP1[("vulanovic", 1.0, eps)]
         ok &= all(abs(e - r) / r <= 0.05 for e, r in zip(errs, ref))
     _report("2 rational mesh, direct errors within 5%", ok)
@@ -175,9 +161,9 @@ def test_criterion_2_rational_mesh_errors_5pct():
     "published piecewise-uniform step-1 orders include an inflated N=8 "
     "cell; computed orders differ by up to 0.51 at the first pair"))
 def test_criterion_2_shishkin_orders():
-    errs, _ = _direct("ex1", "shishkin", 1e-2, SIZES)
+    rows = _run("EX1_STEP1_ORDERS", family="shishkin", eps=1e-2)
     ref = EX1_STEP1_ORDERS[("shishkin", 1.0, 1e-2)]
-    ok = all(abs(o - r) <= 0.2 for o, r in zip(_orders(errs), ref))
+    ok = all(abs(o - r) <= 0.2 for o, r in zip(_orders(rows), ref))
     _report("2 piecewise-uniform mesh, step-1 orders within +-0.2", ok)
     assert ok
 
@@ -197,7 +183,7 @@ def test_criterion_3_fourth_order_slopes():
     ok = True
     details = []
     for family, a in (("bakhvalov", 4.0), ("vulanovic", 1.0)):
-        errs = _twogrid("ex1", family, 1e-2, SIZES, a=a)
+        errs = _errors(_run("EX1_STEP2", family=family, a=a, eps=1e-2))
         slope = -np.polyfit(np.log(SIZES), np.log(errs), 1)[0]
         details.append(f"{family} {slope:.2f}")
         ok &= 3.6 <= slope <= 4.4
@@ -210,7 +196,7 @@ def test_criterion_3_fourth_order_slopes():
     "published fine-step cells are 8-44% from the computed ones (orders "
     "agree at ~4); strict 5% cell matching is not attainable"))
 def test_criterion_3_log_mesh_step2_cells_5pct():
-    errs = _twogrid("ex1", "bakhvalov", 1e-2, SIZES, a=4.0)
+    errs = _errors(_run("EX1_STEP2", family="bakhvalov", a=4.0, eps=1e-2))
     ref = EX1_STEP2[("bakhvalov", 4.0, 1e-2)]
     ok = all(abs(e - r) / r <= 0.05 for e, r in zip(errs, ref))
     _report("3 log mesh, step-2 cells within 5%", ok)
@@ -223,7 +209,7 @@ def test_criterion_3_log_mesh_step2_cells_5pct():
 def test_criterion_3_rational_mesh_step2_cells_5pct():
     ok = True
     for eps in (1e-2, 1e-4):
-        errs = _twogrid("ex1", "vulanovic", eps, SIZES)
+        errs = _errors(_run("EX1_STEP2", family="vulanovic", eps=eps))
         ref = EX1_STEP2[("vulanovic", 1.0, eps)]
         ok &= all(abs(e - r) / r <= 0.05 for e, r in zip(errs, ref))
     _report("3 rational mesh, step-2 cells within 5%", ok)
@@ -235,7 +221,7 @@ def test_criterion_3_rational_mesh_step2_cells_5pct():
     "measures slope 2.07 and drifts to 2.9x the published cells at N=64; "
     "no single scaling meets both the factor-2 and slope bounds"))
 def test_criterion_3_shishkin_step2_factor2_and_slope():
-    errs = _twogrid("ex1", "shishkin", 1e-2, SIZES)
+    errs = _errors(_run("EX1_STEP2", family="shishkin", eps=1e-2))
     ref = EX1_STEP2[("shishkin", 1.0, 1e-2)]
     slope = -np.polyfit(np.log(SIZES), np.log(errs), 1)[0]
     ok = all(max(e / r, r / e) <= 2.0 for e, r in zip(errs, ref)) and slope >= 2.5
@@ -254,26 +240,14 @@ def test_criterion_3_runtime():
 # criterion 4: cascade algorithm (two fine levels)
 # --------------------------------------------------------------------------
 
-def _cascade_step3_errors(eps):
-    p = sp.example1(eps)
-    errs = []
-    for n in (4, 8, 16):
-        plan = sp.TwoGridPlan(coarse=sp.MeshSpec("vulanovic", eps, n, a=3.0),
-                              cascade_levels=2)
-        result = sp.algorithm2(p, plan)
-        errs.append(sp.nodal_error(result.fine_meshes[1], result.fine[1].y,
-                                   p.exact))
-    return errs
-
-
 def test_criterion_4_cascade_accuracy_floor():
     _stopwatch("c4")
-    errs = _cascade_step3_errors(1e-1)
-    ok = errs[-1] <= 2e-10
-    second = _orders(errs)[1]
+    rows = _run("CASCADE_STEP3_ORDERS")
+    ok = rows[-1].error <= 2e-10
+    second = rows[1].order
     ok_second = abs(second - CASCADE_STEP3_ORDERS[1]) <= 0.3
     _report("4 cascade: N=16 third-step error <= 2e-10 and (8,16) order",
-            ok and ok_second, f"err {errs[-1]:.3e}, order {second:.3f}")
+            ok and ok_second, f"err {rows[-1].error:.3e}, order {second:.3f}")
     assert ok and ok_second
 
 
@@ -282,8 +256,7 @@ def test_criterion_4_cascade_accuracy_floor():
     "N=4 chain (3 interior unknowns) differs from the published run by "
     "~1.5x, which the eighth-order scaling amplifies into the order"))
 def test_criterion_4_cascade_first_order_pair():
-    errs = _cascade_step3_errors(1e-1)
-    first = _orders(errs)[0]
+    first = _run("CASCADE_STEP3_ORDERS")[0].order
     ok = abs(first - CASCADE_STEP3_ORDERS[0]) <= 0.3
     _report("4 cascade: (4,8) third-step order within +-0.3", ok,
             f"order {first:.3f}")
@@ -295,10 +268,9 @@ def test_criterion_4_cascade_first_order_pair():
     "(+13.6%), outside the 10% example tolerance; the 2e-10 bound above "
     "is the binding acceptance check and passes"))
 def test_criterion_4_cascade_n16_cell_10pct():
-    errs = _cascade_step3_errors(1e-1)
-    ok = abs(errs[-1] - CASCADE_STEP3_N16) / CASCADE_STEP3_N16 <= 0.10
-    _report("4 cascade: N=16 third-step cell within 10%", ok,
-            f"{errs[-1]:.4e}")
+    err = _run("CASCADE_STEP3_N16")[-1].error
+    ok = abs(err - CASCADE_STEP3_N16) / CASCADE_STEP3_N16 <= 0.10
+    _report("4 cascade: N=16 third-step cell within 10%", ok, f"{err:.4e}")
     assert ok
 
 
@@ -318,8 +290,8 @@ def test_criterion_5_example2_orders_and_cells():
     details = []
     for family in ("vulanovic", "bakhvalov"):
         for eps in (1e-2, 1e-4):
-            step1, _ = _direct("ex2", family, eps, SIZES, a=2.0)
-            step2 = _twogrid("ex2", family, eps, SIZES, a=2.0)
+            step1 = _errors(cells("ex2", "direct", family, eps, a=2.0))
+            step2 = _errors(_run("EX2_STEP2", family=family, eps=eps))
             # observed orders over N = 16 -> 64
             o1 = _span_order(step1[1:], SIZES[1:])
             o2 = _span_order(step2[1:], SIZES[1:])
@@ -355,8 +327,7 @@ def test_criterion_6_choose_r_values():
     "solved coarse stage the fine-step error follows the n^-2 schedule, "
     "which steepens as r falls, while the published sequence decays slower"))
 def test_criterion_6_reduced_cost_orders():
-    errs = _twogrid("ex2", "shishkin", 1e-1, SIZES, ropt=True)
-    measured = _orders(errs)
+    measured = _orders(_run("ROPT_ORDERS_PRINTED"))
     ok = all(abs(o - r) <= 0.3 for o, r in zip(measured, ROPT_ORDERS_PRINTED))
     _report("6 reduced-cost two-grid orders in band",
             ok, " ".join(f"{o:.2f}" for o in measured))
@@ -481,8 +452,8 @@ def test_criterion_7_eps_stabilization():
     # eps-sensitive at every N
     ok = True
     for family in ("shishkin", "vulanovic"):
-        e2, _ = _direct("ex1", family, 1e-2, [32, 64])
-        e4, _ = _direct("ex1", family, 1e-4, [32, 64])
+        e2, e4 = (_errors(cells("ex1", "direct", family, eps, (32, 64)))
+                  for eps in (1e-2, 1e-4))
         ok &= all(abs(a - b) / a <= 5e-3 for a, b in zip(e2, e4))
     _report("7 eps-stabilization of resolved rows (3 significant digits)", ok)
     assert ok
@@ -507,10 +478,10 @@ def _uniform_constants(families, rate):
             continue
         constants = [0.0] * len(UNIFORM_SIZES)
         for eps in UNIFORM_EPS:
-            errs, iters = _direct(problem_id, family, eps, UNIFORM_SIZES, a=a)
-            ok &= max(iters) <= 8
-            constants = [max(c, e * rate(N))
-                         for c, e, N in zip(constants, errs, UNIFORM_SIZES)]
+            rows = cells(problem_id, "direct", family, eps, UNIFORM_SIZES, a=a)
+            ok &= max(row.iterations for row in rows) <= 8
+            constants = [max(c, row.error * rate(row.N))
+                         for c, row in zip(constants, rows)]
         ok &= max(constants) <= 1.25 * measured
         detail.append(f"{family} {problem_id} "
                       + "/".join(f"{c:.2f}" for c in constants))
@@ -541,13 +512,10 @@ def test_criterion_7_uniform_convergence_bakhvalov_vulanovic_at_rate_n_squared()
 def test_criterion_7_two_grid_error_matches_direct_in_interpolant_norm(family, a):
     ratios = []
     for eps in (1e-2, 1e-4, 1e-6):
-        p = sp.example1(eps)
-        for N in (16, 32, 64):
-            result = sp.algorithm1(p, sp.TwoGridPlan(coarse=sp.MeshSpec(family, eps, N, a=a)))
-            fine = result.fine_meshes[0]
-            direct = sp.solve(fine, p)
-            ratios.append(sp.interpolant_error(fine, result.fine[0].y, p.exact)
-                          / sp.interpolant_error(fine, direct.y, p.exact))
+        tg1 = cells("ex1", "tg1", family, eps, (16, 32, 64), a=a, metric="interpolant")
+        direct = cells("ex1", "direct", family, eps, [row.n for row in tg1], a=a,
+                       metric="interpolant")
+        ratios += [t.error / d.error for t, d in zip(tg1, direct)]
     ok = all(0.9 <= r <= 1.25 for r in ratios)
     _report(f"7 ex1 {family} tg1/direct interpolant error in [0.9, 1.25]", ok,
             " ".join(f"{r:.3f}" for r in ratios))
@@ -555,16 +523,24 @@ def test_criterion_7_two_grid_error_matches_direct_in_interpolant_norm(family, a
 
 
 # --------------------------------------------------------------------------
-# criterion 8: two-grid cost advantage at n = 4096
+# criterion 8: two-grid cost advantage at n = 4096 and 2^16
 # --------------------------------------------------------------------------
 
-def test_criterion_8_two_grid_faster_than_direct():
-    rows = list(sp.timing_rows("ex1", "bakhvalov", 1e-2, [64], a=4.0, repeats=3))
-    row = rows[0]
-    ok = row.n == 4096 and row.ratio > 1.0
-    _report("8 two-grid faster than direct at n=4096", ok,
-            f"ratio {row.ratio:.2f}")
+def _faster_than_direct(N):
+    [row] = sp.timing_rows("ex1", "bakhvalov", 1e-2, [N], a=4.0, repeats=3)
+    ok = row.n == N * N and row.ratio > 1.0
+    _report(f"8 two-grid faster than direct at n={N * N}", ok, f"ratio {row.ratio:.2f}")
     assert ok
+
+
+def test_criterion_8_two_grid_faster_than_direct():
+    _faster_than_direct(64)
+
+
+def test_criterion_8_two_grid_faster_than_nested_start_direct_at_n_65536():
+    # above NESTED_BASE the direct solve starts from its own solution on
+    # every 16th node, so it takes 2-3 fine sweeps where tg1 takes one
+    _faster_than_direct(256)
 
 
 # --------------------------------------------------------------------------
@@ -572,18 +548,16 @@ def test_criterion_8_two_grid_faster_than_direct():
 # --------------------------------------------------------------------------
 
 def test_pinned_cell_direct_shishkin_n64():
-    p = sp.example1(1e-2)
-    mesh = sp.build_mesh(sp.MeshSpec("shishkin", 1e-2, 64))
-    out = sp.solve(mesh, p)
-    err = sp.nodal_error(mesh, out.y, p.exact)
-    ok = abs(err - 5.300e-3) / 5.300e-3 <= 0.05
+    [err] = _errors(_run("EX1_STEP1", family="shishkin", eps=1e-2, n_list=[64]))
+    ref = EX1_STEP1[("shishkin", 1.0, 1e-2)][-1]
+    ok = abs(err - ref) / ref <= 0.05
     _report("pinned: direct piecewise-uniform N=64 cell within 5%", ok,
             f"{err:.4e}")
     assert ok
 
 
 def test_pinned_cell_example2_step1_span():
-    errs, _ = _direct("ex2", "vulanovic", 1e-2, SIZES, a=2.0)
+    errs = _errors(cells("ex2", "direct", "vulanovic", 1e-2, a=2.0))
     span = _span_order(errs, SIZES)
     ok = abs(span - 2.0) <= 0.2
     _report("pinned: quasilinear step-1 order across N=8..64 within 2.0+-0.2",
@@ -595,10 +569,7 @@ def test_pinned_cell_example2_step1_span():
     "published cell 8.295e-4 vs computed 7.816e-4 (-5.8%), just outside "
     "the 5% example tolerance; both grids degenerate to uniform here"))
 def test_pinned_cell_tg_degenerate_log_mesh():
-    p = sp.example1(1e-1)
-    plan = sp.TwoGridPlan(coarse=sp.MeshSpec("bakhvalov", 1e-1, 8, a=4.0))
-    result = sp.algorithm1(p, plan)
-    err = sp.nodal_error(result.fine_meshes[0], result.fine[0].y, p.exact)
+    [err] = _errors(_run("EX1_STEP2", family="bakhvalov", a=4.0, eps=1e-1, n_list=[8]))
     ok = abs(err - 8.295e-4) / 8.295e-4 <= 0.05
     _report("pinned: degenerate-mesh two-grid N=8 cell within 5%", ok,
             f"{err:.4e}")
@@ -610,8 +581,7 @@ def test_pinned_cell_tg_degenerate_log_mesh():
     "8.77; computed N=16 value 2.8e-9 is 8x below the published 2.292e-8, "
     "so the cells disagree in the direction favoring this implementation"))
 def test_pinned_cascade_order_eps_second_decade():
-    errs = _cascade_step3_errors(1e-2)
-    order = _orders(errs)[1]
+    order = _run("CASCADE_STEP3_ORDERS", eps=1e-2)[1].order
     ok = abs(order - 7.79) <= 0.4
     _report("pinned: cascade (8,16) order at eps=1e-2 within 7.79+-0.4", ok,
             f"{order:.4f}")
@@ -626,8 +596,7 @@ def test_pinned_cascade_order_eps_second_decade():
     "next interval jumps 200x); the published N=32 cell 4.009e-6 shows "
     "the same bump relative to its neighbours"))
 def test_pinned_example2_log_mesh_per_pair_orders():
-    errs = _twogrid("ex2", "bakhvalov", 1e-4, SIZES, a=2.0)
-    measured = _orders(errs)
+    measured = _orders(_run("EX2_STEP2", family="bakhvalov", eps=1e-4))
     ok = all(abs(o - r) <= 0.3 for o, r in zip(measured, [3.7905, 3.9970, 4.0611]))
     _report("pinned: quasilinear log-mesh per-pair fine-step orders", ok,
             " ".join(f"{o:.2f}" for o in measured))
@@ -639,12 +608,15 @@ def test_pinned_example2_log_mesh_per_pair_orders():
     "while the acceptance bar for these cells is factor 2 (transition "
     "scaling unpinned); computed cells sit 4.4-45% from the published row"))
 def test_pinned_run_report_shishkin_row_5pct():
-    cfg = sp.ReportConfig(problem="ex1", families=("shishkin",),
-                          eps_list=(1e-2,), n_list=(8, 16, 32, 64),
-                          algorithm="tg1")
-    report = sp.run_report(cfg)
-    step1 = [r.error for r in report.rows if r.step == 1]
+    step1 = _errors(_run("EX1_STEP1", family="shishkin", eps=1e-2))
     ref = EX1_STEP1[("shishkin", 1.0, 1e-2)]
     ok = all(abs(e - r) / r <= 0.05 for e, r in zip(step1, ref))
     _report("pinned: report step-1 row within 5%", ok)
     assert ok
+
+
+def test_every_published_group_has_exactly_one_recipe():
+    # the EX*, CASCADE_* and ROPT_* names hold the published run cells
+    groups = {name for name in vars(reference_values)
+              if name.startswith(("EX", "CASCADE_", "ROPT_"))}
+    assert set(RECIPES) == groups

@@ -156,6 +156,8 @@ def _no_solve(monkeypatch):
      "error: fine grid must be strictly finer than coarse\n"),
     (("--algorithm", "tg2", "--coarse", "4", "--r", "nan"),
      "error: r must be finite and exceed 1\n"),
+    # the uniform mesh ignores q, but the JSON echoes it, and JSON has no NaN
+    (("--n", "8", "--q", "nan"), "error: q must be finite\n"),
 ])
 def test_solve_size_the_algorithm_cannot_run_is_validation_error(capsys, monkeypatch,
                                                                  flags, message):
@@ -404,6 +406,11 @@ def test_mesh_help_names_a_comma_list_only_where_one_is_split(capsys, command, a
     (("--algorithm", "tg2", "--levels", "3"),
      "fine size 16777216 exceeds the 1048576 interval budget"),
     (("--algorithm", "tg2", "--r", "nan"), "r must be finite and exceed 1"),
+    # JSON has no Infinity or NaN: the families that ignore a and q refuse them too
+    (("--mesh", "shishkin", "--a", "inf"), "a must be finite"),
+    (("--mesh", "shishkin", "--q", "nan"), "q must be finite"),
+    (("--mesh", "uniform", "--a", "nan"), "a must be finite"),
+    (("--mesh", "uniform", "--q", "inf"), "q must be finite"),
 ])
 def test_table_invalid_mesh_or_plan_parameter_is_validation_error(
         capsys, monkeypatch, flags, message):
