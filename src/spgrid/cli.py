@@ -52,13 +52,15 @@ def _add_mesh_args(p: argparse.ArgumentParser, what: str = "mesh family") -> Non
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False everywhere: a prefix such as --r must not stand for
+    # --repeats in bench while it is the fine-size exponent in solve and table
     parser = argparse.ArgumentParser(
-        prog="spgrid",
+        prog="spgrid", allow_abbrev=False,
         description="Layer-adapted finite differences and two-grid solvers "
                     "for singularly perturbed reaction-diffusion problems.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    ps = sub.add_parser("solve", help="solve one problem instance")
+    ps = sub.add_parser("solve", help="solve one problem instance", allow_abbrev=False)
     ps.add_argument("--problem", required=True, choices=tuple(PROBLEMS))
     _add_mesh_args(ps)
     ps.add_argument("--eps", type=float, required=True)
@@ -69,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--levels", type=int, default=2, help="cascade levels (tg2)")
     ps.add_argument("--out", default="json", choices=("json", "nodes"))
 
-    pt = sub.add_parser("table", help="convergence table over (eps, N) cells")
+    pt = sub.add_parser("table", help="convergence table over (eps, N) cells",
+                        allow_abbrev=False)
     pt.add_argument("--problem", required=True, choices=tuple(PROBLEMS))
     _add_mesh_args(pt, "mesh family or comma list")
     pt.add_argument("--eps", type=_float_list, required=True, help="comma list")
@@ -80,7 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--format", dest="fmt", default="markdown", choices=FORMATS)
     pt.add_argument("--metric", default="nodal", choices=METRICS)
 
-    pl = sub.add_parser("layers", help="percent of mesh points inside the layers")
+    pl = sub.add_parser("layers", help="percent of mesh points inside the layers",
+                        allow_abbrev=False)
     pl.add_argument("--eps", type=float, default=2.0 ** -8)
     pl.add_argument("--coarse", type=_int_list, default=[8, 16, 32, 64])
     pl.add_argument("--fine", type=_int_list, default=[64, 256, 1024, 4096])
@@ -91,7 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--q", type=float, default=0.4)
     pl.add_argument("--gamma0", type=float, default=1.0)
 
-    pb = sub.add_parser("bench", help="direct vs two-grid timing on n = N^2")
+    pb = sub.add_parser("bench", help="direct vs two-grid timing on n = N^2",
+                        allow_abbrev=False)
     pb.add_argument("--problem", required=True, choices=tuple(PROBLEMS))
     _add_mesh_args(pb)
     pb.add_argument("--eps", type=float, required=True)

@@ -5,9 +5,10 @@ Each test prints a single PASS/FAIL line (visible with ``pytest -s`` or
 reproducible from the stated mesh/scheme constructions are implemented at
 their stated tolerance anyway and marked ``xfail(strict=True)``: they run,
 fail honestly, and would flag loudly if they ever started passing; each
-reason states why its cells cannot be reproduced.  Every published cell
-comes from ``reference_values.cells``, the ``run_report`` sweep behind
-``spgrid table``, run with its group's recipe.
+reason states why its cells cannot be reproduced.  The tests state no
+published number: each reads its group's values, and the rows that its
+recipe computes (the ``run_report`` sweep behind ``spgrid table``), from
+``reference_values.published``, and Table 1 from ``reference_values``.
 """
 
 import math
@@ -21,15 +22,11 @@ import spgrid as sp
 from spgrid.bench import render_layer_rows
 from spgrid.newton import semilinear_jacobian
 from oracles import jacobian_fd_gap
-from reference_values import (CASCADE_STEP3_N16, CASCADE_STEP3_ORDERS,
-                              CHOOSE_R_PRINTED, EX1_STEP1, EX1_STEP1_ORDERS,
-                              EX1_STEP2, EX2_STEP2, LAYER_COARSE_SIZES,
-                              LAYER_FINE_SIZES, LAYER_TABLE,
-                              LAYER_TABLE_PRINTED, RECIPES, ROPT_ORDERS_PRINTED,
-                              SIZES, cells)
+from reference_values import (CHOOSE_R_PRINTED, LAYER_COARSE_SIZES, LAYER_EPS,
+                              LAYER_FINE_SIZES, LAYER_GRADING, LAYER_TABLE,
+                              LAYER_TABLE_PRINTED, RECIPES, SIZES, cells,
+                              printed_layers, published)
 from test_linsolve import linear_problem
-
-EPS8 = 2.0 ** -8
 
 _timings = {}
 
@@ -55,11 +52,6 @@ def _span_order(errors, sizes):
     return math.log(errors[0] / errors[-1]) / math.log(sizes[-1] / sizes[0])
 
 
-def _run(group, **cell):
-    """The rows of ``group``'s recipe at one cell: its key, and any override."""
-    return cells(**{**RECIPES[group], **cell})
-
-
 def _errors(rows):
     return [row.error for row in rows]
 
@@ -74,15 +66,12 @@ def _orders(rows):
 
 def test_criterion_1_layer_table_exact():
     t0 = time.perf_counter()
-    grading = {"shishkin": 1.0, "vulanovic": 1.0, "bakhvalov": 4.0}
-    rows = sp.layer_report(EPS8, ("shishkin", "vulanovic", "bakhvalov"),
-                           LAYER_COARSE_SIZES, LAYER_FINE_SIZES, a=grading)
+    rows = sp.layer_report(LAYER_EPS, tuple(LAYER_GRADING), LAYER_COARSE_SIZES,
+                           LAYER_FINE_SIZES, a=LAYER_GRADING)
     got = {(r.family, r.step): r.percents for r in rows}
     ok = got == LAYER_TABLE
     # rendered cells match the printed table (half-up at two decimals)
-    text = render_layer_rows(rows)
-    printed_ok = all(cell in text for printed in LAYER_TABLE_PRINTED.values()
-                     for cell in printed)
+    printed_ok = printed_layers(render_layer_rows(rows)) == LAYER_TABLE_PRINTED
     elapsed = time.perf_counter() - t0
     _report("1 layer-percentage table (24 cells exact)",
             ok and printed_ok and elapsed < 1.0, f"{elapsed:.2f}s")
@@ -95,10 +84,10 @@ def test_criterion_1_footnote_rational_family_uses_unit_grading():
     # the published caption states a = 1; the logarithmic-family rows as
     # printed require a = 4 (with a = 1 the counts are far higher), while
     # the rational-family rows do require a = 1
-    mesh = sp.build_mesh(sp.MeshSpec("bakhvalov", EPS8, 8, a=1.0))
-    assert sp.layer_fraction(mesh, EPS8) == 75.0
-    mesh = sp.build_mesh(sp.MeshSpec("vulanovic", EPS8, 8, a=4.0))
-    assert sp.layer_fraction(mesh, EPS8) == 25.0
+    mesh = sp.build_mesh(sp.MeshSpec("bakhvalov", LAYER_EPS, 8, a=1.0))
+    assert sp.layer_fraction(mesh, LAYER_EPS) == 75.0
+    mesh = sp.build_mesh(sp.MeshSpec("vulanovic", LAYER_EPS, 8, a=4.0))
+    assert sp.layer_fraction(mesh, LAYER_EPS) == 25.0
 
 
 # --------------------------------------------------------------------------
@@ -109,8 +98,7 @@ def test_criterion_2_shishkin_errors_within_factor_two():
     _stopwatch("c2")
     ok = True
     for eps in (1e-2, 1e-4):
-        rows = _run("EX1_STEP1", family="shishkin", eps=eps)
-        ref = EX1_STEP1[("shishkin", 1.0, eps)]
+        ref, rows = published("EX1_STEP1", family="shishkin", a=1.0, eps=eps)
         ok &= all(max(e / r, r / e) <= 2.0 for e, r in zip(_errors(rows), ref))
         ok &= all(row.iterations <= 8 for row in rows)
     _report("2 piecewise-uniform mesh, direct errors within factor 2", ok)
@@ -125,9 +113,8 @@ def test_criterion_2_shishkin_errors_within_factor_two():
 def test_criterion_2_log_mesh_errors_5pct():
     ok = True
     for eps in (1e-2, 1e-4):
-        errs = _errors(_run("EX1_STEP1", family="bakhvalov", a=4.0, eps=eps))
-        ref = EX1_STEP1[("bakhvalov", 4.0, eps)]
-        ok &= all(abs(e - r) / r <= 0.05 for e, r in zip(errs, ref))
+        ref, rows = published("EX1_STEP1", family="bakhvalov", a=4.0, eps=eps)
+        ok &= all(abs(e - r) / r <= 0.05 for e, r in zip(_errors(rows), ref))
     _report("2 log mesh, direct errors within 5%", ok)
     assert ok
 
@@ -136,8 +123,7 @@ def test_criterion_2_log_mesh_errors_5pct():
     "published step-1 orders (~2.0) reflect the printed error cells; the "
     "converged scheme shows ~4.0 on this mesh over N=8..64"))
 def test_criterion_2_log_mesh_orders():
-    rows = _run("EX1_STEP1_ORDERS", family="bakhvalov", a=4.0, eps=1e-2)
-    ref = EX1_STEP1_ORDERS[("bakhvalov", 4.0, 1e-2)]
+    ref, rows = published("EX1_STEP1_ORDERS", family="bakhvalov", a=4.0, eps=1e-2)
     ok = all(abs(o - r) <= 0.1 for o, r in zip(_orders(rows), ref))
     _report("2 log mesh, step-1 orders within +-0.1", ok)
     assert ok
@@ -150,9 +136,8 @@ def test_criterion_2_log_mesh_orders():
 def test_criterion_2_rational_mesh_errors_5pct():
     ok = True
     for eps in (1e-2, 1e-4):
-        errs = _errors(_run("EX1_STEP1", family="vulanovic", eps=eps))
-        ref = EX1_STEP1[("vulanovic", 1.0, eps)]
-        ok &= all(abs(e - r) / r <= 0.05 for e, r in zip(errs, ref))
+        ref, rows = published("EX1_STEP1", family="vulanovic", a=1.0, eps=eps)
+        ok &= all(abs(e - r) / r <= 0.05 for e, r in zip(_errors(rows), ref))
     _report("2 rational mesh, direct errors within 5%", ok)
     assert ok
 
@@ -161,8 +146,7 @@ def test_criterion_2_rational_mesh_errors_5pct():
     "published piecewise-uniform step-1 orders include an inflated N=8 "
     "cell; computed orders differ by up to 0.51 at the first pair"))
 def test_criterion_2_shishkin_orders():
-    rows = _run("EX1_STEP1_ORDERS", family="shishkin", eps=1e-2)
-    ref = EX1_STEP1_ORDERS[("shishkin", 1.0, 1e-2)]
+    ref, rows = published("EX1_STEP1_ORDERS", family="shishkin", a=1.0, eps=1e-2)
     ok = all(abs(o - r) <= 0.2 for o, r in zip(_orders(rows), ref))
     _report("2 piecewise-uniform mesh, step-1 orders within +-0.2", ok)
     assert ok
@@ -183,7 +167,7 @@ def test_criterion_3_fourth_order_slopes():
     ok = True
     details = []
     for family, a in (("bakhvalov", 4.0), ("vulanovic", 1.0)):
-        errs = _errors(_run("EX1_STEP2", family=family, a=a, eps=1e-2))
+        errs = _errors(published("EX1_STEP2", family=family, a=a, eps=1e-2)[1])
         slope = -np.polyfit(np.log(SIZES), np.log(errs), 1)[0]
         details.append(f"{family} {slope:.2f}")
         ok &= 3.6 <= slope <= 4.4
@@ -196,9 +180,8 @@ def test_criterion_3_fourth_order_slopes():
     "published fine-step cells are 8-44% from the computed ones (orders "
     "agree at ~4); strict 5% cell matching is not attainable"))
 def test_criterion_3_log_mesh_step2_cells_5pct():
-    errs = _errors(_run("EX1_STEP2", family="bakhvalov", a=4.0, eps=1e-2))
-    ref = EX1_STEP2[("bakhvalov", 4.0, 1e-2)]
-    ok = all(abs(e - r) / r <= 0.05 for e, r in zip(errs, ref))
+    ref, rows = published("EX1_STEP2", family="bakhvalov", a=4.0, eps=1e-2)
+    ok = all(abs(e - r) / r <= 0.05 for e, r in zip(_errors(rows), ref))
     _report("3 log mesh, step-2 cells within 5%", ok)
     assert ok
 
@@ -209,9 +192,8 @@ def test_criterion_3_log_mesh_step2_cells_5pct():
 def test_criterion_3_rational_mesh_step2_cells_5pct():
     ok = True
     for eps in (1e-2, 1e-4):
-        errs = _errors(_run("EX1_STEP2", family="vulanovic", eps=eps))
-        ref = EX1_STEP2[("vulanovic", 1.0, eps)]
-        ok &= all(abs(e - r) / r <= 0.05 for e, r in zip(errs, ref))
+        ref, rows = published("EX1_STEP2", family="vulanovic", a=1.0, eps=eps)
+        ok &= all(abs(e - r) / r <= 0.05 for e, r in zip(_errors(rows), ref))
     _report("3 rational mesh, step-2 cells within 5%", ok)
     assert ok
 
@@ -221,8 +203,8 @@ def test_criterion_3_rational_mesh_step2_cells_5pct():
     "measures slope 2.07 and drifts to 2.9x the published cells at N=64; "
     "no single scaling meets both the factor-2 and slope bounds"))
 def test_criterion_3_shishkin_step2_factor2_and_slope():
-    errs = _errors(_run("EX1_STEP2", family="shishkin", eps=1e-2))
-    ref = EX1_STEP2[("shishkin", 1.0, 1e-2)]
+    ref, rows = published("EX1_STEP2", family="shishkin", a=1.0, eps=1e-2)
+    errs = _errors(rows)
     slope = -np.polyfit(np.log(SIZES), np.log(errs), 1)[0]
     ok = all(max(e / r, r / e) <= 2.0 for e, r in zip(errs, ref)) and slope >= 2.5
     _report("3 piecewise-uniform mesh, step-2 factor 2 + slope >= 2.5", ok,
@@ -242,10 +224,10 @@ def test_criterion_3_runtime():
 
 def test_criterion_4_cascade_accuracy_floor():
     _stopwatch("c4")
-    rows = _run("CASCADE_STEP3_ORDERS")
+    ref, rows = published("CASCADE_STEP3_ORDERS")
     ok = rows[-1].error <= 2e-10
     second = rows[1].order
-    ok_second = abs(second - CASCADE_STEP3_ORDERS[1]) <= 0.3
+    ok_second = abs(second - ref[1]) <= 0.3
     _report("4 cascade: N=16 third-step error <= 2e-10 and (8,16) order",
             ok and ok_second, f"err {rows[-1].error:.3e}, order {second:.3f}")
     assert ok and ok_second
@@ -256,10 +238,10 @@ def test_criterion_4_cascade_accuracy_floor():
     "N=4 chain (3 interior unknowns) differs from the published run by "
     "~1.5x, which the eighth-order scaling amplifies into the order"))
 def test_criterion_4_cascade_first_order_pair():
-    first = _run("CASCADE_STEP3_ORDERS")[0].order
-    ok = abs(first - CASCADE_STEP3_ORDERS[0]) <= 0.3
+    ref, [first, *_] = published("CASCADE_STEP3_ORDERS")
+    ok = abs(first.order - ref[0]) <= 0.3
     _report("4 cascade: (4,8) third-step order within +-0.3", ok,
-            f"order {first:.3f}")
+            f"order {first.order:.3f}")
     assert ok
 
 
@@ -268,9 +250,9 @@ def test_criterion_4_cascade_first_order_pair():
     "(+13.6%), outside the 10% example tolerance; the 2e-10 bound above "
     "is the binding acceptance check and passes"))
 def test_criterion_4_cascade_n16_cell_10pct():
-    err = _run("CASCADE_STEP3_N16")[-1].error
-    ok = abs(err - CASCADE_STEP3_N16) / CASCADE_STEP3_N16 <= 0.10
-    _report("4 cascade: N=16 third-step cell within 10%", ok, f"{err:.4e}")
+    ref, [*_, last] = published("CASCADE_STEP3_N16")
+    ok = abs(last.error - ref) / ref <= 0.10
+    _report("4 cascade: N=16 third-step cell within 10%", ok, f"{last.error:.4e}")
     assert ok
 
 
@@ -291,13 +273,13 @@ def test_criterion_5_example2_orders_and_cells():
     for family in ("vulanovic", "bakhvalov"):
         for eps in (1e-2, 1e-4):
             step1 = _errors(cells("ex2", "direct", family, eps, a=2.0))
-            step2 = _errors(_run("EX2_STEP2", family=family, eps=eps))
+            ref, rows = published("EX2_STEP2", family=family, eps=eps)
+            step2 = _errors(rows)
             # observed orders over N = 16 -> 64
             o1 = _span_order(step1[1:], SIZES[1:])
             o2 = _span_order(step2[1:], SIZES[1:])
             ok &= abs(o1 - 2.0) <= 0.2
             ok &= abs(o2 - 4.0) <= 0.3
-            ref = EX2_STEP2[(family, eps)]
             ok &= all(max(e / r, r / e) <= 2.0 for e, r in zip(step2, ref))
             details.append(f"{family[0]}{eps:g}: {o1:.2f}/{o2:.2f}")
     elapsed = _elapsed("c5")
@@ -327,8 +309,9 @@ def test_criterion_6_choose_r_values():
     "solved coarse stage the fine-step error follows the n^-2 schedule, "
     "which steepens as r falls, while the published sequence decays slower"))
 def test_criterion_6_reduced_cost_orders():
-    measured = _orders(_run("ROPT_ORDERS_PRINTED"))
-    ok = all(abs(o - r) <= 0.3 for o, r in zip(measured, ROPT_ORDERS_PRINTED))
+    ref, rows = published("ROPT_ORDERS_PRINTED")
+    measured = _orders(rows)
+    ok = all(abs(o - r) <= 0.3 for o, r in zip(measured, ref))
     _report("6 reduced-cost two-grid orders in band",
             ok, " ".join(f"{o:.2f}" for o in measured))
     assert ok
@@ -548,11 +531,10 @@ def test_criterion_8_two_grid_faster_than_nested_start_direct_at_n_65536():
 # --------------------------------------------------------------------------
 
 def test_pinned_cell_direct_shishkin_n64():
-    [err] = _errors(_run("EX1_STEP1", family="shishkin", eps=1e-2, n_list=[64]))
-    ref = EX1_STEP1[("shishkin", 1.0, 1e-2)][-1]
-    ok = abs(err - ref) / ref <= 0.05
+    ref, [row] = published("EX1_STEP1", family="shishkin", a=1.0, eps=1e-2, n_list=[64])
+    ok = abs(row.error - ref[-1]) / ref[-1] <= 0.05
     _report("pinned: direct piecewise-uniform N=64 cell within 5%", ok,
-            f"{err:.4e}")
+            f"{row.error:.4e}")
     assert ok
 
 
@@ -569,10 +551,10 @@ def test_pinned_cell_example2_step1_span():
     "published cell 8.295e-4 vs computed 7.816e-4 (-5.8%), just outside "
     "the 5% example tolerance; both grids degenerate to uniform here"))
 def test_pinned_cell_tg_degenerate_log_mesh():
-    [err] = _errors(_run("EX1_STEP2", family="bakhvalov", a=4.0, eps=1e-1, n_list=[8]))
-    ok = abs(err - 8.295e-4) / 8.295e-4 <= 0.05
+    [ref], [row] = published("EX1_STEP2_N8", family="bakhvalov", a=4.0, eps=1e-1)
+    ok = abs(row.error - ref) / ref <= 0.05
     _report("pinned: degenerate-mesh two-grid N=8 cell within 5%", ok,
-            f"{err:.4e}")
+            f"{row.error:.4e}")
     assert ok
 
 
@@ -581,10 +563,10 @@ def test_pinned_cell_tg_degenerate_log_mesh():
     "8.77; computed N=16 value 2.8e-9 is 8x below the published 2.292e-8, "
     "so the cells disagree in the direction favoring this implementation"))
 def test_pinned_cascade_order_eps_second_decade():
-    order = _run("CASCADE_STEP3_ORDERS", eps=1e-2)[1].order
-    ok = abs(order - 7.79) <= 0.4
+    ref, [row, _] = published("CASCADE_STEP3_ORDER_EPS_1E2")
+    ok = abs(row.order - ref) <= 0.4
     _report("pinned: cascade (8,16) order at eps=1e-2 within 7.79+-0.4", ok,
-            f"{order:.4f}")
+            f"{row.order:.4f}")
     assert ok
 
 
@@ -596,8 +578,9 @@ def test_pinned_cascade_order_eps_second_decade():
     "next interval jumps 200x); the published N=32 cell 4.009e-6 shows "
     "the same bump relative to its neighbours"))
 def test_pinned_example2_log_mesh_per_pair_orders():
-    measured = _orders(_run("EX2_STEP2", family="bakhvalov", eps=1e-4))
-    ok = all(abs(o - r) <= 0.3 for o, r in zip(measured, [3.7905, 3.9970, 4.0611]))
+    ref, rows = published("EX2_STEP2_ORDERS", family="bakhvalov", eps=1e-4)
+    measured = _orders(rows)
+    ok = all(abs(o - r) <= 0.3 for o, r in zip(measured, ref))
     _report("pinned: quasilinear log-mesh per-pair fine-step orders", ok,
             " ".join(f"{o:.2f}" for o in measured))
     assert ok
@@ -608,15 +591,19 @@ def test_pinned_example2_log_mesh_per_pair_orders():
     "while the acceptance bar for these cells is factor 2 (transition "
     "scaling unpinned); computed cells sit 4.4-45% from the published row"))
 def test_pinned_run_report_shishkin_row_5pct():
-    step1 = _errors(_run("EX1_STEP1", family="shishkin", eps=1e-2))
-    ref = EX1_STEP1[("shishkin", 1.0, 1e-2)]
-    ok = all(abs(e - r) / r <= 0.05 for e, r in zip(step1, ref))
+    ref, rows = published("EX1_STEP1", family="shishkin", a=1.0, eps=1e-2)
+    ok = all(abs(e - r) / r <= 0.05 for e, r in zip(_errors(rows), ref))
     _report("pinned: report step-1 row within 5%", ok)
     assert ok
 
 
 def test_every_published_group_has_exactly_one_recipe():
-    # the EX*, CASCADE_* and ROPT_* names hold the published run cells
+    # the EX*, CASCADE_* and ROPT_* names hold the published run cells; a
+    # keyed group is a dict, and each of its keys has one entry per key field
     groups = {name for name in vars(reference_values)
               if name.startswith(("EX", "CASCADE_", "ROPT_"))}
     assert set(RECIPES) == groups
+    for group, recipe in RECIPES.items():
+        values, fields = getattr(reference_values, group), recipe.get("key", ())
+        assert isinstance(values, dict) == bool(fields)
+        assert all(len(key) == len(fields) for key in (values if fields else ()))

@@ -3,14 +3,19 @@ import io
 import json
 import math
 import time
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
+from reference_values import (LAYER_COARSE_SIZES, LAYER_EPS, LAYER_FINE_SIZES,
+                              LAYER_GRADING, LAYER_TABLE, LAYER_TABLE_PRINTED,
+                              printed_layers)
 from spgrid import bench, newton, problems, twogrid
-from spgrid.bench import (ConvergenceRow, DegenerateError, MissingExactError,
-                          Report, ReportConfig, convergence_order, fmt_float,
+from spgrid.bench import (INTERPOLANT_CHUNK, ConvergenceRow, DegenerateError,
+                          MissingExactError, Report, ReportConfig,
+                          convergence_order, fmt_float,
                           interpolant_error, layer_report, nodal_error,
                           render_layer_rows, run_report)
 from spgrid.mesh import MeshSpec, build_mesh
@@ -71,6 +76,41 @@ def test_interpolant_error_against_dense_sampling(family, eps):
                         for i in range(mesh.n)])
     dense = np.abs(p.exact(x) - np.interp(x, mesh.nodes, y)).max()
     assert 0.98 * dense <= interpolant_error(mesh, y, p.exact) <= dense * (1 + 1e-12)
+
+
+def _interpolant_error_in_one_block(mesh, y, exact):
+    # interpolant_error before it was chunked: one (11, n) block of samples
+    t = np.linspace(0.0, 1.0, 11)[:, None]
+    x = (1.0 - t) * mesh.nodes[:-1] + t * mesh.nodes[1:]
+    return float(np.abs(exact(x) - ((1.0 - t) * y[:-1] + t * y[1:])).max())
+
+
+@pytest.mark.parametrize("n", [16, INTERPOLANT_CHUNK - 1, INTERPOLANT_CHUNK,
+                               INTERPOLANT_CHUNK + 1, 2 * INTERPOLANT_CHUNK + 3])
+@pytest.mark.parametrize("problem_id", ["ex1", "ex2"])
+def test_interpolant_error_in_chunks_equals_one_block(problem_id, n):
+    p = PROBLEMS[problem_id](1e-2)
+    mesh = build_mesh(MeshSpec("bakhvalov", 1e-2, n, a=2.0))
+    y = p.exact(mesh.nodes) + np.random.default_rng(n).normal(scale=1e-7, size=n + 1)
+    assert interpolant_error(mesh, y, p.exact) == _interpolant_error_in_one_block(
+        mesh, y, p.exact)
+    y[-2] = np.nan  # in the last chunk
+    assert math.isnan(interpolant_error(mesh, y, p.exact))
+
+
+def test_interpolant_error_temporaries_stay_a_few_arrays():
+    # one (11, n) block peaks at 44 arrays of n doubles
+    n = 2 ** 18
+    p = example1(1e-2)
+    mesh = build_mesh(MeshSpec("shishkin", 1e-2, n))
+    y = p.exact(mesh.nodes)
+    tracemalloc.start()
+    try:
+        interpolant_error(mesh, y, p.exact)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 8 * (n + 1)
 
 
 def test_direct_step_seconds_include_mesh_build(monkeypatch):
@@ -319,9 +359,6 @@ def test_interpolant_metric_report():
         assert ri.error >= rn.error
 
 
-EPS8 = 2.0 ** -8
-
-
 def test_report_config_rejects_a_problem_without_exact_solution(monkeypatch):
     # before any cell runs: no linear solve may happen first
     def no_solve(*bands):
@@ -336,22 +373,15 @@ def test_report_config_rejects_a_problem_without_exact_solution(monkeypatch):
 
 
 def test_layer_report_cells():
-    rows = layer_report(EPS8, ("shishkin", "vulanovic", "bakhvalov"),
-                        (8, 16, 32, 64), (64, 256, 1024, 4096),
-                        a={"shishkin": 1.0, "vulanovic": 1.0, "bakhvalov": 4.0})
-    table = {(r.family, r.step): r.percents for r in rows}
-    assert table[("shishkin", 1)] == [25.0, 12.5, 12.5, 6.25]
-    assert table[("vulanovic", 1)] == [50.0, 50.0, 43.75, 40.625]
-    assert table[("bakhvalov", 2)] == [18.75, 17.96875, 17.7734375, 17.724609375]
-    text = render_layer_rows(rows)
+    rows = layer_report(LAYER_EPS, tuple(LAYER_GRADING), LAYER_COARSE_SIZES,
+                        LAYER_FINE_SIZES, a=LAYER_GRADING)
+    assert {(r.family, r.step): r.percents for r in rows} == LAYER_TABLE
     # half-up rendering at two decimals: 40.625 -> 40.63, 4.6875 -> 4.69
-    assert "40.63" in text
-    assert "4.69" in text
-    assert "3.03" in text
+    assert printed_layers(render_layer_rows(rows)) == LAYER_TABLE_PRINTED
 
 
 def test_layer_report_scalar_a():
-    rows = layer_report(EPS8, ("bakhvalov",), (8,), (64,), a=1.0)
+    rows = layer_report(LAYER_EPS, ("bakhvalov",), (8,), (64,), a=1.0)
     # grading with a=1 pulls far more points into the layer than a=4
     assert rows[0].percents == [75.0]
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reference_values import LAYER_EPS, LAYER_GRADING, LAYER_TABLE_PRINTED, printed_layers
 from spgrid import bench, newton, problems, twogrid
 from spgrid.cli import EXIT_BROKEN_PIPE, main
 from spgrid.linsolve import ZeroPivotError
@@ -469,9 +470,36 @@ def test_table_markdown_default(capsys):
 def test_layers_default_reproduces_reference_table(capsys):
     code, out, err = run_cli(capsys, "layers")
     assert code == 0
-    assert "shishkin" in out and "bakhvalov" in out
-    assert "40.63" in out  # vulanovic cells
-    assert "17.72" in out  # bakhvalov fine-grid cells with a=4
+    assert printed_layers(out) == LAYER_TABLE_PRINTED
+
+
+@pytest.mark.parametrize("flag,value,config", [
+    ("--a", "2", dict(a={**LAYER_GRADING, "shishkin": 2.0, "vulanovic": 2.0})),
+    ("--a-bakhvalov", "2", dict(a={**LAYER_GRADING, "bakhvalov": 2.0})),
+    ("--q", "0.3", dict(q=0.3)),
+    ("--gamma0", "0.5", dict(gamma0=0.5)),
+])
+def test_layers_passes_each_mesh_flag_to_layer_report(capsys, flag, value, config):
+    sizes = ("--coarse", "8,16", "--fine", "64")
+    _, default, _ = run_cli(capsys, "layers", *sizes)
+    code, out, err = run_cli(capsys, "layers", *sizes, flag, value)
+    assert code == 0 and out != default
+    rows = bench.layer_report(LAYER_EPS, tuple(LAYER_GRADING), [8, 16], [64],
+                              **{"a": LAYER_GRADING, **config})
+    assert out == bench.render_layer_rows(rows)
+
+
+@pytest.mark.parametrize("argv", [
+    ("bench", "--problem", "ex1", "--eps", "1e-2", "--coarse", "8", "--r", "3"),
+    ("table", "--problem", "ex1", "--eps", "1e-2", "--coarse", "8", "--lev", "3",
+     "--form", "csv"),
+], ids=["bench-r-for-repeats", "table-lev-form"])
+def test_flag_prefixes_are_rejected(capsys, argv):
+    # in solve and table --r is the fine-size exponent: no prefix may stand
+    # for --repeats in bench, nor for any other flag
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "unrecognized arguments" in err
 
 
 def test_bench_command(capsys):

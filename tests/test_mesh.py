@@ -4,28 +4,28 @@ import mpmath
 import numpy as np
 import pytest
 
+from reference_values import (LAYER_COARSE_SIZES, LAYER_EPS, LAYER_FINE_SIZES,
+                              LAYER_GRADING, LAYER_TABLE)
 from spgrid.mesh import (MAX_INTERVALS, DegenerateMeshError, MeshSpec,
                          NoRootError, bakhvalov_alpha, build_mesh, coarsen, layer_fraction,
                          shishkin_alpha, vulanovic_alpha)
-
-EPS8 = 2.0 ** -8
 
 # high-precision reference values (50-digit bisection / closed forms)
 SHISHKIN_CASES = [
     ((0.25, 1.0, 8), 0.25),                     # cap active
     ((1e-2, 1.0, 64), 0.08317766166719343),
-    ((EPS8, 1.0, 8), 0.016245637044373718),
+    ((LAYER_EPS, 1.0, 8), 0.016245637044373718),
 ]
 VULANOVIC_CASES = [
     ((1e-2, 1.0, 0.4), 0.36307373142315426),
-    ((EPS8, 1.0, 0.4), 0.37901928279896001),
+    ((LAYER_EPS, 1.0, 0.4), 0.37901928279896001),
     # a*eps one ulp below q, where q - sqrt(.) cancels: alpha = (q - a*eps)/2
     ((1.0 - 2.0 ** -53, 0.2331608915957545, 0.2331608915957545), 1.3877787807814457e-17),
 ]
 # residual tolerance scales with the root conditioning: q - alpha ~ a*eps
 BAKHVALOV_CASES = [
     ((1e-2, 4.0, 0.4), 0.38754741850192919, 1e-13),
-    ((EPS8, 1.0, 0.4), 0.39917231841243529, 1e-13),
+    ((LAYER_EPS, 1.0, 0.4), 0.39917231841243529, 1e-13),
     ((1e-4, 2.0, 0.4), 0.39995983603060271, 1e-12),
     ((0.1, 3.9, 0.4), 0.010100313862048896, 1e-15),  # a*eps near q
     # a*eps is the double next below q
@@ -111,14 +111,14 @@ def test_uniform_nodes():
 
 
 def test_shishkin_first_node():
-    mesh = build_mesh(MeshSpec("shishkin", EPS8, 64))
-    alpha = shishkin_alpha(EPS8, 1.0, 64)
+    mesh = build_mesh(MeshSpec("shishkin", LAYER_EPS, 64))
+    alpha = shishkin_alpha(LAYER_EPS, 1.0, 64)
     assert mesh.nodes[1] == pytest.approx(4 * alpha / 64, rel=1e-14)
     assert mesh.nodes[1] == pytest.approx(0.0020307046305467146, rel=1e-12)
 
 
 def test_vulanovic_first_node():
-    mesh = build_mesh(MeshSpec("vulanovic", EPS8, 8))
+    mesh = build_mesh(MeshSpec("vulanovic", LAYER_EPS, 8))
     assert mesh.nodes[1] == pytest.approx(0.0017755681818181818, rel=1e-14)
 
 
@@ -228,29 +228,18 @@ def test_left_only_mesh():
     assert x[1] < 1.0 / 32 / 4
 
 
-LAYER_TABLE = {
-    # family, a -> (step-1 percents for N=8..64, step-2 percents for n=64..4096)
-    ("shishkin", 1.0): ([25.0, 12.5, 12.5, 6.25], [6.25, 4.6875, 3.7109375, 3.02734375]),
-    ("vulanovic", 1.0): ([50.0, 50.0, 43.75, 40.625], [40.625, 40.625, 40.0390625, 40.0390625]),
-    ("bakhvalov", 4.0): ([25.0, 25.0, 18.75, 18.75], [18.75, 17.96875, 17.7734375, 17.724609375]),
-}
-
-
-@pytest.mark.parametrize("key", sorted(LAYER_TABLE), ids=lambda k: f"{k[0]}-a{k[1]:g}")
-def test_layer_fraction_reference_percentages(key):
-    family, a = key
-    coarse_expect, fine_expect = LAYER_TABLE[key]
-    for n, expect in zip([8, 16, 32, 64], coarse_expect):
-        mesh = build_mesh(MeshSpec(family, EPS8, n, a=a))
-        assert layer_fraction(mesh, EPS8) == expect
-    for n, expect in zip([64, 256, 1024, 4096], fine_expect):
-        mesh = build_mesh(MeshSpec(family, EPS8, n, a=a))
-        assert layer_fraction(mesh, EPS8) == expect
+@pytest.mark.parametrize("family", sorted(LAYER_GRADING),
+                         ids=lambda f: f"{f}-a{LAYER_GRADING[f]:g}")
+def test_layer_fraction_reference_percentages(family):
+    for step, sizes in ((1, LAYER_COARSE_SIZES), (2, LAYER_FINE_SIZES)):
+        for n, expect in zip(sizes, LAYER_TABLE[(family, step)], strict=True):
+            mesh = build_mesh(MeshSpec(family, LAYER_EPS, n, a=LAYER_GRADING[family]))
+            assert layer_fraction(mesh, LAYER_EPS) == expect
 
 
 def test_layer_fraction_uniform_counts_endpoints_only():
-    mesh = build_mesh(MeshSpec("uniform", EPS8, 8))
-    assert layer_fraction(mesh, EPS8) == 25.0
+    mesh = build_mesh(MeshSpec("uniform", LAYER_EPS, 8))
+    assert layer_fraction(mesh, LAYER_EPS) == 25.0
 
 
 def test_spec_validation():
