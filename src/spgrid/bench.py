@@ -119,14 +119,14 @@ class ReportConfig:
     eps_list: Sequence[float]
     n_list: Sequence[int]
     algorithm: str = "direct"
-    r: float = 2.0
+    r: float = TwoGridPlan.r
     levels: int = 2
     fmt: str = "markdown"
     metric: str = "nodal"
-    a: float = 1.0
-    q: float = 0.4
-    gamma0: float = 1.0
-    layer_sides: str = "both"
+    a: float = MeshSpec.a
+    q: float = MeshSpec.q
+    gamma0: float = MeshSpec.gamma0
+    layer_sides: str = MeshSpec.layer_sides
 
     def __post_init__(self) -> None:
         if self.fmt not in FORMATS:
@@ -219,7 +219,8 @@ def _error_of(cfg: ReportConfig, mesh: Mesh, y: np.ndarray, exact) -> float:
 
 
 def make_plan(algorithm: str, coarse: int | None = None, n: int | None = None,
-              r: float = 2.0, levels: int = 2, **mesh) -> TwoGridPlan:
+              r: float = TwoGridPlan.r, levels: int = ReportConfig.levels,
+              **mesh) -> TwoGridPlan:
     """The one reader of an algorithm name: the plan :func:`algorithm2` runs.
 
     ``mesh`` holds the :class:`MeshSpec` fields but n.  ``direct`` solves on
@@ -257,8 +258,8 @@ def _run_cell(cfg: ReportConfig, plan: TwoGridPlan) -> list:
     """Rows for one (family, eps, N) cell; one row per step."""
     spec = plan.coarse
     problem = make_problem(cfg.problem, spec.eps)
-    base = dict(problem=cfg.problem, mesh=spec.family, a=cfg.a, q=cfg.q,
-                gamma0=cfg.gamma0, eps=spec.eps, N=spec.n)
+    base = dict(problem=cfg.problem, mesh=spec.family, a=spec.a, q=spec.q,
+                gamma0=spec.gamma0, eps=spec.eps, N=spec.n)
     try:
         result = algorithm2(problem, plan)
     except SOLVER_ERRORS as exc:
@@ -275,16 +276,13 @@ def _run_cell(cfg: ReportConfig, plan: TwoGridPlan) -> list:
 
 def _attach_orders(rows: list) -> None:
     index = {(r.mesh, r.eps, r.step, r.N): r for r in rows if r.failed is None}
-    for row in rows:
-        if row.failed is not None:
-            continue
-        finer = index.get((row.mesh, row.eps, row.step, 2 * row.N))
-        if finer is None:
-            continue
-        try:
-            row.order = convergence_order(row.error, finer.error)
-        except DegenerateError:
-            row.order = None
+    for (mesh, eps, step, N), row in index.items():
+        finer = index.get((mesh, eps, step, 2 * N))
+        if finer is not None:
+            try:
+                row.order = convergence_order(row.error, finer.error)
+            except DegenerateError:
+                pass  # the order stays None
 
 
 def run_report(cfg: ReportConfig) -> Report:
@@ -308,12 +306,13 @@ class LayerRow:
 
 
 def layer_report(eps: float, families: Sequence[str], coarse: Sequence[int],
-                 fine: Sequence[int], a: float | Mapping[str, float] = 1.0,
-                 q: float = 0.4, gamma0: float = 1.0) -> list:
+                 fine: Sequence[int], a: float | Mapping[str, float] = MeshSpec.a,
+                 **mesh) -> list:
     """Percent of nodes inside the layers for coarse and fine size lists.
 
     ``a`` may be a single value or a per-family mapping (the graded
-    families are often run with different grading strengths).
+    families are often run with different grading strengths); ``mesh``
+    holds the remaining :class:`MeshSpec` fields (q, gamma0, layer_sides).
     """
     if not all(map(len, (families, coarse, fine))):
         raise ValueError("families, coarse and fine must be nonempty")
@@ -321,13 +320,9 @@ def layer_report(eps: float, families: Sequence[str], coarse: Sequence[int],
     for family in families:
         fam_a = a[family] if isinstance(a, Mapping) else a
         for step, sizes in ((1, list(coarse)), (2, list(fine))):
-            percents = []
-            for n in sizes:
-                mesh = build_mesh(MeshSpec(family=family, eps=eps, n=n,
-                                           a=fam_a, q=q, gamma0=gamma0))
-                percents.append(layer_fraction(mesh, eps))
-            rows.append(LayerRow(family=family, step=step, sizes=sizes,
-                                 percents=percents))
+            specs = (MeshSpec(family, eps, n, a=fam_a, **mesh) for n in sizes)
+            percents = [layer_fraction(build_mesh(spec), eps) for spec in specs]
+            rows.append(LayerRow(family, step, sizes, percents))
     return rows
 
 
@@ -358,24 +353,22 @@ class TimingRow:
         return self.direct_seconds / self.twogrid_seconds
 
 
-def timing_rows(problem_id: str, family: str, eps: float,
-                coarse_sizes: Sequence[int], a: float = 1.0, q: float = 0.4,
-                gamma0: float = 1.0, repeats: int = 3,
-                layer_sides: str = "both") -> Iterator[TimingRow]:
+def timing_rows(problem_id: str, coarse_sizes: Sequence[int], repeats: int,
+                **mesh) -> Iterator[TimingRow]:
     """Best-of-``repeats`` step seconds: direct solve on n = N^2 vs two-grid,
     one row per N, timed as it is read.
 
-    The arguments and every fine size are checked in the call, before any
-    run.  Absolute times are hardware-bound; only the ratio is meaningful,
-    and only once n is large enough that the coarse stage is negligible.
+    ``mesh`` holds the :class:`MeshSpec` fields but n, as for :func:`make_plan`.
+    The arguments and every fine size are checked in the call, before any run.
+    Absolute times are hardware-bound; only the ratio is meaningful, and only
+    once n is large enough that the coarse stage is negligible.
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
     if not coarse_sizes:
         raise ValueError("coarse_sizes must be nonempty")
-    problem = make_problem(problem_id, eps)
-    mesh = dict(family=family, eps=eps, a=a, q=q, gamma0=gamma0, layer_sides=layer_sides)
     plans = [make_plan("tg1", N, **mesh) for N in coarse_sizes]
+    problem = make_problem(problem_id, plans[0].coarse.eps)
     def rows():
         for plan in plans:
             [n] = plan.fine_sizes()

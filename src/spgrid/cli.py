@@ -22,9 +22,10 @@ from collections.abc import Iterator
 from .bench import (ALGORITHMS, FORMATS, METRICS, SOLVER_ERRORS, ReportConfig,
                     fmt_float, layer_report, make_plan, nodal_error, render_layer_rows,
                     run_report, timing_rows)
+from .mesh import FAMILIES, LAYER_SIDES, MeshSpec
 from .newton import residual_for
 from .problems import PROBLEMS, make_problem
-from .twogrid import algorithm2
+from .twogrid import TwoGridPlan, algorithm2
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -41,13 +42,16 @@ def _int_list(text: str) -> list[int]:
 
 
 def _add_mesh_args(p: argparse.ArgumentParser, what: str = "mesh family") -> None:
-    p.add_argument("--mesh", default="shishkin",
-                   help=f"{what}: uniform|shishkin|bakhvalov|vulanovic")
-    p.add_argument("--a", type=float, default=1.0, help="grading strength (B/V)")
-    p.add_argument("--q", type=float, default=0.4, help="layer point fraction (B/V)")
-    p.add_argument("--gamma0", type=float, default=1.0,
+    p.add_argument("--mesh", default="shishkin", help=f"{what}: {'|'.join(FAMILIES)}")
+    p.add_argument("--a", type=float, default=MeshSpec.a, help="grading strength (B/V)")
+    p.add_argument("--q", type=float, default=MeshSpec.q, help="layer point fraction (B/V)")
+    p.add_argument("--gamma0", type=float, default=MeshSpec.gamma0,
                    help="Shishkin transition scaling")
-    p.add_argument("--layer-sides", default="both", choices=("both", "left"))
+    p.add_argument("--layer-sides", default=MeshSpec.layer_sides, choices=LAYER_SIDES)
+
+
+def _grading(args) -> dict:  # the MeshSpec fields of _add_mesh_args' flags but family
+    return dict(a=args.a, q=args.q, gamma0=args.gamma0, layer_sides=args.layer_sides)
 
 
 @functools.cache
@@ -60,43 +64,46 @@ def build_parser() -> argparse.ArgumentParser:
                     "for singularly perturbed reaction-diffusion problems.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    ps = sub.add_parser("solve", help="solve one problem instance", allow_abbrev=False)
+    def command(name: str, run, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(run=run, subparser=p)  # main reports leftovers with p's usage
+        return p
+
+    ps = command("solve", _cmd_solve, "solve one problem instance")
     ps.add_argument("--problem", required=True, choices=tuple(PROBLEMS))
     _add_mesh_args(ps)
     ps.add_argument("--eps", type=float, required=True)
     ps.add_argument("--n", type=int, help="interval count (direct) or fine size (tg1)")
-    ps.add_argument("--algorithm", default="direct", choices=ALGORITHMS)
+    ps.add_argument("--algorithm", default=ReportConfig.algorithm, choices=ALGORITHMS)
     ps.add_argument("--coarse", type=int, help="coarse interval count (two-grid)")
-    ps.add_argument("--r", type=float, default=2.0, help="fine-size exponent")
-    ps.add_argument("--levels", type=int, default=2, help="cascade levels (tg2)")
+    ps.add_argument("--r", type=float, default=TwoGridPlan.r, help="fine-size exponent")
+    ps.add_argument("--levels", type=int, default=ReportConfig.levels,
+                    help="cascade levels (tg2)")
     ps.add_argument("--out", default="json", choices=("json", "nodes"))
 
-    pt = sub.add_parser("table", help="convergence table over (eps, N) cells",
-                        allow_abbrev=False)
+    pt = command("table", _cmd_table, "convergence table over (eps, N) cells")
     pt.add_argument("--problem", required=True, choices=tuple(PROBLEMS))
     _add_mesh_args(pt, "mesh family or comma list")
     pt.add_argument("--eps", type=_float_list, required=True, help="comma list")
     pt.add_argument("--coarse", type=_int_list, required=True, help="comma list of N")
-    pt.add_argument("--algorithm", default="direct", choices=ALGORITHMS)
-    pt.add_argument("--r", type=float, default=2.0)
-    pt.add_argument("--levels", type=int, default=2)
-    pt.add_argument("--format", dest="fmt", default="markdown", choices=FORMATS)
-    pt.add_argument("--metric", default="nodal", choices=METRICS)
+    pt.add_argument("--algorithm", default=ReportConfig.algorithm, choices=ALGORITHMS)
+    pt.add_argument("--r", type=float, default=TwoGridPlan.r)
+    pt.add_argument("--levels", type=int, default=ReportConfig.levels)
+    pt.add_argument("--format", dest="fmt", default=ReportConfig.fmt, choices=FORMATS)
+    pt.add_argument("--metric", default=ReportConfig.metric, choices=METRICS)
 
-    pl = sub.add_parser("layers", help="percent of mesh points inside the layers",
-                        allow_abbrev=False)
+    pl = command("layers", _cmd_layers, "percent of mesh points inside the layers")
     pl.add_argument("--eps", type=float, default=2.0 ** -8)
     pl.add_argument("--coarse", type=_int_list, default=[8, 16, 32, 64])
     pl.add_argument("--fine", type=_int_list, default=[64, 256, 1024, 4096])
-    pl.add_argument("--a", type=float, default=1.0)
+    pl.add_argument("--a", type=float, default=MeshSpec.a)
     pl.add_argument("--a-bakhvalov", type=float, default=4.0,
                     help="grading strength for the Bakhvalov rows (the "
                          "reference table uses 4 there and 1 elsewhere)")
-    pl.add_argument("--q", type=float, default=0.4)
-    pl.add_argument("--gamma0", type=float, default=1.0)
+    pl.add_argument("--q", type=float, default=MeshSpec.q)
+    pl.add_argument("--gamma0", type=float, default=MeshSpec.gamma0)
 
-    pb = sub.add_parser("bench", help="direct vs two-grid timing on n = N^2",
-                        allow_abbrev=False)
+    pb = command("bench", _cmd_bench, "direct vs two-grid timing on n = N^2")
     pb.add_argument("--problem", required=True, choices=tuple(PROBLEMS))
     _add_mesh_args(pb)
     pb.add_argument("--eps", type=float, required=True)
@@ -108,8 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_solve(args) -> Iterator[int | None]:
     problem = make_problem(args.problem, args.eps)
     plan = make_plan(args.algorithm, args.coarse, args.n, args.r, args.levels,
-                     family=args.mesh, eps=args.eps, a=args.a, q=args.q,
-                     gamma0=args.gamma0, layer_sides=args.layer_sides)
+                     family=args.mesh, eps=args.eps, **_grading(args))
     yield
     result = algorithm2(problem, plan)
     meshes, outs = [result.coarse_mesh, *result.fine_meshes], [result.coarse, *result.fine]
@@ -120,11 +126,12 @@ def _cmd_solve(args) -> Iterator[int | None]:
             print(f"{x:.17g} {v:.17g}")
         yield EXIT_OK
         return
+    spec = plan.coarse
     payload = {
         "problem": args.problem,
         "algorithm": args.algorithm,
-        "mesh": {"family": args.mesh, "n": mesh.n, "eps": args.eps, "a": args.a,
-                 "q": args.q, "gamma0": args.gamma0, "degenerate": mesh.degenerate},
+        "mesh": {"family": spec.family, "n": mesh.n, "eps": spec.eps, "a": spec.a,
+                 "q": spec.q, "gamma0": spec.gamma0, "degenerate": mesh.degenerate},
         "iterations": out.iterations,
         "final_update": out.final_update,
         "residual_norm": float(abs(residual_for(mesh, problem, out.y)).max()),
@@ -144,8 +151,7 @@ def _cmd_table(args) -> Iterator[int | None]:
     cfg = ReportConfig(problem=args.problem, families=args.mesh.split(","),
                        eps_list=args.eps, n_list=args.coarse,
                        algorithm=args.algorithm, r=args.r, levels=args.levels,
-                       fmt=args.fmt, metric=args.metric, a=args.a, q=args.q,
-                       gamma0=args.gamma0, layer_sides=args.layer_sides)
+                       fmt=args.fmt, metric=args.metric, **_grading(args))
     yield
     report = run_report(cfg)
     print(report.render(), end="")
@@ -169,9 +175,8 @@ def _cmd_layers(args) -> Iterator[int | None]:
 
 
 def _cmd_bench(args) -> Iterator[int | None]:
-    rows = timing_rows(args.problem, args.mesh, args.eps, args.coarse,
-                       a=args.a, q=args.q, gamma0=args.gamma0,
-                       repeats=args.repeats, layer_sides=args.layer_sides)
+    rows = timing_rows(args.problem, args.coarse, args.repeats, family=args.mesh,
+                       eps=args.eps, **_grading(args))
     yield
     rows = list(rows)  # every row timed before any is printed
     print("N,n,direct_seconds,twogrid_seconds,ratio")
@@ -184,11 +189,12 @@ def _cmd_bench(args) -> Iterator[int | None]:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:  # a subcommand hands its leftovers up: report them with its usage
+            args.subparser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
-    steps = {"solve": _cmd_solve, "table": _cmd_table, "layers": _cmd_layers,
-             "bench": _cmd_bench}[args.command](args)
+    steps = args.run(args)
     planning = True
     try:
         next(steps)  # the command plans, then yields

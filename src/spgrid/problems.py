@@ -50,7 +50,7 @@ class _Problem:
         if self.exact is not None:
             for x, bc, side in ((0.0, self.bc_left, "bc_left"),
                                 (1.0, self.bc_right, "bc_right")):
-                if abs(float(self.exact(np.array(x))) - bc) > 1e-12:
+                if not abs(float(self.exact(np.array(x))) - bc) <= 1e-12:  # NaN fails
                     raise ValueError(f"exact({x:g}) does not match {side}")
 
 
@@ -70,8 +70,8 @@ class QuasilinearDiffusionProblem(_Problem):
     def __post_init__(self) -> None:
         super().__post_init__()
         for bc in (self.bc_left, self.bc_right):
-            if float(self.d(np.array(bc))) <= 0.0:
-                raise ValueError("diffusion factor not positive at boundary data")
+            if not 0.0 < float(self.d(np.array(bc))) < math.inf:  # NaN fails too
+                raise ValueError("diffusion factor not positive at boundary data, or inf")
 
 
 def example1(eps: float) -> SemilinearProblem:

@@ -510,7 +510,7 @@ def test_criterion_7_two_grid_error_matches_direct_in_interpolant_norm(family, a
 # --------------------------------------------------------------------------
 
 def _faster_than_direct(N):
-    [row] = sp.timing_rows("ex1", "bakhvalov", 1e-2, [N], a=4.0, repeats=3)
+    [row] = sp.timing_rows("ex1", [N], repeats=3, family="bakhvalov", eps=1e-2, a=4.0)
     ok = row.n == N * N and row.ratio > 1.0
     _report(f"8 two-grid faster than direct at n={N * N}", ok, f"ratio {row.ratio:.2f}")
     assert ok

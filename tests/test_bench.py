@@ -9,16 +9,14 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from reference_values import (LAYER_COARSE_SIZES, LAYER_EPS, LAYER_FINE_SIZES,
-                              LAYER_GRADING, LAYER_TABLE, LAYER_TABLE_PRINTED,
-                              printed_layers)
+from reference_values import LAYER_EPS, LAYER_GRADING
 from spgrid import bench, newton, problems, twogrid
 from spgrid.bench import (INTERPOLANT_CHUNK, ConvergenceRow, DegenerateError,
                           MissingExactError, Report, ReportConfig,
                           convergence_order, fmt_float,
                           interpolant_error, layer_report, nodal_error,
-                          render_layer_rows, run_report)
-from spgrid.mesh import MeshSpec, build_mesh
+                          run_report)
+from spgrid.mesh import MeshSpec, build_mesh, layer_fraction
 from spgrid.newton import solve
 from spgrid.problems import PROBLEMS, example1
 
@@ -373,11 +371,24 @@ def test_report_config_rejects_a_problem_without_exact_solution(monkeypatch):
 
 
 def test_layer_report_cells():
-    rows = layer_report(LAYER_EPS, tuple(LAYER_GRADING), LAYER_COARSE_SIZES,
-                        LAYER_FINE_SIZES, a=LAYER_GRADING)
-    assert {(r.family, r.step): r.percents for r in rows} == LAYER_TABLE
-    # half-up rendering at two decimals: 40.625 -> 40.63, 4.6875 -> 4.69
-    assert printed_layers(render_layer_rows(rows)) == LAYER_TABLE_PRINTED
+    # the reference table is criterion 1's; here every cell is the layer
+    # fraction of the mesh with the same non-default q, gamma0 and
+    # layer_sides, which reach MeshSpec through layer_report's **mesh
+    mesh = dict(q=0.3, gamma0=0.5, layer_sides="left")
+    families, coarse, fine = tuple(LAYER_GRADING), (8, 16), (64, 256)
+    rows = layer_report(LAYER_EPS, families, coarse, fine, a=LAYER_GRADING, **mesh)
+    assert [(r.family, r.step, r.sizes) for r in rows] == [
+        (family, step, list(sizes)) for family in families
+        for step, sizes in ((1, coarse), (2, fine))]
+    for row in rows:
+        specs = (MeshSpec(row.family, LAYER_EPS, n, a=LAYER_GRADING[row.family], **mesh)
+                 for n in row.sizes)
+        assert row.percents == [layer_fraction(build_mesh(spec), LAYER_EPS)
+                                for spec in specs]
+    defaults = layer_report(LAYER_EPS, families, coarse, fine, a=LAYER_GRADING)
+    for family in families:  # each family's cells move with the parameters
+        assert ([r.percents for r in rows if r.family == family]
+                != [d.percents for d in defaults if d.family == family])
 
 
 def test_layer_report_scalar_a():

@@ -12,14 +12,16 @@ import numpy as np
 import pytest
 
 from reference_values import LAYER_EPS, LAYER_GRADING, LAYER_TABLE_PRINTED, printed_layers
-from spgrid import bench, newton, problems, twogrid
-from spgrid.cli import EXIT_BROKEN_PIPE, main
+from spgrid import bench, cli, newton, problems, twogrid
+from spgrid.bench import ReportConfig
+from spgrid.cli import EXIT_BROKEN_PIPE, build_parser, main
 from spgrid.linsolve import ZeroPivotError
 from spgrid.mesh import MeshSpec, build_mesh
 from spgrid.problems import example1
 from spgrid.twogrid import TwoGridPlan, choose_r
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+MESH = dict(a=MeshSpec, q=MeshSpec, gamma0=MeshSpec, layer_sides=MeshSpec)
 
 
 def run_cli(capsys, *argv):
@@ -270,7 +272,7 @@ def test_bench_times_the_direct_solve_on_the_fine_size_of_tg1(monkeypatch):
     real = twogrid.build_mesh
     monkeypatch.setattr(twogrid, "build_mesh",
                         lambda spec: built.append(spec.n) or real(spec))
-    [row] = bench.timing_rows("ex1", "uniform", 0.1, [N], repeats=1)
+    [row] = bench.timing_rows("ex1", [N], repeats=1, family="uniform", eps=0.1)
     n = N * N  # tg1 at r = 2
     assert row.n == n
     assert built == [n, N, n]  # the direct solve, then tg1's coarse and fine meshes
@@ -502,6 +504,55 @@ def test_flag_prefixes_are_rejected(capsys, argv):
     assert "unrecognized arguments" in err
 
 
+@pytest.mark.parametrize("argv,leftover", [
+    (("bench", "--problem", "ex1", "--eps", "1e-2", "--coarse", "8", "--r", "3"),
+     "--r 3"),
+    (("solve", "--problem", "ex1", "--eps", "1e-2", "--n", "8", "--bogus"), "--bogus"),
+], ids=["bench-r", "solve-bogus"])
+def test_unknown_flag_shows_the_subcommand_usage(capsys, argv, leftover):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"usage: spgrid {argv[0]} [-h] --problem")
+    assert err.endswith(f"spgrid {argv[0]}: error: unrecognized arguments: {leftover}\n")
+
+
+@pytest.mark.parametrize("argv,homes", [
+    (("solve", "--problem", "ex1", "--eps", "0.1"),
+     dict(MESH, r=TwoGridPlan, levels=ReportConfig, algorithm=ReportConfig)),
+    (("table", "--problem", "ex1", "--eps", "0.1", "--coarse", "8"),
+     dict(MESH, r=TwoGridPlan, levels=ReportConfig, algorithm=ReportConfig,
+          fmt=ReportConfig, metric=ReportConfig)),
+    (("layers",), dict(a=MeshSpec, q=MeshSpec, gamma0=MeshSpec)),
+    (("bench", "--problem", "ex1", "--eps", "0.1", "--coarse", "8"), MESH),
+], ids=["solve", "table", "layers", "bench"])
+def test_cli_defaults_are_the_library_defaults(argv, homes):
+    args = vars(build_parser().parse_args(argv))
+    assert {key: args[key] for key in homes} == {
+        key: getattr(home, key) for key, home in homes.items()}
+
+
+def test_solve_echoes_the_mesh_that_ran(capsys, monkeypatch):
+    # the echo reads the plan's coarse spec, not the flags: a plan whose spec
+    # differs from them shows which
+    plans = []
+
+    def make_plan(*args, **kwargs):
+        plan = bench.make_plan(*args, **kwargs)
+        plans.append(replace(plan, coarse=replace(plan.coarse, q=0.25, gamma0=3.0)))
+        return plans[-1]
+
+    monkeypatch.setattr(cli, "make_plan", make_plan)
+    code, out, _ = run_cli(capsys, "solve", "--problem", "ex2", "--mesh", "vulanovic",
+                           "--eps", "1e-3", "--a", "2", "--algorithm", "tg1",
+                           "--coarse", "8", "--layer-sides", "left")
+    assert code == 0
+    [plan] = plans
+    spec = plan.coarse
+    assert json.loads(out)["mesh"] == {
+        "family": spec.family, "n": plan.fine_sizes()[-1], "eps": spec.eps, "a": spec.a,
+        "q": spec.q, "gamma0": spec.gamma0, "degenerate": False}
+
+
 def test_bench_command(capsys):
     code, out, err = run_cli(capsys, "bench", "--problem", "ex1",
                              "--mesh", "vulanovic", "--eps", "0.01",
@@ -569,8 +620,6 @@ def test_bench_honors_layer_sides(capsys, monkeypatch):
 
 
 def test_parser_is_built_once_and_reused(capsys):
-    from spgrid.cli import build_parser
-
     table = ("table", "--problem", "ex1", "--mesh", "vulanovic", "--eps", "0.01",
              "--coarse", "8", "--format", "csv", "--a", "1")
     solve = ("solve", "--problem", "ex2", "--mesh", "bakhvalov", "--eps", "0.01",

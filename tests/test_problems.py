@@ -122,12 +122,11 @@ def test_log_transform_rejects_bad_boundary():
         bc_left=-0.5, bc_right=p.bc_right)
     log_transform(ok)  # boundary data above -1 is fine
 
-    def d_safe(u):
-        with np.errstate(divide="ignore"):
-            return 1.0 / (1.0 + np.asarray(u, dtype=float))
+    def d_capped(u):  # 1/(1+u) on the transform's range, finite at u = -1
+        return 1.0 / np.maximum(1.0 + np.asarray(u, dtype=float), 1e-300)
 
     at_limit = QuasilinearDiffusionProblem(
-        eps=p.eps, d=d_safe, d_u=p.d_u, r=p.r, r_u=p.r_u,
+        eps=p.eps, d=d_capped, d_u=p.d_u, r=p.r, r_u=p.r_u,
         bc_left=-1.0, bc_right=p.bc_right)
     with pytest.raises(ValueError):
         log_transform(at_limit)
@@ -140,6 +139,13 @@ def test_log_transform_rejects_bad_boundary():
      "diffusion factor not positive at boundary data"),
     # a subnormal eps: x/eps would overflow in the layer terms
     (example1, {"eps": 4.27e-309}, r"eps must lie in \[2\*\*-1022, 1\]"),
+    # NaN fails every comparison, so it must not pass one that is negated
+    (example1, {"exact": lambda x: np.full(np.shape(x), np.nan)},
+     r"exact\(0\) does not match bc_left"),
+    (example2, {"d": lambda u: np.full(np.shape(u), np.nan)},
+     "diffusion factor not positive at boundary data, or inf"),
+    (example2, {"d": lambda u: np.full(np.shape(u), np.inf)},
+     "diffusion factor not positive at boundary data, or inf"),
 ])
 def test_problem_record_checks(example, changes, message):
     with pytest.raises(ValueError, match=message):
