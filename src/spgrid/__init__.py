@@ -22,7 +22,7 @@ def _pin_heap_thresholds() -> None:
 
 _pin_heap_thresholds()
 
-from .mesh import (DegenerateMeshError, Mesh, MeshSpec, NoRootError,
+from .mesh import (DegenerateMeshError, InputError, Mesh, MeshSpec, NoRootError,
                    bakhvalov_alpha, build_mesh, layer_fraction, shishkin_alpha,
                    vulanovic_alpha)
 from .problems import (QuasilinearDiffusionProblem, SemilinearProblem,
@@ -41,7 +41,8 @@ from .bench import (ConvergenceRow, DegenerateError, MissingExactError, Report,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Mesh", "MeshSpec", "DegenerateMeshError", "NoRootError", "layer_fraction",
+    "InputError", "Mesh", "MeshSpec", "DegenerateMeshError", "NoRootError",
+    "layer_fraction",
     "shishkin_alpha", "vulanovic_alpha", "bakhvalov_alpha", "build_mesh",
     "SemilinearProblem", "QuasilinearDiffusionProblem", "example1", "example2",
     "make_problem",

@@ -10,8 +10,9 @@ contains the doubled coarse size; the finest row of each group has none.
 A cell's solver failures (``SOLVER_ERRORS``), and only those, are captured
 into the row instead of aborting the sweep, so one diverging cell cannot
 take down a table.  Invalid parameters, repeated sweep values and fine
-sizes over the budget among them, raise when the config is built; any other
-exception, a ``ValueError`` from a callback too, is a defect and propagates.
+sizes over the budget among them, raise :class:`~spgrid.mesh.InputError`
+when the config is built; any other exception, a ``ValueError`` from a
+callback too, is a defect and propagates.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ import io
 import json
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .linsolve import ZeroPivotError
-from .mesh import Mesh, MeshSpec, NoRootError, build_mesh, layer_fraction
+from .mesh import InputError, Mesh, MeshSpec, NoRootError, build_mesh, layer_fraction
 from .newton import NoConvergenceError, NonpositiveJacobianError, SingularDiffusionError
 from .problems import make_problem
 from .twogrid import TwoGridPlan, algorithm2, choose_r
@@ -42,7 +43,7 @@ SOLVER_ERRORS = (NoConvergenceError, ZeroPivotError, NoRootError,
 CSV_HEADER = "problem,mesh,a,q,gamma0,eps,N,n,step,error,order,iterations,seconds"
 
 
-class MissingExactError(ValueError):
+class MissingExactError(InputError):
     """Error metric requested for a problem without a closed-form solution."""
 
 
@@ -130,16 +131,16 @@ class ReportConfig:
 
     def __post_init__(self) -> None:
         if self.fmt not in FORMATS:
-            raise ValueError(f"unknown format {self.fmt!r}")
+            raise InputError(f"unknown format {self.fmt!r}")
         if self.metric not in METRICS:
-            raise ValueError(f"unknown metric {self.metric!r}")
+            raise InputError(f"unknown metric {self.metric!r}")
         for key in ("families", "eps_list", "n_list"):
             values = list(getattr(self, key))
             if not values:
-                raise ValueError("families, eps_list and n_list must be nonempty")
+                raise InputError("families, eps_list and n_list must be nonempty")
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
             if repeated:
-                raise ValueError(f"repeated value {repeated[0]!r} in {key}")
+                raise InputError(f"repeated value {repeated[0]!r} in {key}")
         if any(make_problem(self.problem, eps).exact is None for eps in self.eps_list):
             raise MissingExactError(f"problem {self.problem!r} has no exact solution")
         object.__setattr__(self, "plans", tuple(
@@ -231,25 +232,25 @@ def make_plan(algorithm: str, coarse: int | None = None, n: int | None = None,
     so is a fine size over the budget: the plan checks its sizes when made.
     """
     if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+        raise InputError(f"unknown algorithm {algorithm!r}")
     if algorithm == "direct":
         if (n is None) == (coarse is None):
-            raise ValueError("one size is required for the direct algorithm: "
+            raise InputError("one size is required for the direct algorithm: "
                              "--n or --coarse, not both")
         return TwoGridPlan(MeshSpec(n=coarse if n is None else n, **mesh),
                            cascade_levels=0)
     if coarse is None:
-        raise ValueError("--coarse is required for two-grid algorithms")
+        raise InputError("--coarse is required for two-grid algorithms")
     if n is not None and algorithm != "tg1":
-        raise ValueError(f"{algorithm} reads no --n: only tg1 takes a fine size")
+        raise InputError(f"{algorithm} reads no --n: only tg1 takes a fine size")
     spec = MeshSpec(n=coarse, **mesh)  # checks N before any log of it
     if algorithm == "tg2" and levels < 1:
-        raise ValueError("cascade_levels must be at least 1")
+        raise InputError("cascade_levels must be at least 1")
     if algorithm == "tg1_ropt":
         r = choose_r(coarse)[0]
     elif n is not None:
         if n <= coarse:
-            raise ValueError("fine grid must be strictly finer than coarse")
+            raise InputError("fine grid must be strictly finer than coarse")
         r = math.log(n) / math.log(coarse)
     return TwoGridPlan(spec, r, levels if algorithm == "tg2" else 1)
 
@@ -315,7 +316,7 @@ def layer_report(eps: float, families: Sequence[str], coarse: Sequence[int],
     holds the remaining :class:`MeshSpec` fields (q, gamma0, layer_sides).
     """
     if not all(map(len, (families, coarse, fine))):
-        raise ValueError("families, coarse and fine must be nonempty")
+        raise InputError("families, coarse and fine must be nonempty")
     rows = []
     for family in families:
         fam_a = a[family] if isinstance(a, Mapping) else a
@@ -354,27 +355,27 @@ class TimingRow:
 
 
 def timing_rows(problem_id: str, coarse_sizes: Sequence[int], repeats: int,
-                **mesh) -> Iterator[TimingRow]:
+                **mesh) -> list[TimingRow]:
     """Best-of-``repeats`` step seconds: direct solve on n = N^2 vs two-grid,
-    one row per N, timed as it is read.
+    one row per N.
 
     ``mesh`` holds the :class:`MeshSpec` fields but n, as for :func:`make_plan`.
-    The arguments and every fine size are checked in the call, before any run.
-    Absolute times are hardware-bound; only the ratio is meaningful, and only
-    once n is large enough that the coarse stage is negligible.
+    The arguments and every fine size are checked before any run.  Absolute
+    times are hardware-bound; only the ratio is meaningful, and only once n
+    is large enough that the coarse stage is negligible.
     """
     if repeats < 1:
-        raise ValueError("repeats must be at least 1")
+        raise InputError("repeats must be at least 1")
     if not coarse_sizes:
-        raise ValueError("coarse_sizes must be nonempty")
+        raise InputError("coarse_sizes must be nonempty")
     plans = [make_plan("tg1", N, **mesh) for N in coarse_sizes]
     problem = make_problem(problem_id, plans[0].coarse.eps)
-    def rows():
-        for plan in plans:
-            [n] = plan.fine_sizes()
-            runs = (make_plan("direct", n=n, **mesh), plan)
-            seconds = [[sum(algorithm2(problem, run).step_seconds) for run in runs]
-                       for _ in range(repeats)]
-            direct, tg = (min(column) for column in zip(*seconds))
-            yield TimingRow(plan.coarse.n, n, direct, tg)
-    return rows()
+    rows = []
+    for plan in plans:
+        [n] = plan.fine_sizes()
+        runs = (make_plan("direct", n=n, **mesh), plan)
+        seconds = [[sum(algorithm2(problem, run).step_seconds) for run in runs]
+                   for _ in range(repeats)]
+        direct, tg = (min(column) for column in zip(*seconds))
+        rows.append(TimingRow(plan.coarse.n, n, direct, tg))
+    return rows

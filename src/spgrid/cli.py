@@ -2,12 +2,12 @@
 
 Subcommands: ``solve`` (one problem instance), ``table`` (convergence
 sweep), ``layers`` (layer-point percentages), ``bench`` (direct vs
-two-grid timing).  Exit codes: 0 success; 2 a validation error, a repeated
-``table`` sweep value too; 3 a solver failure (``bench.SOLVER_ERRORS``, a
+two-grid timing).  Exit codes: 0 success; 2 bad input, that is an argument
+argparse refuses or an :class:`~spgrid.mesh.InputError` (a repeated
+``table`` sweep value too); 3 a solver failure (``bench.SOLVER_ERRORS``, a
 Jacobian or diffusion failure too) in a solve or in any cell of a table;
 141 once the reader closes stdout: the rest is dropped, with no traceback.
-A command yields once planned: a ``ValueError`` until then is bad input
-(exit 2), and one raised by a run is a defect that propagates.
+Any other exception, a plain ``ValueError`` too, is a defect and propagates.
 """
 
 from __future__ import annotations
@@ -17,12 +17,11 @@ import functools
 import json
 import os
 import sys
-from collections.abc import Iterator
 
 from .bench import (ALGORITHMS, FORMATS, METRICS, SOLVER_ERRORS, ReportConfig,
                     fmt_float, layer_report, make_plan, nodal_error, render_layer_rows,
                     run_report, timing_rows)
-from .mesh import FAMILIES, LAYER_SIDES, MeshSpec
+from .mesh import FAMILIES, LAYER_SIDES, InputError, MeshSpec
 from .newton import residual_for
 from .problems import PROBLEMS, make_problem
 from .twogrid import TwoGridPlan, algorithm2
@@ -112,11 +111,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_solve(args) -> Iterator[int | None]:
+def _cmd_solve(args) -> int:
     problem = make_problem(args.problem, args.eps)
     plan = make_plan(args.algorithm, args.coarse, args.n, args.r, args.levels,
                      family=args.mesh, eps=args.eps, **_grading(args))
-    yield
     result = algorithm2(problem, plan)
     meshes, outs = [result.coarse_mesh, *result.fine_meshes], [result.coarse, *result.fine]
     mesh, out = meshes[-1], outs[-1]
@@ -124,8 +122,7 @@ def _cmd_solve(args) -> Iterator[int | None]:
     if args.out == "nodes":
         for x, v in zip(mesh.nodes, out.y):
             print(f"{x:.17g} {v:.17g}")
-        yield EXIT_OK
-        return
+        return EXIT_OK
     spec = plan.coarse
     payload = {
         "problem": args.problem,
@@ -144,15 +141,14 @@ def _cmd_solve(args) -> Iterator[int | None]:
         "values": out.y.tolist(),
     }
     print(json.dumps(payload))
-    yield EXIT_OK
+    return EXIT_OK
 
 
-def _cmd_table(args) -> Iterator[int | None]:
+def _cmd_table(args) -> int:
     cfg = ReportConfig(problem=args.problem, families=args.mesh.split(","),
                        eps_list=args.eps, n_list=args.coarse,
                        algorithm=args.algorithm, r=args.r, levels=args.levels,
                        fmt=args.fmt, metric=args.metric, **_grading(args))
-    yield
     report = run_report(cfg)
     print(report.render(), end="")
     for row in report.rows:  # the CSV has no column for either
@@ -162,28 +158,25 @@ def _cmd_table(args) -> Iterator[int | None]:
         elif row.degenerate and row.step == 1:
             print(f"warning: {row.mesh} eps={row.eps:g} N={row.N}: "
                   "the mesh fell back to uniform", file=sys.stderr)
-    yield EXIT_NO_CONVERGENCE if report.failed_cells() else EXIT_OK
+    return EXIT_NO_CONVERGENCE if report.failed_cells() else EXIT_OK
 
 
-def _cmd_layers(args) -> Iterator[int | None]:
+def _cmd_layers(args) -> int:
     a = {"bakhvalov": args.a_bakhvalov, "vulanovic": args.a, "shishkin": args.a}
     rows = layer_report(args.eps, ("shishkin", "vulanovic", "bakhvalov"),
                         args.coarse, args.fine, a=a, q=args.q, gamma0=args.gamma0)
-    yield  # no solve runs: the mesh builds count as planning
     print(render_layer_rows(rows), end="")
-    yield EXIT_OK
+    return EXIT_OK
 
 
-def _cmd_bench(args) -> Iterator[int | None]:
+def _cmd_bench(args) -> int:
     rows = timing_rows(args.problem, args.coarse, args.repeats, family=args.mesh,
                        eps=args.eps, **_grading(args))
-    yield
-    rows = list(rows)  # every row timed before any is printed
     print("N,n,direct_seconds,twogrid_seconds,ratio")
     for row in rows:
         print(f"{row.N},{row.n},{fmt_float(row.direct_seconds)},"
               f"{fmt_float(row.twogrid_seconds)},{fmt_float(row.ratio)}")
-    yield EXIT_OK
+    return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -194,20 +187,14 @@ def main(argv: list[str] | None = None) -> int:
             args.subparser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
-    steps = args.run(args)
-    planning = True
     try:
-        next(steps)  # the command plans, then yields
-        planning = False
-        code = next(steps)  # ... and runs, then yields its exit code
+        code = args.run(args)
         sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit
         return code
     except SOLVER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except ValueError as exc:
-        if not planning:  # a run's ValueError is a defect, not bad input
-            raise
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except BrokenPipeError:  # drop what nobody reads, so the flush at exit cannot fail

@@ -38,6 +38,11 @@ MAX_INTERVALS = 2 ** 20
 GRADED = ("bakhvalov", "vulanovic")
 
 
+class InputError(ValueError):
+    """A parameter no run can take: what the checks of the specs, problem
+    records, plans and reports raise, and the one error the CLI exits 2 on."""
+
+
 class DegenerateMeshError(ValueError):
     """Raised when a*eps >= q leaves no room for a graded layer part."""
 
@@ -69,23 +74,23 @@ class MeshSpec:
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown mesh family {self.family!r}")
+            raise InputError(f"unknown mesh family {self.family!r}")
         if self.layer_sides not in LAYER_SIDES:
-            raise ValueError(f"unknown layer_sides {self.layer_sides!r}")
+            raise InputError(f"unknown layer_sides {self.layer_sides!r}")
         if not 2.0 ** -1022 <= self.eps <= 1.0:  # a normal double
-            raise ValueError("eps must lie in [2**-1022, 1]")
+            raise InputError("eps must lie in [2**-1022, 1]")
         if not 2 <= self.n <= MAX_INTERVALS:
-            raise ValueError(f"n must lie in [2, {MAX_INTERVALS}]")
+            raise InputError(f"n must lie in [2, {MAX_INTERVALS}]")
         if not 0.0 < self.gamma0 < math.inf:  # NaN fails too
-            raise ValueError("gamma0 must be positive and finite")
+            raise InputError("gamma0 must be positive and finite")
         if self.family in GRADED:
             if not 0.0 < self.a < math.inf:
-                raise ValueError("a must be positive and finite")
+                raise InputError("a must be positive and finite")
             if not 0.0 < self.q < 0.5:
-                raise ValueError("q must lie in (0, 0.5)")
+                raise InputError("q must lie in (0, 0.5)")
         for key in ("a", "q"):
             if not math.isfinite(getattr(self, key)):
-                raise ValueError(f"{key} must be finite")
+                raise InputError(f"{key} must be finite")
 
 
 @dataclass(frozen=True)

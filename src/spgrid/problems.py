@@ -28,6 +28,8 @@ from typing import Callable
 
 import numpy as np
 
+from .mesh import InputError
+
 Callback2 = Callable[[np.ndarray, np.ndarray], np.ndarray]
 Callback1 = Callable[[np.ndarray], np.ndarray]
 
@@ -46,12 +48,12 @@ class _Problem:
 
     def __post_init__(self) -> None:
         if not 2.0 ** -1022 <= self.eps <= 1.0:
-            raise ValueError("eps must lie in [2**-1022, 1]")
+            raise InputError("eps must lie in [2**-1022, 1]")
         if self.exact is not None:
             for x, bc, side in ((0.0, self.bc_left, "bc_left"),
                                 (1.0, self.bc_right, "bc_right")):
                 if not abs(float(self.exact(np.array(x))) - bc) <= 1e-12:  # NaN fails
-                    raise ValueError(f"exact({x:g}) does not match {side}")
+                    raise InputError(f"exact({x:g}) does not match {side}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -71,7 +73,7 @@ class QuasilinearDiffusionProblem(_Problem):
         super().__post_init__()
         for bc in (self.bc_left, self.bc_right):
             if not 0.0 < float(self.d(np.array(bc))) < math.inf:  # NaN fails too
-                raise ValueError("diffusion factor not positive at boundary data, or inf")
+                raise InputError("diffusion factor not positive at boundary data, or inf")
 
 
 def example1(eps: float) -> SemilinearProblem:
@@ -151,5 +153,5 @@ def make_problem(problem_id: str, eps: float):
     try:
         factory = PROBLEMS[problem_id]
     except KeyError:
-        raise ValueError(f"unknown problem {problem_id!r}") from None
+        raise InputError(f"unknown problem {problem_id!r}") from None
     return factory(eps)

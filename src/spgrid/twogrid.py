@@ -18,7 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .mesh import MAX_INTERVALS, Mesh, MeshSpec, build_mesh, interpolant_slopes
+from .mesh import (MAX_INTERVALS, InputError, Mesh, MeshSpec, build_mesh,
+                   interpolant_slopes)
 from .newton import SolveOutcome, _iterate, solve as newton_solve
 
 
@@ -38,9 +39,9 @@ class TwoGridPlan:
 
     def __post_init__(self) -> None:
         if not 1.0 < self.r < math.inf:  # NaN fails too
-            raise ValueError("r must be finite and exceed 1")
+            raise InputError("r must be finite and exceed 1")
         if self.cascade_levels < 0:
-            raise ValueError("cascade_levels must not be negative")
+            raise InputError("cascade_levels must not be negative")
         self.fine_sizes()  # every plan that exists is runnable
 
     def fine_sizes(self) -> list[int]:
@@ -56,10 +57,10 @@ class TwoGridPlan:
             huge = r * math.log(n) > 700.0  # e**709.8 overflows
             n = f"{n}**{r:g}" if huge else round(n ** r)
             if huge or n > MAX_INTERVALS:
-                raise ValueError(f"fine size {n} exceeds the {MAX_INTERVALS} "
+                raise InputError(f"fine size {n} exceeds the {MAX_INTERVALS} "
                                  "interval budget")
             if n <= self.coarse.n:  # only level 1 can fail: no level shrinks
-                raise ValueError("fine grid must be strictly finer than coarse")
+                raise InputError("fine grid must be strictly finer than coarse")
             sizes.append(n)
         return sizes
 
@@ -137,7 +138,7 @@ def choose_r(n_coarse: int) -> tuple[float, int]:
     Returns ``(r, round(N**r))``.
     """
     if n_coarse < 4:
-        raise ValueError("coarse size must be at least 4")
+        raise InputError("coarse size must be at least 4")
     ln_n = math.log(n_coarse)
     target = math.log(n_coarse * n_coarse / ln_n)
     r = (target + 1.0) / ln_n

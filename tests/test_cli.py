@@ -292,6 +292,24 @@ def test_a_value_error_from_a_run_is_a_defect_not_bad_input(monkeypatch, argv):
         main(list(argv))
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "--problem", "ex1", "--mesh", "uniform", "--eps", "0.1", "--n", "8"),
+    ("table", "--problem", "ex1", "--mesh", "uniform", "--eps", "0.1", "--coarse", "8"),
+    ("bench", "--problem", "ex1", "--mesh", "uniform", "--eps", "0.1", "--coarse", "8",
+     "--repeats", "1"),
+], ids=["solve", "table", "bench"])
+def test_a_plain_value_error_while_planning_is_a_defect_too(monkeypatch, argv):
+    # only an InputError is bad input, whenever it is raised
+    def broken(problem_id, eps):
+        raise ValueError("a defect in the problem factory")
+
+    for module in (cli, bench):
+        monkeypatch.setattr(module, "make_problem", broken)
+    _no_solve(monkeypatch)
+    with pytest.raises(ValueError, match="a defect in the problem factory"):
+        main(list(argv))
+
+
 def test_layers_mesh_that_doubles_cannot_hold_exits_3(capsys):
     # the layers report builds its meshes while it plans: a solver failure
     # there still exits 3, not 2 and not a traceback
