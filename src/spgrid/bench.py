@@ -34,7 +34,6 @@ from .twogrid import TwoGridPlan, algorithm2, choose_r
 
 ALGORITHMS = ("direct", "tg1", "tg2", "tg1_ropt")
 FORMATS = ("markdown", "csv", "json")
-METRICS = ("nodal", "interpolant")
 INTERPOLANT_CHUNK = 2 ** 14  # intervals per block of interpolant_error's samples
 #: What a valid run can still raise: a failed cell in a report, exit 3 in the CLI.
 SOLVER_ERRORS = (NoConvergenceError, ZeroPivotError, NoRootError,
@@ -79,6 +78,10 @@ def interpolant_error(mesh: Mesh, y: np.ndarray, exact: Callable | None) -> floa
         x = (1.0 - t) * nodes[:-1] + t * nodes[1:]
         peaks.append(np.abs(exact(x) - ((1.0 - t) * ys[:-1] + t * ys[1:])).max())
     return float(np.max(peaks))  # a NaN anywhere is the result, as in one block
+
+
+#: The error metrics by name: ``table --metric`` and ``ReportConfig.metric``.
+METRICS = {"nodal": nodal_error, "interpolant": interpolant_error}
 
 
 def convergence_order(error_coarse: float, error_fine: float) -> float:
@@ -213,12 +216,6 @@ def fmt_float(v: float) -> str:
     return f"{v:.6g}"
 
 
-def _error_of(cfg: ReportConfig, mesh: Mesh, y: np.ndarray, exact) -> float:
-    if cfg.metric == "interpolant":
-        return interpolant_error(mesh, y, exact)
-    return nodal_error(mesh, y, exact)
-
-
 def make_plan(algorithm: str, coarse: int | None = None, n: int | None = None,
               r: float = TwoGridPlan.r, levels: int = ReportConfig.levels,
               **mesh) -> TwoGridPlan:
@@ -256,7 +253,8 @@ def make_plan(algorithm: str, coarse: int | None = None, n: int | None = None,
 
 
 def _run_cell(cfg: ReportConfig, plan: TwoGridPlan) -> list:
-    """Rows for one (family, eps, N) cell; one row per step."""
+    """Rows for one (family, eps, N) cell; one row per step.  The metric is
+    looked up by its module name at call time, so a rebinding reaches it."""
     spec = plan.coarse
     problem = make_problem(cfg.problem, spec.eps)
     base = dict(problem=cfg.problem, mesh=spec.family, a=spec.a, q=spec.q,
@@ -266,10 +264,11 @@ def _run_cell(cfg: ReportConfig, plan: TwoGridPlan) -> list:
     except SOLVER_ERRORS as exc:
         return [ConvergenceRow(**base, n=spec.n, step=1,
                                failed=f"{type(exc).__name__}: {exc}")]
+    error = globals()[METRICS[cfg.metric].__name__]
     steps = zip([result.coarse_mesh, *result.fine_meshes],
                 [result.coarse, *result.fine], result.step_seconds)
     return [ConvergenceRow(**base, n=mesh.n, step=step,
-                           error=_error_of(cfg, mesh, out.y, problem.exact),
+                           error=error(mesh, out.y, problem.exact),
                            iterations=out.iterations, final_update=out.final_update,
                            degenerate=result.coarse_mesh.degenerate, seconds=seconds)
             for step, (mesh, out, seconds) in enumerate(steps, start=1)]

@@ -3,8 +3,8 @@
 Subcommands: ``solve`` (one problem instance), ``table`` (convergence
 sweep), ``layers`` (layer-point percentages), ``bench`` (direct vs
 two-grid timing).  Exit codes: 0 success; 2 bad input, that is an argument
-argparse refuses or an :class:`~spgrid.mesh.InputError` (a repeated
-``table`` sweep value too); 3 a solver failure (``bench.SOLVER_ERRORS``, a
+argparse refuses or an :class:`~spgrid.mesh.InputError` wherever a command
+raises one (a repeated ``table`` sweep value too); 3 a solver failure (``bench.SOLVER_ERRORS``, a
 Jacobian or diffusion failure too) in a solve or in any cell of a table;
 141 once the reader closes stdout: the rest is dropped, with no traceback.
 Any other exception, a plain ``ValueError`` too, is a defect and propagates.
@@ -32,12 +32,26 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_BROKEN_PIPE = 141  # as a shell reports a writer that SIGPIPE ended
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok]
+def _comma_list(element: type):
+    """The argparse type of a comma list of ``element``; argparse names
+    ``element`` in its errors (``invalid int value: '8,a'``)."""
+    def parse(text: str) -> list:
+        return [element(tok) for tok in text.split(",") if tok]
+
+    parse.__name__ = element.__name__
+    return parse
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok]
+class _Parser(argparse.ArgumentParser):
+    """Reports its own leftovers with its own usage: an unknown flag gets the
+    usage of the parser it was given to.  ``add_subparsers`` makes every
+    subcommand's parser of this class too."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return args, extra
 
 
 def _add_mesh_args(p: argparse.ArgumentParser, what: str = "mesh family") -> None:
@@ -57,7 +71,7 @@ def _grading(args) -> dict:  # the MeshSpec fields of _add_mesh_args' flags but 
 def build_parser() -> argparse.ArgumentParser:
     # allow_abbrev=False everywhere: a prefix such as --r must not stand for
     # --repeats in bench while it is the fine-size exponent in solve and table
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spgrid", allow_abbrev=False,
         description="Layer-adapted finite differences and two-grid solvers "
                     "for singularly perturbed reaction-diffusion problems.")
@@ -65,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name: str, run, help: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help, allow_abbrev=False)
-        p.set_defaults(run=run, subparser=p)  # main reports leftovers with p's usage
+        p.set_defaults(run=run)
         return p
 
     ps = command("solve", _cmd_solve, "solve one problem instance")
@@ -83,8 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
     pt = command("table", _cmd_table, "convergence table over (eps, N) cells")
     pt.add_argument("--problem", required=True, choices=tuple(PROBLEMS))
     _add_mesh_args(pt, "mesh family or comma list")
-    pt.add_argument("--eps", type=_float_list, required=True, help="comma list")
-    pt.add_argument("--coarse", type=_int_list, required=True, help="comma list of N")
+    pt.add_argument("--eps", type=_comma_list(float), required=True, help="comma list")
+    pt.add_argument("--coarse", type=_comma_list(int), required=True,
+                    help="comma list of N")
     pt.add_argument("--algorithm", default=ReportConfig.algorithm, choices=ALGORITHMS)
     pt.add_argument("--r", type=float, default=TwoGridPlan.r)
     pt.add_argument("--levels", type=int, default=ReportConfig.levels)
@@ -93,8 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pl = command("layers", _cmd_layers, "percent of mesh points inside the layers")
     pl.add_argument("--eps", type=float, default=2.0 ** -8)
-    pl.add_argument("--coarse", type=_int_list, default=[8, 16, 32, 64])
-    pl.add_argument("--fine", type=_int_list, default=[64, 256, 1024, 4096])
+    pl.add_argument("--coarse", type=_comma_list(int), default=[8, 16, 32, 64])
+    pl.add_argument("--fine", type=_comma_list(int), default=[64, 256, 1024, 4096])
     pl.add_argument("--a", type=float, default=MeshSpec.a)
     pl.add_argument("--a-bakhvalov", type=float, default=4.0,
                     help="grading strength for the Bakhvalov rows (the "
@@ -106,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--problem", required=True, choices=tuple(PROBLEMS))
     _add_mesh_args(pb)
     pb.add_argument("--eps", type=float, required=True)
-    pb.add_argument("--coarse", type=_int_list, required=True)
+    pb.add_argument("--coarse", type=_comma_list(int), required=True)
     pb.add_argument("--repeats", type=int, default=3)
     return parser
 
@@ -180,11 +195,8 @@ def _cmd_bench(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args, extra = parser.parse_known_args(argv)
-        if extra:  # a subcommand hands its leftovers up: report them with its usage
-            args.subparser.error(f"unrecognized arguments: {' '.join(extra)}")
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     try:

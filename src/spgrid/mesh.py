@@ -53,15 +53,23 @@ class NoRootError(RuntimeError):
     doubles near x = 1."""
 
 
+def check_eps(eps: float) -> float:
+    """``eps``, if a normal double in (0, 1]: the one eps rule of the mesh
+    specs and the problems.  Below 2**-1022, ``x/eps`` overflows on [0, 1]."""
+    if not 2.0 ** -1022 <= eps <= 1.0:  # NaN fails too
+        raise InputError("eps must lie in [2**-1022, 1]")
+    return eps
+
+
 @dataclass(frozen=True)
 class MeshSpec:
     """Parameters defining one mesh.
 
-    ``eps`` is a normal double in (0, 1]: below 2**-1022, ``x/eps``
-    overflows on [0, 1].  ``a`` and ``q`` are only meaningful for the graded
-    families, which check their ranges, and ``gamma0`` only for the Shishkin
-    family.  Every family refuses a non-finite value of any of the three:
-    the JSON outputs that echo them could not hold it.
+    ``eps`` passes :func:`check_eps`.  ``a`` and ``q`` are only meaningful
+    for the graded families, which check their ranges, and ``gamma0`` only
+    for the Shishkin family.  Every family refuses a non-finite value of any
+    of the three: the JSON outputs that echo them could not hold it.  A
+    failed check raises :class:`InputError`.
     """
 
     family: str
@@ -77,8 +85,7 @@ class MeshSpec:
             raise InputError(f"unknown mesh family {self.family!r}")
         if self.layer_sides not in LAYER_SIDES:
             raise InputError(f"unknown layer_sides {self.layer_sides!r}")
-        if not 2.0 ** -1022 <= self.eps <= 1.0:  # a normal double
-            raise InputError("eps must lie in [2**-1022, 1]")
+        check_eps(self.eps)
         if not 2 <= self.n <= MAX_INTERVALS:
             raise InputError(f"n must lie in [2, {MAX_INTERVALS}]")
         if not 0.0 < self.gamma0 < math.inf:  # NaN fails too

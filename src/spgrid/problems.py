@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .mesh import InputError
+from .mesh import InputError, check_eps
 
 Callback2 = Callable[[np.ndarray, np.ndarray], np.ndarray]
 Callback1 = Callable[[np.ndarray], np.ndarray]
@@ -36,9 +36,10 @@ Callback1 = Callable[[np.ndarray], np.ndarray]
 
 @dataclass(frozen=True, kw_only=True)
 class _Problem:
-    """What both problem records share, and its checks: eps a normal double
-    in (0, 1], so that ``x/eps`` stays finite on [0, 1], and the exact
-    solution, if given, matching the Dirichlet data."""
+    """What both problem records share, and its checks: eps by
+    :func:`~spgrid.mesh.check_eps` (which the built-in factories run before
+    they divide by eps), and the exact solution, if given, matching the
+    Dirichlet data.  A failed check raises :class:`~spgrid.mesh.InputError`."""
 
     eps: float
     bc_left: float
@@ -47,8 +48,7 @@ class _Problem:
     source: Callback1 | None = None
 
     def __post_init__(self) -> None:
-        if not 2.0 ** -1022 <= self.eps <= 1.0:
-            raise InputError("eps must lie in [2**-1022, 1]")
+        check_eps(self.eps)
         if self.exact is not None:
             for x, bc, side in ((0.0, self.bc_left, "bc_left"),
                                 (1.0, self.bc_right, "bc_right")):
@@ -87,7 +87,7 @@ def example1(eps: float) -> SemilinearProblem:
     solves the equation.  Substituting the solution gives
     ``source = g^2/(1 + g)`` where ``g = 1 - u``.
     """
-    den = 1.0 + math.exp(-1.0 / eps)
+    den = 1.0 + math.exp(-1.0 / check_eps(eps))
 
     def g(x):
         return (np.exp(-x / eps) + np.exp(-(1.0 - x) / eps)) / den
@@ -118,7 +118,7 @@ def example2(eps: float) -> QuasilinearDiffusionProblem:
     ``u'/(1+u) = (ln(1+u))'`` the diffusion term evaluates to
     ``A*B*(1 + eps)^2/(A + B)^2`` with ``A = exp(-x/eps)``, ``B = exp(x)``.
     """
-    bc_right = math.exp(-1.0 / eps) + math.e - 1.0
+    bc_right = math.exp(-1.0 / check_eps(eps)) + math.e - 1.0
 
     def exact(x):
         return np.exp(-x / eps) + np.exp(x) - 1.0

@@ -10,15 +10,16 @@ import numpy as np
 import pytest
 
 from reference_values import LAYER_EPS, LAYER_GRADING
-from spgrid import bench, newton, problems, twogrid
-from spgrid.bench import (INTERPOLANT_CHUNK, ConvergenceRow, DegenerateError,
-                          MissingExactError, Report, ReportConfig,
+from spgrid import newton, problems, twogrid
+from spgrid.bench import (INTERPOLANT_CHUNK, METRICS, ConvergenceRow,
+                          DegenerateError, MissingExactError, Report, ReportConfig,
                           convergence_order, fmt_float,
                           interpolant_error, layer_report, nodal_error,
                           run_report)
 from spgrid.mesh import MeshSpec, build_mesh, layer_fraction
 from spgrid.newton import solve
 from spgrid.problems import PROBLEMS, example1
+from toolbox import tracing, workloads
 
 
 def test_nodal_error_trivial_cases():
@@ -61,6 +62,25 @@ def test_interpolant_error_is_eps_uniform_on_bakhvalov():
     assert errors[1e-6][0] > 0.1  # ten samples per interval give 0.139
 
 
+@pytest.mark.parametrize("metric", METRICS)
+def test_a_traced_report_spans_every_metric_call(metric):
+    # a report calls its metric by the module name, so the tracer's rebinding
+    # of that name times every call: one per row
+    import spgrid.cli  # the tracer rebinds names in every module
+
+    tracer = tracing.Tracer()
+    tracer.install(spgrid)
+    try:
+        report = run_report(ReportConfig(problem="ex1", families=("uniform",),
+                                         eps_list=(0.1,), n_list=(8,),
+                                         algorithm="tg1", metric=metric))
+    finally:
+        tracer.uninstall()
+    assert tracer.totals()["bench.error"]["calls"] == len(report.rows) == 2
+    assert [row.error for row in report.rows] == [
+        row.error for row in run_report(report.config).rows]
+
+
 @pytest.mark.parametrize("family", ["shishkin", "bakhvalov", "vulanovic"])
 @pytest.mark.parametrize("eps", [1e-2, 1e-6])
 def test_interpolant_error_against_dense_sampling(family, eps):
@@ -68,7 +88,7 @@ def test_interpolant_error_against_dense_sampling(family, eps):
     # parts per interval are among them, and on these meshes they reach 98.7%
     # of the dense maximum or more
     p = example1(eps)
-    mesh = build_mesh(MeshSpec(family, eps, 8, a=4.0 if family == "bakhvalov" else 1.0))
+    mesh = build_mesh(MeshSpec(family, eps, 8, a=workloads.grading("ex1", family)))
     y = solve(mesh, p).y
     x = np.concatenate([np.linspace(mesh.nodes[i], mesh.nodes[i + 1], 1001)
                         for i in range(mesh.n)])

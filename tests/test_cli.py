@@ -238,6 +238,18 @@ def test_subnormal_eps_prints_the_error_line_alone(problem):
         assert proc.stderr == "error: eps must lie in [2**-1022, 1]\n"
 
 
+@pytest.mark.parametrize("eps", ["0", "-0.0"])
+@pytest.mark.parametrize("problem", ["ex1", "ex2"])
+@pytest.mark.parametrize("command", [("solve", "--n", "8"), ("table", "--coarse", "8")],
+                         ids=lambda command: command[0])
+def test_zero_eps_is_validation_error(capsys, monkeypatch, command, problem, eps):
+    # the factories divide by eps: the rule must run first
+    _no_solve(monkeypatch)
+    code, out, err = run_cli(capsys, command[0], "--problem", problem, "--eps", eps,
+                             *command[1:])
+    assert (code, out, err) == (2, "", "error: eps must lie in [2**-1022, 1]\n")
+
+
 @pytest.mark.parametrize("problem", ["ex1", "ex2"])
 def test_smallest_normal_eps_solves_on_the_uniform_mesh(capsys, problem):
     # x/eps stays finite on [0, 1]: no callback warns (a RuntimeWarning fails here)
@@ -522,16 +534,33 @@ def test_flag_prefixes_are_rejected(capsys, argv):
     assert "unrecognized arguments" in err
 
 
-@pytest.mark.parametrize("argv,leftover", [
+@pytest.mark.parametrize("argv,usage,leftover", [
     (("bench", "--problem", "ex1", "--eps", "1e-2", "--coarse", "8", "--r", "3"),
-     "--r 3"),
-    (("solve", "--problem", "ex1", "--eps", "1e-2", "--n", "8", "--bogus"), "--bogus"),
-], ids=["bench-r", "solve-bogus"])
-def test_unknown_flag_shows_the_subcommand_usage(capsys, argv, leftover):
+     "spgrid bench [-h] --problem", "--r 3"),
+    (("solve", "--problem", "ex1", "--eps", "1e-2", "--n", "8", "--bogus"),
+     "spgrid solve [-h] --problem", "--bogus"),
+    # a flag before the subcommand is the top-level parser's leftover
+    (("--bogus", "solve", "--problem", "ex1", "--eps", "0.1", "--n", "8"),
+     "spgrid [-h] {solve,table,layers,bench} ...\n", "--bogus"),
+], ids=["bench-r", "solve-bogus", "top-level-bogus"])
+def test_unknown_flag_shows_the_subcommand_usage(capsys, argv, usage, leftover):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
-    assert err.startswith(f"usage: spgrid {argv[0]} [-h] --problem")
-    assert err.endswith(f"spgrid {argv[0]}: error: unrecognized arguments: {leftover}\n")
+    assert err.startswith(f"usage: {usage}")
+    prog = usage.split(" [")[0]
+    assert err.endswith(f"\n{prog}: error: unrecognized arguments: {leftover}\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("table", "--problem", "ex1", "--eps", "x", "--coarse", "8"),
+     "spgrid table: error: argument --eps: invalid float value: 'x'\n"),
+    (("layers", "--coarse", "8,a"),
+     "spgrid layers: error: argument --coarse: invalid int value: '8,a'\n"),
+], ids=["table-eps", "layers-coarse"])
+def test_a_bad_list_element_is_named_by_its_type(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.endswith("\n" + message)
 
 
 @pytest.mark.parametrize("argv,homes", [

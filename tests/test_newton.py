@@ -14,6 +14,7 @@ from spgrid.problems import (QuasilinearDiffusionProblem, SemilinearProblem,
                              example1, example2, make_problem)
 from oracles import jacobian_fd_gap, log_transform, reduced_start_solve
 from test_linsolve import linear_problem, ones
+from toolbox import workloads
 
 
 def _residual_norm(mesh, p, y):
@@ -475,12 +476,6 @@ def test_stopping_rule_holds_at_any_solution_scale(S):
     assert gap <= 1e-12 * np.max(np.abs(base.y))
 
 
-def _grading(name, family):
-    if name == "ex2":
-        return 2.0
-    return 4.0 if family == "bakhvalov" else 1.0
-
-
 @pytest.mark.parametrize("name,iterations", [("ex1", 5), ("ex2", 4)])
 @pytest.mark.parametrize("family", ["shishkin", "bakhvalov", "vulanovic"])
 @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
@@ -488,7 +483,7 @@ def test_error_bound_stops_without_a_confirming_sweep(name, iterations, family, 
     # the contraction bound stops Newton one sweep before an update test
     # would; the sweep it saves moves the returned y by at most tau
     p = make_problem(name, eps)
-    mesh = build_mesh(MeshSpec(family, eps, 4096, a=_grading(name, family)))
+    mesh = build_mesh(MeshSpec(family, eps, 4096, a=workloads.grading(name, family)))
     out = solve(mesh, p)
     assert out.iterations == iterations
     tau = newton.TOL * max(1.0, np.max(np.abs(out.y)))
@@ -551,7 +546,7 @@ def _check_nested_start(monkeypatch, name, spec, base_n):
 @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
 def test_nested_start_matches_the_reduced_start_on_the_benchmark_grid(
         monkeypatch, name, family, eps):
-    spec = MeshSpec(family, eps, 2 ** 14, a=_grading(name, family))
+    spec = MeshSpec(family, eps, 2 ** 14, a=workloads.grading(name, family))
     _check_nested_start(monkeypatch, name, spec, 2 ** 10)
 
 
@@ -571,7 +566,8 @@ def test_nested_start_matches_on_odd_sizes_and_one_sided_meshes(monkeypatch, nam
 @pytest.mark.parametrize("family", ["shishkin", "vulanovic"])
 def test_solve_at_the_nested_base_keeps_the_reduced_start(monkeypatch, name, family):
     p = make_problem(name, 1e-4)
-    mesh = build_mesh(MeshSpec(family, 1e-4, newton.NESTED_BASE, a=_grading(name, family)))
+    mesh = build_mesh(MeshSpec(family, 1e-4, newton.NESTED_BASE,
+                               a=workloads.grading(name, family)))
     ref = reduced_start_solve(mesh, p)
     starts = _recorded_starts(monkeypatch)
 

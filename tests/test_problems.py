@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from spgrid.mesh import InputError
 from spgrid.problems import (QuasilinearDiffusionProblem, SemilinearProblem,
                              example1, example2, make_problem)
 from oracles import log_transform
@@ -157,6 +158,14 @@ def test_exact_boundary_consistency_enforced():
     with pytest.raises(ValueError):
         type(p)(eps=0.1, f=p.f, f_u=p.f_u, bc_left=0.5, bc_right=0.0,
                 exact=p.exact)
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.0])
+@pytest.mark.parametrize("name", ["ex1", "ex2"])
+def test_zero_eps_is_refused_before_the_factory_divides(name, eps):
+    # exp(-1/eps) would raise ZeroDivisionError first
+    with pytest.raises(InputError, match=r"^eps must lie in \[2\*\*-1022, 1\]$"):
+        make_problem(name, eps)
 
 
 def test_registry():

@@ -15,6 +15,7 @@ from spgrid.newton import (NoConvergenceError, NonpositiveJacobianError,
 from spgrid.problems import PROBLEMS, example1, example2, make_problem
 from spgrid.twogrid import (TwoGridPlan, algorithm1, algorithm2, choose_r,
                             interpolant_slopes)
+from toolbox import workloads
 
 # 50-digit reference values for N^r / r = N^2 / ln N (see _choose_r_reference)
 CHOOSE_R_REFERENCE = {
@@ -265,7 +266,7 @@ def test_fine_step_gap_is_quadratic_in_the_interpolant_gap(name, family):
     1.07, 2.59, 5.12 at N = 16, 32, 64; ex1: 0.93, 0.96, 1.16) while C
     stays at 0.19-0.25 for ex2 there.
     """
-    a = 2.0 if name == "ex2" else 4.0 if family == "bakhvalov" else 1.0
+    a = workloads.grading(name, family)
     for eps in (1e-2, 1e-4, 1e-6):
         p = make_problem(name, eps)
         for N in (8, 16, 32, 64):
