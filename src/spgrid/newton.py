@@ -10,9 +10,10 @@ alone: :func:`solve` evaluates it once (:func:`interior_source`) and hands
 the array to the start sweep and to every residual; likewise it builds the
 rows' :func:`couplings` once for every Jacobian.
 
-:func:`solve` and the two-grid fine step run one loop, :func:`_iterate`, in
-correction form: each sweep solves the linearized tridiagonal system ``J(y)
-delta = -F(y)`` for the update and sets ``y <- y + delta``.  Algebraically
+:func:`solve` and every fine level of :func:`levels`, the walk of a
+two-grid cascade, run one loop, :func:`_iterate`, in correction form: each
+sweep solves the linearized tridiagonal system ``J(y) delta = -F(y)`` for
+the update and sets ``y <- y + delta``.  Algebraically
 this is the classical quasilinearization sweep ``(-eps^2 D_h + f_u(y)) y_new
 = f_u(y) y - f(x, y)``, but the correction form stays accurate on strongly
 graded fine meshes where solving for the full solution would lose ~6 digits
@@ -23,15 +24,16 @@ of its own solution on every 16th node (mesh independence: Allgower, Böhmer,
 Potra and Rheinboldt, *SIAM J. Numer. Anal.* 23, 1986).
 
 Residuals may be evaluated with caller-supplied per-interval slopes of the
-current iterate (see :func:`spgrid.mesh.interpolant_slopes`).  The
-two-grid fine step hands over the slopes its transfer already formed, which
-spares its first residual one slope pass; fed none, it gives the same
+current iterate (see :func:`spgrid.mesh.interpolant_slopes`).  A fine
+level of :func:`levels` hands over the slopes its transfer already formed,
+which spares its first residual one slope pass; fed none, it gives the same
 solution to rounding (within 2e-15), only slower.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,8 +75,8 @@ NESTED_RATIO = 16
 class SolveOutcome:
     """Converged discrete solution plus iteration diagnostics.
 
-    Built only once :func:`_converged` holds (a two-grid fine step tests at
-    ``tol = inf``: its first finite update converges).  Plain data: the
+    Built only once :func:`_converged` holds (a fine level of :func:`levels`
+    tests at ``tol = inf``: its first finite update converges).  Plain data: the
     residual of ``y`` is :func:`residual_for` on the mesh it was solved on.
     """
 
@@ -300,7 +302,10 @@ def _converged(updates: list, y: np.ndarray, tol: float) -> bool:
     Problems*, 2004): the last of the ``updates``, or, if the last two
     contract by ``theta <= 1/2``, the bound ``theta/(1 - theta) * update`` on
     the distance of ``y`` to the discrete solution is at most ``tol * max(1,
-    |y|_inf)``."""
+    |y|_inf)``.  At ``tol = inf`` (one sweep) it holds at once, reading no
+    ``|y|_inf``."""
+    if tol == math.inf:
+        return True
     update = updates[-1]
     tau = tol * max(1.0, float(np.abs(y).max()))
     theta = update / updates[-2] if len(updates) > 1 else 1.0
@@ -353,6 +358,34 @@ def _nested_start(mesh: Mesh, problem) -> np.ndarray:
     slopes would spare the first residual a slope pass, which buys no time."""
     coarse = coarsen(mesh, NESTED_RATIO)
     return interpolant_slopes(coarse, solve(coarse, problem).y, mesh)[0]
+
+
+def levels(problem, mesh: Mesh,
+           finer: Iterable[Mesh] = ()) -> Iterator[tuple[Mesh, SolveOutcome]]:
+    """Walk a two-grid cascade: yield ``(mesh, outcome)`` for :func:`solve` on
+    ``mesh``, then for one Newton sweep on each mesh of ``finer`` from the
+    interpolant of the level before.
+
+    ``finer`` is read lazily, so each fine mesh is built inside its own
+    level, after the level before was yielded.  A fine level is the loop at
+    ``tol = inf``: it accepts its first finite update and raises on a
+    non-finite one.  Neither :func:`couplings` nor the source are built
+    ahead, and the interpolant's slopes are handed over in a list that the
+    first step empties: held through the step, each would raise the peak
+    memory.
+
+    A fine level certifies its own gap to the direct fine solution ``y_h``.
+    For the semilinear scheme ``y - y_h = J(w)^-1 R``, ``R_i = f_uu(xi_i)/2
+    (w_i - y_h,i)^2``; the M-matrix ``J(w)`` has ``|J(w)^-1|_inf <= 1/min
+    f_u`` for every eps, so ``|y - y_h| <= max|f_uu|/(2 min f_u) |w -
+    y_h|^2``, where ``final_update = |y - w|`` stands in for ``|w - y_h|``.
+    """
+    outcome = solve(mesh, problem)
+    yield mesh, outcome
+    for fine in finer:
+        w, *first = interpolant_slopes(mesh, outcome.y, fine)
+        mesh, outcome = fine, _iterate(fine, problem, w, first, None, None, math.inf)
+        yield mesh, outcome
 
 
 def residual_for(mesh: Mesh, problem, y: np.ndarray) -> np.ndarray:

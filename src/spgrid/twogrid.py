@@ -5,9 +5,12 @@ a coarse mesh with N intervals, then perform a single Newton correction on
 the fine mesh (n = N^r intervals, r > 1) about the coarse solution's
 interpolant.  Repeating the fine step, each level on round(n^r) intervals
 (r = 2: n = N^(2^m)), cascades the accuracy while only ever solving linear
-systems after the coarse stage.  The transfer is
-:func:`spgrid.mesh.interpolant_slopes`, the one interpolation function, which
-the direct solve's nested start shares; it is imported here by name.
+systems after the coarse stage.  :func:`spgrid.newton.levels` walks that
+cascade; this module plans its sizes (:class:`TwoGridPlan`), builds its
+meshes and times each level.  The transfer is
+:func:`spgrid.mesh.interpolant_slopes`, the one interpolation function,
+which the walk and the direct solve's nested start share; it is imported
+here by name, where ``spgrid`` and the benchmark's tracer read it.
 """
 
 from __future__ import annotations
@@ -16,11 +19,9 @@ import math
 import time
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .mesh import (MAX_INTERVALS, InputError, Mesh, MeshSpec, build_mesh,
-                   interpolant_slopes)
-from .newton import SolveOutcome, _iterate, solve as newton_solve
+                   interpolant_slopes)  # noqa: F401 (re-exported)
+from .newton import SolveOutcome, levels
 
 
 @dataclass(frozen=True)
@@ -76,41 +77,19 @@ class TwoGridResult:
     step_seconds: list
 
 
-def _fine_step(problem, fine_mesh: Mesh, prev_mesh: Mesh,
-               prev_values: np.ndarray) -> SolveOutcome:
-    """One linearized fine solve about the interpolant of the previous level:
-    the Newton loop to ``tol = inf``.  Neither ``newton.couplings`` nor the
-    source are built ahead, and the slopes are handed over in a list that the
-    loop empties: held through the step, each would raise the peak memory.
-
-    The step certifies its own gap to the direct fine solution ``y_h``.  For
-    the semilinear scheme ``y - y_h = J(w)^-1 R``, ``R_i = f_uu(xi_i)/2 (w_i -
-    y_h,i)^2``; the M-matrix ``J(w)`` has ``|J(w)^-1|_inf <= 1/min f_u`` for
-    every eps, so ``|y - y_h| <= max|f_uu|/(2 min f_u) |w - y_h|^2``, where
-    ``final_update = |y - w|`` stands in for ``|w - y_h|``."""
-    w, *first = interpolant_slopes(prev_mesh, prev_values, fine_mesh)
-    return _iterate(fine_mesh, problem, w, first, None, None, math.inf)
-
-
 def _run(problem, plan: TwoGridPlan) -> TwoGridResult:
-    """Solve on the coarse mesh, then a fine step per size (none: the direct solve)."""
+    """Clock each level of :func:`spgrid.newton.levels` on the plan's meshes
+    (no fine size: the direct solve); a level's seconds include its mesh build."""
+    meshes, outcomes, seconds = [], [], []
+    finer = (build_mesh(replace(plan.coarse, n=n)) for n in plan.fine_sizes())
     t0 = time.perf_counter()
-    coarse_mesh = build_mesh(plan.coarse)
-    coarse = newton_solve(coarse_mesh, problem)
-    seconds = [time.perf_counter() - t0]
-    fine_meshes = []
-    fine = []
-    prev_mesh, prev_values = coarse_mesh, coarse.y
-    for n in plan.fine_sizes():
-        t1 = time.perf_counter()
-        fine_mesh = build_mesh(replace(plan.coarse, n=n))
-        outcome = _fine_step(problem, fine_mesh, prev_mesh, prev_values)
-        seconds.append(time.perf_counter() - t1)
-        fine_meshes.append(fine_mesh)
-        fine.append(outcome)
-        prev_mesh, prev_values = fine_mesh, outcome.y
-    return TwoGridResult(coarse_mesh=coarse_mesh, coarse=coarse,
-                         fine_meshes=fine_meshes, fine=fine,
+    for mesh, outcome in levels(problem, build_mesh(plan.coarse), finer):
+        seconds.append(time.perf_counter() - t0)
+        meshes.append(mesh)
+        outcomes.append(outcome)
+        t0 = time.perf_counter()
+    return TwoGridResult(coarse_mesh=meshes[0], coarse=outcomes[0],
+                         fine_meshes=meshes[1:], fine=outcomes[1:],
                          step_seconds=seconds)
 
 

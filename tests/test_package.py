@@ -24,6 +24,19 @@ def test_linsolve_imports_no_spgrid_module():
             assert all(alias.name.split(".")[0] != "spgrid" for alias in node.names)
 
 
+def test_no_module_imports_another_modules_private_name():
+    # a _-prefixed name belongs to its module: a caller that needs one asks
+    # for a public function instead
+    borrowed = []
+    for path in sorted(Path(spgrid.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or node.module.split(".")[0] == "spgrid"):
+                borrowed += [f"{path.name}: {node.module}.{alias.name}"
+                             for alias in node.names if alias.name.startswith("_")]
+    assert borrowed == []
+
+
 def test_one_transfer_function_in_one_home():
     # the two-grid fine steps and the direct solve's nested start share it
     assert (spgrid.twogrid.interpolant_slopes is spgrid.mesh.interpolant_slopes

@@ -105,6 +105,33 @@ def test_algorithm2_runs_the_fine_sizes_of_its_plan():
     assert [m.n for m in algorithm2(example1(0.1), plan).fine_meshes] == [8, 23, 110]
 
 
+@pytest.mark.parametrize("name,family", [("ex1", "bakhvalov"), ("ex2", "vulanovic")])
+def test_levels_walks_the_cascade_one_sweep_per_fine_mesh(name, family):
+    # the walk reads its fine meshes lazily: each one is built only after the
+    # level before was yielded, so a caller's clock can time it in its level
+    p = make_problem(name, 1e-4)
+    spec = MeshSpec(family, 1e-4, 8, a=2.0)
+    events = []
+
+    def finer():
+        for n in (64, 4096):
+            events.append(("build", n))
+            yield build_mesh(replace(spec, n=n))
+
+    walked = []
+    for mesh, out in spgrid.newton.levels(p, build_mesh(spec), finer()):
+        events.append(("yield", mesh.n))
+        walked.append(out)
+    assert events == [("yield", 8), ("build", 64), ("yield", 64), ("build", 4096),
+                      ("yield", 4096)]
+    first, direct = walked[0], newton_solve(build_mesh(spec), p)
+    assert np.array_equal(first.y, direct.y)
+    assert (first.iterations, first.final_update, first.update_history) == (
+        direct.iterations, direct.final_update, direct.update_history)
+    assert [out.iterations for out in walked[1:]] == [1, 1]
+    assert [out.y.size for out in walked] == [9, 65, 4097]
+
+
 def test_outcomes_are_plain_data_that_pickle():
     # an outcome holds what the Newton loop computed, not the mesh or the
     # problem: example1's callbacks are local functions, which pickle refuses
@@ -196,7 +223,7 @@ def test_fine_step_frees_the_slopes_before_its_jacobian(monkeypatch, problem, fa
             dead.append(refs[-1]() is None)
         return real_jacobian(*args, **kwargs)
 
-    monkeypatch.setattr(spgrid.twogrid, "interpolant_slopes", slopes)
+    monkeypatch.setattr(spgrid.newton, "interpolant_slopes", slopes)  # where levels calls it
     monkeypatch.setattr(spgrid.newton, name, jacobian)
     plan = TwoGridPlan(coarse=MeshSpec(family, 1e-4, 16, a=a))
     algorithm1(make_problem(problem, 1e-4), plan)
@@ -282,7 +309,7 @@ def test_fine_step_gap_is_quadratic_in_the_interpolant_gap(name, family):
                                       ("bakhvalov", 1.0), ("vulanovic", 1.0)])
 def test_ex1_fine_step_gap_is_within_the_one_step_newton_bound(family, a):
     """``max|y_tg - y_h| <= C max|w - y_h|^2`` with the rigorous constant
-    ``C = max f_uu / (2 min f_u)`` (see ``_fine_step``).  For ex1, ``f_u =
+    ``C = max f_uu / (2 min f_u)`` (see ``newton.levels``).  For ex1, ``f_u =
     (2 - u)^-2`` and ``f_uu = 2 (2 - u)^-3``, so over the range [lo, hi]
     spanned by w and y_h, ``C = (2 - lo)^2 / (2 - hi)^3``.  Not the nominal
     4 of u in [0, 1]: the discrete vectors overshoot 1 (hi up to 1.0037
